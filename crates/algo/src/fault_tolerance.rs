@@ -40,8 +40,9 @@ impl MinDegreeReport {
 /// Objects that cannot reach the floor (not enough sites with room) are
 /// *reported*, not silently skipped and not fatal: they are topped up as
 /// far as capacity allows and listed in
-/// [`MinDegreeReport::unsatisfiable`], so callers — the repair loop in
-/// particular — can distinguish "repaired" from "impossible".
+/// [`MinDegreeReport::unsatisfiable`], so callers — the serve engine's
+/// degree floor in particular — can distinguish "topped up" from
+/// "impossible".
 ///
 /// # Errors
 ///

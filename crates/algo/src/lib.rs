@@ -50,7 +50,6 @@ pub mod exact;
 pub mod fault_tolerance;
 mod gra;
 pub mod monitor;
-pub mod repair;
 pub mod shard;
 mod sra;
 

@@ -16,9 +16,9 @@
 //!    elsewhere get the border toward their owner as a stand-in primary —
 //!    so each shard sees the *global* update-broadcast pressure and the
 //!    demand it could capture, at local size.
-//! 3. **Solve** each shard with the exact tree-placement oracle
-//!    ([`Adr`]) when its metric is a tree, falling back to a compact
-//!    [`Gra`] run seeded independently per shard.
+//! 3. **Solve** each shard with Wolfson's ADR tree heuristic ([`Adr`])
+//!    when its metric is a tree, falling back to a compact [`Gra`] run
+//!    seeded independently per shard.
 //! 4. **Reconcile**: member placements map straight onto global sites
 //!    (shard capacities are the real ones, so they compose); an owner
 //!    shard's border replicas — "this object wants a copy toward cluster
@@ -96,7 +96,7 @@ impl Default for ShardConfig {
 /// Which solver handled a shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardSolver {
-    /// The shard metric was a tree; the exact ADR oracle solved it.
+    /// The shard metric was a tree; the ADR tree heuristic solved it.
     Tree,
     /// General metric; a compact GRA run solved it.
     Genetic,
@@ -439,7 +439,7 @@ fn build_shards(graph: &Graph, owner: &[usize], k_clusters: usize) -> Vec<Shard>
 /// border site per neighbor cluster, cheapest cross-edges as border links,
 /// remote demand aggregated onto the border toward its cluster, and remote
 /// primaries stood in by the border toward their owner. Returns the
-/// problem and whether its metric is a tree (exactly solvable by ADR).
+/// problem and whether its metric is a tree (so the ADR heuristic applies).
 #[allow(clippy::too_many_arguments)]
 fn build_shard_problem(
     sp: &SparseProblem,

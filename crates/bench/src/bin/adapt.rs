@@ -2,7 +2,7 @@
 //! --bin adapt [out.json]` writes `BENCH_adapt.json`.
 //!
 //! For each paper-style tree instance it runs the `drp_serve` service loop
-//! under pattern drift with all three adaptation policies and reports the
+//! under pattern drift with the static and monitor policies and reports the
 //! measured bill — serving NTC plus the migration NTC each policy's
 //! reconfigurations cost — together with the wall-clock per run and the
 //! deterministic [`ServiceReport`](drp_serve::ServiceReport) fingerprint.
@@ -51,8 +51,8 @@ struct Row {
 }
 
 fn bench_policy(sites: usize, objects: usize, policy: Policy) -> Row {
-    // ADR only runs on tree metrics, so every policy serves on the same
-    // binary tree to keep the comparison apples-to-apples.
+    // Every policy serves the same binary tree, so the comparison is
+    // apples-to-apples.
     let mut spec = WorkloadSpec::paper(sites, objects, 6.0, 35.0);
     spec.topology = TopologyKind::Tree { arity: 2 };
     let problem = spec
@@ -93,16 +93,16 @@ fn main() {
 
     let mut rows = Vec::new();
     for (sites, objects) in [(8, 12), (12, 20)] {
-        for policy in [Policy::Static, Policy::Monitor, Policy::Adr] {
+        for policy in [Policy::Static, Policy::Monitor] {
             rows.push(bench_policy(sites, objects, policy));
         }
     }
 
     // Worst monitor/static ratio across sizes; rows come in fixed
-    // static-monitor-adr triples per size.
+    // static-monitor pairs per size.
     let worst_ratio = rows
-        .chunks(3)
-        .map(|triple| triple[1].total_ntc as f64 / (triple[0].total_ntc as f64).max(1.0))
+        .chunks(2)
+        .map(|pair| pair[1].total_ntc as f64 / (pair[0].total_ntc as f64).max(1.0))
         .fold(f64::MIN, f64::max);
 
     let config = drp_bench::thread_fields(

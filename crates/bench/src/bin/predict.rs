@@ -48,6 +48,7 @@ struct Row {
     total_ntc: u64,
     adaptations: u64,
     competitive_ratio: f64,
+    online_ntc: u64,
     opt_ntc: u64,
     elapsed_ms: f64,
     fingerprint: String,
@@ -80,6 +81,7 @@ fn bench_cell(scenario: Scenario, label: &'static str, policy: Policy, hot: bool
         total_ntc: t.total_ntc,
         adaptations: t.adaptations,
         competitive_ratio: oracle.competitive_ratio,
+        online_ntc: oracle.online_ntc,
         opt_ntc: oracle.opt_ntc,
         elapsed_ms,
         fingerprint: format!("{:016x}", report.fingerprint()),
@@ -98,7 +100,8 @@ fn main() {
         }
     }
 
-    // Every cell's online cost is bounded below by its oracle.
+    // Every cell's online cost is bounded below by its oracle, and the
+    // ratio is recomputable from the two NTCs the artifact carries.
     for row in &rows {
         assert!(
             row.competitive_ratio >= 1.0,
@@ -106,6 +109,16 @@ fn main() {
             row.scenario,
             row.policy,
             row.competitive_ratio
+        );
+        let ratio = if row.opt_ntc == 0 {
+            1.0
+        } else {
+            row.online_ntc as f64 / row.opt_ntc as f64
+        };
+        assert_eq!(
+            row.competitive_ratio, ratio,
+            "{}/{}: ratio must be online_ntc / opt_ntc",
+            row.scenario, row.policy
         );
     }
 
@@ -157,6 +170,7 @@ fn main() {
                 .int("total_ntc", row.total_ntc)
                 .int("adaptations", row.adaptations)
                 .float("competitive_ratio", row.competitive_ratio, 4)
+                .int("online_ntc", row.online_ntc)
                 .int("opt_ntc", row.opt_ntc)
                 .float("elapsed_ms", row.elapsed_ms, 1)
                 .text("fingerprint", &row.fingerprint),

@@ -56,8 +56,6 @@ pub enum ServePolicy {
     Static,
     /// Monitor + AGRA by day, GRA by night.
     Monitor,
-    /// Re-run ADR every boundary (tree metrics only).
-    Adr,
     /// Monitor loop driven by EWMA demand forecasts.
     PredictiveEwma,
     /// Monitor loop driven by windowed linear-regression forecasts.
@@ -141,7 +139,7 @@ pub enum Command {
         /// Scheme output file.
         output: Option<PathBuf>,
     },
-    /// Replay an instance under injected faults with self-healing repair.
+    /// Serve one period of an instance's pattern under injected faults.
     Faults {
         /// Instance file.
         instance: PathBuf,
@@ -154,11 +152,11 @@ pub enum Command {
         drop: f64,
         /// Maximum extra delivery delay.
         jitter: u64,
-        /// Fault-plan seed.
+        /// Seed of the fault plan and the request timestamps.
         seed: u64,
-        /// Min-degree floor for the repair loop.
+        /// Min-degree floor the scheme is topped up to before serving.
         min_degree: usize,
-        /// Client workload horizon.
+        /// Simulated time units the client requests spread over.
         horizon: u64,
         /// Telemetry JSONL output file.
         trace_out: Option<PathBuf>,
@@ -291,12 +289,11 @@ fn parse_policy(value: &str) -> Result<ServePolicy, CliError> {
     Ok(match value {
         "static" => ServePolicy::Static,
         "monitor" => ServePolicy::Monitor,
-        "adr" => ServePolicy::Adr,
         "predictive-ewma" => ServePolicy::PredictiveEwma,
         "predictive-regression" => ServePolicy::PredictiveRegression,
         other => {
             return Err(CliError::Usage(format!(
-                "unknown policy `{other}` (expected static, monitor, adr, \
+                "unknown policy `{other}` (expected static, monitor, \
                  predictive-ewma or predictive-regression)"
             )))
         }
@@ -818,7 +815,6 @@ mod tests {
         for (name, want) in [
             ("static", ServePolicy::Static),
             ("monitor", ServePolicy::Monitor),
-            ("adr", ServePolicy::Adr),
             ("predictive-ewma", ServePolicy::PredictiveEwma),
             ("predictive-regression", ServePolicy::PredictiveRegression),
         ] {

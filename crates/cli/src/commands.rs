@@ -5,16 +5,17 @@ use std::sync::Arc;
 use drp_algo::baselines::{HillClimb, PrimaryOnly, RandomFill};
 use drp_algo::exact::BranchBound;
 use drp_algo::fault_tolerance::ensure_min_degree;
-use drp_algo::repair::{run_faulted, run_faulted_recorded, RepairConfig};
 use drp_algo::shard::ShardedSolver;
 use drp_algo::{detect_changed_objects, Agra, AgraConfig, Gra, GraConfig, Sra};
 use drp_core::format::{read_instance, read_scheme, write_instance, write_scheme};
-use drp_core::telemetry::{InMemoryRecorder, Recorder};
+use drp_core::migration::MigrationPlan;
+use drp_core::telemetry::{self, InMemoryRecorder, Recorder};
 use drp_core::{Problem, ReplicationAlgorithm, ReplicationScheme, SparseProblem};
 use drp_net::sim::FaultPlan;
 use drp_serve::{
-    run_service, run_service_durable, run_service_durable_recorded, run_service_recorded,
-    run_service_with_oracle, FaultSpec, FileWalStore, Policy, ServeConfig, WalStore, WalTuning,
+    execute_migration, run_service_durable_recorded, run_service_recorded,
+    run_service_with_oracle_recorded, EpochTraffic, FaultSpec, FileWalStore, MigrationTuning,
+    Policy, ServeConfig, WalStore, WalTuning,
 };
 use drp_workload::{PatternChange, WorkloadSpec};
 use rand::rngs::StdRng;
@@ -103,6 +104,11 @@ fn write_trace(out: &mut String, recorder: &InMemoryRecorder, path: &Path) -> Re
     })?;
     let _ = writeln!(out, "trace written to {}", path.display());
     Ok(())
+}
+
+/// The recorder a `--trace-out` run records into, else the noop one.
+fn recorder_for(trace: Option<&Arc<InMemoryRecorder>>) -> Arc<dyn Recorder> {
+    trace.map_or_else(telemetry::noop, |rec| Arc::clone(rec) as Arc<dyn Recorder>)
 }
 
 /// Lets the trait-object dispatch in `solve` record SRA telemetry:
@@ -342,26 +348,43 @@ pub fn run_command(command: Command) -> Result<String, CliError> {
                 }
                 Some(plan)
             };
-            let config = RepairConfig {
-                min_degree,
-                horizon,
-                ..RepairConfig::default()
-            };
             let trace = trace_out
                 .as_ref()
                 .map(|_| Arc::new(InMemoryRecorder::new()));
-            let run = match &trace {
-                Some(rec) => run_faulted_recorded(
-                    &problem,
-                    &scheme,
-                    plan,
-                    config,
-                    Arc::clone(rec) as Arc<dyn Recorder>,
-                ),
-                None => run_faulted(&problem, &scheme, plan, config),
-            }
+            let recorder = recorder_for(trace.as_ref());
+            // One standalone serving epoch of the instance's pattern over
+            // `horizon` time units, with nothing to migrate.
+            let run = execute_migration(
+                &problem,
+                &scheme,
+                &MigrationPlan::default(),
+                plan,
+                MigrationTuning::default(),
+                Some(EpochTraffic {
+                    period: horizon,
+                    seed,
+                }),
+                recorder,
+            )
             .map_err(|e| CliError::Run(e.to_string()))?;
-            let _ = writeln!(out, "{}", run.report);
+            let r = run.requests;
+            let _ = writeln!(
+                out,
+                "reads: issued={} served={} failed-over={} stale={} lost={}",
+                r.reads_issued,
+                r.reads_served,
+                r.reads_failed_over,
+                r.reads_stale,
+                r.reads_lost()
+            );
+            let _ = writeln!(
+                out,
+                "writes: issued={} committed={} queued={} lost={}",
+                r.writes_issued,
+                r.writes_committed,
+                r.writes_queued,
+                r.writes_lost()
+            );
             let fs = run.fault_stats;
             let _ = writeln!(
                 out,
@@ -378,7 +401,7 @@ pub fn run_command(command: Command) -> Result<String, CliError> {
             let _ = writeln!(
                 out,
                 "sim: events={} messages={} data-units={} transfer-cost={}",
-                run.events, run.stats.messages, run.stats.data_units, run.stats.transfer_cost
+                run.sim_events, run.sim.messages, run.sim.data_units, run.sim.transfer_cost
             );
             if let (Some(rec), Some(path)) = (&trace, &trace_out) {
                 write_trace(&mut out, rec, path)?;
@@ -427,7 +450,6 @@ pub fn run_command(command: Command) -> Result<String, CliError> {
                 policy: match policy {
                     ServePolicy::Static => Policy::Static,
                     ServePolicy::Monitor => Policy::Monitor,
-                    ServePolicy::Adr => Policy::Adr,
                     ServePolicy::PredictiveEwma => Policy::PredictiveEwma,
                     ServePolicy::PredictiveRegression => Policy::PredictiveRegression,
                 },
@@ -452,6 +474,7 @@ pub fn run_command(command: Command) -> Result<String, CliError> {
             let trace = trace_out
                 .as_ref()
                 .map(|_| Arc::new(InMemoryRecorder::new()));
+            let recorder = recorder_for(trace.as_ref());
             let mut oracle_info = None;
             let report = if let Some(dir) = &wal_dir {
                 let mut store =
@@ -463,16 +486,8 @@ pub fn run_command(command: Command) -> Result<String, CliError> {
                         store.path().display()
                     )));
                 }
-                let outcome = match &trace {
-                    Some(rec) => run_service_durable_recorded(
-                        &problem,
-                        &config,
-                        &mut store,
-                        Arc::clone(rec) as Arc<dyn Recorder>,
-                    ),
-                    None => run_service_durable(&problem, &config, &mut store),
-                }
-                .map_err(|e| CliError::Run(e.to_string()))?;
+                let outcome = run_service_durable_recorded(&problem, &config, &mut store, recorder)
+                    .map_err(|e| CliError::Run(e.to_string()))?;
                 match &outcome.recovery {
                     Some(info) => {
                         let _ = writeln!(
@@ -492,20 +507,14 @@ pub fn run_command(command: Command) -> Result<String, CliError> {
                 }
                 outcome.report
             } else if oracle {
-                let (report, oracle_report) = run_service_with_oracle(&problem, &config)
-                    .map_err(|e| CliError::Run(e.to_string()))?;
+                let (report, oracle_report) =
+                    run_service_with_oracle_recorded(&problem, &config, recorder)
+                        .map_err(|e| CliError::Run(e.to_string()))?;
                 oracle_info = Some(oracle_report);
                 report
             } else {
-                match &trace {
-                    Some(rec) => run_service_recorded(
-                        &problem,
-                        &config,
-                        Arc::clone(rec) as Arc<dyn Recorder>,
-                    ),
-                    None => run_service(&problem, &config),
-                }
-                .map_err(|e| CliError::Run(e.to_string()))?
+                run_service_recorded(&problem, &config, recorder)
+                    .map_err(|e| CliError::Run(e.to_string()))?
             };
             let _ = writeln!(
                 out,
@@ -800,7 +809,7 @@ mod tests {
     }
 
     #[test]
-    fn faults_reports_degradation_and_is_deterministic() {
+    fn faults_serves_one_epoch_and_matches_the_golden() {
         let dir = tempdir("faults");
         let net = dir.join("net.drp");
         run(&argv(&format!(
@@ -814,12 +823,18 @@ mod tests {
             net.display()
         );
         let out = run(&argv(&line)).unwrap();
-        assert!(out.contains("reads: total="), "{out}");
-        assert!(out.contains("faults: crashes=2 recoveries=2"), "{out}");
-        assert!(out.contains("repair:"), "{out}");
+        // Golden: the front end serves the instance's pattern on the serve
+        // epoch engine; any protocol change that shifts a count shows here.
+        let golden = "\
+reads: issued=1621 served=1490 failed-over=96 stale=75 lost=131
+writes: issued=75 committed=66 queued=4 lost=9
+faults: crashes=2 recoveries=2 dropped-random=0 dropped-partition=0 lost-arrivals=7 \
+lost-timers=137 extra-delay=1164
+sim: events=4085 messages=2376 data-units=30958 transfer-cost=87992
+";
+        assert_eq!(out, golden);
         // Bitwise-identical on a second run: the whole pipeline is seeded.
-        let again = run(&argv(&line)).unwrap();
-        assert_eq!(out, again);
+        assert_eq!(out, run(&argv(&line)).unwrap());
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -834,7 +849,8 @@ mod tests {
         .unwrap();
         let out = run(&argv(&format!("faults --instance {}", net.display()))).unwrap();
         assert!(out.contains("faults: crashes=0 recoveries=0"), "{out}");
-        assert!(out.contains("degraded-at=never"), "{out}");
+        assert!(out.contains("failed-over=0 stale="), "{out}");
+        assert!(out.contains("queued=0 lost=0"), "{out}");
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -899,6 +915,7 @@ mod tests {
         assert!(out.contains("trace written to"), "{out}");
         let body = std::fs::read_to_string(&ftrace).unwrap();
         assert!(body.contains(r#""name":"sim.run""#), "{body}");
+        assert!(body.contains(r#""name":"serve.epoch""#), "{body}");
         assert!(body.contains(r#""name":"fault.crashes""#), "{body}");
         let _ = std::fs::remove_dir_all(dir);
     }
@@ -999,6 +1016,33 @@ mod tests {
         // Deterministic end to end, oracle included.
         let again = run(&argv(&serve)).unwrap();
         assert_eq!(out, again);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn serve_oracle_trace_out_writes_the_run_trace() {
+        // The oracle path records too: a "trace written" line must never
+        // sit on top of an empty trace file.
+        let dir = tempdir("serve_oracle_trace");
+        let net = dir.join("net.drp");
+        let trace = dir.join("oracle.trace.jsonl");
+        run(&argv(&format!(
+            "generate --sites 6 --objects 8 --capacity 30 --seed 9 -o {}",
+            net.display()
+        )))
+        .unwrap();
+        let serve = format!(
+            "serve --instance {} --policy monitor --epochs 2 --period 128 --seed 9 --oracle",
+            net.display()
+        );
+        let bare = run(&argv(&serve)).unwrap();
+        let traced = run(&argv(&format!("{serve} --trace-out {}", trace.display()))).unwrap();
+        assert!(traced.contains("trace written to"), "{traced}");
+        assert!(traced.starts_with(&bare), "tracing must not change the run");
+        let body = std::fs::read_to_string(&trace).unwrap();
+        assert!(!body.is_empty());
+        assert!(body.contains(r#""name":"serve.run""#), "{body}");
+        assert!(body.contains(r#""name":"serve.oracle""#), "{body}");
         let _ = std::fs::remove_dir_all(dir);
     }
 

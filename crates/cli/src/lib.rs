@@ -25,24 +25,28 @@ pub const USAGE: &str = "\
 usage:
   drp generate --sites M --objects N [--update U%] [--capacity C%]
                [--topology complete|ring|tree|grid|er|waxman|hier] [--zipf S]
-               [--seed N] [-o FILE]
+               [--seed N] [-o|--output FILE]
   drp solve    --instance FILE --algorithm sra|gra|hill|random|optimal|primary
-               [--seed N] [--pop N] [--gens N] [--shards K] [-o FILE]
+               [--seed N] [--pop N] [--gens N] [--shards K] [-o|--output FILE]
                [--trace-out FILE]
   drp evaluate --instance FILE --scheme FILE
   drp inspect  --instance FILE
-  drp distributed --instance FILE [-o FILE]
+  drp distributed --instance FILE [-o|--output FILE]
   drp faults   --instance FILE [--scheme FILE] [--crash SITE@FROM..UNTIL]...
                [--drop P] [--jitter J] [--seed N] [--min-degree D]
                [--horizon T] [--trace-out FILE]
   drp adapt    --instance FILE --new-instance FILE --scheme FILE
-               [--mini N] [--threshold PCT] [--seed N] [-o FILE]
-  drp serve    --instance FILE [--policy static|monitor|adr] [--epochs N]
-               [--period T] [--seed N] [--night-every K] [--admission-limit N]
-               [--threads N]
-               [--drift CHANGE%:OBJECTS%:READSHARE] [--crash SITE@FROM..UNTIL]...
-               [--drop P] [--jitter J] [--report-out FILE] [--trace-out FILE]
-               [--wal-dir DIR [--recover] [--checkpoint-every K]]";
+               [--mini N] [--threshold PCT] [--seed N] [-o|--output FILE]
+  drp serve    --instance FILE
+               [--policy static|monitor|predictive-ewma|predictive-regression]
+               [--epochs N] [--period T] [--seed N] [--night-every K]
+               [--admission-limit N] [--threads N]
+               [--drift CHANGE%:OBJECTS%:READSHARE | --scenario NAME
+                | --crash SITE@FROM..UNTIL... --drop P --jitter J]
+               [--oracle] [--report-out FILE] [--trace-out FILE]
+               [--wal-dir DIR [--recover] [--checkpoint-every K]]
+               scenarios: diurnal|flash-crowd|regional-failover|
+                          partition-drift|read-write-inversion";
 
 /// Parses and executes one command line, returning its stdout text.
 ///
@@ -53,4 +57,35 @@ usage:
 pub fn run(args: &[String]) -> Result<String, CliError> {
     let command = parse(args)?;
     run_command(command)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::USAGE;
+
+    #[test]
+    fn usage_names_every_flag_and_value_the_parser_accepts() {
+        let flags: Vec<&str> = include_str!("args.rs")
+            .split('"')
+            .filter(|t| t.len() > 2 && t.starts_with("--"))
+            .filter(|t| t[2..].chars().all(|c| c.is_ascii_lowercase() || c == '-'))
+            .collect();
+        assert!(flags.len() > 20, "flag scan found only {flags:?}");
+        for flag in flags {
+            let listed = USAGE.contains(&format!("{flag} ")) || USAGE.contains(&format!("{flag}]"));
+            assert!(listed, "USAGE omits {flag}");
+        }
+        for policy in [
+            "static",
+            "monitor",
+            "predictive-ewma",
+            "predictive-regression",
+        ] {
+            assert!(USAGE.contains(policy), "USAGE omits policy {policy}");
+        }
+        for scenario in drp_workload::Scenario::ALL {
+            assert!(USAGE.contains(scenario.name()), "USAGE omits {scenario:?}");
+        }
+        assert!(!USAGE.contains("adr"));
+    }
 }

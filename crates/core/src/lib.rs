@@ -77,7 +77,7 @@ pub use error::{CoreError, ServeError};
 pub use evaluator::CostEvaluator;
 pub use ids::{ObjectId, SiteId};
 pub use matrix::DenseMatrix;
-pub use metrics::{DegradationReport, IngestReport, SolutionReport};
+pub use metrics::{IngestReport, SolutionReport};
 pub use narrow::NarrowMirror;
 pub use problem::{Problem, ProblemBuilder};
 pub use scheme::ReplicationScheme;

@@ -52,135 +52,6 @@ impl fmt::Display for SolutionReport {
     }
 }
 
-/// What a fault-injected simulation cost the clients, in observed (not
-/// analytic) terms.
-///
-/// Produced by `drp_algo::repair::run_faulted`, which drives a replication
-/// scheme through a seeded `FaultPlan` with retrying readers, a queueing
-/// write path and a background repair loop. Every field is integral and
-/// deterministic for a fixed plan, so regression tests can assert reports
-/// bitwise (`==`).
-///
-/// Accounting invariant: `reads_total = reads_local + reads_remote +
-/// reads_degraded + reads_lost + reads_abandoned` (and likewise for
-/// writes with `writes_first_try + writes_recovered + writes_lost +
-/// writes_abandoned`).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DegradationReport {
-    /// Client reads issued.
-    pub reads_total: u64,
-    /// Reads served from a replica co-located with the reader (NTC-free,
-    /// as in Eq. 4's `C(i, SN_k(i)) = 0` case).
-    pub reads_local: u64,
-    /// Reads served by the nearest replicator on the first attempt — the
-    /// undisturbed Eq. 4 read path.
-    pub reads_remote: u64,
-    /// Reads served only after timeout, retry or failover to a farther
-    /// replicator: they paid more than Eq. 4 budgets for them.
-    pub reads_degraded: u64,
-    /// Reads served from a replica that lagged the primary's version.
-    pub reads_stale: u64,
-    /// Reads abandoned after exhausting the retry budget or the deadline.
-    pub reads_lost: u64,
-    /// Reads pending at a reader when it crashed (client-side loss).
-    pub reads_abandoned: u64,
-    /// Client writes issued.
-    pub writes_total: u64,
-    /// Writes acknowledged by the primary on the first attempt.
-    pub writes_first_try: u64,
-    /// Writes that found their primary down at least once and were queued
-    /// at the writer until it drained on recovery.
-    pub writes_queued: u64,
-    /// Individual write retransmissions while draining queued writes.
-    pub write_retries: u64,
-    /// Queued writes that eventually got an acknowledgement.
-    pub writes_recovered: u64,
-    /// Writes abandoned after the retry budget or deadline.
-    pub writes_lost: u64,
-    /// Writes pending at a writer when it crashed.
-    pub writes_abandoned: u64,
-    /// Replicas created by the repair loop to restore the degree floor.
-    pub repair_replicas_created: u64,
-    /// NTC spent shipping object copies for repair and resynchronization.
-    pub repair_traffic: u64,
-    /// Sum over (replica, interval) of simulated time spent serving while
-    /// out of date — the stale-read exposure window.
-    pub stale_window: u64,
-    /// Objects still below the degree floor when the run ended (capacity
-    /// made the floor unsatisfiable, or no live source existed).
-    pub min_degree_unmet: u64,
-    /// First instant any object's live degree fell below the floor
-    /// (`None` if that never happened).
-    pub first_degradation_at: Option<u64>,
-    /// Simulated time from the first degradation until the repair loop
-    /// last restored every object to the floor (0 if never degraded;
-    /// `completion_time - first` if never restored).
-    pub time_to_restored_degree: u64,
-    /// Simulated time at which the run went quiescent.
-    pub completion_time: u64,
-}
-
-impl DegradationReport {
-    /// Reads that were actually served, by any path.
-    pub fn reads_served(&self) -> u64 {
-        self.reads_local + self.reads_remote + self.reads_degraded
-    }
-
-    /// Does the read accounting add up?
-    pub fn reads_balanced(&self) -> bool {
-        self.reads_total == self.reads_served() + self.reads_lost + self.reads_abandoned
-    }
-
-    /// Does the write accounting add up?
-    pub fn writes_balanced(&self) -> bool {
-        self.writes_total
-            == self.writes_first_try
-                + self.writes_recovered
-                + self.writes_lost
-                + self.writes_abandoned
-    }
-}
-
-impl fmt::Display for DegradationReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "reads: total={} local={} remote={} degraded={} stale={} lost={} abandoned={}",
-            self.reads_total,
-            self.reads_local,
-            self.reads_remote,
-            self.reads_degraded,
-            self.reads_stale,
-            self.reads_lost,
-            self.reads_abandoned
-        )?;
-        writeln!(
-            f,
-            "writes: total={} first-try={} queued={} retries={} recovered={} lost={} abandoned={}",
-            self.writes_total,
-            self.writes_first_try,
-            self.writes_queued,
-            self.write_retries,
-            self.writes_recovered,
-            self.writes_lost,
-            self.writes_abandoned
-        )?;
-        write!(
-            f,
-            "repair: replicas=+{} traffic={} stale-window={} unmet-floor={} \
-             degraded-at={} restore-time={} completed-at={}",
-            self.repair_replicas_created,
-            self.repair_traffic,
-            self.stale_window,
-            self.min_degree_unmet,
-            self.first_degradation_at
-                .map_or_else(|| "never".into(), |t| t.to_string()),
-            self.time_to_restored_degree,
-            self.completion_time
-        )
-    }
-}
-
 /// Admission accounting for one ingested epoch, per site and in total.
 ///
 /// Produced by the `drp-serve` ingestion front end: every offered request
@@ -289,24 +160,5 @@ mod tests {
         r.shed_by_site[0] = 0;
         let text = r.to_string();
         assert!(text.contains("offered=12") && text.contains("batches=2"));
-    }
-
-    #[test]
-    fn degradation_report_balances_and_displays() {
-        let mut r = DegradationReport::default();
-        assert!(r.reads_balanced() && r.writes_balanced());
-        r.reads_total = 10;
-        r.reads_local = 3;
-        r.reads_remote = 4;
-        r.reads_degraded = 2;
-        r.reads_lost = 1;
-        assert!(r.reads_balanced());
-        assert_eq!(r.reads_served(), 9);
-        r.reads_lost = 0;
-        assert!(!r.reads_balanced());
-        r.first_degradation_at = Some(42);
-        let text = r.to_string();
-        assert!(text.contains("degraded-at=42"));
-        assert!(text.contains("reads: total=10"));
     }
 }

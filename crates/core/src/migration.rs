@@ -25,7 +25,7 @@ pub struct Addition {
 }
 
 /// The realization plan between two schemes over the same instance.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MigrationPlan {
     /// Replicas to create, each with its cheapest source.
     pub additions: Vec<Addition>,

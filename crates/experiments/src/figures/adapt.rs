@@ -4,17 +4,16 @@
 //! evaluates it offline, one re-optimization at a time. This experiment
 //! closes the loop with `drp_serve`: a long-running service streams timed
 //! requests through the simulator epoch by epoch while the true pattern
-//! drifts, and three policies compete on the *measured* bill — serving NTC
+//! drifts, and the policies compete on the *measured* bill — serving NTC
 //! plus the migration NTC their adaptations cost:
 //!
 //! * **static** — the bootstrap GRA scheme, frozen;
 //! * **monitor** — windowed statistics into the replication monitor (AGRA
-//!   by day, full GRA every `night_every`-th boundary);
-//! * **adr** — the ADR tree heuristic re-solved on every window.
+//!   by day, full GRA every `night_every`-th boundary), with and without
+//!   the hot-object fast path.
 //!
-//! All three run on the same tree topology (ADR is only defined on trees)
-//! and the same seeds, so they serve byte-identical traffic and differ
-//! only in how they adapt.
+//! All of them run on the same binary-tree topology and the same seeds, so
+//! they serve byte-identical traffic and differ only in how they adapt.
 
 use std::sync::Arc;
 
@@ -80,11 +79,10 @@ impl Params {
 /// issuing capacity-checked replica boosts between retunes; every boost
 /// must pay for its own fetch, so its total NTC can only improve on
 /// plain `monitor`.
-const VARIANTS: [(&str, Policy, bool); 4] = [
+const VARIANTS: [(&str, Policy, bool); 3] = [
     ("static", Policy::Static, false),
     ("monitor", Policy::Monitor, false),
     ("monitor+hot", Policy::Monitor, true),
-    ("adr", Policy::Adr, false),
 ];
 
 /// `(label, policy, hot fast path)` rows of the policy × scenario matrix.
@@ -306,7 +304,7 @@ mod tests {
     fn adaptive_policies_beat_the_frozen_baseline() {
         let table = drift_table(&tiny_params(), telemetry::noop());
         let rows = &table.rows;
-        assert_eq!(rows.len(), 4);
+        assert_eq!(rows.len(), 3);
         let total = |row: &[String]| -> f64 { row[3].parse().unwrap() };
         let static_total = total(&rows[0]);
         let monitor_total = total(&rows[1]);
@@ -314,7 +312,6 @@ mod tests {
         assert_eq!(rows[0][0], "static");
         assert_eq!(rows[1][0], "monitor");
         assert_eq!(rows[2][0], "monitor+hot");
-        assert_eq!(rows[3][0], "adr");
         assert!(
             monitor_total < static_total,
             "monitor {monitor_total} must beat static {static_total} under drift"

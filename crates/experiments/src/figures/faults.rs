@@ -3,21 +3,21 @@
 //! The paper optimizes placements for a failure-free network; this
 //! experiment asks what those placements cost clients when sites actually
 //! crash. For a sweep over the number of simultaneously crashed sites, it
-//! drives an SRA placement (topped up to a degree-2 floor) through seeded
-//! crash schedules with the self-healing pipeline of
-//! [`drp_algo::repair`], and reports the client-observed degradation:
-//! share of reads that needed failover, reads lost outright, replicas the
-//! repair loop created, the NTC it spent doing so, and how long the system
-//! stayed below its replication floor.
+//! serves one period of an instance's pattern against an SRA placement
+//! (topped up to a degree floor) on the `drp-serve` epoch engine under
+//! seeded crash schedules, and reports the client-observed degradation:
+//! share of reads that failed over to a farther live holder, reads and
+//! writes lost, stale reads, and writes that queued for a dark primary.
 
 use std::sync::Arc;
 
 use drp_algo::fault_tolerance::ensure_min_degree;
-use drp_algo::repair::{run_faulted_recorded, RepairConfig};
 use drp_algo::Sra;
+use drp_core::migration::MigrationPlan;
 use drp_core::telemetry::{self, Recorder};
 use drp_core::ReplicationAlgorithm;
 use drp_net::sim::FaultPlan;
+use drp_serve::{execute_migration, EpochTraffic, MigrationTuning};
 use drp_workload::WorkloadSpec;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -37,7 +37,7 @@ pub struct Params {
     pub drop_probability: f64,
     /// Capacity percentage.
     pub capacity: f64,
-    /// Min-degree floor enforced before and during the run.
+    /// Min-degree floor the placement is topped up to before serving.
     pub min_degree: usize,
     /// Instances per crash count.
     pub instances: usize,
@@ -81,27 +81,29 @@ fn plan_for(seed: u64, count: usize, num_sites: usize, drop: f64) -> Option<Faul
     Some(plan)
 }
 
+/// Simulated time units the client requests spread over; the crash
+/// windows of [`plan_for`] fall inside it.
+const HORIZON: u64 = 1_000;
+
 /// Runs the fault study: client-observed degradation vs crashed sites.
 pub fn run(params: &Params) -> Vec<Table> {
     run_recorded(params, telemetry::noop())
 }
 
 /// [`run`] with a telemetry recorder observing every simulator run: one
-/// `faults.point` span per crash count plus the aggregated `sim.*` /
-/// `fault.*` / `repair.sweep` telemetry of every repair pipeline run.
+/// `faults.point` span per crash count plus the aggregated `serve.epoch` /
+/// `sim.*` / `fault.*` telemetry of every serving epoch.
 pub fn run_recorded(params: &Params, recorder: Arc<dyn Recorder>) -> Vec<Table> {
     let (m, n) = params.size;
     let mut table = Table::new(
         "degradation_vs_crashed_sites",
         vec![
             "crashed".into(),
-            "degraded reads %".into(),
-            "lost reads".into(),
+            "failed-over reads %".into(),
+            "lost reads %".into(),
             "stale reads".into(),
             "queued writes".into(),
-            "repair replicas".into(),
-            "repair NTC".into(),
-            "restore time".into(),
+            "lost writes".into(),
         ],
     );
     for &count in &params.crash_counts {
@@ -113,27 +115,31 @@ pub fn run_recorded(params: &Params, recorder: Arc<dyn Recorder>) -> Vec<Table> 
             let problem = spec.generate(&mut rng).expect("valid spec");
             let mut scheme = Sra::new().solve(&problem, &mut rng).expect("SRA runs");
             ensure_min_degree(&problem, &mut scheme, params.min_degree).expect("top-up runs");
-            let plan = plan_for(seed, count, m, params.drop_probability);
-            let config = RepairConfig {
-                min_degree: params.min_degree,
-                ..RepairConfig::default()
-            };
-            let run = run_faulted_recorded(&problem, &scheme, plan, config, Arc::clone(&recorder))
-                .expect("repair run");
-            let r = run.report;
-            assert!(r.reads_balanced() && r.writes_balanced(), "{r}");
+            let run = execute_migration(
+                &problem,
+                &scheme,
+                &MigrationPlan::default(),
+                plan_for(seed, count, m, params.drop_probability),
+                MigrationTuning::default(),
+                Some(EpochTraffic {
+                    period: HORIZON,
+                    seed,
+                }),
+                Arc::clone(&recorder),
+            )
+            .expect("serving epoch");
+            let r = run.requests;
+            let reads = r.reads_issued.max(1) as f64;
             [
-                100.0 * r.reads_degraded as f64 / r.reads_total.max(1) as f64,
-                r.reads_lost as f64,
+                100.0 * r.reads_failed_over as f64 / reads,
+                100.0 * r.reads_lost() as f64 / reads,
                 r.reads_stale as f64,
                 r.writes_queued as f64,
-                r.repair_replicas_created as f64,
-                r.repair_traffic as f64,
-                r.time_to_restored_degree as f64,
+                r.writes_lost() as f64,
             ]
         });
         let mut row = vec![count.to_string()];
-        for metric in 0..7 {
+        for metric in 0..5 {
             let values: Vec<f64> = runs.iter().map(|r| r[metric]).collect();
             row.push(fmt2(aggregate(&values).mean));
         }
@@ -163,15 +169,14 @@ mod tests {
     fn fault_study_runs_and_degradation_grows_with_crashes() {
         let tables = run(&tiny_params());
         assert_eq!(tables[0].rows.len(), 2);
-        let degraded = |row: &[String]| -> f64 { row[1].parse().unwrap() };
-        let baseline = degraded(&tables[0].rows[0]);
-        let crashed = degraded(&tables[0].rows[1]);
-        assert_eq!(baseline, 0.0, "no degradation without faults");
-        assert!(crashed >= baseline);
-        // No client read may be lost: repair + retries bridge the outages.
-        for row in &tables[0].rows {
-            assert_eq!(row[2].parse::<f64>().unwrap(), 0.0, "lost reads");
+        let cell = |row: &[String], col: usize| -> f64 { row[col].parse().unwrap() };
+        let (baseline, crashed) = (&tables[0].rows[0], &tables[0].rows[1]);
+        // Stale reads happen without faults too (updates race reads).
+        for col in [1, 2, 4, 5] {
+            assert_eq!(cell(baseline, col), 0.0, "no degradation without faults");
         }
+        assert!(cell(crashed, 1) > 0.0, "crashes must force read failover");
+        assert!(cell(crashed, 2) > 0.0, "dark sites lose their own requests");
     }
 
     #[test]
@@ -197,9 +202,9 @@ mod tests {
             recorder.span_count("faults.point"),
             params.crash_counts.len() as u64
         );
-        // Every (crash count, instance) pair is one simulator run.
+        // Every (crash count, instance) pair is one serving epoch.
         assert_eq!(
-            recorder.span_count("sim.run"),
+            recorder.span_count("serve.epoch"),
             (params.crash_counts.len() * params.instances) as u64
         );
         assert!(recorder.counter("sim.events") > 0);

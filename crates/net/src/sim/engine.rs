@@ -8,7 +8,6 @@ use super::event::{EventKind, EventQueue, Time};
 use super::fault::{FaultPlan, FaultStats, Verdict};
 use super::message::Message;
 use super::stats::TrafficStats;
-use super::traffic::TrafficMatrix;
 
 /// Behaviour of one site in the simulated network.
 ///
@@ -27,20 +26,6 @@ pub trait Node<P> {
     /// Invoked when a timer set via [`Context::set_timer`] fires.
     fn on_timer(&mut self, ctx: &mut Context<'_, P>, payload: P) {
         let _ = (ctx, payload);
-    }
-
-    /// Invoked when a [`FaultPlan`] crashes this node. The node is already
-    /// down: any sends or timers it produces here are suppressed. Volatile
-    /// state (pending requests) should be written off here; durable state
-    /// (stored replicas) survives.
-    fn on_crash(&mut self, ctx: &mut Context<'_, P>) {
-        let _ = ctx;
-    }
-
-    /// Invoked when a [`FaultPlan`] brings this node back up. Effects
-    /// produced here flow normally — the usual place to re-arm timers.
-    fn on_recover(&mut self, ctx: &mut Context<'_, P>) {
-        let _ = ctx;
     }
 }
 
@@ -87,8 +72,8 @@ impl<P> Context<'_, P> {
     /// Is `site` currently up? Always `true` without a fault plan.
     ///
     /// This is an oracle (perfect failure detector): protocol drivers like
-    /// the repair coordinator may consult it, while message-level code can
-    /// ignore it and rely on timeouts alone.
+    /// the serving engine's failover path may consult it, while
+    /// message-level code can ignore it and rely on timeouts alone.
     pub fn is_up(&self, site: usize) -> bool {
         self.faults.is_none_or(|p| p.is_up(site, self.now))
     }
@@ -113,8 +98,8 @@ impl<P> Context<'_, P> {
     /// [`Node::on_timer`] after `delay` time units.
     ///
     /// Under a fault plan a timer that fires while its owner is down is
-    /// discarded — nodes re-arm what they need in
-    /// [`Node::on_recover`].
+    /// discarded; a node that must act after an outage consults
+    /// [`Context::is_up`] before it relies on a peer.
     pub fn set_timer(&mut self, delay: Time, payload: P) {
         self.effects.push(Effect::Timer { delay, payload });
     }
@@ -128,7 +113,6 @@ pub struct Simulator<'a, P> {
     nodes: Vec<Box<dyn Node<P> + 'a>>,
     queue: EventQueue<P>,
     stats: TrafficStats,
-    traffic: TrafficMatrix,
     faults: Option<FaultPlan>,
     fault_stats: FaultStats,
     now: Time,
@@ -169,13 +153,11 @@ impl<'a, P> Simulator<'a, P> {
                 ),
             });
         }
-        let num_sites = costs.num_sites();
         Ok(Self {
             costs,
             nodes,
             queue: EventQueue::new(),
             stats: TrafficStats::default(),
-            traffic: TrafficMatrix::new(num_sites),
             faults: None,
             fault_stats: FaultStats::default(),
             now: 0,
@@ -239,11 +221,6 @@ impl<'a, P> Simulator<'a, P> {
         self.stats
     }
 
-    /// Per-site-pair traffic breakdown.
-    pub fn traffic(&self) -> &TrafficMatrix {
-        &self.traffic
-    }
-
     /// What the fault injector did so far (all zeros without a plan).
     pub fn fault_stats(&self) -> FaultStats {
         self.fault_stats
@@ -300,7 +277,6 @@ impl<'a, P> Simulator<'a, P> {
                                 // The message was transmitted and lost in
                                 // flight: the bandwidth is spent.
                                 self.stats.record(size, c);
-                                self.traffic.record(origin, dst, size, c);
                                 self.fault_stats.dropped_random += 1;
                                 continue;
                             }
@@ -314,7 +290,6 @@ impl<'a, P> Simulator<'a, P> {
                         None => 0,
                     };
                     self.stats.record(size, c);
-                    self.traffic.record(origin, dst, size, c);
                     self.queue.push(
                         self.now + c + extra,
                         EventKind::Arrival(Message {
@@ -348,9 +323,8 @@ impl<'a, P> Simulator<'a, P> {
         // times a transition is dispatched before any message arrival.
         if let Some(plan) = &self.faults {
             for w in plan.crash_windows() {
-                self.queue.push(w.from, EventKind::Crash { site: w.site });
-                self.queue
-                    .push(w.until, EventKind::Recover { site: w.site });
+                self.queue.push(w.from, EventKind::Crash);
+                self.queue.push(w.until, EventKind::Recover);
             }
         }
         for id in 0..self.nodes.len() {
@@ -415,30 +389,10 @@ impl<'a, P> Simulator<'a, P> {
                 self.nodes[node].on_timer(&mut ctx, payload);
                 self.apply_effects(node, effects);
             }
-            EventKind::Crash { site } => {
-                self.fault_stats.crashes += 1;
-                let mut ctx = Context {
-                    node: site,
-                    now: self.now,
-                    num_sites,
-                    faults: self.faults.as_ref(),
-                    effects: &mut effects,
-                };
-                self.nodes[site].on_crash(&mut ctx);
-                self.apply_effects(site, effects);
-            }
-            EventKind::Recover { site } => {
-                self.fault_stats.recoveries += 1;
-                let mut ctx = Context {
-                    node: site,
-                    now: self.now,
-                    num_sites,
-                    faults: self.faults.as_ref(),
-                    effects: &mut effects,
-                };
-                self.nodes[site].on_recover(&mut ctx);
-                self.apply_effects(site, effects);
-            }
+            // A crash discards the site's volatile state implicitly: its
+            // arrivals and timers are dropped while it is down.
+            EventKind::Crash => self.fault_stats.crashes += 1,
+            EventKind::Recover => self.fault_stats.recoveries += 1,
         }
         true
     }
@@ -674,8 +628,6 @@ mod tests {
         peer: usize,
         ticks: u64,
         got: u64,
-        crashes_seen: u64,
-        recoveries_seen: u64,
     }
 
     impl Ticker {
@@ -684,8 +636,6 @@ mod tests {
                 peer,
                 ticks,
                 got: 0,
-                crashes_seen: 0,
-                recoveries_seen: 0,
             }
         }
     }
@@ -703,16 +653,6 @@ mod tests {
             ctx.send(self.peer, 1, tick);
             if tick + 1 < self.ticks {
                 ctx.set_timer(1, tick + 1);
-            }
-        }
-        fn on_crash(&mut self, _ctx: &mut Context<'_, u64>) {
-            self.crashes_seen += 1;
-        }
-        fn on_recover(&mut self, ctx: &mut Context<'_, u64>) {
-            self.recoveries_seen += 1;
-            // Re-arm the tick chain that died with the crash.
-            if self.ticks > 0 {
-                ctx.set_timer(1, self.ticks - 1);
             }
         }
     }
@@ -740,25 +680,23 @@ mod tests {
     }
 
     #[test]
-    fn crash_suppresses_timers_and_effects_until_recovery() -> TestResult {
+    fn crash_discards_timers_for_good() -> TestResult {
         let costs = two_site_costs()?;
         let mut sim = Simulator::new(
             &costs,
             vec![Box::new(Ticker::new(1, 1_000)), Box::new(Ticker::new(0, 0))],
         )?;
-        // Node 0 crashes mid-run and recovers: its tick chain stops (the
-        // pending timer is lost) and restarts from on_recover, which sends
-        // exactly one more message.
+        // Node 0 crashes mid-run and recovers: its tick chain stops for
+        // good (the pending timer is lost with the site).
         sim.set_fault_plan(FaultPlan::new(0).crash(0, 5, 10));
         sim.run_to_completion()?;
         let fs = sim.fault_stats();
         assert_eq!(fs.crashes, 1);
         assert_eq!(fs.recoveries, 1);
         assert_eq!(fs.lost_timers, 1); // the chain dies exactly once
-                                       // Ticks at t=1..=5 each send one message; the t=5 tick fires after
-                                       // the crash (transition first on ties) and is lost. After recovery
-                                       // at t=10 the re-armed chain sends its single final message.
-        assert_eq!(sim.stats().data_units, 4 + 1);
+                                       // Ticks at t=1..=4 each send one message; the t=5 tick fires after
+                                       // the crash (transition first on ties) and is lost.
+        assert_eq!(sim.stats().data_units, 4);
         Ok(())
     }
 

@@ -19,10 +19,11 @@ pub(crate) enum EventKind<P> {
     Arrival(super::Message<P>),
     /// A timer set by `node` with an opaque payload.
     Timer { node: usize, payload: P },
-    /// A fault-plan transition taking `site` down.
-    Crash { site: usize },
-    /// A fault-plan transition bringing `site` back up.
-    Recover { site: usize },
+    /// A fault-plan transition taking a site down (the plan itself
+    /// answers liveness queries; the event only counts and orders it).
+    Crash,
+    /// A fault-plan transition bringing a site back up.
+    Recover,
 }
 
 /// Priority queue ordered by `(at, seq)` — earliest first, FIFO on ties.

@@ -157,15 +157,6 @@ impl FaultPlan {
         })
     }
 
-    /// The latest scheduled up/down transition — after this instant the
-    /// plan never changes liveness or connectivity again. Useful for
-    /// sizing repair deadlines.
-    pub fn last_transition(&self) -> Time {
-        let c = self.crashes.iter().map(|w| w.until).max().unwrap_or(0);
-        let p = self.partitions.iter().map(|w| w.until).max().unwrap_or(0);
-        c.max(p)
-    }
-
     /// Next deterministic pseudo-random u64 (counter-mode splitmix64).
     fn next_draw(&mut self) -> u64 {
         self.draws += 1;
@@ -315,13 +306,6 @@ mod tests {
             Verdict::Deliver { extra_delay } => assert!(extra_delay < Time::MAX),
             v => panic!("unexpected verdict {v:?}"),
         }
-    }
-
-    #[test]
-    fn last_transition_covers_all_windows() {
-        let plan = FaultPlan::new(0).crash(1, 5, 30).partition(0, 2, 10, 45);
-        assert_eq!(plan.last_transition(), 45);
-        assert_eq!(FaultPlan::new(0).last_transition(), 0);
     }
 
     #[test]

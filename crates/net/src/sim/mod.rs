@@ -54,10 +54,10 @@
 //!
 //! A seeded [`FaultPlan`] can be armed via
 //! [`Simulator::set_fault_plan`] to crash sites, cut links, drop or delay
-//! messages — all deterministically. Nodes observe their own transitions
-//! through [`Node::on_crash`] / [`Node::on_recover`] and may query the
-//! liveness oracle [`Context::is_up`]. `drp-algo`'s `repair` module builds
-//! a self-healing replication protocol on top of these hooks.
+//! messages — all deterministically. A crashed site silently loses its
+//! arrivals and timers; nodes may query the liveness oracle
+//! [`Context::is_up`], on which `drp-serve`'s epoch engine builds its read
+//! failover and write queueing.
 
 mod engine;
 mod error;
@@ -65,7 +65,6 @@ mod event;
 mod fault;
 mod message;
 mod stats;
-mod traffic;
 
 pub use engine::{Context, Node, Simulator};
 pub use error::SimError;
@@ -73,4 +72,3 @@ pub use event::Time;
 pub use fault::{CrashWindow, FaultPlan, FaultStats, PartitionWindow};
 pub use message::Message;
 pub use stats::TrafficStats;
-pub use traffic::TrafficMatrix;

@@ -9,6 +9,15 @@
 //!   conventions (control-sized read requests and replicator write ships,
 //!   primary update broadcasts). With no faults and no migration the
 //!   epoch's serving NTC equals [`Problem::total_cost`] exactly.
+//! * **Failover** — a read whose nearest holder is down goes to the
+//!   nearest *live* holder instead, and a write whose primary is down is
+//!   queued at the writer and re-shipped on a backed-off timer. Liveness
+//!   comes from the simulator's perfect failure detector
+//!   ([`Context::is_up`]); a request whose target is up takes the plain
+//!   Eq. 4 path with no extra scan, timer or event. A request still
+//!   without a live target after [`MigrationTuning::max_attempts`] tries
+//!   is lost, as is one issued by a dark site, dropped by the network or
+//!   caught in flight by a crash.
 //! * **Migration** — a [`MigrationPlan`] executed live: each addition's
 //!   target fetches the object from the plan's source (nearest old
 //!   holder), installs it at the source's version and cuts it into the
@@ -30,18 +39,20 @@ use std::sync::{Arc, Mutex};
 use drp_core::migration::MigrationPlan;
 use drp_core::telemetry::Recorder;
 use drp_core::{DenseMatrix, ObjectId, Problem, ReplicationScheme};
-use drp_net::sim::{Context, FaultPlan, FaultStats, Message, Node, Simulator};
+use drp_net::sim::{Context, FaultPlan, FaultStats, Message, Node, Simulator, TrafficStats};
 
 use crate::ingest::{self, IngestScratch};
 
-/// Timer/retry knobs of the migration executor.
+/// Timer/retry knobs of the migration executor and the client failover
+/// path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MigrationTuning {
     /// Extra slack beyond the round-trip added to every fetch timeout.
     pub rpc_timeout: u64,
     /// Cap on the exponential retry backoff.
     pub backoff_cap: u64,
-    /// Fetch attempts per addition within one epoch before deferring.
+    /// Fetch attempts per addition within one epoch before deferring; also
+    /// the attempts a request gets to find a live target before it is lost.
     pub max_attempts: u32,
 }
 
@@ -78,17 +89,46 @@ impl MigrationTuning {
     }
 }
 
+/// Client requests of one epoch, each counted exactly once:
+/// `reads_issued == reads_served + reads_lost()`, and the same for writes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RequestTally {
+    /// Reads admitted and fired.
+    pub reads_issued: u64,
+    /// Reads answered, by the nearest holder or a failover target.
+    pub reads_served: u64,
+    /// Reads whose nearest holder was down when issued.
+    pub reads_failed_over: u64,
+    /// Served reads that came from a replica behind the primary.
+    pub reads_stale: u64,
+    /// Writes admitted and fired.
+    pub writes_issued: u64,
+    /// Writes committed at the primary, queued ones included.
+    pub writes_committed: u64,
+    /// Writes that found their primary down and waited for it.
+    pub writes_queued: u64,
+}
+
+impl RequestTally {
+    /// Reads never served: issued by a dark site, dropped or caught in
+    /// flight by a crash, or out of attempts without a live holder.
+    pub fn reads_lost(&self) -> u64 {
+        self.reads_issued.saturating_sub(self.reads_served)
+    }
+
+    /// Writes never committed.
+    pub fn writes_lost(&self) -> u64 {
+        self.writes_issued.saturating_sub(self.writes_committed)
+    }
+}
+
 /// Counters harvested from one epoch.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct Counters {
     pub offered: u64,
     pub admitted: u64,
     pub shed: u64,
-    pub reads_issued: u64,
-    pub reads_served: u64,
-    pub reads_stale: u64,
-    pub writes_issued: u64,
-    pub writes_committed: u64,
+    pub requests: RequestTally,
     pub installed: usize,
     pub deallocated: usize,
     pub deferred: usize,
@@ -136,6 +176,8 @@ pub(crate) struct EpochOutcome {
     pub mig_events: Vec<MigEvent>,
     pub serving_ntc: u64,
     pub migration_ntc: u64,
+    /// Simulator traffic, serving and migration together.
+    pub traffic: TrafficStats,
     pub fault_stats: FaultStats,
     pub sim_events: u64,
     pub completion_time: u64,
@@ -164,6 +206,11 @@ enum Msg {
     /// Fire one queued request (timer payload carries its index).
     Fire {
         index: usize,
+    },
+    /// Re-issue queued request `index` whose target was down.
+    Retry {
+        index: usize,
+        attempt: u32,
     },
     ReadReq {
         object: usize,
@@ -271,7 +318,7 @@ impl ServeNode<'_> {
         state.committed[object] += 1;
         let version = state.committed[object];
         state.version[committer * n + object] = version;
-        state.counters.writes_committed += 1;
+        state.counters.requests.writes_committed += 1;
         version
     }
 
@@ -293,8 +340,11 @@ impl ServeNode<'_> {
         }
     }
 
-    fn issue(&self, ctx: &mut Context<'_, Msg>, object: usize, is_write: bool) {
+    /// Issues queued request `index` of this site; `attempt` counts the
+    /// earlier tries that found no live target.
+    fn issue(&self, ctx: &mut Context<'_, Msg>, index: usize, attempt: u32) {
         let me = ctx.node_id();
+        let (_, object, is_write) = self.shared.queues[me][index];
         let n = self.shared.n();
         let k = ObjectId::new(object);
         let mut state = self.shared.state.lock().expect("state lock");
@@ -303,27 +353,59 @@ impl ServeNode<'_> {
             if sp == me {
                 let version = self.commit_write(&mut state, me, object);
                 self.broadcast(ctx, &state, object, version);
-            } else {
+            } else if ctx.is_up(sp) {
                 let size = if state.holds[me * n + object] {
                     0
                 } else {
                     self.shared.problem.object_size(k)
                 };
                 ctx.send(sp, size, Msg::WriteShip { object });
+            } else {
+                if attempt == 0 {
+                    state.counters.requests.writes_queued += 1;
+                }
+                self.retry_later(ctx, index, sp, attempt);
             }
         } else {
             match self.nearest_holder(&state, me, object) {
                 Some(j) if j == me => {
-                    state.counters.reads_served += 1;
+                    state.counters.requests.reads_served += 1;
                     if state.version[me * n + object] < state.committed[object] {
-                        state.counters.reads_stale += 1;
+                        state.counters.requests.reads_stale += 1;
                     }
                 }
-                Some(j) => ctx.send(j, 0, Msg::ReadReq { object }),
+                Some(j) if ctx.is_up(j) => ctx.send(j, 0, Msg::ReadReq { object }),
+                Some(j) => {
+                    if attempt == 0 {
+                        state.counters.requests.reads_failed_over += 1;
+                    }
+                    let live = self
+                        .fetch_candidates(&state, me, object)
+                        .into_iter()
+                        .find(|&c| ctx.is_up(c));
+                    match live {
+                        Some(c) => ctx.send(c, 0, Msg::ReadReq { object }),
+                        None => self.retry_later(ctx, index, j, attempt),
+                    }
+                }
                 // Unreachable while primaries stay pinned; drop the read
                 // (it counts as lost) rather than panic mid-epoch.
                 None => {}
             }
+        }
+    }
+
+    /// Re-arms request `index` on the fetch-retry schedule towards
+    /// `target`, or gives it up (lost) once the attempts run out.
+    fn retry_later(&self, ctx: &mut Context<'_, Msg>, index: usize, target: usize, attempt: u32) {
+        if attempt + 1 < self.shared.tuning.max_attempts {
+            ctx.set_timer(
+                self.fetch_deadline(ctx.node_id(), target, attempt),
+                Msg::Retry {
+                    index,
+                    attempt: attempt + 1,
+                },
+            );
         }
     }
 
@@ -382,10 +464,8 @@ impl Node<Msg> for ServeNode<'_> {
 
     fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, payload: Msg) {
         match payload {
-            Msg::Fire { index } => {
-                let (_, object, is_write) = self.shared.queues[ctx.node_id()][index];
-                self.issue(ctx, object, is_write);
-            }
+            Msg::Fire { index } => self.issue(ctx, index, 0),
+            Msg::Retry { index, attempt } => self.issue(ctx, index, attempt),
             Msg::MigrateKick => {
                 let me = ctx.node_id();
                 // Take the pending list instead of cloning it; `ctx` calls
@@ -461,9 +541,9 @@ impl Node<Msg> for ServeNode<'_> {
             }
             Msg::ReadData { stale, .. } => {
                 let mut state = self.shared.state.lock().expect("state lock");
-                state.counters.reads_served += 1;
+                state.counters.requests.reads_served += 1;
                 if stale {
-                    state.counters.reads_stale += 1;
+                    state.counters.requests.reads_stale += 1;
                 }
             }
             Msg::WriteShip { object } => {
@@ -494,7 +574,7 @@ impl Node<Msg> for ServeNode<'_> {
                     self.install(&mut state, me, object, version);
                 }
             }
-            Msg::Fire { .. } | Msg::MigrateKick | Msg::FetchRetry { .. } => {}
+            Msg::Fire { .. } | Msg::Retry { .. } | Msg::MigrateKick | Msg::FetchRetry { .. } => {}
         }
     }
 }
@@ -536,8 +616,8 @@ pub(crate) fn run_epoch(
         );
         counters.offered = ingested.report.offered();
         counters.shed = ingested.report.shed();
-        counters.reads_issued = ingested.admitted_reads;
-        counters.writes_issued = ingested.admitted_writes;
+        counters.requests.reads_issued = ingested.admitted_reads;
+        counters.requests.writes_issued = ingested.admitted_writes;
         counters.admitted = ingested.admitted_reads + ingested.admitted_writes;
         shed_by_site.copy_from_slice(&ingested.report.shed_by_site);
         admitted_by_site.copy_from_slice(&ingested.report.admitted_by_site);
@@ -616,7 +696,7 @@ pub(crate) fn run_epoch(
         })
         .collect();
     let mut sim = Simulator::new(problem.costs(), nodes).map_err(drp_core::CoreError::from)?;
-    sim.set_recorder(recorder);
+    sim.set_recorder(Arc::clone(&recorder));
     if let Some(plan) = spec.faults.clone() {
         sim.set_fault_plan(plan);
     }
@@ -631,6 +711,13 @@ pub(crate) fn run_epoch(
     let state = shared.state.into_inner().expect("state lock");
     let mut counters = state.counters;
     counters.deferred = state.pending.iter().map(Vec::len).sum();
+    if recorder.enabled() {
+        recorder.add_counter(
+            "serve.reads_failed_over",
+            counters.requests.reads_failed_over,
+        );
+        recorder.add_counter("serve.writes_queued", counters.requests.writes_queued);
+    }
     let mut holds = state.holds;
     let scheme = match ReplicationScheme::from_fn(problem, |i, k| holds[i.index() * n + k.index()])
     {
@@ -664,6 +751,7 @@ pub(crate) fn run_epoch(
         mig_events: state.events,
         serving_ntc: stats.transfer_cost.saturating_sub(state.migration_ntc),
         migration_ntc: state.migration_ntc,
+        traffic: stats,
         fault_stats,
         sim_events,
         completion_time,

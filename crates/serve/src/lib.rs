@@ -87,7 +87,7 @@ pub mod report;
 pub mod runtime;
 pub mod wal;
 
-pub use epoch::MigrationTuning;
+pub use epoch::{MigrationTuning, RequestTally};
 pub use hotkey::{HotKeyConfig, HotKeyDetector, HotSnapshot};
 pub use ingest::{ingest_epoch, IngestOutcome, IngestScratch, IngestSpec};
 pub use oracle::OracleReport;
@@ -96,7 +96,7 @@ pub use recovery::{crash_points, RecoveryInfo};
 pub use report::{EpochReport, ServiceReport, ServiceTotals};
 pub use runtime::{
     execute_migration, run_service, run_service_durable, run_service_durable_recorded,
-    run_service_recorded, run_service_with_oracle, DurableOutcome, FaultSpec, MigrationOutcome,
-    Policy, ServeConfig,
+    run_service_recorded, run_service_with_oracle, run_service_with_oracle_recorded,
+    DurableOutcome, EpochTraffic, FaultSpec, MigrationOutcome, Policy, ServeConfig,
 };
 pub use wal::{FileWalStore, MemWalStore, TracingStore, WalStore, WalTuning};

@@ -3,9 +3,12 @@
 //!
 //! [`evaluate`] replays a finished run's epochs under a *clean* model —
 //! the exact per-epoch truth the run saw (same TAG_DRIFT/scenario
-//! streams), the exact request trace (same TAG_TRACE streams), no faults
-//! and no admission shedding — and solves a small dynamic program over
-//! per-epoch candidate schemes:
+//! streams), no faults and no admission shedding — and solves a small
+//! dynamic program over per-epoch candidate schemes. A clean epoch serves
+//! every request of the truth's pattern, so each candidate is billed the
+//! analytic Eq. 4 total ([`Problem::total_cost`]), which equals the
+//! replay of the epoch's request trace data-unit for data-unit. The
+//! candidates are:
 //!
 //! * the scheme the online run actually served that epoch, and
 //! * a hindsight GRA solution computed *on the realized truth* (seeded
@@ -25,12 +28,11 @@
 use drp_algo::Gra;
 use drp_core::migration::plan_migration;
 use drp_core::{Problem, ReplicationAlgorithm, ReplicationScheme};
-use drp_workload::trace;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use crate::runtime::{mix, ServeConfig, ShiftPlan, TAG_ORACLE, TAG_TRACE};
+use crate::runtime::{mix, ServeConfig, ShiftPlan, TAG_ORACLE};
 
 /// What the offline-optimal replay found.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -74,13 +76,6 @@ pub(crate) fn evaluate(
     // Replay the truth and the trace exactly as the run derived them.
     let shift_plan = ShiftPlan::new(problem, config)?;
     let mut truth = problem.clone();
-    let serve_cost =
-        |truth: &Problem, e: usize, scheme: &ReplicationScheme| -> drp_core::Result<u64> {
-            let mut rng = StdRng::seed_from_u64(mix(&[config.seed, TAG_TRACE, e as u64]));
-            let requests = trace::expand(truth, config.period, &mut rng);
-            Ok(trace::simulate(truth, scheme, &requests)?.transfer_cost)
-        };
-
     // DP over two candidates per epoch: 0 = the online scheme, 1 = the
     // hindsight GRA solution. `cost[j]` is the cheapest trajectory ending
     // in candidate j; online_ntc tracks the forced-online path.
@@ -97,10 +92,9 @@ pub(crate) fn evaluate(
         let hindsight =
             Gra::with_config(config.monitor.gra.clone()).solve(&truth, &mut oracle_rng)?;
         let cand = [online_scheme.clone(), hindsight];
-        let serve = [
-            serve_cost(&truth, e, &cand[0])?,
-            serve_cost(&truth, e, &cand[1])?,
-        ];
+        // A clean epoch serves the truth's pattern exactly, so its Eq. 4
+        // cost is the analytic total — no trace replay needed.
+        let serve = [truth.total_cost(&cand[0]), truth.total_cost(&cand[1])];
         if e == 0 {
             // Epoch 0 serves the bootstrap placement; both trajectories
             // start there free of migration charges (OPT may still swap at

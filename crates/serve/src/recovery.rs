@@ -19,6 +19,7 @@
 //!    is bitwise-identical to what the crashed run would have produced —
 //!    the property the crash-simulation suite certifies.
 
+use drp_algo::fault_tolerance::ensure_min_degree;
 use drp_algo::monitor::ReplicationMonitor;
 use drp_core::format::{read_instance, read_scheme};
 use drp_core::{CoreError, Problem, ReplicationScheme, ServeError};
@@ -284,7 +285,8 @@ pub(crate) fn recover(
             let mut boot = StdRng::seed_from_u64(mix(&[config.seed, TAG_BOOT]));
             let monitor =
                 ReplicationMonitor::bootstrap(problem.clone(), config.monitor.clone(), &mut boot)?;
-            let bootstrap = monitor.scheme().clone();
+            let mut bootstrap = monitor.scheme().clone();
+            ensure_min_degree(problem, &mut bootstrap, config.min_degree)?;
             let realized = match realized {
                 Some(text) => parse_scheme(text, &truth, "realized")?,
                 None => bootstrap.clone(),

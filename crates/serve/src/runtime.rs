@@ -14,11 +14,13 @@
 //!   window to [`ReplicationMonitor::ingest_statistics`] (AGRA re-tune of
 //!   drifted objects), every [`ServeConfig::night_every`]-th boundary runs
 //!   a full nightly GRA rebuild instead.
-//! * [`Policy::Adr`] — re-solves the ADR tree heuristic on every window
-//!   (requires a tree cost metric).
+//! * [`Policy::PredictiveEwma`] / [`Policy::PredictiveRegression`] — the
+//!   monitor loop retuned on the forecast next window.
 //!
 //! Under [`ServeConfig::drift`], the true pattern shifts every epoch, so
 //! the adaptive policies chase it while the static baseline decays.
+//! [`ServeConfig::min_degree`] tops every scheme the service installs up
+//! to a replica-degree floor, so crashes leave failover targets.
 //!
 //! # Determinism
 //!
@@ -31,19 +33,19 @@
 
 use std::sync::Arc;
 
-use drp_algo::adr::{tree_adjacency, Adr};
+use drp_algo::fault_tolerance::ensure_min_degree;
 use drp_algo::monitor::{MonitorAction, MonitorConfig, ReplicationMonitor};
 use drp_core::format::{write_instance, write_scheme};
 use drp_core::migration::{plan_migration, MigrationPlan};
 use drp_core::telemetry::{self, Recorder};
-use drp_core::{CoreError, Problem, ReplicationAlgorithm, ReplicationScheme, ServeError};
-use drp_net::sim::{FaultPlan, FaultStats};
+use drp_core::{CoreError, Problem, ReplicationScheme, ServeError};
+use drp_net::sim::{FaultPlan, FaultStats, TrafficStats};
 use drp_workload::{zipf, PatternChange, Scenario};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-pub use crate::epoch::MigrationTuning;
 use crate::epoch::{run_epoch, EpochSpec, MigEvent};
+pub use crate::epoch::{MigrationTuning, RequestTally};
 use crate::hotkey::{self, HotKeyConfig, HotKeyDetector};
 use crate::ingest::IngestScratch;
 use crate::predict::{DemandPredictor, PredictConfig, PredictSnapshot, Predictor, PredictorKind};
@@ -61,8 +63,6 @@ pub enum Policy {
     Static,
     /// Monitor + AGRA by day, GRA by night.
     Monitor,
-    /// Re-run the ADR tree heuristic on every window.
-    Adr,
     /// The monitor loop driven by EWMA demand forecasts: retunes act on the
     /// predicted next window and must pass the migration payback gate.
     PredictiveEwma,
@@ -77,7 +77,6 @@ impl Policy {
         match self {
             Policy::Static => "static",
             Policy::Monitor => "monitor",
-            Policy::Adr => "adr",
             Policy::PredictiveEwma => "predictive-ewma",
             Policy::PredictiveRegression => "predictive-regression",
         }
@@ -166,6 +165,11 @@ pub struct ServeConfig {
     /// Hot-object fast path: windowed demand detector plus capacity-checked
     /// replica boosts between retunes. `None` disables it.
     pub hot: Option<HotKeyConfig>,
+    /// Replica-degree floor: the bootstrap scheme and every boundary
+    /// target are topped up to this many replicas per object (capacity
+    /// permitting) so a crashed holder leaves a failover target. 1 is a
+    /// no-op — every object already has its primary.
+    pub min_degree: usize,
 }
 
 impl Default for ServeConfig {
@@ -186,6 +190,7 @@ impl Default for ServeConfig {
             wal: WalTuning::default(),
             threads: 0,
             hot: None,
+            min_degree: 1,
         }
     }
 }
@@ -397,15 +402,25 @@ fn forecast_problem(observed: &Problem, forecast: &[u64]) -> drp_core::Result<Pr
     observed.with_patterns(reads, observed.write_matrix().clone())
 }
 
+/// Client traffic for a standalone epoch: one `period` of the problem's
+/// request pattern, timestamped from the stream `seed`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EpochTraffic {
+    /// Simulated time units the requests spread over.
+    pub period: u64,
+    /// Stream seed for the request timestamps.
+    pub seed: u64,
+}
+
 /// What [`execute_migration`] did.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MigrationOutcome {
     /// The directory after the final round (equals the plan's target when
     /// the migration converged).
     pub scheme: ReplicationScheme,
     /// Whether the directory reached the target.
     pub converged: bool,
-    /// Fetch rounds used (1 without faults).
+    /// Rounds used (1 without faults).
     pub rounds: usize,
     /// Total NTC of the fetch traffic.
     pub migration_ntc: u64,
@@ -415,29 +430,43 @@ pub struct MigrationOutcome {
     pub deallocated: usize,
     /// Fetch retries across all rounds.
     pub retries: u64,
+    /// Client requests of the first round (all zero without traffic).
+    pub requests: RequestTally,
+    /// Simulator traffic of the first round.
+    pub sim: TrafficStats,
+    /// Events the first round dispatched.
+    pub sim_events: u64,
+    /// Simulated time at which the first round went quiescent.
+    pub completion_time: u64,
     /// Fault counters of the first (faulted) round.
     pub fault_stats: FaultStats,
 }
 
-/// Executes a [`MigrationPlan`] on the simulator with no serving traffic:
-/// the standalone form of the live migration executor, used to study its
-/// fault tolerance.
+/// Runs one standalone epoch of the serving engine: executes a
+/// [`MigrationPlan`] and, with `traffic`, serves one period of client
+/// requests against the directory at the same time — the form used to
+/// study the migration executor and the failover path under faults.
 ///
 /// Faults apply to the first round only — they model a crash *during* the
-/// migration; once the fault window has passed, the remaining additions are
-/// re-planned against the surviving directory and fetched cleanly, so a
-/// valid plan always converges.
+/// epoch; once the fault window has passed, the remaining additions are
+/// re-planned against the surviving directory and fetched cleanly (with no
+/// traffic), so a valid plan always converges. Each round closes a
+/// `serve.epoch` span on `recorder`.
 ///
 /// # Errors
 ///
-/// Propagates shape errors from re-planning and simulator construction.
+/// Propagates shape errors from re-planning and simulator construction,
+/// and rejects degenerate `tuning`.
 pub fn execute_migration(
     problem: &Problem,
     scheme: &ReplicationScheme,
     plan: &MigrationPlan,
     faults: Option<FaultPlan>,
     tuning: MigrationTuning,
+    traffic: Option<EpochTraffic>,
+    recorder: Arc<dyn Recorder>,
 ) -> drp_core::Result<MigrationOutcome> {
+    tuning.validate()?;
     let target = plan.apply(problem, scheme)?;
     let mut current = scheme.clone();
     let mut outcome = MigrationOutcome {
@@ -448,31 +477,36 @@ pub fn execute_migration(
         installed: 0,
         deallocated: 0,
         retries: 0,
+        requests: RequestTally::default(),
+        sim: TrafficStats::default(),
+        sim_events: 0,
+        completion_time: 0,
         fault_stats: FaultStats::default(),
     };
     const MAX_ROUNDS: usize = 16;
     let mut scratch = IngestScratch::new();
     for round in 0..MAX_ROUNDS {
         let step = plan_migration(problem, &current, &target)?;
-        if step.moves() == 0 {
-            outcome.converged = true;
+        let serve = round == 0 && traffic.is_some();
+        if step.moves() == 0 && !serve {
             break;
         }
+        let _span = telemetry::span(recorder.as_ref(), "serve.epoch");
         let epoch = run_epoch(
             &EpochSpec {
                 problem,
                 scheme: &current,
                 plan: Some(&step),
-                period: 0,
+                period: traffic.map_or(0, |t| t.period),
                 admission_limit: 0,
                 tuning,
                 faults: if round == 0 { faults.clone() } else { None },
-                seed: 0,
-                traffic: false,
+                seed: traffic.map_or(0, |t| t.seed),
+                traffic: serve,
                 threads: 1,
             },
             &mut scratch,
-            telemetry::noop(),
+            Arc::clone(&recorder),
         )?;
         outcome.rounds += 1;
         outcome.migration_ntc += epoch.migration_ntc;
@@ -480,13 +514,15 @@ pub fn execute_migration(
         outcome.deallocated += epoch.counters.deallocated;
         outcome.retries += epoch.counters.retries;
         if round == 0 {
+            outcome.requests = epoch.counters.requests;
+            outcome.sim = epoch.traffic;
+            outcome.sim_events = epoch.sim_events;
+            outcome.completion_time = epoch.completion_time;
             outcome.fault_stats = epoch.fault_stats;
         }
         current = epoch.scheme;
     }
-    if plan_migration(problem, &current, &target)?.moves() == 0 {
-        outcome.converged = true;
-    }
+    outcome.converged = plan_migration(problem, &current, &target)?.moves() == 0;
     outcome.scheme = current;
     Ok(outcome)
 }
@@ -496,8 +532,7 @@ pub fn execute_migration(
 /// # Errors
 ///
 /// Propagates instance-shape, solver and simulator errors; rejects
-/// [`Policy::Adr`] on non-tree cost metrics and degenerate tuning up
-/// front.
+/// degenerate tuning up front.
 pub fn run_service(problem: &Problem, config: &ServeConfig) -> drp_core::Result<ServiceReport> {
     run_service_recorded(problem, config, telemetry::noop())
 }
@@ -531,15 +566,31 @@ pub fn run_service_with_oracle(
     problem: &Problem,
     config: &ServeConfig,
 ) -> drp_core::Result<(ServiceReport, crate::oracle::OracleReport)> {
+    run_service_with_oracle_recorded(problem, config, telemetry::noop())
+}
+
+/// [`run_service_with_oracle`] with telemetry: the run emits the usual
+/// `serve.*` spans and counters, and the oracle pass closes one
+/// `serve.oracle` span.
+///
+/// # Errors
+///
+/// See [`run_service_with_oracle`].
+pub fn run_service_with_oracle_recorded(
+    problem: &Problem,
+    config: &ServeConfig,
+    recorder: Arc<dyn Recorder>,
+) -> drp_core::Result<(ServiceReport, crate::oracle::OracleReport)> {
     let mut schemes = Vec::with_capacity(config.epochs);
     let mut report = run_loop(
         problem,
         config,
-        telemetry::noop(),
+        Arc::clone(&recorder),
         None,
         None,
         Some(&mut schemes),
     )?;
+    let _span = telemetry::span(recorder.as_ref(), "serve.oracle");
     let oracle = crate::oracle::evaluate(problem, config, &schemes)?;
     report.competitive_ratio = oracle.competitive_ratio;
     Ok((report, oracle))
@@ -696,11 +747,6 @@ fn run_loop(
     mut schemes_out: Option<&mut Vec<ReplicationScheme>>,
 ) -> drp_core::Result<ServiceReport> {
     let _run_span = telemetry::span(recorder.as_ref(), "serve.run");
-    if config.policy == Policy::Adr && tree_adjacency(problem.costs()).is_none() {
-        return Err(CoreError::InvalidInstance {
-            reason: "the adr policy requires a tree cost metric".into(),
-        });
-    }
     if let Some(drift) = &config.drift {
         drift.validate().map_err(|e| CoreError::InvalidInstance {
             reason: format!("bad drift spec: {e}"),
@@ -760,7 +806,8 @@ fn run_loop(
                 config.monitor.clone(),
                 &mut boot_rng,
             )?;
-            let realized = monitor.scheme().clone();
+            let mut realized = monitor.scheme().clone();
+            ensure_min_degree(problem, &mut realized, config.min_degree)?;
             let target = realized.clone();
             (
                 0,
@@ -874,22 +921,6 @@ fn run_loop(
                 }
                 target = monitor.scheme().clone();
             }
-            Policy::Adr => {
-                let next = Adr::default().solve(&observed, &mut decide_rng)?;
-                if next != target {
-                    adapted_objects = (0..truth.num_objects())
-                        .filter(|&k| {
-                            let k = drp_core::ObjectId::new(k);
-                            truth
-                                .sites()
-                                .any(|i| next.holds(i, k) != target.holds(i, k))
-                        })
-                        .count();
-                    adaptations += 1;
-                    kind = RetuneKind::Adapt;
-                }
-                target = next;
-            }
             Policy::PredictiveEwma | Policy::PredictiveRegression => {
                 let ps = predict_state
                     .as_mut()
@@ -986,6 +1017,20 @@ fn run_loop(
             recorder.add_counter("serve.hot_boosts_added", boost.added);
             recorder.add_counter("serve.hot_boosts_removed", boost.removed);
         }
+        if config.min_degree > 1 {
+            ensure_min_degree(&truth, &mut target, config.min_degree)?;
+            // The monitor adapts from the floored target, which is also the
+            // scheme recovery rebuilds it around.
+            if config.policy != Policy::Static && monitor.scheme() != &target {
+                monitor = ReplicationMonitor::from_parts(
+                    monitor.problem().clone(),
+                    config.monitor.clone(),
+                    target.clone(),
+                    monitor.population().to_vec(),
+                )?;
+                monitor_changed = true;
+            }
+        }
 
         let c = outcome.counters;
         debug_assert_eq!(
@@ -1010,13 +1055,13 @@ fn run_loop(
             offered: c.offered,
             admitted: c.admitted,
             shed: c.shed,
-            reads_issued: c.reads_issued,
-            reads_served: c.reads_served,
-            reads_stale: c.reads_stale,
-            reads_lost: c.reads_issued.saturating_sub(c.reads_served),
-            writes_issued: c.writes_issued,
-            writes_committed: c.writes_committed,
-            writes_lost: c.writes_issued.saturating_sub(c.writes_committed),
+            reads_issued: c.requests.reads_issued,
+            reads_served: c.requests.reads_served,
+            reads_stale: c.requests.reads_stale,
+            reads_lost: c.requests.reads_lost(),
+            writes_issued: c.requests.writes_issued,
+            writes_committed: c.requests.writes_committed,
+            writes_lost: c.requests.writes_lost(),
             replicas: realized.replica_count(),
             savings_percent: truth.savings_percent(&realized),
             crashes: outcome.fault_stats.crashes,
@@ -1151,7 +1196,7 @@ mod tests {
     use super::*;
     use drp_algo::GraConfig;
     use drp_core::telemetry::InMemoryRecorder;
-    use drp_workload::{trace, TopologyKind, WorkloadSpec};
+    use drp_workload::{trace, WorkloadSpec};
 
     fn monitor_config() -> MonitorConfig {
         MonitorConfig {
@@ -1349,27 +1394,5 @@ mod tests {
             adaptive.totals.migration_ntc,
             frozen.totals.serving_ntc,
         );
-    }
-
-    #[test]
-    fn adr_policy_requires_a_tree_metric() {
-        let complete = problem(4);
-        let config = ServeConfig {
-            policy: Policy::Adr,
-            epochs: 2,
-            seed: 4,
-            monitor: monitor_config(),
-            ..ServeConfig::default()
-        };
-        let err = run_service(&complete, &config).unwrap_err();
-        assert!(matches!(err, CoreError::InvalidInstance { .. }));
-
-        let mut spec = WorkloadSpec::paper(7, 8, 5.0, 30.0);
-        spec.topology = TopologyKind::Tree { arity: 2 };
-        let mut rng = StdRng::seed_from_u64(4);
-        let tree = spec.generate(&mut rng).unwrap();
-        let report = run_service(&tree, &config).unwrap();
-        assert_eq!(report.epochs.len(), 2);
-        assert_eq!(report.policy, "adr");
     }
 }

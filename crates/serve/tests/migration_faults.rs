@@ -1,6 +1,6 @@
 //! Property tests for the live migration executor under faults.
 //!
-//! Same style as the repair pipeline's property suite: plain seeded loops
+//! Same style as the failover property suite: plain seeded loops
 //! rather than `proptest!` generators, because the interesting inputs
 //! (schemes, plans, crash windows) are already deterministic functions of
 //! a seed and enumerating seeds reproduces failures by construction.
@@ -18,13 +18,28 @@
 
 use drp_algo::Sra;
 use drp_core::format::{read_instance, read_scheme};
-use drp_core::migration::plan_migration;
+use drp_core::migration::{plan_migration, MigrationPlan};
+use drp_core::telemetry;
 use drp_core::{Problem, ReplicationAlgorithm, ReplicationScheme};
 use drp_net::sim::FaultPlan;
-use drp_serve::{execute_migration, run_service, FaultSpec, MigrationTuning, Policy, ServeConfig};
+use drp_serve::{
+    execute_migration, run_service, FaultSpec, MigrationOutcome, MigrationTuning, Policy,
+    ServeConfig,
+};
 use drp_workload::WorkloadSpec;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// A standalone migration-only epoch (no client traffic).
+fn migrate(
+    problem: &Problem,
+    old: &ReplicationScheme,
+    plan: &MigrationPlan,
+    faults: Option<FaultPlan>,
+    tuning: MigrationTuning,
+) -> MigrationOutcome {
+    execute_migration(problem, old, plan, faults, tuning, None, telemetry::noop()).unwrap()
+}
 
 fn instance(seed: u64) -> Problem {
     WorkloadSpec::paper(8, 10, 6.0, 40.0)
@@ -52,8 +67,7 @@ fn fault_free_execution_costs_exactly_the_static_plan() {
             continue;
         }
         nontrivial += 1;
-        let out =
-            execute_migration(&problem, &old, &plan, None, MigrationTuning::default()).unwrap();
+        let out = migrate(&problem, &old, &plan, None, MigrationTuning::default());
         assert!(out.converged, "seed {seed}: fault-free migration must land");
         assert_eq!(out.rounds, 1, "seed {seed}: one round suffices");
         assert_eq!(
@@ -77,7 +91,7 @@ fn pure_deallocation_moves_no_data() {
     let plan = plan_migration(&problem, &new, &old).unwrap();
     assert!(plan.additions.is_empty());
     assert!(!plan.removals.is_empty());
-    let out = execute_migration(&problem, &new, &plan, None, MigrationTuning::default()).unwrap();
+    let out = migrate(&problem, &new, &plan, None, MigrationTuning::default());
     assert!(out.converged);
     assert_eq!(out.migration_ntc, 0);
     assert_eq!(out.installed, 0);
@@ -98,14 +112,13 @@ fn crash_window_over_the_planned_source_still_converges() {
         // Take the first addition's source down from the very start, long
         // enough to outlast the initial fetch and its first retries.
         let faults = FaultPlan::new(seed).crash(first.source.index(), 0, 5_000);
-        let out = execute_migration(
+        let out = migrate(
             &problem,
             &old,
             &plan,
             Some(faults),
             MigrationTuning::default(),
-        )
-        .unwrap();
+        );
         assert!(
             out.converged,
             "seed {seed}: migration must survive a crashed source"
@@ -138,14 +151,13 @@ fn drop_probability_and_jitter_do_not_break_convergence() {
             continue;
         }
         let faults = FaultPlan::new(seed).drop_probability(0.15).jitter(3);
-        let out = execute_migration(
+        let out = migrate(
             &problem,
             &old,
             &plan,
             Some(faults),
             MigrationTuning::default(),
-        )
-        .unwrap();
+        );
         assert!(out.converged, "seed {seed}: lossy links must not wedge");
         assert_eq!(out.scheme, plan.apply(&problem, &old).unwrap());
         // Lost fetch data is still paid for (the bandwidth was spent), so
@@ -202,7 +214,7 @@ fn retry_resources_then_defers_when_every_holder_is_down() {
     assert!(plan.removals.is_empty());
 
     let faults = FaultPlan::new(0).crash(0, 0, 100_000).crash(2, 0, 100_000);
-    let out = execute_migration(&problem, &old, &plan, Some(faults), tight_tuning()).unwrap();
+    let out = migrate(&problem, &old, &plan, Some(faults), tight_tuning());
     assert!(out.converged, "the deferred addition must land in round 2");
     assert_eq!(out.rounds, 2, "round 1 defers, round 2 completes");
     assert_eq!(
@@ -264,7 +276,7 @@ fn capacity_reclaim_applies_deferred_removals_when_cutover_stalls() {
     // and down from t=7, so site 1's re-sourced retry to X's other holder
     // (site 2, arriving ≥ t=13) is lost too.
     let faults = FaultPlan::new(0).crash(0, 0, 100_000).crash(2, 7, 100_000);
-    let out = execute_migration(&problem, &old, &plan, Some(faults), tight_tuning()).unwrap();
+    let out = migrate(&problem, &old, &plan, Some(faults), tight_tuning());
     assert!(out.converged, "reclaim must unwedge the migration");
     assert_eq!(out.rounds, 2, "round 1 reclaims, round 2 finishes X@1");
     assert_eq!(out.scheme, new);

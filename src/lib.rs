@@ -51,10 +51,9 @@ pub use drp_net as net;
 pub use drp_serve as serve;
 pub use drp_workload as workload;
 
-pub use drp_algo::{baselines, distributed, exact, repair, Agra, AgraConfig, Gra, GraConfig, Sra};
+pub use drp_algo::{baselines, distributed, exact, Agra, AgraConfig, Gra, GraConfig, Sra};
 pub use drp_core::{
-    CoreError, DegradationReport, ObjectId, Problem, ReplicationAlgorithm, ReplicationScheme,
-    SiteId, SolutionReport,
+    CoreError, ObjectId, Problem, ReplicationAlgorithm, ReplicationScheme, SiteId, SolutionReport,
 };
 pub use drp_net::sim::FaultPlan;
 pub use drp_net::{CostMatrix, Graph};
