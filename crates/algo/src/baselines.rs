@@ -8,7 +8,9 @@
 //! climbing is the natural single-solution local search to contrast with
 //! GRA's population search.
 
-use drp_core::{ObjectId, Problem, ReplicationAlgorithm, ReplicationScheme, Result, SiteId};
+use drp_core::{
+    CostEvaluator, ObjectId, Problem, ReplicationAlgorithm, ReplicationScheme, Result, SiteId,
+};
 use rand::{Rng, RngCore};
 
 /// The initial allocation: no replicas beyond the primary copies.
@@ -71,7 +73,7 @@ impl ReplicationAlgorithm for RandomFill {
 /// removals, starting from the primary-only allocation.
 ///
 /// Each step scans every feasible move with the exact incremental deltas
-/// ([`Problem::delta_add_replica`] / [`Problem::delta_remove_replica`]) and
+/// ([`CostEvaluator::delta_add`] / [`CostEvaluator::delta_remove`]) and
 /// applies the best strictly-improving one; it stops at a local optimum or
 /// after `max_steps`.
 #[derive(Debug, Clone, Copy)]
@@ -93,22 +95,20 @@ impl ReplicationAlgorithm for HillClimb {
     }
 
     fn solve(&self, problem: &Problem, _rng: &mut dyn RngCore) -> Result<ReplicationScheme> {
-        let mut scheme = ReplicationScheme::primary_only(problem);
-        // One nearest-cost buffer serves the whole move scan.
-        let mut nearest = vec![0u64; problem.num_sites()];
+        let mut eval = CostEvaluator::primary_only(problem);
         for _ in 0..self.max_steps {
             let mut best: Option<(i64, SiteId, ObjectId, bool)> = None;
             for k in problem.objects() {
                 for i in problem.sites() {
-                    if scheme.holds(i, k) {
+                    if eval.holds(i, k) {
                         if problem.primary(k) != i {
-                            let delta = problem.delta_remove_replica(&scheme, i, k);
+                            let delta = eval.delta_remove(i, k);
                             if delta < best.map_or(0, |(d, ..)| d) {
                                 best = Some((delta, i, k, false));
                             }
                         }
-                    } else if problem.object_size(k) <= scheme.free_capacity(problem, i) {
-                        let delta = problem.delta_add_replica_with(&scheme, i, k, &mut nearest);
+                    } else if problem.object_size(k) <= eval.free_capacity(i) {
+                        let delta = eval.delta_add(i, k);
                         if delta < best.map_or(0, |(d, ..)| d) {
                             best = Some((delta, i, k, true));
                         }
@@ -116,12 +116,12 @@ impl ReplicationAlgorithm for HillClimb {
                 }
             }
             match best {
-                Some((_, i, k, true)) => scheme.add_replica(problem, i, k)?,
-                Some((_, i, k, false)) => scheme.remove_replica(problem, i, k)?,
+                Some((_, i, k, true)) => eval.apply_add(i, k)?,
+                Some((_, i, k, false)) => eval.apply_remove(i, k)?,
                 None => break, // local optimum
-            }
+            };
         }
-        Ok(scheme)
+        Ok(eval.into_scheme())
     }
 }
 
@@ -164,14 +164,15 @@ mod tests {
         s.validate(&p).unwrap();
         assert!(p.total_cost(&s) <= p.d_prime());
         // Local optimality: no single move improves.
+        let eval = CostEvaluator::new(&p, s.clone());
         for k in p.objects() {
             for i in p.sites() {
                 if s.holds(i, k) {
                     if p.primary(k) != i {
-                        assert!(p.delta_remove_replica(&s, i, k) >= 0);
+                        assert!(eval.delta_remove(i, k) >= 0);
                     }
                 } else if p.object_size(k) <= s.free_capacity(&p, i) {
-                    assert!(p.delta_add_replica(&s, i, k) >= 0);
+                    assert!(eval.delta_add(i, k) >= 0);
                 }
             }
         }

@@ -11,7 +11,9 @@
 //! capacity permitting). The availability gain and the NTC price of `d` are
 //! both measurable via [`drp_core::availability`].
 
-use drp_core::{CoreError, Problem, ReplicationAlgorithm, ReplicationScheme, Result, SiteId};
+use drp_core::{
+    CoreError, CostEvaluator, Problem, ReplicationAlgorithm, ReplicationScheme, Result, SiteId,
+};
 use rand::RngCore;
 
 /// Outcome of a min-degree top-up pass: what was added, and which objects
@@ -56,20 +58,23 @@ pub fn ensure_min_degree(
 ) -> Result<MinDegreeReport> {
     let target = degree.min(problem.num_sites());
     let mut report = MinDegreeReport::default();
-    // One nearest-cost buffer serves every candidate evaluation.
-    let mut nearest = vec![0u64; problem.num_sites()];
+    // The common floor of 1 (and any floor already met) needs no cache.
+    if problem
+        .objects()
+        .all(|k| scheme.replica_degree(k) >= target)
+    {
+        return Ok(report);
+    }
+    let mut eval = CostEvaluator::new(problem, scheme.clone());
     for k in problem.objects() {
-        while scheme.replica_degree(k) < target {
+        while eval.replicas(k).len() < target {
             let candidate = problem
                 .sites()
-                .filter(|&i| {
-                    !scheme.holds(i, k)
-                        && problem.object_size(k) <= scheme.free_capacity(problem, i)
-                })
-                .min_by_key(|&i| problem.delta_add_replica_with(scheme, i, k, &mut nearest));
+                .filter(|&i| !eval.holds(i, k) && problem.object_size(k) <= eval.free_capacity(i))
+                .min_by_key(|&i| eval.delta_add(i, k));
             match candidate {
                 Some(site) => {
-                    scheme.add_replica(problem, site, k)?;
+                    eval.apply_add(site, k)?;
                     report.added += 1;
                 }
                 None => {
@@ -79,6 +84,7 @@ pub fn ensure_min_degree(
             }
         }
     }
+    *scheme = eval.into_scheme();
     Ok(report)
 }
 
@@ -191,11 +197,12 @@ mod tests {
         // optimal at each step by re-deriving the first addition.
         let p = problem(4, 40.0);
         let scheme = drp_core::ReplicationScheme::primary_only(&p);
+        let eval = CostEvaluator::new(&p, scheme.clone());
         let k = p.objects().next().unwrap();
         let best_site = p
             .sites()
             .filter(|&i| !scheme.holds(i, k) && p.object_size(k) <= scheme.free_capacity(&p, i))
-            .min_by_key(|&i| p.delta_add_replica(&scheme, i, k))
+            .min_by_key(|&i| eval.delta_add(i, k))
             .unwrap();
         let mut topped = scheme.clone();
         ensure_min_degree(&p, &mut topped, 2).unwrap();

@@ -16,17 +16,19 @@
 //!    elsewhere get the border toward their owner as a stand-in primary —
 //!    so each shard sees the *global* update-broadcast pressure and the
 //!    demand it could capture, at local size.
-//! 3. **Solve** each shard with Wolfson's ADR tree heuristic ([`Adr`])
-//!    when its metric is a tree, falling back to a compact [`Gra`] run
-//!    seeded independently per shard.
+//! 3. **Solve** each shard with a compact [`Gra`] run seeded independently
+//!    per shard — tree-metric shards included: on flat binary-tree solves
+//!    GRA saves 10–63% of NTC where Wolfson's ADR tree heuristic saves
+//!    6–15% (`results/trees_adr_vs_sra_vs_gra.csv`), so no tree special
+//!    case is kept.
 //! 4. **Reconcile**: member placements map straight onto global sites
 //!    (shard capacities are the real ones, so they compose); an owner
 //!    shard's border replicas — "this object wants a copy toward cluster
 //!    `d`" — are granted at the portal site behind the border,
 //!    capacity-permitting, in deterministic order.
 //! 5. **Refine**: a few drop/add local-search passes over the
-//!    [`SparseEvaluator`]'s k-nearest candidate structure polish the
-//!    cross-shard seams in `O(k)` per flip.
+//!    [`SparseEvaluator`] — the flip engine over k-nearest candidate rows —
+//!    polish the cross-shard seams in `O(k)` per flip.
 //!
 //! The result is scored *exactly* (Dijkstra-based
 //! [`SparseProblem::total_cost`]) — the approximations live in the search,
@@ -41,7 +43,6 @@ use drp_net::{CostMatrix, Graph, SparseCostRows};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::adr::{tree_adjacency, Adr};
 use crate::{Gra, GraConfig};
 
 /// FNV-1a over a word sequence — the same seed-mixing scheme the serve
@@ -93,15 +94,6 @@ impl Default for ShardConfig {
     }
 }
 
-/// Which solver handled a shard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardSolver {
-    /// The shard metric was a tree; the ADR tree heuristic solved it.
-    Tree,
-    /// General metric; a compact GRA run solved it.
-    Genetic,
-}
-
 /// Diagnostics of one sharded solve.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardReport {
@@ -117,8 +109,6 @@ pub struct ShardReport {
     pub border_dropped: usize,
     /// Flips applied by the refine passes.
     pub refine_moves: usize,
-    /// Per-shard solver used.
-    pub solvers: Vec<ShardSolver>,
 }
 
 /// Result of a sharded solve: a feasible global placement with its exact
@@ -258,9 +248,9 @@ impl ShardedSolver {
             used[p[0]] += sp.object_size(ObjectId::new(k));
         }
         let mut border_requests: Vec<(usize, usize)> = Vec::new(); // (object, portal site)
-        let mut solvers = Vec::with_capacity(k_clusters);
+        let gra = Gra::with_config(self.config.gra.clone());
         for (c, shard) in shards.iter().enumerate() {
-            let (problem, is_tree) = build_shard_problem(
+            let problem = build_shard_problem(
                 sp,
                 shard,
                 c,
@@ -271,13 +261,7 @@ impl ShardedSolver {
                 &seed_dists,
             )?;
             let mut rng = StdRng::seed_from_u64(mix(&[seed, TAG_SHARD, c as u64]));
-            let scheme = if is_tree {
-                solvers.push(ShardSolver::Tree);
-                Adr::default().solve(&problem, &mut rng)?
-            } else {
-                solvers.push(ShardSolver::Genetic);
-                Gra::with_config(self.config.gra.clone()).solve(&problem, &mut rng)?
-            };
+            let scheme = gra.solve(&problem, &mut rng)?;
 
             // 4a. Member placements map straight to global sites.
             let mc = shard.members.len();
@@ -363,7 +347,6 @@ impl ShardedSolver {
                 border_placed,
                 border_dropped,
                 refine_moves,
-                solvers,
             },
         })
     }
@@ -438,8 +421,7 @@ fn build_shards(graph: &Graph, owner: &[usize], k_clusters: usize) -> Vec<Shard>
 /// Materializes one shard as a dense [`Problem`]: members plus one virtual
 /// border site per neighbor cluster, cheapest cross-edges as border links,
 /// remote demand aggregated onto the border toward its cluster, and remote
-/// primaries stood in by the border toward their owner. Returns the
-/// problem and whether its metric is a tree (so the ADR heuristic applies).
+/// primaries stood in by the border toward their owner.
 #[allow(clippy::too_many_arguments)]
 fn build_shard_problem(
     sp: &SparseProblem,
@@ -450,7 +432,7 @@ fn build_shard_problem(
     agg_reads: &DenseMatrix<u64>,
     agg_writes: &DenseMatrix<u64>,
     seed_dists: &[Vec<u64>],
-) -> drp_core::Result<(Problem, bool)> {
+) -> drp_core::Result<Problem> {
     let n = sp.num_objects();
     let mc = shard.members.len();
     let m_sub = mc + shard.neighbors.len();
@@ -495,7 +477,6 @@ fn build_shard_problem(
         }
     }
     let costs = CostMatrix::from_graph(&graph).map_err(CoreError::Net)?;
-    let is_tree = tree_adjacency(&costs).is_some();
 
     // Route every external cluster to one of this shard's borders: itself
     // if it is a neighbor, otherwise the neighbor whose portal its seed
@@ -572,7 +553,7 @@ fn build_shard_problem(
     builder.capacities(capacities);
     builder.read_matrix(reads);
     builder.write_matrix(writes);
-    Ok((builder.build()?, is_tree))
+    builder.build()
 }
 
 /// One deterministic drop/add sweep. Removals first (cheap, few replicas),

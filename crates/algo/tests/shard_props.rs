@@ -3,7 +3,7 @@
 //! feasible placements, stay within a bounded NTC ratio of the flat GRA,
 //! and be bitwise deterministic across the `parallel` fitness path.
 
-use drp_algo::shard::{ShardConfig, ShardSolver, ShardedSolver};
+use drp_algo::shard::{ShardConfig, ShardedSolver};
 use drp_algo::{Gra, GraConfig};
 use drp_core::ReplicationAlgorithm;
 use drp_workload::{TopologyKind, WorkloadSpec};
@@ -126,26 +126,21 @@ fn single_shard_degenerates_to_a_flat_solve() {
 }
 
 #[test]
-fn tree_shards_use_the_exact_oracle() {
+fn binary_tree_instances_shard_feasibly_and_deterministically() {
     let mut spec = WorkloadSpec::paper(63, 8, 5.0, 30.0);
     spec.topology = TopologyKind::Tree { arity: 2 };
     let sp = spec
         .generate_sparse(&mut StdRng::seed_from_u64(21))
         .unwrap();
     let outcome = ShardedSolver::new(4).solve(&sp, 21).unwrap();
-    // Connected cells of a tree are subtrees, and contracting subtrees
-    // keeps a tree: every shard metric is a tree, so ADR solves each one
-    // exactly.
-    assert!(
-        outcome
-            .report
-            .solvers
-            .iter()
-            .all(|&s| s == ShardSolver::Tree),
-        "tree instance must route every shard to ADR: {:?}",
-        outcome.report.solvers
-    );
+    assert_eq!(outcome.report.clusters, 4);
+    assert_eq!(outcome.report.shard_sites.iter().sum::<usize>(), 63);
     sp.validate_placement(&outcome.placement).unwrap();
+    assert_eq!(outcome.ntc, sp.total_cost(&outcome.placement).unwrap());
+    assert!(outcome.ntc <= outcome.d_prime);
+    let again = ShardedSolver::new(4).solve(&sp, 21).unwrap();
+    assert_eq!(outcome.fingerprint(), again.fingerprint());
+    assert_eq!(outcome.ntc, again.ntc);
 }
 
 #[test]

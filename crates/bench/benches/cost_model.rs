@@ -1,7 +1,7 @@
 //! Microbenchmarks of the Eq. 4 cost model: full evaluation, the
-//! chromosome fast path, and incremental deltas. Quantifies the
-//! "incremental cost maintenance" design decision — a delta is O(M·|R_k|)
-//! where the full recomputation is O(Σ_k M·|R_k|).
+//! chromosome fast path, and the evaluator's incremental deltas. Quantifies
+//! the "incremental cost maintenance" design decision — a cached delta is
+//! O(M) where the full recomputation is O(Σ_k M·|R_k|).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use drp_algo::{chromosome_cost, encode_scheme, Sra};
@@ -36,17 +36,6 @@ fn bench_cost_model(c: &mut Criterion) {
             &(),
             |b, ()| b.iter(|| black_box(chromosome_cost(&problem, black_box(&bits)))),
         );
-
-        // A representative incremental delta: first feasible addition.
-        let (site, object) =
-            feasible_add(&problem, &scheme).unwrap_or((SiteId::new(0), ObjectId::new(0)));
-        if !scheme.holds(site, object) {
-            group.bench_with_input(
-                BenchmarkId::new("delta_add", format!("{m}x{n}")),
-                &(),
-                |b, ()| b.iter(|| black_box(problem.delta_add_replica(&scheme, site, object))),
-            );
-        }
     }
     group.finish();
 }

@@ -6,7 +6,8 @@
 //!
 //! * **full** — `Problem::total_cost`, the rescan-everything baseline;
 //! * **incremental** — one `CostEvaluator` flip (an `apply_add`/`undo`
-//!   pair timed and halved), the evaluator's O(M) delta path;
+//!   pair timed and halved), the evaluator's O(M) delta path, reported as
+//!   the median of [`FLIP_REPS`] calibrated runs with their min and max;
 //! * **wide serial population** — `evaluate_population_pooled` on an
 //!   explicit one-thread pool with the u64-only scratch: the pre-mirror
 //!   code path, the ratchet's serial baseline;
@@ -17,7 +18,10 @@
 //!
 //! Serial and parallel runs score the *same* chromosomes and the sample
 //! carries a `parity` flag asserting their fitness vectors matched
-//! bitwise — the determinism contract of the coarse-grained fan-out.
+//! bitwise — the determinism contract of the coarse-grained fan-out. A
+//! `sparse_parity` flag asserts the same of the flip engine's two
+//! candidate sources: k-nearest rows at `k = M` must track the dense rows
+//! bitwise through a fixed flip walk.
 //!
 //! The artifact uses the shared [`drp_bench::report`] shape; the
 //! `ratchet` bin diffs it against the committed reference.
@@ -26,12 +30,22 @@ use drp_algo::{encode_scheme, evaluate_population_pooled, ScratchPool, Sra};
 use drp_bench::report::{Budget, Fields, Report};
 use drp_bench::{instance, rng};
 use drp_core::pool::WorkerPool;
-use drp_core::{CostEvaluator, ObjectId, Problem, ReplicationAlgorithm, ReplicationScheme, SiteId};
+use drp_core::{
+    CostEvaluator, ObjectId, Problem, ReplicationAlgorithm, ReplicationScheme, SiteId,
+    SparseEvaluator, SparseProblem,
+};
 use drp_ga::{ops, BitString};
+use drp_net::SparseCostRows;
 use std::time::Instant;
 
 /// Chromosomes per timed population pass — a typical GRA generation.
 const POPULATION: usize = 32;
+
+/// Calibrated runs behind each flip timing's median, min and max.
+const FLIP_REPS: usize = 5;
+
+/// Steps of the fixed flip walk behind `sparse_parity`.
+const PARITY_FLIPS: usize = 64;
 
 /// Times `f`, calibrating the iteration count to ~20ms of wall clock.
 fn measure<F: FnMut()>(mut f: F) -> f64 {
@@ -55,15 +69,72 @@ fn feasible_add(problem: &Problem, scheme: &ReplicationScheme) -> Option<(SiteId
         })
 }
 
+/// Whether the k-nearest source at `k = M` tracks the dense source
+/// bitwise — every peek, applied delta, total and top-2 cell — through a
+/// fixed walk of adds and removes from `scheme` and back via undo.
+fn sparse_parity(problem: &Problem, scheme: &ReplicationScheme) -> bool {
+    let sp = SparseProblem::from_problem(problem).expect("a validated problem converts");
+    let rows = SparseCostRows::from_graph(sp.graph(), problem.num_sites())
+        .expect("a connected instance has full-width rows");
+    let mut dense = CostEvaluator::new(problem, scheme.clone());
+    let mut sparse =
+        SparseEvaluator::new(&sp, &rows, dense.placement()).expect("the scheme is feasible");
+    let same_cells = |dense: &CostEvaluator<'_>, sparse: &SparseEvaluator<'_>| {
+        dense.total() == sparse.total()
+            && problem.objects().all(|k| {
+                dense.object_cost(k) == sparse.object_cost(k)
+                    && problem.sites().all(|i| {
+                        dense.nearest(i, k) == sparse.nearest(i, k)
+                            && dense.second_nearest(i, k) == sparse.second_nearest(i, k)
+                    })
+            })
+    };
+    let (m, n) = (problem.num_sites(), problem.num_objects());
+    let mut same = true;
+    for step in 0..PARITY_FLIPS {
+        let (site, object) = (SiteId::new(step * 7 % m), ObjectId::new(step * 13 % n));
+        let pair = if dense.holds(site, object) {
+            if problem.primary(object) == site {
+                continue;
+            }
+            (
+                dense.delta_remove(site, object),
+                sparse.delta_remove(site, object),
+                dense.apply_remove(site, object),
+                sparse.apply_remove(site, object),
+            )
+        } else {
+            if problem.object_size(object) > dense.free_capacity(site) {
+                continue;
+            }
+            (
+                dense.delta_add(site, object),
+                sparse.delta_add(site, object),
+                dense.apply_add(site, object),
+                sparse.apply_add(site, object),
+            )
+        };
+        same &= pair.0 == pair.1 && pair.2.ok() == pair.3.ok();
+    }
+    same &= same_cells(&dense, &sparse);
+    while let Some(delta) = dense.undo() {
+        same &= sparse.undo() == Some(delta);
+    }
+    same && same_cells(&dense, &sparse)
+}
+
 struct Row {
     sites: usize,
     objects: usize,
     full_eval_ns: f64,
     incremental_flip_ns: f64,
+    incremental_flip_min_ns: f64,
+    incremental_flip_max_ns: f64,
     wide_serial_ns_per_eval: f64,
     narrow_serial_ns_per_eval: f64,
     parallel_ns_per_eval: f64,
     parity: bool,
+    sparse_parity: bool,
 }
 
 fn bench_size(sites: usize, objects: usize) -> Row {
@@ -78,11 +149,17 @@ fn bench_size(sites: usize, objects: usize) -> Row {
     let (site, object) = feasible_add(&problem, &scheme)
         .expect("paper instances leave room for at least one extra replica");
     let mut eval = CostEvaluator::new(&problem, scheme.clone());
-    let incremental_flip_ns = measure(|| {
-        eval.apply_add(site, object).unwrap();
-        eval.undo().unwrap();
-        std::hint::black_box(eval.total());
-    }) / 2.0;
+    let mut flip_ns: Vec<f64> = (0..FLIP_REPS)
+        .map(|_| {
+            measure(|| {
+                eval.apply_add(site, object).unwrap();
+                eval.undo().unwrap();
+                std::hint::black_box(eval.total());
+            }) / 2.0
+        })
+        .collect();
+    flip_ns.sort_by(f64::total_cmp);
+    let sparse_parity = sparse_parity(&problem, &scheme);
 
     let seed_bits = encode_scheme(&problem, &scheme);
     // A fixed expected flip count (not a fixed rate): on large instances a
@@ -132,11 +209,14 @@ fn bench_size(sites: usize, objects: usize) -> Row {
         sites,
         objects,
         full_eval_ns,
-        incremental_flip_ns,
+        incremental_flip_ns: flip_ns[FLIP_REPS / 2],
+        incremental_flip_min_ns: flip_ns[0],
+        incremental_flip_max_ns: flip_ns[FLIP_REPS - 1],
         wide_serial_ns_per_eval: wide / POPULATION as f64,
         narrow_serial_ns_per_eval: narrow / POPULATION as f64,
         parallel_ns_per_eval: parallel / POPULATION as f64,
         parity,
+        sparse_parity,
     }
 }
 
@@ -177,6 +257,8 @@ fn main() {
                 .int("objects", row.objects as u64)
                 .float("full_eval_ns", row.full_eval_ns, 1)
                 .float("incremental_flip_ns", row.incremental_flip_ns, 1)
+                .float("incremental_flip_min_ns", row.incremental_flip_min_ns, 1)
+                .float("incremental_flip_max_ns", row.incremental_flip_max_ns, 1)
                 .float(
                     "serial_population_ns_per_eval",
                     row.wide_serial_ns_per_eval,
@@ -207,7 +289,8 @@ fn main() {
                     row.wide_serial_ns_per_eval / row.parallel_ns_per_eval,
                     2,
                 )
-                .flag("parity", row.parity),
+                .flag("parity", row.parity)
+                .flag("sparse_parity", row.sparse_parity),
         );
     }
     report.write(&out_path);

@@ -18,8 +18,8 @@ impl Problem {
     ///
     /// Negative values mean replication is inefficient from the site's local
     /// view (the paper notes it could still help globally — see
-    /// [`delta_add_replica`](Problem::delta_add_replica) for the global
-    /// delta).
+    /// [`CostEvaluator::delta_add`](crate::CostEvaluator::delta_add) for the
+    /// global delta).
     ///
     /// # Panics
     ///
@@ -136,13 +136,14 @@ mod tests {
         // sites' read improvements, so B ≥ −delta/o in general).
         let p = problem();
         let s = ReplicationScheme::primary_only(&p);
+        let eval = crate::CostEvaluator::new(&p, s.clone());
         for k in p.objects() {
             for i in p.sites() {
                 if s.holds(i, k) {
                     continue;
                 }
                 let b = p.local_benefit(&s, i, k);
-                let global = -p.delta_add_replica(&s, i, k) as f64 / p.object_size(k) as f64;
+                let global = -eval.delta_add(i, k) as f64 / p.object_size(k) as f64;
                 assert!(
                     (b as f64) <= global + 1e-9,
                     "local benefit must not exceed the global saving"

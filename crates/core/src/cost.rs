@@ -5,7 +5,7 @@
 //! integral, so the NTC is too. Savings percentages are the only floating
 //! point values.
 
-use crate::{kernels, ObjectId, Problem, ReplicationScheme, SiteId};
+use crate::{kernels, ObjectId, Problem, ReplicationScheme};
 
 impl Problem {
     /// Fills `nearest[i] = min { C(i, j) : j ∈ replicas }` without
@@ -114,141 +114,12 @@ impl Problem {
         let d = self.total_cost(scheme);
         100.0 * (dp as f64 - d as f64) / dp as f64
     }
-
-    /// Exact change in `D` (new − old) from adding a replica of `object` at
-    /// `site`, in O(M · |R_k|). Negative values mean the replica helps.
-    ///
-    /// Unlike the greedy "local" benefit of Eq. 5 this is the *global*
-    /// delta: it includes the read-traffic reduction of every other site
-    /// that would re-route to the new replica.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `site` already replicates `object` or ids are out of range.
-    pub fn delta_add_replica(
-        &self,
-        scheme: &ReplicationScheme,
-        site: SiteId,
-        object: ObjectId,
-    ) -> i64 {
-        let mut nearest = vec![u64::MAX; self.num_sites()];
-        self.delta_add_replica_with(scheme, site, object, &mut nearest)
-    }
-
-    /// [`delta_add_replica`](Self::delta_add_replica) with a caller-owned
-    /// scratch buffer (`nearest` is overwritten) — the zero-allocation
-    /// variant for callers probing many candidate sites in a loop.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `site` already replicates `object`, ids are out of range,
-    /// or `nearest.len() != num_sites()`.
-    pub fn delta_add_replica_with(
-        &self,
-        scheme: &ReplicationScheme,
-        site: SiteId,
-        object: ObjectId,
-        nearest: &mut [u64],
-    ) -> i64 {
-        assert!(
-            !scheme.holds(site, object),
-            "delta_add_replica requires a non-replicator site"
-        );
-        let i = site.index();
-        let o = self.object_size(object);
-        let sp = self.primary(object).index();
-        let c_isp = self.costs().cost(i, sp);
-        let w_tot = self.total_writes(object);
-        self.nearest_costs_into(scheme.replicator_indices(object.index()), nearest);
-        let i_row = self.costs().row(i);
-        let r_row = self.object_reads(object);
-        let w_i = self.object_writes(object)[i];
-
-        // Site i stops reading remotely and shipping writes, starts
-        // receiving the update broadcast.
-        let old_i = o * (r_row[i] * nearest[i] + w_i * c_isp);
-        let new_i = w_tot * o * c_isp;
-        let mut delta = new_i as i64 - old_i as i64;
-
-        // Other non-replicators may re-route reads through the new replica.
-        for j in 0..self.num_sites() {
-            if j == i || scheme.holds(SiteId::new(j), object) {
-                continue;
-            }
-            let c_ji = i_row[j];
-            if c_ji < nearest[j] {
-                delta -= (r_row[j] * o * (nearest[j] - c_ji)) as i64;
-            }
-        }
-        delta
-    }
-
-    /// Exact change in `D` (new − old) from removing the replica of
-    /// `object` at `site`, in O(M · |R_k|).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `site` is not a replicator, is the primary, or ids are out
-    /// of range.
-    pub fn delta_remove_replica(
-        &self,
-        scheme: &ReplicationScheme,
-        site: SiteId,
-        object: ObjectId,
-    ) -> i64 {
-        assert!(
-            scheme.holds(site, object),
-            "delta_remove_replica requires a replicator site"
-        );
-        assert!(
-            self.primary(object) != site,
-            "the primary copy cannot be removed"
-        );
-        let i = site.index();
-        let k = object.index();
-        let o = self.object_size(object);
-        let sp = self.primary(object).index();
-        let c_isp = self.costs().cost(i, sp);
-        let w_tot = self.total_writes(object);
-
-        // Nearest costs with and without site i's replica, built in a
-        // single pass: every replicator except i feeds both arrays, i
-        // itself only feeds `nearest_with`.
-        let m = self.num_sites();
-        let mut nearest_without = vec![u64::MAX; m];
-        let mut nearest_with = vec![u64::MAX; m];
-        for &j in scheme.replicator_indices(k) {
-            let row = self.costs().row(j);
-            kernels::min_scan(&mut nearest_with, row);
-            if j != i {
-                kernels::min_scan(&mut nearest_without, row);
-            }
-        }
-
-        // Site i resumes remote reads and write shipping, stops receiving
-        // the broadcast.
-        let r_row = self.object_reads(object);
-        let w_i = self.object_writes(object)[i];
-        let old_i = w_tot * o * c_isp;
-        let new_i = o * (r_row[i] * nearest_without[i] + w_i * c_isp);
-        let mut delta = new_i as i64 - old_i as i64;
-
-        // Other non-replicators whose nearest replica was site i re-route.
-        for j in 0..m {
-            if j == i || scheme.holds(SiteId::new(j), object) {
-                continue;
-            }
-            if nearest_without[j] > nearest_with[j] {
-                delta += (r_row[j] * o * (nearest_without[j] - nearest_with[j])) as i64;
-            }
-        }
-        delta
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CostEvaluator, SiteId};
     use drp_net::CostMatrix;
 
     /// 3 sites on a line (C(0,1)=1, C(1,2)=1, C(0,2)=2), 2 objects.
@@ -308,25 +179,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_add_with_scratch_matches_allocating_variant() {
-        let p = problem();
-        let s = ReplicationScheme::primary_only(&p);
-        let mut nearest = vec![0u64; p.num_sites()];
-        for k in p.objects() {
-            for i in p.sites() {
-                if s.holds(i, k) {
-                    continue;
-                }
-                assert_eq!(
-                    p.delta_add_replica_with(&s, i, k, &mut nearest),
-                    p.delta_add_replica(&s, i, k),
-                    "({i}, {k})"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn delta_add_matches_full_recomputation() {
         let p = problem();
         let s = ReplicationScheme::primary_only(&p);
@@ -335,7 +187,7 @@ mod tests {
                 if s.holds(i, k) {
                     continue;
                 }
-                let predicted = p.delta_add_replica(&s, i, k);
+                let predicted = CostEvaluator::new(&p, s.clone()).delta_add(i, k);
                 let mut t = s.clone();
                 t.add_replica(&p, i, k).unwrap();
                 let actual = p.total_cost(&t) as i64 - p.total_cost(&s) as i64;
@@ -356,7 +208,7 @@ mod tests {
                 if !s.holds(i, k) || p.primary(k) == i {
                     continue;
                 }
-                let predicted = p.delta_remove_replica(&s, i, k);
+                let predicted = CostEvaluator::new(&p, s.clone()).delta_remove(i, k);
                 let mut t = s.clone();
                 t.remove_replica(&p, i, k).unwrap();
                 let actual = p.total_cost(&t) as i64 - p.total_cost(&s) as i64;

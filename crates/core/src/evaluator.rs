@@ -1,49 +1,177 @@
-//! Incremental Eq. 4 evaluation: [`CostEvaluator`] keeps the total NTC `D`
-//! and every per-object nearest/second-nearest replicator cached, so a
-//! replica flip costs O(M) instead of a full `O(Σ_k M·|R_k|)` recomputation.
+//! Incremental Eq. 4 evaluation: one flip engine, [`Evaluator`], keeps the
+//! total NTC `D` and every per-object nearest/second-nearest replicator
+//! cached, so a replica flip touches only the sites that could read from
+//! the flipped replica instead of recomputing `O(Σ_k M·|R_k|)`.
+//!
+//! # Candidate sources
+//!
+//! The engine is generic over a [`CandidateRows`] source that says which
+//! replicators a site may read from, and it never branches on which source
+//! it holds. There are two:
+//!
+//! * [`DenseRows`] borrows a [`Problem`]'s full cost matrix: every
+//!   replicator is every site's candidate, so the total is exact and a flip
+//!   is O(M). [`CostEvaluator`] is this instantiation.
+//! * [`SparseRows`](crate::SparseRows) reads k-nearest
+//!   [`SparseCostRows`](drp_net::SparseCostRows) over a
+//!   [`SparseProblem`](crate::SparseProblem): a flip is O(k), and the total
+//!   is an upper bound for `k < M` that is exact for `k ≥ M`.
+//!   [`SparseEvaluator`](crate::SparseEvaluator) is this instantiation.
+//!
+//! Either way the object's primary is a candidate of every site.
 //!
 //! # Cached-state invariants
 //!
 //! For every `(object k, site i)` pair the evaluator stores the two cheapest
-//! replicators of `k` as seen from `i`, ordered by the canonical key
-//! `(cost, site index)`:
+//! candidate replicators of `k` as seen from `i`, ordered by the canonical
+//! key `(cost, site index)`:
 //!
 //! * `best(k, i)` — the nearest replicator `SN_k(i)` with its cost;
 //! * `second(k, i)` — the second-nearest, or a sentinel when `k` has only one
 //!   replica.
 //!
 //! Lexicographic tie-breaking on `(cost, site)` makes both entries a *pure
-//! function of the replica set* — independent of the order in which replicas
-//! were added or removed. That is what lets [`undo`](CostEvaluator::undo)
-//! restore byte-identical state by simply applying the inverse flip: no
-//! snapshots are kept, only a log of `(add/remove, site, object)` records.
+//! function of the candidate set* — independent of the order in which
+//! replicas were added or removed. That is what lets
+//! [`undo`](Evaluator::undo) restore byte-identical state by simply applying
+//! the inverse flip: no snapshots are kept, only a log of
+//! `(add/remove, site, object)` records.
 //!
 //! Alongside the top-2 arrays the evaluator maintains `object_cost[k] = V_k`
 //! and `total = D = Σ_k V_k`, updated by exact integer deltas. Because every
-//! quantity is integral, the running total always equals
+//! quantity is integral, the dense running total always equals
 //! [`Problem::total_cost`] of the underlying scheme exactly (property-tested
-//! in `tests/evaluator_props.rs`).
+//! in `tests/evaluator_props.rs`, which also pins the sparse source at
+//! `k = M` to the dense one bitwise).
 //!
-//! * [`apply_add`](CostEvaluator::apply_add) is O(M): one top-2 insertion per
-//!   site.
-//! * [`apply_remove`](CostEvaluator::apply_remove) is O(M) plus an
-//!   O(|R_k|) second-nearest rescan for each site whose top-2 contained the
-//!   removed replica — the second-nearest cache is exactly what avoids a
-//!   full rebuild.
-//! * [`delta_add`](CostEvaluator::delta_add) and
-//!   [`delta_remove`](CostEvaluator::delta_remove) are read-only O(M) peeks
-//!   with zero allocation, strictly cheaper than the `O(M·|R_k|)`
-//!   [`Problem::delta_add_replica`] / [`Problem::delta_remove_replica`]
-//!   which re-derive the nearest array per call.
+//! * [`apply_add`](Evaluator::apply_add) inserts the new replica into the
+//!   top-2 of every site that may pick it.
+//! * [`apply_remove`](Evaluator::apply_remove) promotes the cached second
+//!   wherever the removed replica was nearest and rescans a site's
+//!   candidates only where its top-2 contained the removed replica — the
+//!   second-nearest cache is exactly what avoids a full rebuild.
+//! * [`delta_add`](Evaluator::delta_add) and
+//!   [`delta_remove`](Evaluator::delta_remove) are read-only peeks over the
+//!   same sites with zero allocation.
 //!
-//! All scratch space is allocated once in [`CostEvaluator::new`]; the flip
-//! and peek paths perform no allocations (the undo log amortizes like any
-//! `Vec` push).
+//! All scratch space is allocated once at construction; the flip and peek
+//! paths perform no allocations (the undo log amortizes like any `Vec`
+//! push).
 
-use crate::{kernels, ObjectId, Problem, ReplicationScheme, Result, SiteId};
+use crate::{kernels, CoreError, ObjectId, Problem, ReplicationScheme, Result, SiteId};
 
 /// Sentinel site index for "no second-nearest replicator".
 const NO_SITE: u32 = u32::MAX;
+
+/// The per-object Eq. 4 inputs a [`CandidateRows`] source exposes.
+#[derive(Debug, Clone, Copy)]
+pub struct ObjectTerms<'a> {
+    /// Object size `o_k`.
+    pub size: u64,
+    /// Primary site `SP_k`.
+    pub primary: usize,
+    /// Total writes `W_k = Σ_x w_k(x)`.
+    pub total_writes: u64,
+    /// Per-site reads `r_k(·)`.
+    pub reads: &'a [u64],
+    /// Per-site writes `w_k(·)`.
+    pub writes: &'a [u64],
+    /// Per-site distance to the primary, `C(·, SP_k)`.
+    pub to_primary: &'a [u64],
+}
+
+impl ObjectTerms<'_> {
+    /// Change in write traffic when site `i` becomes a replicator: it joins
+    /// the update broadcast (`W_k·o_k·C(i, SP_k)`) and stops shipping its
+    /// own writes (`w_k(i)·o_k·C(i, SP_k)`).
+    #[inline]
+    fn shipping_delta(&self, i: usize) -> i64 {
+        ((self.total_writes - self.writes[i]) * self.size * self.to_primary[i]) as i64
+    }
+}
+
+/// Where an [`Evaluator`] finds the replicators each site may read from,
+/// together with the instance data the Eq. 4 terms need.
+///
+/// Every method that depends on the candidate structure lives here; the
+/// engine itself is the same for every source.
+pub trait CandidateRows {
+    /// Number of sites `M`.
+    fn num_sites(&self) -> usize;
+    /// Number of objects `N`.
+    fn num_objects(&self) -> usize;
+    /// Storage capacity of site `i`.
+    fn capacity(&self, i: usize) -> u64;
+    /// The Eq. 4 inputs of object `k`.
+    fn object(&self, k: usize) -> ObjectTerms<'_>;
+    /// Calls `f(x, C(x, j))` for every site `x` that may pick a replica at
+    /// `j` — `j` itself among them, at cost 0.
+    fn for_each_picker(&self, j: usize, f: impl FnMut(usize, u64));
+    /// Calls `f(j, C(x, j))` for every replicator `j` of object `k` in
+    /// site `x`'s candidate set under `scheme`; the primary is always one.
+    fn for_each_candidate(
+        &self,
+        x: usize,
+        k: usize,
+        scheme: &ReplicationScheme,
+        f: impl FnMut(usize, u64),
+    );
+}
+
+/// The dense candidate source: a [`Problem`]'s full cost matrix, under
+/// which every replicator is every site's candidate.
+#[derive(Debug, Clone, Copy)]
+pub struct DenseRows<'p> {
+    problem: &'p Problem,
+}
+
+impl CandidateRows for DenseRows<'_> {
+    fn num_sites(&self) -> usize {
+        self.problem.num_sites()
+    }
+
+    fn num_objects(&self) -> usize {
+        self.problem.num_objects()
+    }
+
+    fn capacity(&self, i: usize) -> u64 {
+        self.problem.capacity(SiteId::new(i))
+    }
+
+    fn object(&self, k: usize) -> ObjectTerms<'_> {
+        let object = ObjectId::new(k);
+        let primary = self.problem.primary(object).index();
+        ObjectTerms {
+            size: self.problem.object_size(object),
+            primary,
+            total_writes: self.problem.total_writes(object),
+            reads: self.problem.object_reads(object),
+            writes: self.problem.object_writes(object),
+            to_primary: self.problem.costs().row(primary),
+        }
+    }
+
+    #[inline]
+    fn for_each_picker(&self, j: usize, mut f: impl FnMut(usize, u64)) {
+        for (x, &c) in self.problem.costs().row(j).iter().enumerate() {
+            f(x, c);
+        }
+    }
+
+    /// Walks `k`'s replica list: O(|R_k|).
+    fn for_each_candidate(
+        &self,
+        x: usize,
+        k: usize,
+        scheme: &ReplicationScheme,
+        mut f: impl FnMut(usize, u64),
+    ) {
+        let costs = self.problem.costs();
+        for &j in scheme.replicator_indices(k) {
+            f(j, costs.cost(j, x));
+        }
+    }
+}
 
 #[derive(Debug, Clone, Copy)]
 struct FlipRecord {
@@ -52,7 +180,98 @@ struct FlipRecord {
     object: u32,
 }
 
-/// Incremental Eq. 4 evaluator owning a [`ReplicationScheme`].
+/// Flattened `N × M` top-2 cache: per `(object, site)` cell, the nearest
+/// and second-nearest candidate replicator with their costs.
+#[derive(Debug, Clone, PartialEq)]
+struct Top2 {
+    best_cost: Vec<u64>,
+    best_site: Vec<u32>,
+    /// [`u64::MAX`] when the cell has a single candidate.
+    second_cost: Vec<u64>,
+    /// [`NO_SITE`] when the cell has a single candidate.
+    second_site: Vec<u32>,
+}
+
+impl Top2 {
+    fn reset(&mut self, cells: std::ops::Range<usize>) {
+        self.best_cost[cells.clone()].fill(u64::MAX);
+        self.best_site[cells.clone()].fill(NO_SITE);
+        self.second_cost[cells.clone()].fill(u64::MAX);
+        self.second_site[cells].fill(NO_SITE);
+    }
+
+    /// Inserts `(cost, site)` into a cell under the canonical `(cost,
+    /// site)` order; returns whether it became the nearest.
+    #[inline]
+    fn insert(&mut self, idx: usize, cost: u64, site: u32) -> bool {
+        // Borrow the four slots once, so the compare-and-shift below works
+        // on plain references rather than re-indexing each vector.
+        let best_cost = &mut self.best_cost[idx];
+        let best_site = &mut self.best_site[idx];
+        let second_cost = &mut self.second_cost[idx];
+        let second_site = &mut self.second_site[idx];
+        if (cost, site) < (*best_cost, *best_site) {
+            *second_cost = *best_cost;
+            *second_site = *best_site;
+            *best_cost = cost;
+            *best_site = site;
+            true
+        } else {
+            if (cost, site) < (*second_cost, *second_site) {
+                *second_cost = cost;
+                *second_site = site;
+            }
+            false
+        }
+    }
+
+    /// Recomputes a cell's second-nearest from site `x`'s candidates for
+    /// object `k`, excluding the current nearest.
+    fn rescan_second<R: CandidateRows>(
+        &mut self,
+        idx: usize,
+        rows: &R,
+        scheme: &ReplicationScheme,
+        x: usize,
+        k: usize,
+    ) {
+        let best = self.best_site[idx];
+        let mut second = (u64::MAX, NO_SITE);
+        rows.for_each_candidate(x, k, scheme, |j, c| {
+            if j as u32 != best && (c, j as u32) < second {
+                second = (c, j as u32);
+            }
+        });
+        (self.second_cost[idx], self.second_site[idx]) = second;
+    }
+}
+
+/// The incremental Eq. 4 flip engine over a [`CandidateRows`] source,
+/// owning a [`ReplicationScheme`].
+///
+/// [`CostEvaluator`] and [`SparseEvaluator`](crate::SparseEvaluator) are
+/// its two instantiations; see the module docs for the cached state.
+#[derive(Debug, Clone)]
+pub struct Evaluator<R> {
+    pub(crate) rows: R,
+    scheme: ReplicationScheme,
+    top2: Top2,
+    /// `V_k` per object.
+    object_cost: Vec<u64>,
+    /// Running total `D`.
+    total: u64,
+    /// Flip log consumed by [`undo`](Self::undo).
+    log: Vec<FlipRecord>,
+    /// Replica flips applied so far (adds, removes and undos alike).
+    flips: u64,
+    /// Second-nearest rescans performed — the only step of a flip that
+    /// walks a candidate set, so the ratio `rescans / flips` tells how
+    /// often a removal hits the cached top-2.
+    rescans: u64,
+}
+
+/// Incremental Eq. 4 evaluator over a dense [`Problem`]: every flip is
+/// O(M) and the total is exact.
 ///
 /// # Examples
 ///
@@ -81,43 +300,9 @@ struct FlipRecord {
 /// assert_eq!(eval.total(), problem.d_prime());
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone)]
-pub struct CostEvaluator<'p> {
-    problem: &'p Problem,
-    scheme: ReplicationScheme,
-    /// Flattened `N × M`: nearest replicator cost per `(object, site)`.
-    best_cost: Vec<u64>,
-    /// Flattened `N × M`: nearest replicator site per `(object, site)`.
-    best_site: Vec<u32>,
-    /// Flattened `N × M`: second-nearest replicator cost ([`u64::MAX`] when
-    /// the object has a single replica).
-    second_cost: Vec<u64>,
-    /// Flattened `N × M`: second-nearest replicator site ([`NO_SITE`] when
-    /// absent).
-    second_site: Vec<u32>,
-    /// Flattened `N × ⌈M/64⌉` replica bitmask, object-major: bit `x` of
-    /// object `k`'s word row is `X_xk`. A word-granular mirror of the
-    /// scheme's membership used to prune non-replicator candidate loops
-    /// without per-site [`ReplicationScheme::holds`] probes (each of
-    /// which re-derives a site-major bit index with a multiply).
-    replica_mask: Vec<u64>,
-    /// Words per object row in `replica_mask` (`⌈M/64⌉`).
-    mask_words: usize,
-    /// `V_k` per object.
-    object_cost: Vec<u64>,
-    /// Running total `D`.
-    total: u64,
-    /// Flip log consumed by [`undo`](Self::undo).
-    log: Vec<FlipRecord>,
-    /// Replica flips applied so far (adds, removes and undos alike).
-    flips: u64,
-    /// Second-nearest rescans performed — the only super-O(M) step of a
-    /// flip, so the ratio `rescans / flips` tells how often a removal hits
-    /// the cached top-2.
-    rescans: u64,
-}
+pub type CostEvaluator<'p> = Evaluator<DenseRows<'p>>;
 
-impl<'p> CostEvaluator<'p> {
+impl<'p> Evaluator<DenseRows<'p>> {
     /// Builds the evaluator for an arbitrary starting scheme in
     /// `O(Σ_k M·|R_k|)`.
     ///
@@ -125,24 +310,53 @@ impl<'p> CostEvaluator<'p> {
     ///
     /// Panics if the scheme shape mismatches the problem.
     pub fn new(problem: &'p Problem, scheme: ReplicationScheme) -> Self {
-        let m = problem.num_sites();
-        let n = problem.num_objects();
+        Self::build(DenseRows { problem }, scheme)
+    }
+
+    /// Builds the evaluator for the primary-only allocation (`D = D′`).
+    pub fn primary_only(problem: &'p Problem) -> Self {
+        Self::new(problem, ReplicationScheme::primary_only(problem))
+    }
+
+    /// The instance being evaluated.
+    pub fn problem(&self) -> &'p Problem {
+        self.rows.problem
+    }
+
+    /// Percentage of NTC saved relative to primary-only, from the cache.
+    pub fn savings_percent(&self) -> f64 {
+        let dp = self.rows.problem.d_prime();
+        if dp == 0 {
+            return 0.0;
+        }
+        100.0 * (dp as f64 - self.total as f64) / dp as f64
+    }
+}
+
+impl<R: CandidateRows> Evaluator<R> {
+    /// Builds the cache for `scheme` over `rows`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the scheme shape mismatches the source.
+    pub(crate) fn build(rows: R, scheme: ReplicationScheme) -> Self {
+        let m = rows.num_sites();
+        let n = rows.num_objects();
         assert!(
             scheme.num_sites() == m && scheme.num_objects() == n,
             "scheme is {}x{} but problem is {m}x{n}",
             scheme.num_sites(),
             scheme.num_objects(),
         );
-        let mask_words = m.div_ceil(64).max(1);
         let mut eval = Self {
-            problem,
+            rows,
             scheme,
-            best_cost: vec![u64::MAX; n * m],
-            best_site: vec![NO_SITE; n * m],
-            second_cost: vec![u64::MAX; n * m],
-            second_site: vec![NO_SITE; n * m],
-            replica_mask: vec![0; n * mask_words],
-            mask_words,
+            top2: Top2 {
+                best_cost: vec![u64::MAX; n * m],
+                best_site: vec![NO_SITE; n * m],
+                second_cost: vec![u64::MAX; n * m],
+                second_site: vec![NO_SITE; n * m],
+            },
             object_cost: vec![0; n],
             total: 0,
             log: Vec::new(),
@@ -153,16 +367,6 @@ impl<'p> CostEvaluator<'p> {
             eval.rebuild_object(k);
         }
         eval
-    }
-
-    /// Builds the evaluator for the primary-only allocation (`D = D′`).
-    pub fn primary_only(problem: &'p Problem) -> Self {
-        Self::new(problem, ReplicationScheme::primary_only(problem))
-    }
-
-    /// The instance being evaluated.
-    pub fn problem(&self) -> &'p Problem {
-        self.problem
     }
 
     /// The current scheme (read-only: mutate through
@@ -177,7 +381,40 @@ impl<'p> CostEvaluator<'p> {
         self.scheme
     }
 
-    /// The cached total NTC `D` (equal to
+    /// The current placement: one sorted replica list per object, each
+    /// containing the object's primary.
+    pub fn placement(&self) -> &[Vec<usize>] {
+        self.scheme.replica_lists()
+    }
+
+    /// The current sorted replica list of an object.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `object` is out of range.
+    pub fn replicas(&self, object: ObjectId) -> &[usize] {
+        self.scheme.replicator_indices(object.index())
+    }
+
+    /// Whether `site` currently replicates `object`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if ids are out of range.
+    pub fn holds(&self, site: SiteId, object: ObjectId) -> bool {
+        self.scheme.holds(site, object)
+    }
+
+    /// Free capacity of a site under the current scheme.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `site` is out of range.
+    pub fn free_capacity(&self, site: SiteId) -> u64 {
+        self.rows.capacity(site.index()) - self.scheme.used_capacity(site)
+    }
+
+    /// The cached total NTC `D` (for the dense source equal to
     /// [`Problem::total_cost`]`(self.scheme())` at all times).
     pub fn total(&self) -> u64 {
         self.total
@@ -192,17 +429,8 @@ impl<'p> CostEvaluator<'p> {
         self.object_cost[object.index()]
     }
 
-    /// Percentage of NTC saved relative to primary-only, from the cache.
-    pub fn savings_percent(&self) -> f64 {
-        let dp = self.problem.d_prime();
-        if dp == 0 {
-            return 0.0;
-        }
-        100.0 * (dp as f64 - self.total as f64) / dp as f64
-    }
-
-    /// The cached nearest replicator `SN_k(i)` and its cost (ties broken
-    /// toward the lower site index, matching
+    /// The cached nearest candidate replicator `SN_k(i)` and its cost (ties
+    /// broken toward the lower site index, matching
     /// [`ReplicationScheme::nearest_replica`]).
     ///
     /// # Panics
@@ -211,8 +439,8 @@ impl<'p> CostEvaluator<'p> {
     pub fn nearest(&self, site: SiteId, object: ObjectId) -> (SiteId, u64) {
         let idx = self.cell(site, object);
         (
-            SiteId::new(self.best_site[idx] as usize),
-            self.best_cost[idx],
+            SiteId::new(self.top2.best_site[idx] as usize),
+            self.top2.best_cost[idx],
         )
     }
 
@@ -224,21 +452,21 @@ impl<'p> CostEvaluator<'p> {
     /// Panics if ids are out of range.
     #[inline]
     pub fn nearest_cost(&self, site: SiteId, object: ObjectId) -> u64 {
-        self.best_cost[self.cell(site, object)]
+        self.top2.best_cost[self.cell(site, object)]
     }
 
-    /// The cached second-nearest replicator, or `None` when the object has a
-    /// single replica.
+    /// The cached second-nearest candidate replicator, or `None` when the
+    /// object has a single candidate at this site.
     ///
     /// # Panics
     ///
     /// Panics if ids are out of range.
     pub fn second_nearest(&self, site: SiteId, object: ObjectId) -> Option<(SiteId, u64)> {
         let idx = self.cell(site, object);
-        (self.second_site[idx] != NO_SITE).then(|| {
+        (self.top2.second_site[idx] != NO_SITE).then(|| {
             (
-                SiteId::new(self.second_site[idx] as usize),
-                self.second_cost[idx],
+                SiteId::new(self.top2.second_site[idx] as usize),
+                self.top2.second_cost[idx],
             )
         })
     }
@@ -256,8 +484,8 @@ impl<'p> CostEvaluator<'p> {
         self.flips
     }
 
-    /// Lifetime count of O(|R_k|) second-nearest rescans triggered by
-    /// removals whose replica sat in a cached top-2 slot.
+    /// Lifetime count of second-nearest rescans triggered by removals whose
+    /// replica sat in a cached top-2 slot.
     pub fn rescans(&self) -> u64 {
         self.rescans
     }
@@ -267,104 +495,70 @@ impl<'p> CostEvaluator<'p> {
         self.log.clear();
     }
 
-    /// Read-only O(M) peek: exact change in `D` from adding a replica,
-    /// computed entirely from the cache with zero allocation.
+    /// Read-only peek: exact change in the evaluator's total from adding a
+    /// replica, computed entirely from the cache with zero allocation.
     ///
     /// # Panics
     ///
     /// Panics if `site` already replicates `object` or ids are out of range.
     pub fn delta_add(&self, site: SiteId, object: ObjectId) -> i64 {
+        // Start of the object's cell row; `cell` range-checks both ids.
+        let base = self.cell(site, object) - site.index();
         assert!(
             !self.scheme.holds(site, object),
             "delta_add requires a non-replicator site"
         );
-        let i = site.index();
-        let k = object.index();
-        let m = self.problem.num_sites();
-        let base = k * m;
-        let o = self.problem.object_size(object);
-        let sp = self.problem.primary(object).index();
-        let c_isp = self.problem.costs().cost(i, sp);
-        let w_tot = self.problem.total_writes(object);
-        let i_row = self.problem.costs().row(i);
-        let r_row = self.problem.object_reads(object);
-        let w_i = self.problem.object_writes(object)[i];
-
-        let old_i = o * (r_row[i] * self.best_cost[base + i] + w_i * c_isp);
-        let new_i = w_tot * o * c_isp;
-        let mut delta = new_i as i64 - old_i as i64;
-
-        // Word-wise candidate pruning: only non-replicators can re-route
-        // reads to the new replica, and the mask row yields exactly those
-        // sites (`i` itself is among them — it was asserted non-replicating
-        // above — so it is skipped explicitly).
-        self.for_each_non_replicator(k, |x| {
-            if x == i {
-                return;
-            }
-            let c = i_row[x];
-            let bc = self.best_cost[base + x];
-            if c < bc {
-                delta -= (r_row[x] * o * (bc - c)) as i64;
-            }
+        let (i, obj) = (site.index(), self.rows.object(object.index()));
+        // Every picker whose nearest is farther than the new replica
+        // re-routes its reads; `i` itself (cost 0) stops reading remotely.
+        let mut gain = 0u64;
+        self.rows.for_each_picker(i, |x, c| {
+            gain += obj.reads[x] * self.top2.best_cost[base + x].saturating_sub(c);
         });
-        delta
+        obj.shipping_delta(i) - (obj.size * gain) as i64
     }
 
-    /// Read-only O(M) peek: exact change in `D` from removing a replica —
-    /// the second-nearest cache answers "where would reads re-route"
-    /// without touching the replicator list.
+    /// Read-only peek: exact change in the evaluator's total from removing
+    /// a replica — the second-nearest cache answers "where would reads
+    /// re-route" without walking any candidate set.
     ///
     /// # Panics
     ///
     /// Panics if `site` is not a replicator, is the primary, or ids are out
     /// of range.
     pub fn delta_remove(&self, site: SiteId, object: ObjectId) -> i64 {
+        let base = self.cell(site, object) - site.index();
         assert!(
             self.scheme.holds(site, object),
             "delta_remove requires a replicator site"
         );
-        assert!(
-            self.problem.primary(object) != site,
-            "the primary copy cannot be removed"
-        );
-        let i = site.index();
-        let k = object.index();
-        let m = self.problem.num_sites();
-        let base = k * m;
-        let o = self.problem.object_size(object);
-        let sp = self.problem.primary(object).index();
-        let c_isp = self.problem.costs().cost(i, sp);
-        let w_tot = self.problem.total_writes(object);
-        let r_row = self.problem.object_reads(object);
-        let w_i = self.problem.object_writes(object)[i];
-
-        // Site i itself re-routes to its second-nearest (it exists: the
-        // primary is always a distinct replicator here).
-        let old_i = w_tot * o * c_isp;
-        let new_i = o * (r_row[i] * self.second_cost[base + i] + w_i * c_isp);
-        let mut delta = new_i as i64 - old_i as i64;
-
-        // Word-wise candidate pruning over non-replicators; `i` is still a
-        // replicator here (asserted above), so the mask row excludes it.
-        self.for_each_non_replicator(k, |x| {
-            if self.best_site[base + x] as usize == i {
-                delta +=
-                    (r_row[x] * o * (self.second_cost[base + x] - self.best_cost[base + x])) as i64;
+        let (i, obj) = (site.index(), self.rows.object(object.index()));
+        assert!(obj.primary != i, "the primary copy cannot be removed");
+        // Pickers whose nearest is `i` fall back to their cached second (it
+        // exists: the primary is always another candidate).
+        let mut loss = 0u64;
+        self.rows.for_each_picker(i, |x, _| {
+            let idx = base + x;
+            if self.top2.best_site[idx] as usize == i {
+                loss += obj.reads[x] * (self.top2.second_cost[idx] - self.top2.best_cost[idx]);
             }
         });
-        delta
+        (obj.size * loss) as i64 - obj.shipping_delta(i)
     }
 
-    /// Adds a replica and folds its exact delta into the cached total in
-    /// O(M). Returns the delta (new − old, negative when the replica helps).
+    /// Adds a replica and folds its exact delta into the cached total.
+    /// Returns the delta (new − old, negative when the replica helps).
     ///
     /// # Errors
     ///
-    /// Propagates [`ReplicationScheme::add_replica`] errors (capacity,
-    /// duplicate replica); the cache is untouched on error.
+    /// Returns range errors for invalid ids, [`CoreError::AlreadyReplica`]
+    /// or [`CoreError::InsufficientCapacity`]; the cache is untouched on
+    /// error.
     pub fn apply_add(&mut self, site: SiteId, object: ObjectId) -> Result<i64> {
-        self.scheme.add_replica(self.problem, site, object)?;
+        self.check_ids(site, object)?;
+        let size = self.rows.object(object.index()).size;
+        self.scheme
+            .insert(site, object, size, self.rows.capacity(site.index()))?;
         self.flips += 1;
         let delta = self.integrate_add(site.index(), object.index());
         self.log.push(FlipRecord {
@@ -376,15 +570,18 @@ impl<'p> CostEvaluator<'p> {
     }
 
     /// Removes a replica and folds its exact delta into the cached total
-    /// (O(M) plus a second-nearest rescan for the affected sites). Returns
-    /// the delta.
+    /// (plus a second-nearest rescan for the affected sites). Returns the
+    /// delta.
     ///
     /// # Errors
     ///
-    /// Propagates [`ReplicationScheme::remove_replica`] errors (not a
-    /// replica, primary); the cache is untouched on error.
+    /// Returns range errors for invalid ids, [`CoreError::NotReplica`] or
+    /// [`CoreError::PrimaryUndeletable`]; the cache is untouched on error.
     pub fn apply_remove(&mut self, site: SiteId, object: ObjectId) -> Result<i64> {
-        self.scheme.remove_replica(self.problem, site, object)?;
+        self.check_ids(site, object)?;
+        let obj = self.rows.object(object.index());
+        self.scheme
+            .erase(site, object, obj.size, SiteId::new(obj.primary))?;
         self.flips += 1;
         let delta = self.integrate_remove(site.index(), object.index());
         self.log.push(FlipRecord {
@@ -399,113 +596,77 @@ impl<'p> CostEvaluator<'p> {
     /// Returns the delta of the inverse flip, or `None` when the log is
     /// empty.
     ///
-    /// Because the cached state is a pure function of the replica set (see
-    /// the module docs), the inverse flip restores it exactly.
+    /// Because the cached state is a pure function of the candidate sets
+    /// (see the module docs), the inverse flip restores it exactly.
     pub fn undo(&mut self) -> Option<i64> {
         let record = self.log.pop()?;
         self.flips += 1;
-        let site = SiteId::new(record.site as usize);
-        let object = ObjectId::new(record.object as usize);
+        let (i, k) = (record.site as usize, record.object as usize);
+        let (site, object) = (SiteId::new(i), ObjectId::new(k));
+        let obj = self.rows.object(k);
         let delta = if record.added {
             self.scheme
-                .remove_replica(self.problem, site, object)
+                .erase(site, object, obj.size, SiteId::new(obj.primary))
                 .expect("undo of an add always removes a non-primary replica");
-            self.integrate_remove(site.index(), object.index())
+            self.integrate_remove(i, k)
         } else {
             self.scheme
-                .add_replica(self.problem, site, object)
+                .insert(site, object, obj.size, self.rows.capacity(i))
                 .expect("undo of a remove always fits the freed capacity");
-            self.integrate_add(site.index(), object.index())
+            self.integrate_add(i, k)
         };
         Some(delta)
     }
 
+    /// Flat index of the `(object, site)` cell.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either id is out of range — a bare `object·M + site`
+    /// would silently alias a neighbouring object's cell.
     #[inline]
     fn cell(&self, site: SiteId, object: ObjectId) -> usize {
-        let m = self.problem.num_sites();
-        assert!(site.index() < m && object.index() < self.problem.num_objects());
+        let m = self.rows.num_sites();
+        assert!(
+            site.index() < m && object.index() < self.rows.num_objects(),
+            "({site}, {object}) is out of range"
+        );
         object.index() * m + site.index()
     }
 
-    /// Object `k`'s replica membership words (bit `x` ⇔ site `x`
-    /// replicates `k`).
-    #[inline]
-    fn mask_row(&self, k: usize) -> &[u64] {
-        &self.replica_mask[k * self.mask_words..(k + 1) * self.mask_words]
-    }
-
-    #[inline]
-    fn set_mask_bit(&mut self, k: usize, x: usize) {
-        self.replica_mask[k * self.mask_words + x / 64] |= 1u64 << (x % 64);
-    }
-
-    #[inline]
-    fn clear_mask_bit(&mut self, k: usize, x: usize) {
-        self.replica_mask[k * self.mask_words + x / 64] &= !(1u64 << (x % 64));
-    }
-
-    /// Whether site `x` replicates object `k`, from the mask mirror.
-    #[inline]
-    fn is_replicator(&self, k: usize, x: usize) -> bool {
-        self.replica_mask[k * self.mask_words + x / 64] & (1u64 << (x % 64)) != 0
-    }
-
-    /// Calls `f(x)` for every *non*-replicator site of object `k`,
-    /// word-wise: fully-replicated words are skipped in one test and
-    /// candidate bits are popped with `trailing_zeros`, so the loop
-    /// never probes membership per site.
-    #[inline]
-    fn for_each_non_replicator(&self, k: usize, mut f: impl FnMut(usize)) {
-        let m = self.problem.num_sites();
-        let row = self.mask_row(k);
-        for (wi, &word) in row.iter().enumerate() {
-            let base = wi * 64;
-            let mut cand = !word;
-            if base + 64 > m {
-                // Mask off the bits past the last site in the tail word.
-                cand &= (1u64 << (m - base)) - 1;
-            }
-            while cand != 0 {
-                let x = base + cand.trailing_zeros() as usize;
-                cand &= cand - 1;
-                f(x);
-            }
+    fn check_ids(&self, site: SiteId, object: ObjectId) -> Result<()> {
+        let (num_sites, num_objects) = (self.rows.num_sites(), self.rows.num_objects());
+        if site.index() >= num_sites {
+            return Err(CoreError::SiteOutOfRange { site, num_sites });
         }
+        if object.index() >= num_objects {
+            return Err(CoreError::ObjectOutOfRange {
+                object,
+                num_objects,
+            });
+        }
+        Ok(())
     }
 
-    /// Rebuilds one object's top-2 arrays and `V_k` from the scheme.
+    /// Rebuilds one object's top-2 cells and `V_k` from the scheme.
     fn rebuild_object(&mut self, k: usize) {
-        let m = self.problem.num_sites();
-        let object = ObjectId::new(k);
+        let m = self.rows.num_sites();
         let base = k * m;
-        let o = self.problem.object_size(object);
-        let sp = self.problem.primary(object).index();
-        let w_tot = self.problem.total_writes(object);
-        let sp_row = self.problem.costs().row(sp);
-
-        self.best_cost[base..base + m].fill(u64::MAX);
-        self.best_site[base..base + m].fill(NO_SITE);
-        self.second_cost[base..base + m].fill(u64::MAX);
-        self.second_site[base..base + m].fill(NO_SITE);
-        let mask_row = &mut self.replica_mask[k * self.mask_words..(k + 1) * self.mask_words];
-        mask_row.fill(0);
-        for &j in self.scheme.replicator_indices(k) {
-            mask_row[j / 64] |= 1u64 << (j % 64);
+        let obj = self.rows.object(k);
+        self.top2.reset(base..base + m);
+        for (x, &c) in obj.to_primary.iter().enumerate() {
+            self.top2.insert(base + x, c, obj.primary as u32);
         }
-
         let mut broadcast = 0u64;
+        let mut replica_writes = 0u64;
         for &j in self.scheme.replicator_indices(k) {
-            broadcast += sp_row[j];
-            let row = self.problem.costs().row(j);
-            for (x, &c) in row.iter().enumerate() {
-                Self::insert_top2(
-                    &mut self.best_cost[base + x],
-                    &mut self.best_site[base + x],
-                    &mut self.second_cost[base + x],
-                    &mut self.second_site[base + x],
-                    c,
-                    j as u32,
-                );
+            broadcast += obj.to_primary[j];
+            replica_writes += obj.writes[j] * obj.to_primary[j];
+            if j != obj.primary {
+                let top2 = &mut self.top2;
+                self.rows.for_each_picker(j, |x, c| {
+                    top2.insert(base + x, c, j as u32);
+                });
             }
         }
 
@@ -513,151 +674,63 @@ impl<'p> CostEvaluator<'p> {
         // site, then subtract the replicator write terms collected above —
         // replicators contribute zero read traffic (their cached nearest
         // distance is 0), so no per-site membership test is needed.
-        let r_row = self.problem.object_reads(object);
-        let w_row = self.problem.object_writes(object);
-        let mut replica_writes = 0u64;
-        for &j in self.scheme.replicator_indices(k) {
-            replica_writes += w_row[j] * sp_row[j];
-        }
-        let traffic = kernels::traffic_scan(r_row, w_row, &self.best_cost[base..base + m], sp_row);
-        let cost = w_tot * o * broadcast + o * (traffic - replica_writes);
+        let traffic = kernels::traffic_scan(
+            obj.reads,
+            obj.writes,
+            &self.top2.best_cost[base..base + m],
+            obj.to_primary,
+        );
+        let cost = obj.total_writes * obj.size * broadcast + obj.size * (traffic - replica_writes);
         self.total = self.total - self.object_cost[k] + cost;
         self.object_cost[k] = cost;
     }
 
-    /// Inserts `(cost, site)` into a top-2 slot under the canonical
-    /// `(cost, site)` order.
-    #[inline]
-    fn insert_top2(
-        best_cost: &mut u64,
-        best_site: &mut u32,
-        second_cost: &mut u64,
-        second_site: &mut u32,
-        cost: u64,
-        site: u32,
-    ) -> bool {
-        if (cost, site) < (*best_cost, *best_site) {
-            *second_cost = *best_cost;
-            *second_site = *best_site;
-            *best_cost = cost;
-            *best_site = site;
-            true
-        } else {
-            if (cost, site) < (*second_cost, *second_site) {
-                *second_cost = cost;
-                *second_site = site;
-            }
-            false
-        }
-    }
-
     /// Folds a just-applied add of `(site i, object k)` into the cache.
-    /// The scheme already contains the new replica.
     fn integrate_add(&mut self, i: usize, k: usize) -> i64 {
-        let m = self.problem.num_sites();
-        let object = ObjectId::new(k);
-        let base = k * m;
-        let o = self.problem.object_size(object);
-        let sp = self.problem.primary(object).index();
-        let c_isp = self.problem.costs().cost(i, sp);
-        let w_tot = self.problem.total_writes(object);
-        let i_row = self.problem.costs().row(i);
-        let r_row = self.problem.object_reads(object);
-        let w_i = self.problem.object_writes(object)[i];
-
-        // The scheme already contains the new replica: mirror it first so
-        // the membership probes below see coherent state.
-        self.set_mask_bit(k, i);
-
-        let mut delta: i64 = 0;
-        for (x, &c_ix) in i_row.iter().enumerate() {
+        let base = k * self.rows.num_sites();
+        let obj = self.rows.object(k);
+        let top2 = &mut self.top2;
+        let mut gain = 0u64;
+        self.rows.for_each_picker(i, |x, c| {
             let idx = base + x;
-            let old_best = self.best_cost[idx];
-            let replaced_best = Self::insert_top2(
-                &mut self.best_cost[idx],
-                &mut self.best_site[idx],
-                &mut self.second_cost[idx],
-                &mut self.second_site[idx],
-                c_ix,
-                i as u32,
-            );
-            if x == i {
-                // Stops remote reads and write shipping, joins the broadcast.
-                delta +=
-                    (w_tot * o * c_isp) as i64 - (o * (r_row[i] * old_best + w_i * c_isp)) as i64;
-            } else if replaced_best && !self.is_replicator(k, x) {
-                // A non-replicator re-routes its reads to the new replica.
-                delta -= (r_row[x] * o * (old_best - self.best_cost[idx])) as i64;
+            let old_best = top2.best_cost[idx];
+            if top2.insert(idx, c, i as u32) {
+                gain += obj.reads[x] * (old_best - c);
             }
-        }
+        });
+        let delta = obj.shipping_delta(i) - (obj.size * gain) as i64;
         self.apply_object_delta(k, delta);
         delta
     }
 
     /// Folds a just-applied remove of `(site i, object k)` into the cache.
-    /// The scheme no longer contains the replica.
     fn integrate_remove(&mut self, i: usize, k: usize) -> i64 {
-        let m = self.problem.num_sites();
-        let object = ObjectId::new(k);
-        let base = k * m;
-        let o = self.problem.object_size(object);
-        let sp = self.problem.primary(object).index();
-        let c_isp = self.problem.costs().cost(i, sp);
-        let w_tot = self.problem.total_writes(object);
-        let r_row = self.problem.object_reads(object);
-        let w_i = self.problem.object_writes(object)[i];
-
-        // The scheme no longer contains the replica: mirror the removal
-        // before probing membership below.
-        self.clear_mask_bit(k, i);
-
-        let mut delta: i64 = 0;
-        for x in 0..m {
+        let base = k * self.rows.num_sites();
+        let (rows, scheme, top2) = (&self.rows, &self.scheme, &mut self.top2);
+        let obj = rows.object(k);
+        let mut loss = 0u64;
+        let mut rescans = 0u64;
+        rows.for_each_picker(i, |x, _| {
             let idx = base + x;
-            if self.best_site[idx] as usize == i {
+            if top2.best_site[idx] as usize == i {
                 // The removed replica was the nearest: promote the second
-                // (it exists — the primary is always another replicator)
+                // (it exists — the primary is always another candidate)
                 // and rescan for a new second.
-                let old_best = self.best_cost[idx];
-                self.best_cost[idx] = self.second_cost[idx];
-                self.best_site[idx] = self.second_site[idx];
-                self.rescan_second(k, x);
-                if x == i {
-                    // Resumes remote reads/writes, leaves the broadcast.
-                    delta += (o * (r_row[i] * self.best_cost[idx] + w_i * c_isp)) as i64
-                        - (w_tot * o * c_isp) as i64;
-                } else if !self.is_replicator(k, x) {
-                    delta += (r_row[x] * o * (self.best_cost[idx] - old_best)) as i64;
-                }
-            } else if self.second_site[idx] as usize == i {
-                self.rescan_second(k, x);
+                let old_best = top2.best_cost[idx];
+                top2.best_cost[idx] = top2.second_cost[idx];
+                top2.best_site[idx] = top2.second_site[idx];
+                top2.rescan_second(idx, rows, scheme, x, k);
+                rescans += 1;
+                loss += obj.reads[x] * (top2.best_cost[idx] - old_best);
+            } else if top2.second_site[idx] as usize == i {
+                top2.rescan_second(idx, rows, scheme, x, k);
+                rescans += 1;
             }
-        }
+        });
+        self.rescans += rescans;
+        let delta = (obj.size * loss) as i64 - obj.shipping_delta(i);
         self.apply_object_delta(k, delta);
         delta
-    }
-
-    /// Recomputes `second(k, x)` by scanning the replicator list, excluding
-    /// the current best. O(|R_k|).
-    fn rescan_second(&mut self, k: usize, x: usize) {
-        self.rescans += 1;
-        let m = self.problem.num_sites();
-        let idx = k * m + x;
-        let best_site = self.best_site[idx];
-        let mut cost = u64::MAX;
-        let mut site = NO_SITE;
-        for &j in self.scheme.replicator_indices(k) {
-            if j as u32 == best_site {
-                continue;
-            }
-            let c = self.problem.costs().cost(j, x);
-            if (c, j as u32) < (cost, site) {
-                cost = c;
-                site = j as u32;
-            }
-        }
-        self.second_cost[idx] = cost;
-        self.second_site[idx] = site;
     }
 
     #[inline]
@@ -747,12 +820,12 @@ mod tests {
                 if eval.scheme().holds(i, k) {
                     continue;
                 }
+                let before = eval.total() as i64;
                 let peek = eval.delta_add(i, k);
-                assert_eq!(peek, p.delta_add_replica(eval.scheme(), i, k));
                 let applied = eval.apply_add(i, k).unwrap();
                 assert_eq!(peek, applied, "add ({i}, {k})");
+                assert_eq!(p.total_cost(eval.scheme()) as i64 - before, applied);
                 let peek_back = eval.delta_remove(i, k);
-                assert_eq!(peek_back, p.delta_remove_replica(eval.scheme(), i, k));
                 let removed = eval.apply_remove(i, k).unwrap();
                 assert_eq!(peek_back, removed);
                 assert_eq!(applied + removed, 0, "flip round trip ({i}, {k})");
@@ -777,11 +850,7 @@ mod tests {
         assert_eq!(eval.history_len(), 0);
         assert_eq!(eval.total(), reference.total());
         assert_eq!(eval.scheme(), reference.scheme());
-        assert_eq!(eval.best_cost, reference.best_cost);
-        assert_eq!(eval.best_site, reference.best_site);
-        assert_eq!(eval.second_cost, reference.second_cost);
-        assert_eq!(eval.second_site, reference.second_site);
-        assert_eq!(eval.replica_mask, reference.replica_mask);
+        assert_eq!(eval.top2, reference.top2);
         assert_eq!(eval.object_cost, reference.object_cost);
         assert_coherent(&eval);
     }

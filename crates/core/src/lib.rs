@@ -13,11 +13,13 @@
 //!   capacities, read/write patterns, primary sites);
 //! * [`ReplicationScheme`] — the X-matrix of replicas with capacity tracking;
 //! * the exact Eq. 4 cost model ([`Problem::total_cost`],
-//!   [`Problem::object_cost`], incremental [`Problem::delta_add_replica`] /
-//!   [`Problem::delta_remove_replica`]);
-//! * [`CostEvaluator`] — incremental Eq. 4 evaluation: cached
-//!   nearest/second-nearest replicators make a replica flip O(M) with
+//!   [`Problem::object_cost`]);
+//! * [`Evaluator`] — the one incremental Eq. 4 flip engine: cached
+//!   nearest/second-nearest replicators over a [`CandidateRows`] source.
+//!   [`CostEvaluator`] (dense rows) makes a replica flip O(M) with
 //!   exact-integer agreement with [`Problem::total_cost`];
+//!   [`SparseEvaluator`] (k-nearest rows over a [`SparseProblem`]) makes
+//!   it O(k);
 //! * the greedy *benefit* value of Eq. 5 ([`Problem::local_benefit`]) and the
 //!   adaptive *deallocation estimator* of Eq. 6
 //!   ([`Problem::replica_value_estimate`]);
@@ -74,14 +76,14 @@ pub mod telemetry;
 
 pub use algorithm::ReplicationAlgorithm;
 pub use error::{CoreError, ServeError};
-pub use evaluator::CostEvaluator;
+pub use evaluator::{CandidateRows, CostEvaluator, DenseRows, Evaluator, ObjectTerms};
 pub use ids::{ObjectId, SiteId};
 pub use matrix::DenseMatrix;
 pub use metrics::{IngestReport, SolutionReport};
 pub use narrow::NarrowMirror;
 pub use problem::{Problem, ProblemBuilder};
 pub use scheme::ReplicationScheme;
-pub use sparse::{SparseEvaluator, SparseProblem};
+pub use sparse::{SparseEvaluator, SparseProblem, SparseRows};
 
 /// Convenience alias for results in this crate.
 pub type Result<T> = std::result::Result<T, CoreError>;

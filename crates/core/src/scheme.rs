@@ -69,6 +69,27 @@ impl ReplicationScheme {
         scheme
     }
 
+    /// A scheme over `num_sites` sites holding exactly `lists` (one sorted,
+    /// duplicate-free replica list per object, already validated against
+    /// its instance); `sizes[k]` is object `k`'s size.
+    pub(crate) fn from_lists(num_sites: usize, lists: &[Vec<usize>], sizes: &[u64]) -> Self {
+        let n = lists.len();
+        let mut scheme = Self {
+            num_sites,
+            num_objects: n,
+            bits: vec![0; (num_sites * n).div_ceil(64).max(1)],
+            replicas: lists.to_vec(),
+            used: vec![0; num_sites],
+        };
+        for (k, list) in lists.iter().enumerate() {
+            for &i in list {
+                scheme.set_bit(i, k);
+                scheme.used[i] += sizes[k];
+            }
+        }
+        scheme
+    }
+
     /// Builds a scheme from a predicate over `(site, object)` pairs, adding
     /// primary copies regardless of the predicate.
     ///
@@ -128,7 +149,10 @@ impl ReplicationScheme {
     /// Panics if either id is out of range.
     #[inline]
     pub fn holds(&self, site: SiteId, object: ObjectId) -> bool {
-        assert!(site.index() < self.num_sites && object.index() < self.num_objects);
+        assert!(
+            site.index() < self.num_sites && object.index() < self.num_objects,
+            "({site}, {object}) is out of range"
+        );
         let (word, mask) = self.bit_index(site.index(), object.index());
         self.bits[word] & mask != 0
     }
@@ -150,6 +174,11 @@ impl ReplicationScheme {
     #[inline]
     pub(crate) fn replicator_indices(&self, k: usize) -> &[usize] {
         &self.replicas[k]
+    }
+
+    /// Every object's sorted replicator list, in object order.
+    pub(crate) fn replica_lists(&self) -> &[Vec<usize>] {
+        &self.replicas
     }
 
     /// Number of replicas of an object (its *replication degree*).
@@ -267,11 +296,28 @@ impl ReplicationScheme {
     /// * range errors for invalid ids.
     pub fn add_replica(&mut self, problem: &Problem, site: SiteId, object: ObjectId) -> Result<()> {
         self.check_pair(problem, site, object)?;
+        self.insert(
+            site,
+            object,
+            problem.object_size(object),
+            problem.capacity(site),
+        )
+    }
+
+    /// [`add_replica`](Self::add_replica) for in-range ids, with the
+    /// object's size and the site's capacity supplied by the caller — the
+    /// path shared by every instance type the evaluators run over.
+    pub(crate) fn insert(
+        &mut self,
+        site: SiteId,
+        object: ObjectId,
+        size: u64,
+        capacity: u64,
+    ) -> Result<()> {
         if self.holds(site, object) {
             return Err(CoreError::AlreadyReplica { site, object });
         }
-        let size = problem.object_size(object);
-        let free = self.free_capacity(problem, site);
+        let free = capacity - self.used[site.index()];
         if size > free {
             return Err(CoreError::InsufficientCapacity {
                 site,
@@ -302,10 +348,27 @@ impl ReplicationScheme {
         object: ObjectId,
     ) -> Result<()> {
         self.check_pair(problem, site, object)?;
+        self.erase(
+            site,
+            object,
+            problem.object_size(object),
+            problem.primary(object),
+        )
+    }
+
+    /// [`remove_replica`](Self::remove_replica) for in-range ids, with the
+    /// object's size and primary supplied by the caller.
+    pub(crate) fn erase(
+        &mut self,
+        site: SiteId,
+        object: ObjectId,
+        size: u64,
+        primary: SiteId,
+    ) -> Result<()> {
         if !self.holds(site, object) {
             return Err(CoreError::NotReplica { site, object });
         }
-        if problem.primary(object) == site {
+        if primary == site {
             return Err(CoreError::PrimaryUndeletable { object });
         }
         self.clear_bit(site.index(), object.index());
@@ -314,7 +377,7 @@ impl ReplicationScheme {
             .binary_search(&site.index())
             .expect("replica list out of sync");
         list.remove(pos);
-        self.used[site.index()] -= problem.object_size(object);
+        self.used[site.index()] -= size;
         Ok(())
     }
 

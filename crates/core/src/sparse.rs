@@ -10,22 +10,22 @@
 //!   via one multi-source Dijkstra per object (nearest-replica reads) on
 //!   top of one Dijkstra per distinct primary (write shipping and the
 //!   update broadcast);
-//! * [`SparseEvaluator`] — the k-nearest rewrite of [`CostEvaluator`]'s
-//!   nearest/second-nearest replicator cache: candidates come from
-//!   [`SparseCostRows`] instead of full matrix rows, so a replica flip
-//!   touches `O(k)` sites instead of `O(M)`. Reads that would route to a
-//!   replica beyond a site's k nearest fall back to the primary distance,
-//!   making the evaluator's NTC an upper bound that coincides with the
-//!   exact value whenever `k` covers the true nearest replica (always when
-//!   `k ≥ M`).
+//! * [`SparseRows`] — the k-nearest candidate source of the one flip
+//!   engine [`Evaluator`], whose instantiation is [`SparseEvaluator`]:
+//!   candidates come from [`SparseCostRows`] instead of full matrix rows,
+//!   so a replica flip touches `O(k)` sites instead of `O(M)`. Reads that
+//!   would route to a replica beyond a site's k nearest fall back to the
+//!   primary distance, making the evaluator's NTC an upper bound that
+//!   coincides with the exact value whenever `k` covers the true nearest
+//!   replica (always when `k ≥ M`).
 //!
 //! [`CostMatrix`]: drp_net::CostMatrix
-//! [`CostEvaluator`]: crate::CostEvaluator
 
 use drp_net::shortest::{self, UNREACHABLE};
 use drp_net::{CostMatrix, Graph, SparseCostRows};
 
-use crate::{CoreError, DenseMatrix, ObjectId, Problem, Result, SiteId};
+use crate::evaluator::{CandidateRows, Evaluator, ObjectTerms};
+use crate::{CoreError, DenseMatrix, ObjectId, Problem, ReplicationScheme, Result, SiteId};
 
 /// A DRP instance over an explicit network graph, without the dense
 /// all-pairs cost matrix.
@@ -477,6 +477,7 @@ impl SparseProblem {
 /// Distances from every site to each object's primary, deduplicated by
 /// primary site: one Dijkstra per *distinct* primary, shared by all the
 /// objects it hosts.
+#[derive(Debug, Clone)]
 struct PrimaryDistances {
     /// Concatenated M-length rows, one per distinct primary.
     rows: Vec<u64>,
@@ -516,53 +517,81 @@ impl PrimaryDistances {
     }
 }
 
-/// Sentinel for "no second-nearest candidate".
-const NO_SITE: u32 = u32::MAX;
-
-/// Incremental Eq. 4 evaluator over k-nearest candidate lists — the
-/// sparse rewrite of [`CostEvaluator`]'s nearest/second-nearest
-/// replicator cache.
+/// The k-nearest candidate source: each site reads from the replicators
+/// among its [`SparseCostRows`] forward row, plus the object's primary at
+/// its exact Dijkstra distance.
 ///
-/// For every `(object, site)` pair the evaluator caches the best and
-/// second-best replicator among the site's [`SparseCostRows`] candidates
-/// plus the object's primary (always a candidate, at its exact Dijkstra
-/// distance). Adding or removing a replica at `j` walks `j`'s *reverse*
-/// candidate list — the only sites whose picture can change — so a flip
-/// costs `O(k)` amortized instead of `O(M)`.
+/// A replica at `j` is a candidate only for the sites on `j`'s *reverse*
+/// row, so a flip touches `O(k)` sites instead of `O(M)`.
+#[derive(Debug, Clone)]
+pub struct SparseRows<'p> {
+    sp: &'p SparseProblem,
+    rows: &'p SparseCostRows,
+    dists: PrimaryDistances,
+}
+
+impl CandidateRows for SparseRows<'_> {
+    fn num_sites(&self) -> usize {
+        self.sp.num_sites()
+    }
+
+    fn num_objects(&self) -> usize {
+        self.sp.num_objects()
+    }
+
+    fn capacity(&self, i: usize) -> u64 {
+        self.sp.capacities[i]
+    }
+
+    fn object(&self, k: usize) -> ObjectTerms<'_> {
+        ObjectTerms {
+            size: self.sp.object_sizes[k],
+            primary: self.sp.primaries[k].index(),
+            total_writes: self.sp.total_writes[k],
+            reads: self.sp.reads_by_object.row(k),
+            writes: self.sp.writes_by_object.row(k),
+            to_primary: self.dists.row(k),
+        }
+    }
+
+    fn for_each_picker(&self, j: usize, mut f: impl FnMut(usize, u64)) {
+        let (sites, costs) = self.rows.reverse_row(j);
+        for (&x, &c) in sites.iter().zip(costs) {
+            f(x as usize, c);
+        }
+    }
+
+    /// Walks `x`'s forward row: O(k).
+    fn for_each_candidate(
+        &self,
+        x: usize,
+        k: usize,
+        scheme: &ReplicationScheme,
+        mut f: impl FnMut(usize, u64),
+    ) {
+        let primary = self.sp.primaries[k].index();
+        f(primary, self.dists.row(k)[x]);
+        let (sites, costs) = self.rows.row(x);
+        for (&j, &c) in sites.iter().zip(costs) {
+            let j = j as usize;
+            if j != primary && scheme.holds(SiteId::new(j), ObjectId::new(k)) {
+                f(j, c);
+            }
+        }
+    }
+}
+
+/// Incremental Eq. 4 evaluator over k-nearest candidate lists: the
+/// [`Evaluator`] flip engine over [`SparseRows`].
 ///
 /// Reads from a site whose `k` nearest candidates hold no replica fall
 /// back to the primary distance; the evaluator's total is therefore an
 /// upper bound on the exact NTC, tight whenever every site's true nearest
-/// replica is within its k-nearest list (and always exact for `k ≥ M`).
-///
-/// [`CostEvaluator`]: crate::CostEvaluator
-pub struct SparseEvaluator<'p> {
-    sp: &'p SparseProblem,
-    rows: &'p SparseCostRows,
-    dists: PrimaryDistances,
-    /// Flattened N×M best/second candidate caches, ordered by
-    /// `(cost, site)` over distinct sites — content is a pure function of
-    /// the replica sets, independent of flip order.
-    best_cost: Vec<u64>,
-    best_site: Vec<u32>,
-    second_cost: Vec<u64>,
-    second_site: Vec<u32>,
-    /// N × ⌈M/64⌉ replica membership bitmask.
-    mask: Vec<u64>,
-    mask_words: usize,
-    replicas: Vec<Vec<usize>>,
-    used: Vec<u64>,
-    /// Per-object running sums of the Eq. 4 terms.
-    broadcast: Vec<u64>,
-    read_traffic: Vec<u64>,
-    replica_writes: Vec<u64>,
-    /// Per-object constant `Σ_i w_k(i) · C(i, SP_k)`.
-    write_ship: Vec<u64>,
-    object_cost: Vec<u64>,
-    total: u64,
-}
+/// replica is within its k-nearest list (and always exact for `k ≥ M`,
+/// where it matches [`CostEvaluator`](crate::CostEvaluator) bitwise).
+pub type SparseEvaluator<'p> = Evaluator<SparseRows<'p>>;
 
-impl<'p> SparseEvaluator<'p> {
+impl<'p> Evaluator<SparseRows<'p>> {
     /// Builds the evaluator for an initial placement.
     ///
     /// # Errors
@@ -584,66 +613,9 @@ impl<'p> SparseEvaluator<'p> {
             });
         }
         sp.validate_placement(placement)?;
-        let m = sp.num_sites();
-        let n = sp.num_objects();
-        let mask_words = m.div_ceil(64);
+        let scheme = ReplicationScheme::from_lists(sp.num_sites(), placement, &sp.object_sizes);
         let dists = PrimaryDistances::build(sp);
-        let mut eval = Self {
-            sp,
-            rows,
-            dists,
-            best_cost: vec![u64::MAX; n * m],
-            best_site: vec![NO_SITE; n * m],
-            second_cost: vec![u64::MAX; n * m],
-            second_site: vec![NO_SITE; n * m],
-            mask: vec![0; n * mask_words],
-            mask_words,
-            replicas: placement.to_vec(),
-            used: vec![0; m],
-            broadcast: vec![0; n],
-            read_traffic: vec![0; n],
-            replica_writes: vec![0; n],
-            write_ship: vec![0; n],
-            object_cost: vec![0; n],
-            total: 0,
-        };
-        for k in 0..n {
-            // Copied out of `eval.dists` so the candidate cache can be
-            // borrowed mutably below; one M-row per object, build-time only.
-            let spd = eval.dists.row(k).to_vec();
-            let sp_site = sp.primaries[k].index();
-            let w_row = sp.object_writes(ObjectId::new(k));
-            let r_row = sp.object_reads(ObjectId::new(k));
-            // The primary is a candidate for everyone, at exact distance.
-            for (i, &d) in spd.iter().enumerate() {
-                eval.insert_candidate(k, i, d, sp_site as u32);
-            }
-            for idx in 0..eval.replicas[k].len() {
-                let j = eval.replicas[k][idx];
-                eval.mask[k * mask_words + j / 64] |= 1 << (j % 64);
-                eval.used[j] += sp.object_sizes[k];
-                eval.broadcast[k] += spd[j];
-                eval.replica_writes[k] += w_row[j] * spd[j];
-                if j != sp_site {
-                    let (sites, costs) = rows.reverse_row(j);
-                    for (&x, &c) in sites.iter().zip(costs) {
-                        eval.insert_candidate(k, x as usize, c, j as u32);
-                    }
-                }
-            }
-            let mut reads = 0u64;
-            let mut ship = 0u64;
-            for i in 0..m {
-                reads += r_row[i] * eval.best_cost[k * m + i];
-                ship += w_row[i] * spd[i];
-            }
-            eval.read_traffic[k] = reads;
-            eval.write_ship[k] = ship;
-            let cost = eval.recompute_object_cost(k);
-            eval.object_cost[k] = cost;
-            eval.total += cost;
-        }
-        Ok(eval)
+        Ok(Self::build(SparseRows { sp, rows, dists }, scheme))
     }
 
     /// The evaluator for the primary-only placement.
@@ -658,331 +630,7 @@ impl<'p> SparseEvaluator<'p> {
 
     /// The instance under evaluation.
     pub fn problem(&self) -> &'p SparseProblem {
-        self.sp
-    }
-
-    /// Current upper-bound NTC (exact when `k` covers every true nearest
-    /// replica; see the type docs).
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Cached cost of one object.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `object` is out of range.
-    pub fn object_cost(&self, object: ObjectId) -> u64 {
-        self.object_cost[object.index()]
-    }
-
-    /// The current sorted replica list of an object.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `object` is out of range.
-    pub fn replicas(&self, object: ObjectId) -> &[usize] {
-        &self.replicas[object.index()]
-    }
-
-    /// The full placement (sorted replica lists, one per object).
-    pub fn placement(&self) -> &[Vec<usize>] {
-        &self.replicas
-    }
-
-    /// Whether `site` currently replicates `object`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if ids are out of range.
-    pub fn holds(&self, site: SiteId, object: ObjectId) -> bool {
-        let (i, k) = (site.index(), object.index());
-        self.mask[k * self.mask_words + i / 64] & (1 << (i % 64)) != 0
-    }
-
-    /// Free capacity of a site under the current placement.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `site` is out of range.
-    pub fn free_capacity(&self, site: SiteId) -> u64 {
-        self.sp.capacity(site) - self.used[site.index()]
-    }
-
-    /// Best candidate replicator of `object` for reads from `site`:
-    /// `(site, cost)` over the k-nearest candidates plus the primary.
-    ///
-    /// # Panics
-    ///
-    /// Panics if ids are out of range.
-    pub fn nearest(&self, site: SiteId, object: ObjectId) -> (SiteId, u64) {
-        let slot = object.index() * self.sp.num_sites() + site.index();
-        (
-            SiteId::new(self.best_site[slot] as usize),
-            self.best_cost[slot],
-        )
-    }
-
-    /// Second-best candidate replicator, if any.
-    ///
-    /// # Panics
-    ///
-    /// Panics if ids are out of range.
-    pub fn second_nearest(&self, site: SiteId, object: ObjectId) -> Option<(SiteId, u64)> {
-        let slot = object.index() * self.sp.num_sites() + site.index();
-        (self.second_site[slot] != NO_SITE).then(|| {
-            (
-                SiteId::new(self.second_site[slot] as usize),
-                self.second_cost[slot],
-            )
-        })
-    }
-
-    fn recompute_object_cost(&self, k: usize) -> u64 {
-        let o = self.sp.object_sizes[k];
-        self.sp.write_volumes[k] * self.broadcast[k]
-            + o * (self.read_traffic[k] + self.write_ship[k] - self.replica_writes[k])
-    }
-
-    /// Inserts candidate `(cost, site)` into the `(object, at)` top-2,
-    /// deduplicating by site. Ordering is by `(cost, site)`, so the cached
-    /// pair is exactly the two smallest over distinct candidate sites —
-    /// independent of insertion order.
-    fn insert_candidate(&mut self, k: usize, at: usize, cost: u64, site: u32) {
-        let slot = k * self.sp.num_sites() + at;
-        if site == self.best_site[slot] || site == self.second_site[slot] {
-            debug_assert!(
-                cost == if site == self.best_site[slot] {
-                    self.best_cost[slot]
-                } else {
-                    self.second_cost[slot]
-                },
-                "a candidate site re-inserts at its established distance"
-            );
-            return;
-        }
-        if (cost, site) < (self.best_cost[slot], self.best_site[slot]) {
-            self.second_cost[slot] = self.best_cost[slot];
-            self.second_site[slot] = self.best_site[slot];
-            self.best_cost[slot] = cost;
-            self.best_site[slot] = site;
-        } else if (cost, site) < (self.second_cost[slot], self.second_site[slot]) {
-            self.second_cost[slot] = cost;
-            self.second_site[slot] = site;
-        }
-    }
-
-    /// Recomputes the `(object, at)` top-2 from scratch: the site's
-    /// k-nearest candidates that currently replicate the object, plus the
-    /// primary. `O(k)`.
-    fn rescan(&mut self, k: usize, at: usize) {
-        let m = self.sp.num_sites();
-        let slot = k * m + at;
-        self.best_cost[slot] = u64::MAX;
-        self.best_site[slot] = NO_SITE;
-        self.second_cost[slot] = u64::MAX;
-        self.second_site[slot] = NO_SITE;
-        let sp_site = self.sp.primaries[k].index();
-        self.insert_candidate(k, at, self.dists.row(k)[at], sp_site as u32);
-        let (sites, costs) = self.rows.row(at);
-        for idx in 0..sites.len() {
-            let j = sites[idx] as usize;
-            if j != sp_site && self.mask[k * self.mask_words + j / 64] & (1 << (j % 64)) != 0 {
-                self.insert_candidate(k, at, costs[idx], j as u32);
-            }
-        }
-    }
-
-    /// Exact change in the evaluator's total from adding a replica of
-    /// `object` at `site`, without applying it. `O(k)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `site` already replicates `object` or ids are out of
-    /// range.
-    pub fn delta_add(&self, site: SiteId, object: ObjectId) -> i64 {
-        assert!(
-            !self.holds(site, object),
-            "delta_add requires a non-replicator site"
-        );
-        let (j, k) = (site.index(), object.index());
-        let m = self.sp.num_sites();
-        let o = self.sp.object_sizes[k];
-        let spd_j = self.dists.row(k)[j];
-        let w_j = self.sp.object_writes(object)[j];
-        let r_row = self.sp.object_reads(object);
-        let mut delta = (self.sp.write_volumes[k] * spd_j) as i64 - (o * w_j * spd_j) as i64;
-        let (sites, costs) = self.rows.reverse_row(j);
-        for (&x, &c) in sites.iter().zip(costs) {
-            let best = self.best_cost[k * m + x as usize];
-            if c < best {
-                delta -= (r_row[x as usize] * o * (best - c)) as i64;
-            }
-        }
-        delta
-    }
-
-    /// Adds a replica and returns the applied delta (equal to what
-    /// [`delta_add`](Self::delta_add) predicted). `O(k)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::AlreadyReplica`] or
-    /// [`CoreError::InsufficientCapacity`].
-    pub fn apply_add(&mut self, site: SiteId, object: ObjectId) -> Result<i64> {
-        let (j, k) = (site.index(), object.index());
-        if self.holds(site, object) {
-            return Err(CoreError::AlreadyReplica { site, object });
-        }
-        let size = self.sp.object_sizes[k];
-        let free = self.free_capacity(site);
-        if size > free {
-            return Err(CoreError::InsufficientCapacity {
-                site,
-                object,
-                free,
-                size,
-            });
-        }
-        let m = self.sp.num_sites();
-        let spd_j = self.dists.row(k)[j];
-        let w_j = self.sp.object_writes(object)[j];
-        let r_row = self.sp.object_reads(object);
-        let old_cost = self.object_cost[k];
-
-        self.mask[k * self.mask_words + j / 64] |= 1 << (j % 64);
-        let pos = self.replicas[k].binary_search(&j).unwrap_err();
-        self.replicas[k].insert(pos, j);
-        self.used[j] += size;
-        self.broadcast[k] += spd_j;
-        self.replica_writes[k] += w_j * spd_j;
-        let (sites, costs) = self.rows.reverse_row(j);
-        for idx in 0..sites.len() {
-            let (x, c) = (sites[idx] as usize, costs[idx]);
-            let before = self.best_cost[k * m + x];
-            self.insert_candidate(k, x, c, j as u32);
-            let after = self.best_cost[k * m + x];
-            if after < before {
-                self.read_traffic[k] -= r_row[x] * (before - after);
-            }
-        }
-        let new_cost = self.recompute_object_cost(k);
-        self.object_cost[k] = new_cost;
-        self.total = self.total - old_cost + new_cost;
-        Ok(new_cost as i64 - old_cost as i64)
-    }
-
-    /// Exact change in the evaluator's total from removing the replica of
-    /// `object` at `site`, without applying it. `O(k²)` worst case (one
-    /// rescan per affected reverse-candidate).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `site` is not a replicator, is the primary, or ids are
-    /// out of range.
-    pub fn delta_remove(&self, site: SiteId, object: ObjectId) -> i64 {
-        assert!(
-            self.holds(site, object),
-            "delta_remove requires a replicator site"
-        );
-        assert!(
-            self.sp.primary(object) != site,
-            "the primary copy cannot be removed"
-        );
-        let (j, k) = (site.index(), object.index());
-        let m = self.sp.num_sites();
-        let o = self.sp.object_sizes[k];
-        let spd = self.dists.row(k);
-        let w_j = self.sp.object_writes(object)[j];
-        let r_row = self.sp.object_reads(object);
-        let sp_site = self.sp.primaries[k].index();
-        let mut delta = (o * w_j * spd[j]) as i64 - (self.sp.write_volumes[k] * spd[j]) as i64;
-        let (sites, _) = self.rows.reverse_row(j);
-        for &x in sites {
-            let x = x as usize;
-            let slot = k * m + x;
-            if self.best_site[slot] != j as u32 {
-                continue;
-            }
-            // Best without j: the cached second unless that is j too
-            // (impossible — sites are distinct), re-checked against the
-            // always-available primary fallback.
-            let mut new_best = (self.second_cost[slot], self.second_site[slot]);
-            if new_best.1 == NO_SITE || new_best.1 == j as u32 {
-                new_best = (spd[x], sp_site as u32);
-            }
-            // The second cache may also hide a third candidate; rescan
-            // candidates for exactness.
-            let (c_sites, c_costs) = self.rows.row(x);
-            let mut exact = (spd[x], sp_site as u32);
-            for idx in 0..c_sites.len() {
-                let cand = c_sites[idx] as usize;
-                if cand != j
-                    && cand != sp_site
-                    && self.mask[k * self.mask_words + cand / 64] & (1 << (cand % 64)) != 0
-                {
-                    let pair = (c_costs[idx], cand as u32);
-                    if pair < exact {
-                        exact = pair;
-                    }
-                }
-            }
-            if exact < new_best {
-                new_best = exact;
-            }
-            delta += (r_row[x] * o * (new_best.0 - self.best_cost[slot])) as i64;
-        }
-        delta
-    }
-
-    /// Removes a replica and returns the applied delta. `O(k²)` worst
-    /// case.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::NotReplica`] or
-    /// [`CoreError::PrimaryUndeletable`].
-    pub fn apply_remove(&mut self, site: SiteId, object: ObjectId) -> Result<i64> {
-        let (j, k) = (site.index(), object.index());
-        if !self.holds(site, object) {
-            return Err(CoreError::NotReplica { site, object });
-        }
-        if self.sp.primary(object) == site {
-            return Err(CoreError::PrimaryUndeletable { object });
-        }
-        let m = self.sp.num_sites();
-        let spd_j = self.dists.row(k)[j];
-        let w_j = self.sp.object_writes(object)[j];
-        let r_row = self.sp.object_reads(object);
-        let old_cost = self.object_cost[k];
-
-        self.mask[k * self.mask_words + j / 64] &= !(1 << (j % 64));
-        let pos = self.replicas[k].binary_search(&j).expect("holds() checked");
-        self.replicas[k].remove(pos);
-        self.used[j] -= self.sp.object_sizes[k];
-        self.broadcast[k] -= spd_j;
-        self.replica_writes[k] -= w_j * spd_j;
-        let (sites, _) = self.rows.reverse_row(j);
-        let affected: Vec<usize> = sites
-            .iter()
-            .map(|&x| x as usize)
-            .filter(|&x| {
-                let slot = k * m + x;
-                self.best_site[slot] == j as u32 || self.second_site[slot] == j as u32
-            })
-            .collect();
-        for x in affected {
-            let before = self.best_cost[k * m + x];
-            self.rescan(k, x);
-            let after = self.best_cost[k * m + x];
-            if after > before {
-                self.read_traffic[k] += r_row[x] * (after - before);
-            }
-        }
-        let new_cost = self.recompute_object_cost(k);
-        self.object_cost[k] = new_cost;
-        self.total = self.total - old_cost + new_cost;
-        Ok(new_cost as i64 - old_cost as i64)
+        self.rows.sp
     }
 }
 
@@ -1253,5 +901,55 @@ mod tests {
         assert_eq!(second, (SiteId::new(0), 3));
         eval.apply_remove(SiteId::new(2), k0).unwrap();
         assert_eq!(eval.nearest(SiteId::new(3), k0), (SiteId::new(0), 3));
+    }
+
+    /// Runs `probe` against a full-width evaluator of the line instance.
+    fn with_line_eval(probe: impl FnOnce(&SparseEvaluator<'_>)) {
+        let sp = line_instance();
+        let rows = SparseCostRows::from_graph(sp.graph(), 4).unwrap();
+        probe(&SparseEvaluator::primary_only(&sp, &rows).unwrap());
+    }
+
+    // Site 4 of object 0 is flat cell 4 — object 1's site 0 — so each query
+    // below must panic rather than read the neighbouring object's state.
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn nearest_rejects_out_of_range_sites() {
+        with_line_eval(|eval| {
+            eval.nearest(SiteId::new(4), ObjectId::new(0));
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn second_nearest_rejects_out_of_range_sites() {
+        with_line_eval(|eval| {
+            eval.second_nearest(SiteId::new(4), ObjectId::new(0));
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn holds_rejects_out_of_range_sites() {
+        with_line_eval(|eval| {
+            eval.holds(SiteId::new(4), ObjectId::new(0));
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn delta_add_rejects_out_of_range_sites() {
+        with_line_eval(|eval| {
+            eval.delta_add(SiteId::new(4), ObjectId::new(0));
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn delta_remove_rejects_out_of_range_sites() {
+        with_line_eval(|eval| {
+            eval.delta_remove(SiteId::new(4), ObjectId::new(0));
+        });
     }
 }

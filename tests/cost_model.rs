@@ -2,6 +2,7 @@
 //! discrete-event simulator and brute-force recomputation.
 
 use drp::core::replay::replay_total_cost;
+use drp::core::CostEvaluator;
 use drp::{ObjectId, Problem, ReplicationScheme, SiteId, WorkloadSpec};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -48,17 +49,18 @@ proptest! {
     fn incremental_deltas_match_recomputation(seed in 0u64..10_000, fill in 0usize..20) {
         let (problem, scheme) = instance_and_scheme(seed, fill);
         let base = problem.total_cost(&scheme) as i64;
+        let eval = CostEvaluator::new(&problem, scheme.clone());
         for k in problem.objects() {
             for i in problem.sites() {
                 if scheme.holds(i, k) {
                     if problem.primary(k) != i {
-                        let predicted = problem.delta_remove_replica(&scheme, i, k);
+                        let predicted = eval.delta_remove(i, k);
                         let mut t = scheme.clone();
                         t.remove_replica(&problem, i, k).unwrap();
                         prop_assert_eq!(predicted, problem.total_cost(&t) as i64 - base);
                     }
                 } else if problem.object_size(k) <= scheme.free_capacity(&problem, i) {
-                    let predicted = problem.delta_add_replica(&scheme, i, k);
+                    let predicted = eval.delta_add(i, k);
                     let mut t = scheme.clone();
                     t.add_replica(&problem, i, k).unwrap();
                     prop_assert_eq!(predicted, problem.total_cost(&t) as i64 - base);
@@ -70,6 +72,7 @@ proptest! {
     #[test]
     fn local_benefit_never_exceeds_global_saving(seed in 0u64..10_000) {
         let (problem, scheme) = instance_and_scheme(seed, 5);
+        let eval = CostEvaluator::new(&problem, scheme.clone());
         for k in problem.objects() {
             for i in problem.sites() {
                 if scheme.holds(i, k) {
@@ -77,7 +80,7 @@ proptest! {
                 }
                 let local = problem.local_benefit(&scheme, i, k) as f64
                     * problem.object_size(k) as f64;
-                let global = -problem.delta_add_replica(&scheme, i, k) as f64;
+                let global = -eval.delta_add(i, k) as f64;
                 // Other sites re-routing reads can only add to the saving.
                 prop_assert!(local <= global + 1e-9);
             }
