@@ -23,8 +23,6 @@
 //! round-robin [`Sra`](crate::Sra), which the tests assert; the price is
 //! protocol latency, which the returned [`TrafficStats`] quantifies.
 
-use std::sync::{Arc, Mutex};
-
 use drp_core::{ObjectId, Problem, ReplicationScheme, Result, SiteId};
 use drp_net::sim::{Context, Message, Node, Simulator, TrafficStats};
 
@@ -48,13 +46,19 @@ enum SraMsg {
     ObjectData { object: usize },
 }
 
-struct SharedState {
-    problem: Problem,
-    /// Decisions in commit order, recorded by the leader.
-    decisions: Mutex<Vec<(usize, usize)>>,
+/// The network leader's site id.
+const LEADER: usize = 0;
+
+/// One site's local SRA fields.
+struct SiteState {
+    /// C(self, SN_k(self)) per object.
+    nearest: Vec<u64>,
+    /// Candidate objects (paper's `L(i)`): every object it does not hold.
+    candidates: Vec<usize>,
+    free: u64,
 }
 
-/// Leader bookkeeping (only populated on site 0).
+/// The leader's bookkeeping.
 struct LeaderState {
     /// Sites still holding candidates, in round-robin order.
     ls: Vec<usize>,
@@ -64,37 +68,42 @@ struct LeaderState {
     pending_removal: bool,
 }
 
-struct SraNode {
-    shared: Arc<SharedState>,
-    /// C(self, SN_k(self)) per object.
-    nearest: Vec<u64>,
-    /// Objects this site holds.
-    holds: Vec<bool>,
-    /// Candidate objects (paper's `L(i)`).
-    candidates: Vec<usize>,
-    free: u64,
-    leader: Option<LeaderState>,
+/// Every site's protocol behaviour: per-site state indexed by
+/// `ctx.node_id()`, plus the leader's bookkeeping and decision log.
+struct DistributedSra<'a> {
+    problem: &'a Problem,
+    sites: Vec<SiteState>,
+    leader: LeaderState,
+    /// Decisions in commit order, recorded by the leader.
+    decisions: Vec<(usize, usize)>,
 }
 
-impl SraNode {
-    fn new(shared: Arc<SharedState>, id: usize, is_leader: bool) -> Self {
-        let problem = &shared.problem;
-        let site = SiteId::new(id);
+impl<'a> DistributedSra<'a> {
+    fn new(problem: &'a Problem) -> Self {
         let n = problem.num_objects();
         let scheme = ReplicationScheme::primary_only(problem);
-        let nearest: Vec<u64> = (0..n)
-            .map(|k| {
-                problem
-                    .costs()
-                    .cost(id, problem.primary(ObjectId::new(k)).index())
+        let sites = problem
+            .sites()
+            .map(|site| {
+                let id = site.index();
+                let nearest: Vec<u64> = (0..n)
+                    .map(|k| {
+                        problem
+                            .costs()
+                            .cost(id, problem.primary(ObjectId::new(k)).index())
+                    })
+                    .collect();
+                let candidates: Vec<usize> = (0..n)
+                    .filter(|&k| problem.primary(ObjectId::new(k)) != site)
+                    .collect();
+                SiteState {
+                    nearest,
+                    candidates,
+                    free: scheme.free_capacity(problem, site),
+                }
             })
             .collect();
-        let holds: Vec<bool> = (0..n)
-            .map(|k| problem.primary(ObjectId::new(k)) == site)
-            .collect();
-        let candidates: Vec<usize> = (0..n).filter(|&k| !holds[k]).collect();
-        let free = scheme.free_capacity(problem, site);
-        let leader = is_leader.then(|| LeaderState {
+        let leader = LeaderState {
             ls: (0..problem.num_sites())
                 .filter(|&i| {
                     // A site starts in LS iff it has any non-primary object.
@@ -105,22 +114,19 @@ impl SraNode {
             token_at: 0,
             awaiting_acks: 0,
             pending_removal: false,
-        });
+        };
         Self {
-            shared: Arc::clone(&shared),
-            nearest,
-            holds,
-            candidates,
-            free,
+            problem,
+            sites,
             leader,
+            decisions: Vec::new(),
         }
     }
 
     /// Leader only: hand the token to the next site in LS.
     fn advance_token(&mut self, ctx: &mut Context<'_, SraMsg>) {
-        let Some(leader) = self.leader.as_mut() else {
-            return;
-        };
+        debug_assert_eq!(ctx.node_id(), LEADER, "only the leader passes the token");
+        let leader = &mut self.leader;
         if leader.pending_removal {
             let slot = leader
                 .ls
@@ -145,14 +151,15 @@ impl SraNode {
 
     /// Evaluate candidates exactly like centralized SRA's inner loop.
     fn local_step(&mut self, ctx: &mut Context<'_, SraMsg>) {
-        let problem = &self.shared.problem;
+        let problem = self.problem;
         let me = ctx.node_id();
         let site = SiteId::new(me);
-        let free = self.free;
-        let nearest = &self.nearest;
+        let state = &mut self.sites[me];
+        let free = state.free;
+        let nearest = &state.nearest;
 
         let mut best: Option<(i64, usize)> = None;
-        self.candidates.retain(|&k| {
+        state.candidates.retain(|&k| {
             let object = ObjectId::new(k);
             if problem.object_size(object) > free {
                 return false;
@@ -179,13 +186,13 @@ impl SraNode {
                     ctx.send(sn, 0, SraMsg::Fetch { object: k });
                 }
                 // Apply locally.
-                self.holds[k] = true;
-                self.free -= self.shared.problem.object_size(object);
-                self.nearest[k] = 0;
-                self.candidates.retain(|&x| x != k);
-                let exhausted = self.candidates.is_empty();
+                let state = &mut self.sites[me];
+                state.free -= problem.object_size(object);
+                state.nearest[k] = 0;
+                state.candidates.retain(|&x| x != k);
+                let exhausted = state.candidates.is_empty();
                 ctx.send(
-                    0,
+                    LEADER,
                     0,
                     SraMsg::Decision {
                         object: k,
@@ -195,28 +202,27 @@ impl SraNode {
             }
             None => {
                 ctx.send(
-                    0,
+                    LEADER,
                     0,
                     SraMsg::TokenBack {
-                        exhausted: self.candidates.is_empty(),
+                        exhausted: state.candidates.is_empty(),
                     },
                 );
             }
         }
     }
 
-    /// The site this node would read `object` from (its `SN` field). Only
-    /// the distance is tracked; the identity is reconstructed from the
-    /// decision log plus primaries, which the leader's barrier keeps
+    /// The site `me` would read `object` from (its `SN` field). Only the
+    /// distance is tracked per site; the identity is reconstructed from
+    /// the decision log plus primaries, which the leader's barrier keeps
     /// consistent.
     fn nearest_holder(&self, me: usize, object: usize) -> (usize, u64) {
-        let problem = &self.shared.problem;
+        let problem = self.problem;
         let k = ObjectId::new(object);
         let mut best = (problem.primary(k).index(), u64::MAX);
         // Primary plus every committed replicator.
-        let decisions = self.shared.decisions.lock().expect("decision log poisoned");
         let holders = std::iter::once(problem.primary(k).index()).chain(
-            decisions
+            self.decisions
                 .iter()
                 .filter(|(_, obj)| *obj == object)
                 .map(|(s, _)| *s),
@@ -231,9 +237,9 @@ impl SraNode {
     }
 }
 
-impl Node<SraMsg> for SraNode {
+impl Node<SraMsg> for DistributedSra<'_> {
     fn on_start(&mut self, ctx: &mut Context<'_, SraMsg>) {
-        if self.leader.is_some() {
+        if ctx.node_id() == LEADER {
             self.advance_token(ctx);
         }
     }
@@ -243,23 +249,14 @@ impl Node<SraMsg> for SraNode {
         match msg.payload {
             SraMsg::Token => self.local_step(ctx),
             SraMsg::TokenBack { exhausted } => {
-                let leader = self.leader.as_mut().expect("token returned to non-leader");
-                leader.pending_removal = exhausted;
+                self.leader.pending_removal = exhausted;
                 self.advance_token(ctx);
             }
             SraMsg::Decision { object, exhausted } => {
-                let problem = &self.shared.problem;
-                let m = problem.num_sites();
-                self.shared
-                    .decisions
-                    .lock()
-                    .expect("decision log poisoned")
-                    .push((msg.src, object));
-                {
-                    let leader = self.leader.as_mut().expect("decision sent to non-leader");
-                    leader.pending_removal = exhausted;
-                    leader.awaiting_acks = m - 1;
-                }
+                let m = self.problem.num_sites();
+                self.decisions.push((msg.src, object));
+                self.leader.pending_removal = exhausted;
+                self.leader.awaiting_acks = m - 1;
                 // Broadcast to everyone but the decider (the leader includes
                 // itself via a self-message so all updates flow uniformly).
                 for site in (0..m).filter(|&s| s != msg.src) {
@@ -272,26 +269,26 @@ impl Node<SraMsg> for SraNode {
                         },
                     );
                 }
-                if self.leader.as_ref().is_some_and(|l| l.awaiting_acks == 0) {
+                if self.leader.awaiting_acks == 0 {
                     self.advance_token(ctx);
                 }
             }
             SraMsg::Update { site, object } => {
-                let c = self.shared.problem.costs().cost(me, site);
-                if c < self.nearest[object] {
-                    self.nearest[object] = c;
+                let c = self.problem.costs().cost(me, site);
+                let nearest = &mut self.sites[me].nearest[object];
+                if c < *nearest {
+                    *nearest = c;
                 }
-                ctx.send(0, 0, SraMsg::Ack);
+                ctx.send(LEADER, 0, SraMsg::Ack);
             }
             SraMsg::Ack => {
-                let leader = self.leader.as_mut().expect("ack sent to non-leader");
-                leader.awaiting_acks -= 1;
-                if leader.awaiting_acks == 0 {
+                self.leader.awaiting_acks -= 1;
+                if self.leader.awaiting_acks == 0 {
                     self.advance_token(ctx);
                 }
             }
             SraMsg::Fetch { object } => {
-                let size = self.shared.problem.object_size(ObjectId::new(object));
+                let size = self.problem.object_size(ObjectId::new(object));
                 ctx.send(msg.src, size, SraMsg::ObjectData { object });
             }
             SraMsg::ObjectData { .. } => {}
@@ -333,29 +330,19 @@ pub struct DistributedRun {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn distributed_sra(problem: &Problem) -> Result<DistributedRun> {
-    let shared = Arc::new(SharedState {
-        problem: problem.clone(),
-        decisions: Mutex::new(Vec::new()),
-    });
-    let nodes: Vec<Box<dyn Node<SraMsg>>> = (0..problem.num_sites())
-        .map(|id| Box::new(SraNode::new(Arc::clone(&shared), id, id == 0)) as Box<dyn Node<SraMsg>>)
-        .collect();
-    let mut sim = Simulator::new(problem.costs(), nodes)?;
+    let mut sim = Simulator::new(problem.costs(), DistributedSra::new(problem));
     sim.run_to_completion()?;
+    let stats = sim.stats();
+    let completion_time = sim.now();
 
-    let decisions = shared
-        .decisions
-        .lock()
-        .expect("decision log poisoned")
-        .clone();
     let mut scheme = ReplicationScheme::primary_only(problem);
-    for (site, object) in decisions {
+    for (site, object) in sim.into_handler().decisions {
         scheme.add_replica(problem, SiteId::new(site), ObjectId::new(object))?;
     }
     Ok(DistributedRun {
         scheme,
-        stats: sim.stats(),
-        completion_time: sim.now(),
+        stats,
+        completion_time,
     })
 }
 

@@ -10,7 +10,8 @@
 //! * **build_seq_ms** — [`CostMatrix::from_graph_with_pool`] on a
 //!   one-thread pool: the new flat dense-Dijkstra kernel, no parallelism;
 //! * **build_par_ms** — the same on the shared global pool (all cores);
-//! * **problem_build_ms** — a full `WorkloadSpec::paper` generate;
+//! * **problem_build_ms** — a full `WorkloadSpec::paper` generate, best of
+//!   3 at every site count;
 //! * **SRA / GRA / AGRA** solve times, with GRA and AGRA run twice
 //!   (serial and pool-parallel fitness) and their schemes, costs and
 //!   fingerprints asserted bitwise-identical — the determinism contract.
@@ -155,7 +156,7 @@ fn bench_size(m: usize, objects: usize, pop: usize, gens: usize) -> Sample {
     let builds_agree = seq == par && (0..m).all(|i| legacy[i * m..(i + 1) * m] == *par.row(i));
     assert!(builds_agree, "all three build paths must agree bit for bit");
 
-    let (problem_build_ms, problem) = timed_ms(1, || {
+    let (problem_build_ms, problem) = timed_ms(3, || {
         WorkloadSpec::paper(m, objects, 5.0, 15.0)
             .generate(&mut StdRng::seed_from_u64(SEED))
             .expect("paper instance generates")

@@ -21,8 +21,6 @@
 //! * read *requests* are control messages (size 0); only the returned data
 //!   is charged.
 
-use std::sync::Arc;
-
 use drp_net::sim::{Context, Message, Node, Simulator};
 
 use crate::{ObjectId, Problem, ReplicationScheme, Result, SiteId};
@@ -40,46 +38,39 @@ enum ReplayMsg {
     Update { object: usize, count: u64 },
 }
 
-struct Shared {
-    problem: Problem,
-    scheme: ReplicationScheme,
+/// Every site's replay behaviour, plus the update ledger it fills.
+struct Replay<'a> {
+    problem: &'a Problem,
+    scheme: &'a ReplicationScheme,
     /// updates_received[i * N + k]: update batches delivered to site i for
     /// object k, used to verify the broadcast half of the policy.
-    updates_received: std::sync::Mutex<Vec<u64>>,
+    updates_received: Vec<u64>,
 }
 
-struct SiteNode {
-    shared: Arc<Shared>,
-}
-
-impl SiteNode {
+impl Replay<'_> {
     fn broadcast_updates(&self, ctx: &mut Context<'_, ReplayMsg>, object: usize, count: u64) {
-        let shared = &self.shared;
         let k = ObjectId::new(object);
-        let size = shared.problem.object_size(k);
+        let size = self.problem.object_size(k);
         let me = ctx.node_id();
-        let replicators: Vec<usize> = shared
-            .scheme
-            .replicators(k)
-            .map(SiteId::index)
-            .filter(|&j| j != me)
-            .collect();
-        for j in replicators {
-            ctx.send(j, count * size, ReplayMsg::Update { object, count });
+        for j in self.scheme.replicators(k).map(SiteId::index) {
+            if j != me {
+                ctx.send(j, count * size, ReplayMsg::Update { object, count });
+            }
         }
     }
 }
 
-impl Node<ReplayMsg> for SiteNode {
+impl Node<ReplayMsg> for Replay<'_> {
     fn on_start(&mut self, ctx: &mut Context<'_, ReplayMsg>) {
-        let shared = Arc::clone(&self.shared);
+        let problem = self.problem;
+        let scheme = self.scheme;
         let me = SiteId::new(ctx.node_id());
-        for k in shared.problem.objects() {
+        for k in problem.objects() {
             let object = k.index();
             // Reads: fetch from the nearest replicator unless we hold one.
-            let reads = shared.problem.reads(me, k);
+            let reads = problem.reads(me, k);
             if reads > 0 {
-                let (sn, _) = shared.scheme.nearest_replica(&shared.problem, me, k);
+                let (sn, _) = scheme.nearest_replica(problem, me, k);
                 if sn != me {
                     ctx.send(
                         sn.index(),
@@ -93,16 +84,16 @@ impl Node<ReplayMsg> for SiteNode {
             }
             // Writes: ship to the primary (object-sized for non-replicators,
             // control-sized for replicators), which broadcasts.
-            let writes = shared.problem.writes(me, k);
+            let writes = problem.writes(me, k);
             if writes > 0 {
-                let sp = shared.problem.primary(k);
+                let sp = problem.primary(k);
                 if sp == me {
                     self.broadcast_updates(ctx, object, writes);
                 } else {
-                    let size = if shared.scheme.holds(me, k) {
+                    let size = if scheme.holds(me, k) {
                         0
                     } else {
-                        writes * shared.problem.object_size(k)
+                        writes * problem.object_size(k)
                     };
                     ctx.send(
                         sp.index(),
@@ -120,25 +111,20 @@ impl Node<ReplayMsg> for SiteNode {
     fn on_message(&mut self, ctx: &mut Context<'_, ReplayMsg>, msg: Message<ReplayMsg>) {
         match msg.payload {
             ReplayMsg::ReadRequest { object, count } => {
-                let size = self.shared.problem.object_size(ObjectId::new(object));
+                let size = self.problem.object_size(ObjectId::new(object));
                 ctx.send(msg.src, count * size, ReplayMsg::Data { object, count });
             }
             ReplayMsg::WriteShip { object, count } => {
                 debug_assert_eq!(
-                    self.shared.problem.primary(ObjectId::new(object)),
+                    self.problem.primary(ObjectId::new(object)),
                     SiteId::new(ctx.node_id()),
                     "write shipped to a non-primary site"
                 );
                 self.broadcast_updates(ctx, object, count);
             }
             ReplayMsg::Update { object, count } => {
-                let n = self.shared.problem.num_objects();
-                let mut received = self
-                    .shared
-                    .updates_received
-                    .lock()
-                    .expect("update ledger poisoned");
-                received[ctx.node_id() * n + object] += count;
+                let n = self.problem.num_objects();
+                self.updates_received[ctx.node_id() * n + object] += count;
             }
             ReplayMsg::Data { .. } => {}
         }
@@ -197,28 +183,19 @@ pub struct ReplayReport {
 /// disagrees with the pattern (which would indicate a policy bug), or
 /// simulator errors.
 pub fn replay_verified(problem: &Problem, scheme: &ReplicationScheme) -> Result<ReplayReport> {
-    let shared = Arc::new(Shared {
-        problem: problem.clone(),
-        scheme: scheme.clone(),
-        updates_received: std::sync::Mutex::new(vec![
-            0;
-            problem.num_sites() * problem.num_objects()
-        ]),
-    });
-    let nodes: Vec<Box<dyn Node<ReplayMsg>>> = (0..problem.num_sites())
-        .map(|_| {
-            Box::new(SiteNode {
-                shared: Arc::clone(&shared),
-            }) as Box<dyn Node<ReplayMsg>>
-        })
-        .collect();
-    let mut sim = Simulator::new(problem.costs(), nodes)?;
+    let mut sim = Simulator::new(
+        problem.costs(),
+        Replay {
+            problem,
+            scheme,
+            updates_received: vec![0; problem.num_sites() * problem.num_objects()],
+        },
+    );
     sim.run_to_completion()?;
+    let stats = sim.stats();
+    let completion_time = sim.now();
+    let received = sim.into_handler().updates_received;
 
-    let received = shared
-        .updates_received
-        .lock()
-        .expect("update ledger poisoned");
     let n = problem.num_objects();
     let mut delivered = 0u64;
     for k in problem.objects() {
@@ -241,9 +218,9 @@ pub fn replay_verified(problem: &Problem, scheme: &ReplicationScheme) -> Result<
         }
     }
     Ok(ReplayReport {
-        transfer_cost: sim.stats().transfer_cost,
+        transfer_cost: stats.transfer_cost,
         updates_delivered: delivered,
-        completion_time: sim.now(),
+        completion_time,
     })
 }
 

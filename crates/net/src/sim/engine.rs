@@ -1,7 +1,7 @@
 use std::sync::Arc;
 
 use crate::telemetry::{self, Recorder};
-use crate::{CostMatrix, NetError, Result};
+use crate::CostMatrix;
 
 use super::error::SimError;
 use super::event::{EventKind, EventQueue, Time};
@@ -9,21 +9,23 @@ use super::fault::{FaultPlan, FaultStats, Verdict};
 use super::message::Message;
 use super::stats::TrafficStats;
 
-/// Behaviour of one site in the simulated network.
+/// The behaviour of every site in the simulated network.
 ///
-/// Implementations react to simulation start, incoming messages and their
-/// own timers through the [`Context`], which is the only way to produce
-/// side effects (sending messages, setting timers).
+/// One handler serves all sites: each callback learns which site it acts
+/// for from [`Context::node_id`], and [`Context`] is the only way to
+/// produce side effects (sending messages, setting timers) on that site's
+/// behalf. Per-site state, if any, lives in the handler indexed by site.
 pub trait Node<P> {
-    /// Invoked once, before any message is delivered.
+    /// Invoked once per site, in id order, before any message is delivered.
     fn on_start(&mut self, ctx: &mut Context<'_, P>) {
         let _ = ctx;
     }
 
-    /// Invoked when a message addressed to this node arrives.
+    /// Invoked when a message addressed to site `ctx.node_id()` arrives.
     fn on_message(&mut self, ctx: &mut Context<'_, P>, msg: Message<P>);
 
-    /// Invoked when a timer set via [`Context::set_timer`] fires.
+    /// Invoked when a timer set via [`Context::set_timer`] fires, at the
+    /// site that set it.
     fn on_timer(&mut self, ctx: &mut Context<'_, P>, payload: P) {
         let _ = (ctx, payload);
     }
@@ -34,11 +36,10 @@ enum Effect<P> {
     Timer { delay: Time, payload: P },
 }
 
-/// Handle through which a [`Node`] interacts with the simulation.
+/// Handle through which a [`Node`] acts for one site.
 pub struct Context<'a, P> {
     node: usize,
     now: Time,
-    num_sites: usize,
     faults: Option<&'a FaultPlan>,
     effects: &'a mut Vec<Effect<P>>,
 }
@@ -48,13 +49,12 @@ impl<P> std::fmt::Debug for Context<'_, P> {
         f.debug_struct("Context")
             .field("node", &self.node)
             .field("now", &self.now)
-            .field("num_sites", &self.num_sites)
             .finish()
     }
 }
 
 impl<P> Context<'_, P> {
-    /// The id of the node this context belongs to.
+    /// The site this callback acts for.
     pub fn node_id(&self) -> usize {
         self.node
     }
@@ -62,11 +62,6 @@ impl<P> Context<'_, P> {
     /// Current simulated time.
     pub fn now(&self) -> Time {
         self.now
-    }
-
-    /// Number of sites in the network.
-    pub fn num_sites(&self) -> usize {
-        self.num_sites
     }
 
     /// Is `site` currently up? Always `true` without a fault plan.
@@ -94,11 +89,11 @@ impl<P> Context<'_, P> {
         self.effects.push(Effect::Send { dst, size, payload });
     }
 
-    /// Schedules `payload` to be delivered back to this node via
+    /// Schedules `payload` to be delivered back to this site via
     /// [`Node::on_timer`] after `delay` time units.
     ///
     /// Under a fault plan a timer that fires while its owner is down is
-    /// discarded; a node that must act after an outage consults
+    /// discarded; a handler that must act after an outage consults
     /// [`Context::is_up`] before it relies on a peer.
     pub fn set_timer(&mut self, delay: Time, payload: P) {
         self.effects.push(Effect::Timer { delay, payload });
@@ -108,9 +103,9 @@ impl<P> Context<'_, P> {
 /// Deterministic discrete-event simulator over a [`CostMatrix`].
 ///
 /// See the [module documentation](crate::sim) for an example.
-pub struct Simulator<'a, P> {
+pub struct Simulator<'a, P, H: Node<P>> {
     costs: &'a CostMatrix,
-    nodes: Vec<Box<dyn Node<P> + 'a>>,
+    handler: H,
     queue: EventQueue<P>,
     stats: TrafficStats,
     faults: Option<FaultPlan>,
@@ -124,7 +119,7 @@ pub struct Simulator<'a, P> {
     rec_enabled: bool,
 }
 
-impl<P> std::fmt::Debug for Simulator<'_, P> {
+impl<P, H: Node<P>> std::fmt::Debug for Simulator<'_, P, H> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Simulator")
             .field("num_sites", &self.costs.num_sites())
@@ -136,26 +131,12 @@ impl<P> std::fmt::Debug for Simulator<'_, P> {
     }
 }
 
-impl<'a, P> Simulator<'a, P> {
-    /// Creates a simulator with one [`Node`] per site.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::BadTopologyParams`] if the number of nodes does
-    /// not match the number of sites in `costs`.
-    pub fn new(costs: &'a CostMatrix, nodes: Vec<Box<dyn Node<P> + 'a>>) -> Result<Self> {
-        if nodes.len() != costs.num_sites() {
-            return Err(NetError::BadTopologyParams {
-                reason: format!(
-                    "{} nodes supplied for {} sites",
-                    nodes.len(),
-                    costs.num_sites()
-                ),
-            });
-        }
-        Ok(Self {
+impl<'a, P, H: Node<P>> Simulator<'a, P, H> {
+    /// Creates a simulator whose `handler` acts for every site of `costs`.
+    pub fn new(costs: &'a CostMatrix, handler: H) -> Self {
+        Self {
             costs,
-            nodes,
+            handler,
             queue: EventQueue::new(),
             stats: TrafficStats::default(),
             faults: None,
@@ -165,7 +146,12 @@ impl<'a, P> Simulator<'a, P> {
             events_processed: 0,
             recorder: telemetry::noop(),
             rec_enabled: false,
-        })
+        }
+    }
+
+    /// Ends the simulation and hands the handler's state back.
+    pub fn into_handler(self) -> H {
+        self.handler
     }
 
     /// Attaches a telemetry recorder. Each [`run_for_events`] /
@@ -226,11 +212,6 @@ impl<'a, P> Simulator<'a, P> {
         self.fault_stats
     }
 
-    /// The armed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_ref()
-    }
-
     /// Current simulated time.
     pub fn now(&self) -> Time {
         self.now
@@ -239,15 +220,6 @@ impl<'a, P> Simulator<'a, P> {
     /// Total events dispatched so far.
     pub fn events_processed(&self) -> u64 {
         self.events_processed
-    }
-
-    /// Immutable access to a node, for post-run inspection.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn node(&self, id: usize) -> &(dyn Node<P> + 'a) {
-        self.nodes[id].as_ref()
     }
 
     fn apply_effects(&mut self, origin: usize, effects: Vec<Effect<P>>) {
@@ -296,7 +268,6 @@ impl<'a, P> Simulator<'a, P> {
                             src: origin,
                             dst,
                             size,
-                            sent_at: self.now,
                             payload,
                         }),
                     );
@@ -327,16 +298,15 @@ impl<'a, P> Simulator<'a, P> {
                 self.queue.push(w.until, EventKind::Recover);
             }
         }
-        for id in 0..self.nodes.len() {
+        for id in 0..self.costs.num_sites() {
             let mut effects = Vec::new();
             let mut ctx = Context {
                 node: id,
                 now: self.now,
-                num_sites: self.costs.num_sites(),
                 faults: self.faults.as_ref(),
                 effects: &mut effects,
             };
-            self.nodes[id].on_start(&mut ctx);
+            self.handler.on_start(&mut ctx);
             self.apply_effects(id, effects);
         }
     }
@@ -351,7 +321,6 @@ impl<'a, P> Simulator<'a, P> {
         self.now = scheduled.at;
         self.events_processed += 1;
         let mut effects = Vec::new();
-        let num_sites = self.costs.num_sites();
         match scheduled.kind {
             EventKind::Arrival(msg) => {
                 let dst = msg.dst;
@@ -364,11 +333,10 @@ impl<'a, P> Simulator<'a, P> {
                 let mut ctx = Context {
                     node: dst,
                     now: self.now,
-                    num_sites,
                     faults: self.faults.as_ref(),
                     effects: &mut effects,
                 };
-                self.nodes[dst].on_message(&mut ctx, msg);
+                self.handler.on_message(&mut ctx, msg);
                 self.apply_effects(dst, effects);
             }
             EventKind::Timer { node, payload } => {
@@ -382,11 +350,10 @@ impl<'a, P> Simulator<'a, P> {
                 let mut ctx = Context {
                     node,
                     now: self.now,
-                    num_sites,
                     faults: self.faults.as_ref(),
                     effects: &mut effects,
                 };
-                self.nodes[node].on_timer(&mut ctx, payload);
+                self.handler.on_timer(&mut ctx, payload);
                 self.apply_effects(node, effects);
             }
             // A crash discards the site's volatile state implicitly: its
@@ -494,47 +461,42 @@ mod tests {
         Tick,
     }
 
+    /// Site 0 is a client that says hello and arms a timer; site 1 echoes.
     #[derive(Default)]
-    struct Client {
+    struct ClientServer {
         replies: u32,
-    }
-    #[derive(Default)]
-    struct Server {
         seen: u32,
     }
 
-    impl Node<P> for Client {
+    impl Node<P> for ClientServer {
         fn on_start(&mut self, ctx: &mut Context<'_, P>) {
-            ctx.send(1, 5, P::Hello);
-            ctx.set_timer(100, P::Tick);
+            if ctx.node_id() == 0 {
+                ctx.send(1, 5, P::Hello);
+                ctx.set_timer(100, P::Tick);
+            }
         }
-        fn on_message(&mut self, _ctx: &mut Context<'_, P>, msg: Message<P>) {
-            assert_eq!(msg.payload, P::Echo);
-            self.replies += 1;
-        }
-        fn on_timer(&mut self, _ctx: &mut Context<'_, P>, payload: P) {
-            assert_eq!(payload, P::Tick);
-        }
-    }
-
-    impl Node<P> for Server {
         fn on_message(&mut self, ctx: &mut Context<'_, P>, msg: Message<P>) {
-            self.seen += 1;
-            ctx.send(msg.src, 0, P::Echo);
+            if ctx.node_id() == 0 {
+                assert_eq!(msg.payload, P::Echo);
+                self.replies += 1;
+            } else {
+                self.seen += 1;
+                ctx.send(msg.src, 0, P::Echo);
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut Context<'_, P>, payload: P) {
+            assert_eq!((ctx.node_id(), payload), (0, P::Tick));
         }
     }
 
-    fn two_site_costs() -> Result<CostMatrix> {
+    fn two_site_costs() -> crate::Result<CostMatrix> {
         CostMatrix::from_rows(2, vec![0, 4, 4, 0])
     }
 
     #[test]
     fn request_reply_accounts_only_data_traffic() -> TestResult {
         let costs = two_site_costs()?;
-        let mut sim = Simulator::new(
-            &costs,
-            vec![Box::new(Client::default()), Box::new(Server::default())],
-        )?;
+        let mut sim = Simulator::new(&costs, ClientServer::default());
         sim.run_to_completion()?;
         let stats = sim.stats();
         assert_eq!(stats.messages, 2);
@@ -542,42 +504,88 @@ mod tests {
         assert_eq!(stats.transfer_cost, 20); // 5 units × C=4; the echo is free
         assert_eq!(stats.timers, 1);
         assert_eq!(sim.now(), 100); // the timer is the last event
-        Ok(())
-    }
-
-    #[test]
-    fn node_count_must_match_sites() -> TestResult {
-        let costs = two_site_costs()?;
-        let err = Simulator::<P>::new(&costs, vec![Box::new(Client::default())]);
-        assert!(err.is_err());
+        let handler = sim.into_handler();
+        assert_eq!((handler.replies, handler.seen), (1, 1));
         Ok(())
     }
 
     #[test]
     fn latency_is_link_cost() -> TestResult {
-        struct Probe;
-        struct Sink {
+        /// Site 0 probes site 1, which notes the arrival time.
+        struct Probe {
             arrived_at: Option<Time>,
         }
         impl Node<()> for Probe {
             fn on_start(&mut self, ctx: &mut Context<'_, ()>) {
-                ctx.send(1, 1, ());
+                if ctx.node_id() == 0 {
+                    ctx.send(1, 1, ());
+                }
             }
-            fn on_message(&mut self, _ctx: &mut Context<'_, ()>, _msg: Message<()>) {}
-        }
-        impl Node<()> for Sink {
-            fn on_message(&mut self, ctx: &mut Context<'_, ()>, msg: Message<()>) {
-                assert_eq!(msg.sent_at, 0);
+            fn on_message(&mut self, ctx: &mut Context<'_, ()>, _msg: Message<()>) {
                 self.arrived_at = Some(ctx.now());
             }
         }
         let costs = two_site_costs()?;
-        let mut sim = Simulator::new(
-            &costs,
-            vec![Box::new(Probe), Box::new(Sink { arrived_at: None })],
-        )?;
+        let mut sim = Simulator::new(&costs, Probe { arrived_at: None });
         sim.run_to_completion()?;
         assert_eq!(sim.now(), 4);
+        assert_eq!(sim.into_handler().arrived_at, Some(4));
+        Ok(())
+    }
+
+    /// What a [`Log`] handler saw: callback, site, time.
+    type Seen = (&'static str, usize, Time);
+
+    /// Pins the single-handler dispatch contract on a three-site line
+    /// (C(0,1)=2, C(1,2)=3, C(0,2)=5): site 1 sends 7 units to site 2 and
+    /// one to site 0, site 2 arms a timer, and site 0 is down throughout.
+    #[derive(Default)]
+    struct Log {
+        seen: Vec<Seen>,
+    }
+
+    impl Node<()> for Log {
+        fn on_start(&mut self, ctx: &mut Context<'_, ()>) {
+            self.seen.push(("start", ctx.node_id(), ctx.now()));
+            match ctx.node_id() {
+                1 => {
+                    ctx.send(2, 7, ());
+                    ctx.send(0, 1, ());
+                }
+                2 => ctx.set_timer(10, ()),
+                _ => {}
+            }
+        }
+        fn on_message(&mut self, ctx: &mut Context<'_, ()>, msg: Message<()>) {
+            assert_eq!((msg.src, msg.dst), (1, ctx.node_id()));
+            self.seen.push(("message", ctx.node_id(), ctx.now()));
+        }
+        fn on_timer(&mut self, ctx: &mut Context<'_, ()>, _payload: ()) {
+            self.seen.push(("timer", ctx.node_id(), ctx.now()));
+        }
+    }
+
+    #[test]
+    fn one_handler_is_dispatched_per_site() -> TestResult {
+        let costs = CostMatrix::from_rows(3, vec![0, 2, 5, 2, 0, 3, 5, 3, 0])?;
+        let mut sim = Simulator::new(&costs, Log::default());
+        sim.set_fault_plan(FaultPlan::new(0).crash(0, 0, 1_000));
+        sim.run_to_completion()?;
+        // Both sends are charged from site 1, the site being dispatched:
+        // 7·C(1,2) + 1·C(1,0), although site 0's arrival is lost.
+        assert_eq!(sim.stats().transfer_cost, 7 * 3 + 2);
+        assert_eq!(sim.fault_stats().lost_arrivals, 1);
+        let seen = sim.into_handler().seen;
+        assert_eq!(
+            seen,
+            vec![
+                ("start", 0, 0),
+                ("start", 1, 0),
+                ("start", 2, 0),
+                ("message", 2, 3),
+                ("timer", 2, 10),
+            ]
+        );
         Ok(())
     }
 
@@ -586,14 +594,16 @@ mod tests {
         struct Looper;
         impl Node<()> for Looper {
             fn on_start(&mut self, ctx: &mut Context<'_, ()>) {
-                ctx.send(1, 1, ());
+                if ctx.node_id() == 0 {
+                    ctx.send(1, 1, ());
+                }
             }
             fn on_message(&mut self, ctx: &mut Context<'_, ()>, msg: Message<()>) {
                 ctx.send(msg.src, 1, ());
             }
         }
         let costs = two_site_costs()?;
-        let mut sim = Simulator::new(&costs, vec![Box::new(Looper), Box::new(Looper)])?;
+        let mut sim = Simulator::new(&costs, Looper);
         match sim.run_for_events(10) {
             Err(SimError::EventBudgetExhausted {
                 budget,
@@ -616,42 +626,38 @@ mod tests {
             fn on_message(&mut self, _ctx: &mut Context<'_, ()>, _msg: Message<()>) {}
         }
         let costs = two_site_costs()?;
-        let mut sim = Simulator::new(&costs, vec![Box::new(Quiet), Box::new(Quiet)])?;
+        let mut sim = Simulator::new(&costs, Quiet);
         assert!(!sim.step());
         assert_eq!(sim.events_processed(), 0);
         Ok(())
     }
 
-    /// A node that sends one message per timer tick, forever (bounded by
-    /// the tick count), to probe fault semantics.
+    /// Each site sends one message to its peer per timer tick, for as many
+    /// ticks as it is given, to probe fault semantics on two sites.
     struct Ticker {
-        peer: usize,
-        ticks: u64,
-        got: u64,
+        ticks: [u64; 2],
+        got: [u64; 2],
     }
 
     impl Ticker {
-        fn new(peer: usize, ticks: u64) -> Self {
-            Self {
-                peer,
-                ticks,
-                got: 0,
-            }
+        fn new(ticks: [u64; 2]) -> Self {
+            Self { ticks, got: [0; 2] }
         }
     }
 
     impl Node<u64> for Ticker {
         fn on_start(&mut self, ctx: &mut Context<'_, u64>) {
-            if self.ticks > 0 {
+            if self.ticks[ctx.node_id()] > 0 {
                 ctx.set_timer(1, 0);
             }
         }
-        fn on_message(&mut self, _ctx: &mut Context<'_, u64>, _msg: Message<u64>) {
-            self.got += 1;
+        fn on_message(&mut self, ctx: &mut Context<'_, u64>, _msg: Message<u64>) {
+            self.got[ctx.node_id()] += 1;
         }
         fn on_timer(&mut self, ctx: &mut Context<'_, u64>, tick: u64) {
-            ctx.send(self.peer, 1, tick);
-            if tick + 1 < self.ticks {
+            let me = ctx.node_id();
+            ctx.send(1 - me, 1, tick);
+            if tick + 1 < self.ticks[me] {
                 ctx.set_timer(1, tick + 1);
             }
         }
@@ -660,14 +666,9 @@ mod tests {
     #[test]
     fn crashed_destination_loses_arrivals() -> TestResult {
         let costs = two_site_costs()?;
-        let mut sim = Simulator::new(
-            &costs,
-            vec![
-                Box::new(Ticker::new(1, 10)),
-                Box::new(Ticker::new(0, 0)), // silent peer
-            ],
-        )?;
-        // Node 1 is down for the whole run.
+        // Site 1 stays silent.
+        let mut sim = Simulator::new(&costs, Ticker::new([10, 0]));
+        // Site 1 is down for the whole run.
         sim.set_fault_plan(FaultPlan::new(0).crash(1, 0, 1_000));
         sim.run_to_completion()?;
         let fs = sim.fault_stats();
@@ -676,17 +677,15 @@ mod tests {
         assert_eq!(fs.recoveries, 1);
         // NTC is still charged for transmitted-but-undelivered messages.
         assert_eq!(sim.stats().data_units, 10);
+        assert_eq!(sim.into_handler().got, [0, 0]);
         Ok(())
     }
 
     #[test]
     fn crash_discards_timers_for_good() -> TestResult {
         let costs = two_site_costs()?;
-        let mut sim = Simulator::new(
-            &costs,
-            vec![Box::new(Ticker::new(1, 1_000)), Box::new(Ticker::new(0, 0))],
-        )?;
-        // Node 0 crashes mid-run and recovers: its tick chain stops for
+        let mut sim = Simulator::new(&costs, Ticker::new([1_000, 0]));
+        // Site 0 crashes mid-run and recovers: its tick chain stops for
         // good (the pending timer is lost with the site).
         sim.set_fault_plan(FaultPlan::new(0).crash(0, 5, 10));
         sim.run_to_completion()?;
@@ -703,10 +702,7 @@ mod tests {
     #[test]
     fn partitions_block_without_charging() -> TestResult {
         let costs = two_site_costs()?;
-        let mut sim = Simulator::new(
-            &costs,
-            vec![Box::new(Ticker::new(1, 5)), Box::new(Ticker::new(0, 0))],
-        )?;
+        let mut sim = Simulator::new(&costs, Ticker::new([5, 0]));
         sim.set_fault_plan(FaultPlan::new(0).partition(0, 1, 0, 1_000));
         sim.run_to_completion()?;
         assert_eq!(sim.fault_stats().dropped_partition, 5);
@@ -718,13 +714,11 @@ mod tests {
     #[test]
     fn jitter_delays_but_delivers_everything() -> TestResult {
         let costs = two_site_costs()?;
-        let mut sim = Simulator::new(
-            &costs,
-            vec![Box::new(Ticker::new(1, 8)), Box::new(Ticker::new(0, 0))],
-        )?;
+        let mut sim = Simulator::new(&costs, Ticker::new([8, 0]));
         sim.set_fault_plan(FaultPlan::new(11).jitter(9));
         sim.run_to_completion()?;
         assert_eq!(sim.stats().data_units, 8);
+        assert_eq!(sim.into_handler().got, [0, 8]);
         Ok(())
     }
 
@@ -733,10 +727,7 @@ mod tests {
         use crate::telemetry::InMemoryRecorder;
 
         let costs = two_site_costs()?;
-        let mut sim = Simulator::new(
-            &costs,
-            vec![Box::new(Ticker::new(1, 10)), Box::new(Ticker::new(0, 0))],
-        )?;
+        let mut sim = Simulator::new(&costs, Ticker::new([10, 0]));
         sim.set_fault_plan(FaultPlan::new(0).crash(1, 0, 1_000));
         let recorder = Arc::new(InMemoryRecorder::new());
         sim.set_recorder(recorder.clone());
@@ -758,12 +749,9 @@ mod tests {
 
     #[test]
     fn identical_plans_give_identical_runs() -> TestResult {
-        let run = |seed: u64| -> Result<(TrafficStats, FaultStats, Time)> {
+        let run = |seed: u64| -> crate::Result<(TrafficStats, FaultStats, Time)> {
             let costs = two_site_costs()?;
-            let mut sim = Simulator::new(
-                &costs,
-                vec![Box::new(Ticker::new(1, 50)), Box::new(Ticker::new(0, 50))],
-            )?;
+            let mut sim = Simulator::new(&costs, Ticker::new([50, 50]));
             sim.set_fault_plan(
                 FaultPlan::new(seed)
                     .crash(1, 20, 30)

@@ -1,5 +1,3 @@
-use super::Time;
-
 /// A message in flight between two sites.
 ///
 /// `size` is measured in the paper's simple data units: object transfers use
@@ -13,8 +11,6 @@ pub struct Message<P> {
     pub dst: usize,
     /// Payload size in data units (0 for control messages).
     pub size: u64,
-    /// Simulated time at which the message was sent.
-    pub sent_at: Time,
     /// Application payload.
     pub payload: P,
 }

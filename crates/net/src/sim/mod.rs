@@ -8,45 +8,59 @@
 //! and therefore cost nothing, matching the paper's assumption that control
 //! traffic has a minor impact.
 //!
-//! Nodes implement [`Node`] and exchange an application-defined payload type.
-//! Execution is deterministic: ties in delivery time are broken by send
-//! order.
+//! One handler implementing [`Node`] is the behaviour of every site: the
+//! simulator calls it for whichever site an event belongs to, and
+//! [`Context::node_id`] tells it which. Sites exchange an
+//! application-defined payload type, and [`Simulator::into_handler`] hands
+//! the handler's state back once the run is over. Execution is
+//! deterministic: ties in delivery time are broken by send order.
 //!
-//! Two consumers live elsewhere in the workspace:
+//! Four consumers live elsewhere in the workspace:
 //!
-//! * `drp-core` replays read/write patterns against a replication scheme and
-//!   checks the measured NTC equals the analytic Eq. 4 value;
+//! * `drp-core`'s `replay` replays read/write patterns against a
+//!   replication scheme and checks the measured NTC equals the analytic
+//!   Eq. 4 value;
+//! * `drp-workload`'s `trace::simulate` drives a timestamped request trace
+//!   the same way, request by request;
 //! * `drp-algo` runs the paper's *distributed* SRA (leader, token passing,
-//!   replication broadcasts) on top of it.
+//!   replication broadcasts) on top of it;
+//! * `drp-serve`'s epoch engine serves each epoch's admitted requests,
+//!   with read failover, write queueing and live migration.
 //!
 //! [`CostMatrix`]: crate::CostMatrix
 //!
 //! # Examples
 //!
-//! A two-node ping-pong that accounts one data unit each way:
+//! A two-site ping-pong that accounts one data unit each way:
 //!
 //! ```
 //! use drp_net::{CostMatrix, sim::{Context, Message, Node, Simulator}};
 //!
-//! struct Ping;
-//! struct Pong;
-//!
-//! impl Node<u32> for Ping {
-//!     fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
-//!         ctx.send(1, 1, 0);
-//!     }
-//!     fn on_message(&mut self, _ctx: &mut Context<'_, u32>, _msg: Message<u32>) {}
+//! /// Site 0 pings site 1, which answers once; site 0 counts the pongs.
+//! struct PingPong {
+//!     pongs: u32,
 //! }
-//! impl Node<u32> for Pong {
+//!
+//! impl Node<u32> for PingPong {
+//!     fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
+//!         if ctx.node_id() == 0 {
+//!             ctx.send(1, 1, 0);
+//!         }
+//!     }
 //!     fn on_message(&mut self, ctx: &mut Context<'_, u32>, msg: Message<u32>) {
-//!         ctx.send(msg.src, 1, msg.payload + 1);
+//!         if ctx.node_id() == 1 {
+//!             ctx.send(msg.src, 1, msg.payload + 1);
+//!         } else {
+//!             self.pongs += 1;
+//!         }
 //!     }
 //! }
 //!
 //! let costs = CostMatrix::from_rows(2, vec![0, 3, 3, 0])?;
-//! let mut sim = Simulator::new(&costs, vec![Box::new(Ping), Box::new(Pong)])?;
+//! let mut sim = Simulator::new(&costs, PingPong { pongs: 0 });
 //! sim.run_to_completion()?;
 //! assert_eq!(sim.stats().transfer_cost, 2 * 3); // one unit × C=3, both ways
+//! assert_eq!(sim.into_handler().pongs, 1);
 //! # Ok::<(), drp_net::NetError>(())
 //! ```
 
@@ -55,7 +69,7 @@
 //! A seeded [`FaultPlan`] can be armed via
 //! [`Simulator::set_fault_plan`] to crash sites, cut links, drop or delay
 //! messages — all deterministically. A crashed site silently loses its
-//! arrivals and timers; nodes may query the liveness oracle
+//! arrivals and timers; the handler may query the liveness oracle
 //! [`Context::is_up`], on which `drp-serve`'s epoch engine builds its read
 //! failover and write queueing.
 

@@ -30,14 +30,14 @@
 //!   as deferred and re-planned by the caller.
 //!
 //! Everything is deterministic: the simulator's event order is seeded, the
-//! shared directory is only touched from the single-threaded event loop,
+//! directory is only touched from the single-threaded event loop,
 //! and the streaming driver's timestamps come from a caller-provided
 //! stream seed.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use drp_core::migration::MigrationPlan;
-use drp_core::telemetry::Recorder;
+use drp_core::telemetry::{self, Recorder};
 use drp_core::{DenseMatrix, ObjectId, Problem, ReplicationScheme};
 use drp_net::sim::{Context, FaultPlan, FaultStats, Message, Node, Simulator, TrafficStats};
 
@@ -248,9 +248,14 @@ struct PendingFetch {
     source: usize,
 }
 
-/// The live replica directory plus the epoch's mutable ledgers. Only the
-/// single-threaded event loop touches it, the mutex just satisfies `Sync`.
-struct LiveState {
+/// One epoch's world: the live replica directory, the epoch's mutable
+/// ledgers, and the serving behaviour of every site on the simulator.
+struct Epoch<'a> {
+    problem: &'a Problem,
+    /// Per-site admitted request queues: `(time, object, is_write)`,
+    /// borrowed from the caller's reusable [`IngestScratch`].
+    queues: &'a [Vec<(u64, usize, bool)>],
+    tuning: MigrationTuning,
     /// Row-major `m x n` holder flags.
     holds: Vec<bool>,
     /// Row-major `m x n` installed versions.
@@ -269,16 +274,7 @@ struct LiveState {
     migration_ntc: u64,
 }
 
-struct Shared<'a> {
-    problem: &'a Problem,
-    /// Per-site admitted request queues: `(time, object, is_write)`,
-    /// borrowed from the caller's reusable [`IngestScratch`].
-    queues: &'a [Vec<(u64, usize, bool)>],
-    tuning: MigrationTuning,
-    state: Mutex<LiveState>,
-}
-
-impl Shared<'_> {
+impl Epoch<'_> {
     fn cost(&self, a: usize, b: usize) -> u64 {
         self.problem.costs().cost(a, b)
     }
@@ -286,55 +282,43 @@ impl Shared<'_> {
     fn n(&self) -> usize {
         self.problem.num_objects()
     }
-}
 
-struct ServeNode<'a> {
-    shared: Arc<Shared<'a>>,
-}
-
-impl ServeNode<'_> {
     /// Nearest current holder of `object` as seen from `me`: min link cost,
     /// site id as the deterministic tie-break.
-    fn nearest_holder(&self, state: &LiveState, me: usize, object: usize) -> Option<usize> {
-        let n = self.shared.n();
-        (0..self.shared.problem.num_sites())
-            .filter(|&j| state.holds[j * n + object])
-            .min_by_key(|&j| (self.shared.cost(me, j), j))
+    fn nearest_holder(&self, me: usize, object: usize) -> Option<usize> {
+        let n = self.n();
+        (0..self.problem.num_sites())
+            .filter(|&j| self.holds[j * n + object])
+            .min_by_key(|&j| (self.cost(me, j), j))
     }
 
     /// Current holders other than `me`, cheapest link first — the failover
     /// order for re-sourcing a fetch.
-    fn fetch_candidates(&self, state: &LiveState, me: usize, object: usize) -> Vec<usize> {
-        let n = self.shared.n();
-        let mut holders: Vec<usize> = (0..self.shared.problem.num_sites())
-            .filter(|&j| j != me && state.holds[j * n + object])
+    fn fetch_candidates(&self, me: usize, object: usize) -> Vec<usize> {
+        let n = self.n();
+        let mut holders: Vec<usize> = (0..self.problem.num_sites())
+            .filter(|&j| j != me && self.holds[j * n + object])
             .collect();
-        holders.sort_by_key(|&j| (self.shared.cost(me, j), j));
+        holders.sort_by_key(|&j| (self.cost(me, j), j));
         holders
     }
 
-    fn commit_write(&self, state: &mut LiveState, committer: usize, object: usize) -> u64 {
-        let n = self.shared.n();
-        state.committed[object] += 1;
-        let version = state.committed[object];
-        state.version[committer * n + object] = version;
-        state.counters.requests.writes_committed += 1;
+    fn commit_write(&mut self, committer: usize, object: usize) -> u64 {
+        let n = self.n();
+        self.committed[object] += 1;
+        let version = self.committed[object];
+        self.version[committer * n + object] = version;
+        self.counters.requests.writes_committed += 1;
         version
     }
 
     /// Primary's update broadcast to every other current holder.
-    fn broadcast(
-        &self,
-        ctx: &mut Context<'_, Msg>,
-        state: &LiveState,
-        object: usize,
-        version: u64,
-    ) {
-        let n = self.shared.n();
-        let size = self.shared.problem.object_size(ObjectId::new(object));
+    fn broadcast(&self, ctx: &mut Context<'_, Msg>, object: usize, version: u64) {
+        let n = self.n();
+        let size = self.problem.object_size(ObjectId::new(object));
         let me = ctx.node_id();
-        for j in 0..self.shared.problem.num_sites() {
-            if j != me && state.holds[j * n + object] {
+        for j in 0..self.problem.num_sites() {
+            if j != me && self.holds[j * n + object] {
                 ctx.send(j, size, Msg::Update { object, version });
             }
         }
@@ -342,45 +326,44 @@ impl ServeNode<'_> {
 
     /// Issues queued request `index` of this site; `attempt` counts the
     /// earlier tries that found no live target.
-    fn issue(&self, ctx: &mut Context<'_, Msg>, index: usize, attempt: u32) {
+    fn issue(&mut self, ctx: &mut Context<'_, Msg>, index: usize, attempt: u32) {
         let me = ctx.node_id();
-        let (_, object, is_write) = self.shared.queues[me][index];
-        let n = self.shared.n();
+        let (_, object, is_write) = self.queues[me][index];
+        let n = self.n();
         let k = ObjectId::new(object);
-        let mut state = self.shared.state.lock().expect("state lock");
         if is_write {
-            let sp = self.shared.problem.primary(k).index();
+            let sp = self.problem.primary(k).index();
             if sp == me {
-                let version = self.commit_write(&mut state, me, object);
-                self.broadcast(ctx, &state, object, version);
+                let version = self.commit_write(me, object);
+                self.broadcast(ctx, object, version);
             } else if ctx.is_up(sp) {
-                let size = if state.holds[me * n + object] {
+                let size = if self.holds[me * n + object] {
                     0
                 } else {
-                    self.shared.problem.object_size(k)
+                    self.problem.object_size(k)
                 };
                 ctx.send(sp, size, Msg::WriteShip { object });
             } else {
                 if attempt == 0 {
-                    state.counters.requests.writes_queued += 1;
+                    self.counters.requests.writes_queued += 1;
                 }
                 self.retry_later(ctx, index, sp, attempt);
             }
         } else {
-            match self.nearest_holder(&state, me, object) {
+            match self.nearest_holder(me, object) {
                 Some(j) if j == me => {
-                    state.counters.requests.reads_served += 1;
-                    if state.version[me * n + object] < state.committed[object] {
-                        state.counters.requests.reads_stale += 1;
+                    self.counters.requests.reads_served += 1;
+                    if self.version[me * n + object] < self.committed[object] {
+                        self.counters.requests.reads_stale += 1;
                     }
                 }
                 Some(j) if ctx.is_up(j) => ctx.send(j, 0, Msg::ReadReq { object }),
                 Some(j) => {
                     if attempt == 0 {
-                        state.counters.requests.reads_failed_over += 1;
+                        self.counters.requests.reads_failed_over += 1;
                     }
                     let live = self
-                        .fetch_candidates(&state, me, object)
+                        .fetch_candidates(me, object)
                         .into_iter()
                         .find(|&c| ctx.is_up(c));
                     match live {
@@ -398,7 +381,7 @@ impl ServeNode<'_> {
     /// Re-arms request `index` on the fetch-retry schedule towards
     /// `target`, or gives it up (lost) once the attempts run out.
     fn retry_later(&self, ctx: &mut Context<'_, Msg>, index: usize, target: usize, attempt: u32) {
-        if attempt + 1 < self.shared.tuning.max_attempts {
+        if attempt + 1 < self.tuning.max_attempts {
             ctx.set_timer(
                 self.fetch_deadline(ctx.node_id(), target, attempt),
                 Msg::Retry {
@@ -411,28 +394,28 @@ impl ServeNode<'_> {
 
     /// Installs a fetched replica and, once its object has no more pending
     /// additions, applies the deferred deallocations — the cutover step.
-    fn install(&self, state: &mut LiveState, me: usize, object: usize, version: u64) {
-        let n = self.shared.n();
-        state.pending[me].retain(|p| p.object != object);
-        state.holds[me * n + object] = true;
-        let slot = &mut state.version[me * n + object];
+    fn install(&mut self, me: usize, object: usize, version: u64) {
+        let n = self.n();
+        self.pending[me].retain(|p| p.object != object);
+        self.holds[me * n + object] = true;
+        let slot = &mut self.version[me * n + object];
         *slot = (*slot).max(version);
         let installed_version = *slot;
-        state.counters.installed += 1;
-        state.events.push(MigEvent::Install {
+        self.counters.installed += 1;
+        self.events.push(MigEvent::Install {
             site: me,
             object,
             version: installed_version,
         });
-        state.pending_by_object[object] -= 1;
-        if state.pending_by_object[object] == 0 {
-            let removals = std::mem::take(&mut state.removals_by_object[object]);
+        self.pending_by_object[object] -= 1;
+        if self.pending_by_object[object] == 0 {
+            let removals = std::mem::take(&mut self.removals_by_object[object]);
             let count = removals.len();
             for site in removals {
-                state.holds[site * n + object] = false;
-                state.counters.deallocated += 1;
+                self.holds[site * n + object] = false;
+                self.counters.deallocated += 1;
             }
-            state.events.push(MigEvent::Cutover {
+            self.events.push(MigEvent::Cutover {
                 object,
                 removals: count,
             });
@@ -441,41 +424,30 @@ impl ServeNode<'_> {
 
     /// Retry delay covering the request + data round trip plus backoff.
     fn fetch_deadline(&self, me: usize, source: usize, attempt: u32) -> u64 {
-        let rtt = 2 * self.shared.cost(me, source);
-        let backoff =
-            (self.shared.tuning.rpc_timeout << attempt.min(16)).min(self.shared.tuning.backoff_cap);
-        rtt + self.shared.tuning.rpc_timeout + backoff
+        let rtt = 2 * self.cost(me, source);
+        let backoff = (self.tuning.rpc_timeout << attempt.min(16)).min(self.tuning.backoff_cap);
+        rtt + self.tuning.rpc_timeout + backoff
     }
 }
 
-impl Node<Msg> for ServeNode<'_> {
+impl Node<Msg> for Epoch<'_> {
     fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
-        for (index, &(time, _, _)) in self.shared.queues[ctx.node_id()].iter().enumerate() {
+        let me = ctx.node_id();
+        for (index, &(time, _, _)) in self.queues[me].iter().enumerate() {
             ctx.set_timer(time, Msg::Fire { index });
         }
-        let has_pending = {
-            let state = self.shared.state.lock().expect("state lock");
-            !state.pending[ctx.node_id()].is_empty()
-        };
-        if has_pending {
+        if !self.pending[me].is_empty() {
             ctx.set_timer(0, Msg::MigrateKick);
         }
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, payload: Msg) {
+        let me = ctx.node_id();
         match payload {
             Msg::Fire { index } => self.issue(ctx, index, 0),
             Msg::Retry { index, attempt } => self.issue(ctx, index, attempt),
             Msg::MigrateKick => {
-                let me = ctx.node_id();
-                // Take the pending list instead of cloning it; `ctx` calls
-                // only enqueue events (no reentrant state access), so the
-                // list can be put back untouched after the sends.
-                let fetches = {
-                    let mut state = self.shared.state.lock().expect("state lock");
-                    std::mem::take(&mut state.pending[me])
-                };
-                for fetch in &fetches {
+                for fetch in &self.pending[me] {
                     ctx.send(
                         fetch.source,
                         0,
@@ -491,29 +463,24 @@ impl Node<Msg> for ServeNode<'_> {
                         },
                     );
                 }
-                self.shared.state.lock().expect("state lock").pending[me] = fetches;
             }
             Msg::FetchRetry { object, attempt } => {
-                let me = ctx.node_id();
-                let candidate = {
-                    let mut state = self.shared.state.lock().expect("state lock");
-                    if !state.pending[me].iter().any(|p| p.object == object) {
-                        return; // already installed
-                    }
-                    state.counters.retries += 1;
-                    state.events.push(MigEvent::Retry {
-                        site: me,
-                        object,
-                        attempt,
-                    });
-                    let candidates = self.fetch_candidates(&state, me, object);
-                    candidates
-                        .get(attempt as usize % candidates.len().max(1))
-                        .copied()
+                if !self.pending[me].iter().any(|p| p.object == object) {
+                    return; // already installed
+                }
+                self.counters.retries += 1;
+                self.events.push(MigEvent::Retry {
+                    site: me,
+                    object,
+                    attempt,
+                });
+                let candidates = self.fetch_candidates(me, object);
+                let Some(&source) = candidates.get(attempt as usize % candidates.len().max(1))
+                else {
+                    return;
                 };
-                let Some(source) = candidate else { return };
                 ctx.send(source, 0, Msg::FetchReq { object });
-                if attempt < self.shared.tuning.max_attempts {
+                if attempt < self.tuning.max_attempts {
                     ctx.set_timer(
                         self.fetch_deadline(me, source, attempt),
                         Msg::FetchRetry {
@@ -529,49 +496,39 @@ impl Node<Msg> for ServeNode<'_> {
 
     fn on_message(&mut self, ctx: &mut Context<'_, Msg>, msg: Message<Msg>) {
         let me = ctx.node_id();
-        let n = self.shared.n();
+        let n = self.n();
         match msg.payload {
             Msg::ReadReq { object } => {
-                let stale = {
-                    let state = self.shared.state.lock().expect("state lock");
-                    state.version[me * n + object] < state.committed[object]
-                };
-                let size = self.shared.problem.object_size(ObjectId::new(object));
+                let stale = self.version[me * n + object] < self.committed[object];
+                let size = self.problem.object_size(ObjectId::new(object));
                 ctx.send(msg.src, size, Msg::ReadData { object, stale });
             }
             Msg::ReadData { stale, .. } => {
-                let mut state = self.shared.state.lock().expect("state lock");
-                state.counters.requests.reads_served += 1;
+                self.counters.requests.reads_served += 1;
                 if stale {
-                    state.counters.requests.reads_stale += 1;
+                    self.counters.requests.reads_stale += 1;
                 }
             }
             Msg::WriteShip { object } => {
-                let mut state = self.shared.state.lock().expect("state lock");
-                let version = self.commit_write(&mut state, me, object);
-                self.broadcast(ctx, &state, object, version);
+                let version = self.commit_write(me, object);
+                self.broadcast(ctx, object, version);
             }
             Msg::Update { object, version } => {
-                let mut state = self.shared.state.lock().expect("state lock");
-                let slot = &mut state.version[me * n + object];
+                let slot = &mut self.version[me * n + object];
                 *slot = (*slot).max(version);
             }
             Msg::FetchReq { object } => {
                 // Serve the fetch even after a local deallocation: the data
                 // stays on disk until overwritten, and refusing would only
                 // stall a migration that re-sourced late.
-                let (version, size) = {
-                    let mut state = self.shared.state.lock().expect("state lock");
-                    let size = self.shared.problem.object_size(ObjectId::new(object));
-                    state.migration_ntc += size * self.shared.cost(me, msg.src);
-                    (state.version[me * n + object], size)
-                };
+                let size = self.problem.object_size(ObjectId::new(object));
+                self.migration_ntc += size * self.cost(me, msg.src);
+                let version = self.version[me * n + object];
                 ctx.send(msg.src, size, Msg::FetchData { object, version });
             }
             Msg::FetchData { object, version } => {
-                let mut state = self.shared.state.lock().expect("state lock");
-                if state.pending[me].iter().any(|p| p.object == object) {
-                    self.install(&mut state, me, object, version);
+                if self.pending[me].iter().any(|p| p.object == object) {
+                    self.install(me, object, version);
                 }
             }
             Msg::Fire { .. } | Msg::Retry { .. } | Msg::MigrateKick | Msg::FetchRetry { .. } => {}
@@ -600,20 +557,23 @@ pub(crate) fn run_epoch(
     let mut shed_by_site = vec![0u64; m];
     let mut admitted_by_site = vec![0u64; m];
     if spec.traffic {
-        let ingested = ingest::ingest_epoch(
-            &ingest::IngestSpec {
-                problem,
-                period: spec.period,
-                seed: spec.seed,
-                admission_limit: spec.admission_limit,
-                threads: spec.threads,
-                batch: 0,
-                depth: 0,
-            },
-            scratch,
-            &mut observed_reads,
-            &mut observed_writes,
-        );
+        let ingested = {
+            let _span = telemetry::span(recorder.as_ref(), "serve.ingest");
+            ingest::ingest_epoch(
+                &ingest::IngestSpec {
+                    problem,
+                    period: spec.period,
+                    seed: spec.seed,
+                    admission_limit: spec.admission_limit,
+                    threads: spec.threads,
+                    batch: 0,
+                    depth: 0,
+                },
+                scratch,
+                &mut observed_reads,
+                &mut observed_writes,
+            )
+        };
         counters.offered = ingested.report.offered();
         counters.shed = ingested.report.shed();
         counters.requests.reads_issued = ingested.admitted_reads;
@@ -672,11 +632,12 @@ pub(crate) fn run_epoch(
         }
     }
 
-    let shared = Arc::new(Shared {
-        problem,
-        queues: &scratch.queues,
-        tuning: spec.tuning,
-        state: Mutex::new(LiveState {
+    let mut sim = Simulator::new(
+        problem.costs(),
+        Epoch {
+            problem,
+            queues: &scratch.queues,
+            tuning: spec.tuning,
             holds,
             version: vec![0u64; m * n],
             committed: vec![0u64; n],
@@ -686,16 +647,8 @@ pub(crate) fn run_epoch(
             events,
             counters,
             migration_ntc: 0,
-        }),
-    });
-    let nodes: Vec<Box<dyn Node<Msg> + '_>> = (0..m)
-        .map(|_| {
-            Box::new(ServeNode {
-                shared: Arc::clone(&shared),
-            }) as Box<dyn Node<Msg> + '_>
-        })
-        .collect();
-    let mut sim = Simulator::new(problem.costs(), nodes).map_err(drp_core::CoreError::from)?;
+        },
+    );
     sim.set_recorder(Arc::clone(&recorder));
     if let Some(plan) = spec.faults.clone() {
         sim.set_fault_plan(plan);
@@ -706,9 +659,7 @@ pub(crate) fn run_epoch(
     let fault_stats = sim.fault_stats();
     let sim_events = sim.events_processed();
     let completion_time = sim.now();
-    drop(sim);
-    let shared = Arc::into_inner(shared).expect("epoch nodes dropped with the simulator");
-    let state = shared.state.into_inner().expect("state lock");
+    let state = sim.into_handler();
     let mut counters = state.counters;
     counters.deferred = state.pending.iter().map(Vec::len).sum();
     if recorder.enabled() {

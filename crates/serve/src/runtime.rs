@@ -888,6 +888,9 @@ fn run_loop(
 
         // Boundary decision on the observed window. The matrices move out
         // of the outcome — no clone; nothing downstream reads them again.
+        // The `serve.retune` span covers the policy, hot boosts and degree
+        // floor.
+        let retune_span = telemetry::span(recorder.as_ref(), "serve.retune");
         let observed = truth.with_patterns(outcome.observed_reads, outcome.observed_writes)?;
         let night = config.night_every > 0 && (e + 1) % config.night_every == 0;
         let mut decide_rng = StdRng::seed_from_u64(mix(&[config.seed, TAG_DECIDE, e as u64]));
@@ -1031,6 +1034,7 @@ fn run_loop(
                 monitor_changed = true;
             }
         }
+        drop(retune_span);
 
         let c = outcome.counters;
         debug_assert_eq!(
@@ -1331,6 +1335,24 @@ mod tests {
         assert_eq!(recorder.span_count("serve.epoch"), 3);
         assert_eq!(recorder.span_count("serve.run"), 1);
         assert_eq!(recorder.counter("serve.serving_ntc"), a.totals.serving_ntc);
+    }
+
+    #[test]
+    fn every_epoch_opens_one_ingest_and_one_retune_span() {
+        let problem = problem(4);
+        let config = ServeConfig {
+            policy: Policy::Monitor,
+            epochs: 4,
+            seed: 4,
+            night_every: 2,
+            monitor: monitor_config(),
+            drift: Some(drift()),
+            ..ServeConfig::default()
+        };
+        let recorder = Arc::new(InMemoryRecorder::default());
+        run_service_recorded(&problem, &config, recorder.clone()).unwrap();
+        assert_eq!(recorder.span_count("serve.ingest"), 4);
+        assert_eq!(recorder.span_count("serve.retune"), 4);
     }
 
     #[test]

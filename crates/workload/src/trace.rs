@@ -198,7 +198,6 @@ pub fn simulate(
     requests: &[Request],
 ) -> drp_core::Result<TraceReport> {
     use drp_net::sim::{Context, Message, Node, Simulator};
-    use std::sync::Arc;
 
     #[derive(Debug, Clone, PartialEq, Eq)]
     enum Msg {
@@ -220,56 +219,45 @@ pub fn simulate(
         },
     }
 
-    // Nodes borrow the problem and scheme for the lifetime of the run —
-    // the simulator is lifetime-parameterized, so no dense-matrix or
+    // The handler borrows the problem and scheme for the lifetime of the
+    // run — the simulator is lifetime-parameterized, so no dense-matrix or
     // scheme copy is paid per invocation.
-    struct Shared<'p> {
+    struct Trace<'p> {
         problem: &'p Problem,
         scheme: &'p drp_core::ReplicationScheme,
         /// Per-site request queues: (time, object, is_write).
         queues: Vec<Vec<(u64, usize, bool)>>,
     }
 
-    struct TraceNode<'p> {
-        shared: Arc<Shared<'p>>,
-        served_reads: u64,
-    }
-
-    impl TraceNode<'_> {
+    impl Trace<'_> {
         fn broadcast(&self, ctx: &mut Context<'_, Msg>, object: usize) {
             let k = ObjectId::new(object);
-            let size = self.shared.problem.object_size(k);
+            let size = self.problem.object_size(k);
             let me = ctx.node_id();
-            let targets: Vec<usize> = self
-                .shared
-                .scheme
-                .replicators(k)
-                .map(SiteId::index)
-                .filter(|&j| j != me)
-                .collect();
-            for j in targets {
-                ctx.send(j, size, Msg::Update { object });
+            for j in self.scheme.replicators(k).map(SiteId::index) {
+                if j != me {
+                    ctx.send(j, size, Msg::Update { object });
+                }
             }
         }
 
         fn issue(&self, ctx: &mut Context<'_, Msg>, object: usize, is_write: bool) {
             let me = SiteId::new(ctx.node_id());
             let k = ObjectId::new(object);
-            let shared = &*self.shared;
             if is_write {
-                let sp = shared.problem.primary(k);
+                let sp = self.problem.primary(k);
                 if sp == me {
                     self.broadcast(ctx, object);
                 } else {
-                    let size = if shared.scheme.holds(me, k) {
+                    let size = if self.scheme.holds(me, k) {
                         0
                     } else {
-                        shared.problem.object_size(k)
+                        self.problem.object_size(k)
                     };
                     ctx.send(sp.index(), size, Msg::WriteShip { object });
                 }
             } else {
-                let (sn, _) = shared.scheme.nearest_replica(shared.problem, me, k);
+                let (sn, _) = self.scheme.nearest_replica(self.problem, me, k);
                 if sn != me {
                     ctx.send(sn.index(), 0, Msg::ReadRequest { object });
                 }
@@ -277,23 +265,22 @@ pub fn simulate(
         }
     }
 
-    impl Node<Msg> for TraceNode<'_> {
+    impl Node<Msg> for Trace<'_> {
         fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
-            for (index, &(time, _, _)) in self.shared.queues[ctx.node_id()].iter().enumerate() {
+            for (index, &(time, _, _)) in self.queues[ctx.node_id()].iter().enumerate() {
                 ctx.set_timer(time, Msg::Fire { index });
             }
         }
         fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, payload: Msg) {
             if let Msg::Fire { index } = payload {
-                let (_, object, is_write) = self.shared.queues[ctx.node_id()][index];
+                let (_, object, is_write) = self.queues[ctx.node_id()][index];
                 self.issue(ctx, object, is_write);
             }
         }
         fn on_message(&mut self, ctx: &mut Context<'_, Msg>, msg: Message<Msg>) {
             match msg.payload {
                 Msg::ReadRequest { object } => {
-                    self.served_reads += 1;
-                    let size = self.shared.problem.object_size(ObjectId::new(object));
+                    let size = self.problem.object_size(ObjectId::new(object));
                     ctx.send(msg.src, size, Msg::Data { object });
                 }
                 Msg::WriteShip { object } => self.broadcast(ctx, object),
@@ -312,20 +299,14 @@ pub fn simulate(
             request.kind == RequestKind::Write,
         ));
     }
-    let shared = Arc::new(Shared {
-        problem,
-        scheme,
-        queues,
-    });
-    let nodes: Vec<Box<dyn Node<Msg> + '_>> = (0..problem.num_sites())
-        .map(|_| {
-            Box::new(TraceNode {
-                shared: Arc::clone(&shared),
-                served_reads: 0,
-            }) as Box<dyn Node<Msg> + '_>
-        })
-        .collect();
-    let mut sim = Simulator::new(problem.costs(), nodes).map_err(drp_core::CoreError::from)?;
+    let mut sim = Simulator::new(
+        problem.costs(),
+        Trace {
+            problem,
+            scheme,
+            queues,
+        },
+    );
     sim.run_to_completion().map_err(drp_core::CoreError::from)?;
     Ok(TraceReport {
         transfer_cost: sim.stats().transfer_cost,
