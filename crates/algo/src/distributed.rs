@@ -69,13 +69,15 @@ struct LeaderState {
 }
 
 /// Every site's protocol behaviour: per-site state indexed by
-/// `ctx.node_id()`, plus the leader's bookkeeping and decision log.
+/// `ctx.node_id()`, plus the leader's bookkeeping and the committed
+/// holders.
 struct DistributedSra<'a> {
     problem: &'a Problem,
     sites: Vec<SiteState>,
     leader: LeaderState,
-    /// Decisions in commit order, recorded by the leader.
-    decisions: Vec<(usize, usize)>,
+    /// Per-object holders recorded by the leader: the primary, then the
+    /// replicators in decision order.
+    holders: Vec<Vec<usize>>,
 }
 
 impl<'a> DistributedSra<'a> {
@@ -119,7 +121,10 @@ impl<'a> DistributedSra<'a> {
             problem,
             sites,
             leader,
-            decisions: Vec::new(),
+            holders: problem
+                .objects()
+                .map(|k| vec![problem.primary(k).index()])
+                .collect(),
         }
     }
 
@@ -213,22 +218,14 @@ impl<'a> DistributedSra<'a> {
     }
 
     /// The site `me` would read `object` from (its `SN` field). Only the
-    /// distance is tracked per site; the identity is reconstructed from
-    /// the decision log plus primaries, which the leader's barrier keeps
-    /// consistent.
+    /// distance is tracked per site; the identity comes from the holder
+    /// lists the leader appends to on each decision, which its barrier
+    /// keeps consistent. Ties go to the earlier holder.
     fn nearest_holder(&self, me: usize, object: usize) -> (usize, u64) {
-        let problem = self.problem;
-        let k = ObjectId::new(object);
-        let mut best = (problem.primary(k).index(), u64::MAX);
-        // Primary plus every committed replicator.
-        let holders = std::iter::once(problem.primary(k).index()).chain(
-            self.decisions
-                .iter()
-                .filter(|(_, obj)| *obj == object)
-                .map(|(s, _)| *s),
-        );
-        for holder in holders {
-            let c = problem.costs().cost(me, holder);
+        let holders = &self.holders[object];
+        let mut best = (holders[0], u64::MAX);
+        for &holder in holders {
+            let c = self.problem.costs().cost(me, holder);
             if c < best.1 {
                 best = (holder, c);
             }
@@ -254,7 +251,7 @@ impl Node<SraMsg> for DistributedSra<'_> {
             }
             SraMsg::Decision { object, exhausted } => {
                 let m = self.problem.num_sites();
-                self.decisions.push((msg.src, object));
+                self.holders[object].push(msg.src);
                 self.leader.pending_removal = exhausted;
                 self.leader.awaiting_acks = m - 1;
                 // Broadcast to everyone but the decider (the leader includes
@@ -336,8 +333,10 @@ pub fn distributed_sra(problem: &Problem) -> Result<DistributedRun> {
     let completion_time = sim.now();
 
     let mut scheme = ReplicationScheme::primary_only(problem);
-    for (site, object) in sim.into_handler().decisions {
-        scheme.add_replica(problem, SiteId::new(site), ObjectId::new(object))?;
+    for (object, holders) in sim.into_handler().holders.iter().enumerate() {
+        for &site in &holders[1..] {
+            scheme.add_replica(problem, SiteId::new(site), ObjectId::new(object))?;
+        }
     }
     Ok(DistributedRun {
         scheme,

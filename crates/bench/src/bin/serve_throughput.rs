@@ -18,11 +18,21 @@
 //!   (`service_thread_parity`), bill no more total NTC than the same run
 //!   with the fast path off (`hot_ntc_ok`), and its promotion/demotion
 //!   counts are pinned exactly.
+//!
+//! The `epoch_scaling` samples time the serving engine behind the front
+//! end: one fault-free epoch served through
+//! [`drp_serve::execute_migration`] (empty plan) on an SRA scheme at M =
+//! 50, 200 and 1000 with N = 40, best of three, as ns per request and
+//! simulator events per request. Flat ns per request across M is the
+//! claim; the samples carry no budget.
 
+use drp_algo::Sra;
 use drp_bench::report::{Budget, Fields, Report};
-use drp_core::{DenseMatrix, Problem};
+use drp_core::migration::MigrationPlan;
+use drp_core::{telemetry, DenseMatrix, Problem, ReplicationAlgorithm};
 use drp_serve::{
-    ingest_epoch, run_service, HotKeyConfig, IngestScratch, IngestSpec, Policy, ServeConfig,
+    execute_migration, ingest_epoch, run_service, EpochTraffic, HotKeyConfig, IngestScratch,
+    IngestSpec, MigrationTuning, Policy, ServeConfig,
 };
 use drp_workload::{PatternChange, WorkloadSpec};
 use rand::rngs::StdRng;
@@ -213,6 +223,61 @@ fn bench_service(hot: bool, threads: usize) -> ServiceRow {
     }
 }
 
+struct ScalingRow {
+    sites: usize,
+    requests: u64,
+    sim_events: u64,
+    ns_per_req_min: f64,
+    ns_per_req_max: f64,
+}
+
+/// Sites of the `epoch_scaling` samples; objects stay at [`SCALING_OBJECTS`].
+const SCALING_SITES: [usize; 3] = [50, 200, 1000];
+const SCALING_OBJECTS: usize = 40;
+
+/// One fault-free serving epoch on the SRA scheme of an M-site instance,
+/// timed three times. The event count is identical across the runs.
+fn bench_epoch_scaling(sites: usize, period: u64) -> ScalingRow {
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let problem = WorkloadSpec::paper(sites, SCALING_OBJECTS, 10.0, 25.0)
+        .generate(&mut rng)
+        .expect("scaling instance generates");
+    let scheme = Sra::new()
+        .solve(&problem, &mut rng)
+        .expect("SRA solves the scaling instance");
+    let mut times = Vec::new();
+    let mut counts = None;
+    for _ in 0..3 {
+        let started = Instant::now();
+        let out = execute_migration(
+            &problem,
+            &scheme,
+            &MigrationPlan::default(),
+            None,
+            MigrationTuning::default(),
+            Some(EpochTraffic { period, seed: SEED }),
+            telemetry::noop(),
+        )
+        .expect("scaling epoch serves");
+        let elapsed = started.elapsed().as_secs_f64();
+        let requests = out.requests.reads_issued + out.requests.writes_issued;
+        assert!(
+            counts.is_none_or(|c| c == (requests, out.sim_events)),
+            "epoch drifted across reps"
+        );
+        counts = Some((requests, out.sim_events));
+        times.push(elapsed * 1e9 / requests.max(1) as f64);
+    }
+    let (requests, sim_events) = counts.expect("three reps ran");
+    ScalingRow {
+        sites,
+        requests,
+        sim_events,
+        ns_per_req_min: times.iter().copied().fold(f64::INFINITY, f64::min),
+        ns_per_req_max: times.iter().copied().fold(0.0, f64::max),
+    }
+}
+
 fn main() {
     let args = parse_args();
     let problem = WorkloadSpec::paper(args.sites, args.objects, 10.0, 25.0)
@@ -230,6 +295,10 @@ fn main() {
     let hot_on = bench_service(true, 1);
     let hot_on_t2 = bench_service(true, 2);
     let hot_off = bench_service(false, 1);
+    let scaling: Vec<ScalingRow> = SCALING_SITES
+        .iter()
+        .map(|&m| bench_epoch_scaling(m, args.period))
+        .collect();
 
     let config = drp_bench::thread_fields(
         Fields::new()
@@ -284,6 +353,23 @@ fn main() {
                 hot_on.fingerprint == hot_on_t2.fingerprint,
             ),
     );
+    for row in &scaling {
+        report.sample(
+            Fields::new()
+                .text("kind", "epoch_scaling")
+                .int("sites", row.sites as u64)
+                .int("objects", SCALING_OBJECTS as u64)
+                .int("requests", row.requests)
+                .int("sim_events", row.sim_events)
+                .float(
+                    "sim_events_per_req",
+                    row.sim_events as f64 / row.requests.max(1) as f64,
+                    4,
+                )
+                .float("ns_per_req_min", row.ns_per_req_min, 1)
+                .float("ns_per_req_max", row.ns_per_req_max, 1),
+        );
+    }
     report.write(&args.out_path);
     assert!(parity, "ingest hash differs across worker counts");
     assert_eq!(

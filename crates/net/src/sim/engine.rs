@@ -107,6 +107,8 @@ pub struct Simulator<'a, P, H: Node<P>> {
     costs: &'a CostMatrix,
     handler: H,
     queue: EventQueue<P>,
+    /// The effects buffer handed to each callback, reused across events.
+    effects: Vec<Effect<P>>,
     stats: TrafficStats,
     faults: Option<FaultPlan>,
     fault_stats: FaultStats,
@@ -138,6 +140,7 @@ impl<'a, P, H: Node<P>> Simulator<'a, P, H> {
             costs,
             handler,
             queue: EventQueue::new(),
+            effects: Vec::new(),
             stats: TrafficStats::default(),
             faults: None,
             fault_stats: FaultStats::default(),
@@ -222,16 +225,20 @@ impl<'a, P, H: Node<P>> Simulator<'a, P, H> {
         self.events_processed
     }
 
-    fn apply_effects(&mut self, origin: usize, effects: Vec<Effect<P>>) {
+    /// Applies the effects one callback left in `effects`, then keeps the
+    /// emptied buffer for the next callback.
+    fn apply_effects(&mut self, origin: usize, mut effects: Vec<Effect<P>>) {
         // A crashed origin produces nothing: its sends never reach the wire
         // and its timers are not armed.
         if let Some(plan) = &self.faults {
             if !plan.is_up(origin, self.now) {
                 self.fault_stats.suppressed_effects += effects.len() as u64;
+                effects.clear();
+                self.effects = effects;
                 return;
             }
         }
-        for effect in effects {
+        for effect in effects.drain(..) {
             match effect {
                 Effect::Send { dst, size, payload } => {
                     assert!(
@@ -283,6 +290,7 @@ impl<'a, P, H: Node<P>> Simulator<'a, P, H> {
                 }
             }
         }
+        self.effects = effects;
     }
 
     fn start_if_needed(&mut self) {
@@ -299,7 +307,7 @@ impl<'a, P, H: Node<P>> Simulator<'a, P, H> {
             }
         }
         for id in 0..self.costs.num_sites() {
-            let mut effects = Vec::new();
+            let mut effects = std::mem::take(&mut self.effects);
             let mut ctx = Context {
                 node: id,
                 now: self.now,
@@ -320,7 +328,6 @@ impl<'a, P, H: Node<P>> Simulator<'a, P, H> {
         debug_assert!(scheduled.at >= self.now, "time must be monotone");
         self.now = scheduled.at;
         self.events_processed += 1;
-        let mut effects = Vec::new();
         match scheduled.kind {
             EventKind::Arrival(msg) => {
                 let dst = msg.dst;
@@ -330,6 +337,7 @@ impl<'a, P, H: Node<P>> Simulator<'a, P, H> {
                         return true;
                     }
                 }
+                let mut effects = std::mem::take(&mut self.effects);
                 let mut ctx = Context {
                     node: dst,
                     now: self.now,
@@ -347,6 +355,7 @@ impl<'a, P, H: Node<P>> Simulator<'a, P, H> {
                     }
                 }
                 self.stats.timers += 1;
+                let mut effects = std::mem::take(&mut self.effects);
                 let mut ctx = Context {
                     node,
                     now: self.now,

@@ -15,6 +15,19 @@
 //! the handler's state back once the run is over. Execution is
 //! deterministic: ties in delivery time are broken by send order.
 //!
+//! # Event queue
+//!
+//! Events dispatch in `(at, seq)` order: earliest time first, and on equal
+//! times in the order they were scheduled (`seq` counts every push). Two
+//! stores hold them. Timers armed in [`Node::on_start`] — a driver that
+//! replays a request log arms one per request there — go into one vector
+//! of compact `(at, seq, node, payload)` entries, sorted once at the first
+//! step and drained from the back, its capacity released as it empties.
+//! Sends, crash/recover transitions and every event scheduled after the
+//! first step go into a binary heap. Each step takes the smaller
+//! `(at, seq)` of the two heads, so the dispatch order is exactly the one
+//! a single heap over every event would give.
+//!
 //! Four consumers live elsewhere in the workspace:
 //!
 //! * `drp-core`'s `replay` replays read/write patterns against a

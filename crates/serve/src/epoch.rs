@@ -29,6 +29,15 @@
 //!   additions still pending when the retry budget runs out are reported
 //!   as deferred and re-planned by the caller.
 //!
+//! The directory keeps per-request work independent of M. For every
+//! object it caches the holders R_k in ascending site id and the nearest
+//! holder by `(cost, site)` as seen from every site. A read looks its
+//! target up in O(1), a write's update broadcast walks R_k (in ascending
+//! site id, the send order of a scan over all sites), and failover and
+//! fetch re-sourcing consider R_k only. An object's column of the nearest
+//! table is rebuilt in O(M·|R_k|) at epoch start and after every install
+//! and cutover, the only points where R_k changes.
+//!
 //! Everything is deterministic: the simulator's event order is seeded, the
 //! directory is only touched from the single-threaded event loop,
 //! and the streaming driver's timestamps come from a caller-provided
@@ -40,6 +49,7 @@ use drp_core::migration::MigrationPlan;
 use drp_core::telemetry::{self, Recorder};
 use drp_core::{DenseMatrix, ObjectId, Problem, ReplicationScheme};
 use drp_net::sim::{Context, FaultPlan, FaultStats, Message, Node, Simulator, TrafficStats};
+use drp_net::CostMatrix;
 
 use crate::ingest::{self, IngestScratch};
 
@@ -201,6 +211,10 @@ pub(crate) struct EpochSpec<'a> {
     pub threads: usize,
 }
 
+/// Every timer and message payload of the epoch protocol. The two
+/// variants that carry a version hold their object as `u32`, which keeps
+/// `Msg` at 16 bytes: each admitted request queues one `Fire` timer at
+/// epoch start, so the payload size sets the simulator's memory.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Msg {
     /// Fire one queued request (timer payload carries its index).
@@ -223,7 +237,7 @@ enum Msg {
         object: usize,
     },
     Update {
-        object: usize,
+        object: u32,
         version: u64,
     },
     /// Start this site's pending fetches (timer at epoch start).
@@ -232,7 +246,7 @@ enum Msg {
         object: usize,
     },
     FetchData {
-        object: usize,
+        object: u32,
         version: u64,
     },
     FetchRetry {
@@ -248,6 +262,116 @@ struct PendingFetch {
     source: usize,
 }
 
+/// Marks an object without any holder in [`Directory`]'s nearest table.
+const NO_HOLDER: u32 = u32::MAX;
+
+/// The live replica directory, with the caches that keep every
+/// per-request lookup independent of M.
+///
+/// Per object it keeps the holders R_k in ascending site id and, for
+/// every site, the nearest holder by `(cost, site)`. Rebuilding one
+/// object's column costs O(M·|R_k|); it happens at epoch start and on
+/// every [`Directory::add`] / [`Directory::remove`] that changes R_k.
+struct Directory<'a> {
+    costs: &'a CostMatrix,
+    m: usize,
+    n: usize,
+    /// Row-major `m x n` holder flags.
+    holds: Vec<bool>,
+    /// Per-object holders, ascending site id.
+    holders: Vec<Vec<usize>>,
+    /// Object-major `n x m`: entry `k * m + i` is the nearest holder of
+    /// object `k` as seen from site `i`, or [`NO_HOLDER`].
+    nearest: Vec<u32>,
+}
+
+impl<'a> Directory<'a> {
+    fn new(problem: &'a Problem, scheme: &ReplicationScheme) -> Self {
+        let m = problem.num_sites();
+        let n = problem.num_objects();
+        assert!(
+            m < NO_HOLDER as usize && u32::try_from(n).is_ok(),
+            "site and object ids must fit in u32"
+        );
+        let mut holds = vec![false; m * n];
+        let mut holders = vec![Vec::new(); n];
+        for i in problem.sites() {
+            for k in problem.objects() {
+                if scheme.holds(i, k) {
+                    holds[i.index() * n + k.index()] = true;
+                    holders[k.index()].push(i.index());
+                }
+            }
+        }
+        let mut dir = Self {
+            costs: problem.costs(),
+            m,
+            n,
+            holds,
+            holders,
+            nearest: vec![NO_HOLDER; n * m],
+        };
+        for object in 0..n {
+            dir.refresh(object);
+        }
+        dir
+    }
+
+    fn holds(&self, site: usize, object: usize) -> bool {
+        self.holds[site * self.n + object]
+    }
+
+    /// Holders of `object`, ascending site id.
+    fn holders(&self, object: usize) -> &[usize] {
+        &self.holders[object]
+    }
+
+    /// Nearest holder of `object` as seen from `site`: min link cost, site
+    /// id as the deterministic tie-break.
+    fn nearest(&self, site: usize, object: usize) -> Option<usize> {
+        let holder = self.nearest[object * self.m + site];
+        (holder != NO_HOLDER).then_some(holder as usize)
+    }
+
+    fn add(&mut self, site: usize, object: usize) {
+        let slot = &mut self.holds[site * self.n + object];
+        if !*slot {
+            *slot = true;
+            let list = &mut self.holders[object];
+            let at = list.partition_point(|&j| j < site);
+            list.insert(at, site);
+            self.refresh(object);
+        }
+    }
+
+    fn remove(&mut self, site: usize, object: usize) {
+        let slot = &mut self.holds[site * self.n + object];
+        if *slot {
+            *slot = false;
+            self.holders[object].retain(|&j| j != site);
+            self.refresh(object);
+        }
+    }
+
+    /// Rebuilds `object`'s nearest column from its holder list. Holders
+    /// are scanned in ascending id with a strict `<`, so ties go to the
+    /// lowest site id.
+    fn refresh(&mut self, object: usize) {
+        let holders = &self.holders[object];
+        let column = &mut self.nearest[object * self.m..(object + 1) * self.m];
+        for (site, slot) in column.iter_mut().enumerate() {
+            let row = self.costs.row(site);
+            let mut best = None;
+            for &j in holders {
+                if best.is_none_or(|(c, _)| row[j] < c) {
+                    best = Some((row[j], j));
+                }
+            }
+            *slot = best.map_or(NO_HOLDER, |(_, j)| j as u32);
+        }
+    }
+}
+
 /// One epoch's world: the live replica directory, the epoch's mutable
 /// ledgers, and the serving behaviour of every site on the simulator.
 struct Epoch<'a> {
@@ -256,8 +380,7 @@ struct Epoch<'a> {
     /// borrowed from the caller's reusable [`IngestScratch`].
     queues: &'a [Vec<(u64, usize, bool)>],
     tuning: MigrationTuning,
-    /// Row-major `m x n` holder flags.
-    holds: Vec<bool>,
+    dir: Directory<'a>,
     /// Row-major `m x n` installed versions.
     version: Vec<u64>,
     /// Per-object committed version at the primary.
@@ -274,7 +397,66 @@ struct Epoch<'a> {
     migration_ntc: u64,
 }
 
-impl Epoch<'_> {
+impl<'a> Epoch<'a> {
+    /// Mounts `scheme` as the directory and stages `plan`'s additions as
+    /// pending fetches. Objects with removals but no additions cut over
+    /// immediately (there is nothing to wait for).
+    fn new(
+        problem: &'a Problem,
+        scheme: &ReplicationScheme,
+        plan: Option<&MigrationPlan>,
+        queues: &'a [Vec<(u64, usize, bool)>],
+        tuning: MigrationTuning,
+        mut counters: Counters,
+    ) -> Self {
+        let m = problem.num_sites();
+        let n = problem.num_objects();
+        let mut dir = Directory::new(problem, scheme);
+        let mut pending: Vec<Vec<PendingFetch>> = vec![Vec::new(); m];
+        let mut pending_by_object = vec![0usize; n];
+        let mut removals_by_object: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut events: Vec<MigEvent> = Vec::new();
+        if let Some(plan) = plan {
+            for addition in &plan.additions {
+                pending[addition.site.index()].push(PendingFetch {
+                    object: addition.object.index(),
+                    source: addition.source.index(),
+                });
+                pending_by_object[addition.object.index()] += 1;
+            }
+            for &(site, object) in &plan.removals {
+                removals_by_object[object.index()].push(site.index());
+            }
+            for (object, removals) in removals_by_object.iter_mut().enumerate() {
+                if pending_by_object[object] == 0 && !removals.is_empty() {
+                    let count = removals.len();
+                    for site in removals.drain(..) {
+                        dir.remove(site, object);
+                        counters.deallocated += 1;
+                    }
+                    events.push(MigEvent::Cutover {
+                        object,
+                        removals: count,
+                    });
+                }
+            }
+        }
+        Self {
+            problem,
+            queues,
+            tuning,
+            dir,
+            version: vec![0u64; m * n],
+            committed: vec![0u64; n],
+            pending,
+            pending_by_object,
+            removals_by_object,
+            events,
+            counters,
+            migration_ntc: 0,
+        }
+    }
+
     fn cost(&self, a: usize, b: usize) -> u64 {
         self.problem.costs().cost(a, b)
     }
@@ -283,24 +465,34 @@ impl Epoch<'_> {
         self.problem.num_objects()
     }
 
-    /// Nearest current holder of `object` as seen from `me`: min link cost,
-    /// site id as the deterministic tie-break.
-    fn nearest_holder(&self, me: usize, object: usize) -> Option<usize> {
-        let n = self.n();
-        (0..self.problem.num_sites())
-            .filter(|&j| self.holds[j * n + object])
-            .min_by_key(|&j| (self.cost(me, j), j))
-    }
-
     /// Current holders other than `me`, cheapest link first — the failover
     /// order for re-sourcing a fetch.
     fn fetch_candidates(&self, me: usize, object: usize) -> Vec<usize> {
-        let n = self.n();
-        let mut holders: Vec<usize> = (0..self.problem.num_sites())
-            .filter(|&j| j != me && self.holds[j * n + object])
+        let mut holders: Vec<usize> = self
+            .dir
+            .holders(object)
+            .iter()
+            .copied()
+            .filter(|&j| j != me)
             .collect();
-        holders.sort_by_key(|&j| (self.cost(me, j), j));
+        holders.sort_unstable_by_key(|&j| (self.cost(me, j), j));
         holders
+    }
+
+    /// The cheapest live holder other than `me` — the first live entry of
+    /// [`Self::fetch_candidates`], found without sorting.
+    fn nearest_live_holder(
+        &self,
+        ctx: &Context<'_, Msg>,
+        me: usize,
+        object: usize,
+    ) -> Option<usize> {
+        self.dir
+            .holders(object)
+            .iter()
+            .copied()
+            .filter(|&j| j != me && ctx.is_up(j))
+            .min_by_key(|&j| (self.cost(me, j), j))
     }
 
     fn commit_write(&mut self, committer: usize, object: usize) -> u64 {
@@ -312,14 +504,21 @@ impl Epoch<'_> {
         version
     }
 
-    /// Primary's update broadcast to every other current holder.
+    /// Primary's update broadcast to every other current holder, in
+    /// ascending site id.
     fn broadcast(&self, ctx: &mut Context<'_, Msg>, object: usize, version: u64) {
-        let n = self.n();
         let size = self.problem.object_size(ObjectId::new(object));
         let me = ctx.node_id();
-        for j in 0..self.problem.num_sites() {
-            if j != me && self.holds[j * n + object] {
-                ctx.send(j, size, Msg::Update { object, version });
+        for &j in self.dir.holders(object) {
+            if j != me {
+                ctx.send(
+                    j,
+                    size,
+                    Msg::Update {
+                        object: object as u32,
+                        version,
+                    },
+                );
             }
         }
     }
@@ -337,7 +536,7 @@ impl Epoch<'_> {
                 let version = self.commit_write(me, object);
                 self.broadcast(ctx, object, version);
             } else if ctx.is_up(sp) {
-                let size = if self.holds[me * n + object] {
+                let size = if self.dir.holds(me, object) {
                     0
                 } else {
                     self.problem.object_size(k)
@@ -350,7 +549,7 @@ impl Epoch<'_> {
                 self.retry_later(ctx, index, sp, attempt);
             }
         } else {
-            match self.nearest_holder(me, object) {
+            match self.dir.nearest(me, object) {
                 Some(j) if j == me => {
                     self.counters.requests.reads_served += 1;
                     if self.version[me * n + object] < self.committed[object] {
@@ -362,11 +561,7 @@ impl Epoch<'_> {
                     if attempt == 0 {
                         self.counters.requests.reads_failed_over += 1;
                     }
-                    let live = self
-                        .fetch_candidates(me, object)
-                        .into_iter()
-                        .find(|&c| ctx.is_up(c));
-                    match live {
+                    match self.nearest_live_holder(ctx, me, object) {
                         Some(c) => ctx.send(c, 0, Msg::ReadReq { object }),
                         None => self.retry_later(ctx, index, j, attempt),
                     }
@@ -397,7 +592,7 @@ impl Epoch<'_> {
     fn install(&mut self, me: usize, object: usize, version: u64) {
         let n = self.n();
         self.pending[me].retain(|p| p.object != object);
-        self.holds[me * n + object] = true;
+        self.dir.add(me, object);
         let slot = &mut self.version[me * n + object];
         *slot = (*slot).max(version);
         let installed_version = *slot;
@@ -412,7 +607,7 @@ impl Epoch<'_> {
             let removals = std::mem::take(&mut self.removals_by_object[object]);
             let count = removals.len();
             for site in removals {
-                self.holds[site * n + object] = false;
+                self.dir.remove(site, object);
                 self.counters.deallocated += 1;
             }
             self.events.push(MigEvent::Cutover {
@@ -514,7 +709,7 @@ impl Node<Msg> for Epoch<'_> {
                 self.broadcast(ctx, object, version);
             }
             Msg::Update { object, version } => {
-                let slot = &mut self.version[me * n + object];
+                let slot = &mut self.version[me * n + object as usize];
                 *slot = (*slot).max(version);
             }
             Msg::FetchReq { object } => {
@@ -524,9 +719,17 @@ impl Node<Msg> for Epoch<'_> {
                 let size = self.problem.object_size(ObjectId::new(object));
                 self.migration_ntc += size * self.cost(me, msg.src);
                 let version = self.version[me * n + object];
-                ctx.send(msg.src, size, Msg::FetchData { object, version });
+                ctx.send(
+                    msg.src,
+                    size,
+                    Msg::FetchData {
+                        object: object as u32,
+                        version,
+                    },
+                );
             }
             Msg::FetchData { object, version } => {
+                let object = object as usize;
                 if self.pending[me].iter().any(|p| p.object == object) {
                     self.install(me, object, version);
                 }
@@ -593,61 +796,16 @@ pub(crate) fn run_epoch(
         scratch.reset(m);
     }
 
-    // Directory bootstrap: current holders, plus the migration plan staged
-    // as pending fetches. Objects with removals but no additions cut over
-    // immediately (there is nothing to wait for).
-    let mut holds = vec![false; m * n];
-    for k in problem.objects() {
-        for i in problem.sites() {
-            holds[i.index() * n + k.index()] = spec.scheme.holds(i, k);
-        }
-    }
-    let mut pending: Vec<Vec<PendingFetch>> = vec![Vec::new(); m];
-    let mut pending_by_object = vec![0usize; n];
-    let mut removals_by_object: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut events: Vec<MigEvent> = Vec::new();
-    if let Some(plan) = spec.plan {
-        for addition in &plan.additions {
-            pending[addition.site.index()].push(PendingFetch {
-                object: addition.object.index(),
-                source: addition.source.index(),
-            });
-            pending_by_object[addition.object.index()] += 1;
-        }
-        for &(site, object) in &plan.removals {
-            removals_by_object[object.index()].push(site.index());
-        }
-        for (object, removals) in removals_by_object.iter_mut().enumerate() {
-            if pending_by_object[object] == 0 && !removals.is_empty() {
-                let count = removals.len();
-                for site in removals.drain(..) {
-                    holds[site * n + object] = false;
-                    counters.deallocated += 1;
-                }
-                events.push(MigEvent::Cutover {
-                    object,
-                    removals: count,
-                });
-            }
-        }
-    }
-
     let mut sim = Simulator::new(
         problem.costs(),
-        Epoch {
+        Epoch::new(
             problem,
-            queues: &scratch.queues,
-            tuning: spec.tuning,
-            holds,
-            version: vec![0u64; m * n],
-            committed: vec![0u64; n],
-            pending,
-            pending_by_object,
-            removals_by_object,
-            events,
+            spec.scheme,
+            spec.plan,
+            &scratch.queues,
+            spec.tuning,
             counters,
-            migration_ntc: 0,
-        },
+        ),
     );
     sim.set_recorder(Arc::clone(&recorder));
     if let Some(plan) = spec.faults.clone() {
@@ -669,7 +827,7 @@ pub(crate) fn run_epoch(
         );
         recorder.add_counter("serve.writes_queued", counters.requests.writes_queued);
     }
-    let mut holds = state.holds;
+    let mut holds = state.dir.holds;
     let scheme = match ReplicationScheme::from_fn(problem, |i, k| holds[i.index() * n + k.index()])
     {
         Ok(scheme) => scheme,
@@ -707,4 +865,157 @@ pub(crate) fn run_epoch(
         sim_events,
         completion_time,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use drp_core::migration::plan_migration;
+    use drp_core::{ObjectId, SiteId};
+    use drp_workload::WorkloadSpec;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    #[test]
+    fn msg_stays_compact() {
+        assert_eq!(std::mem::size_of::<Msg>(), 16);
+    }
+
+    /// The O(M) oracle: every site scanned in id order.
+    fn scan_holders(dir: &Directory<'_>, object: usize) -> Vec<usize> {
+        (0..dir.m).filter(|&j| dir.holds(j, object)).collect()
+    }
+
+    /// The O(M) oracle for the nearest holder, tie-broken by site id.
+    fn scan_nearest(dir: &Directory<'_>, site: usize, object: usize) -> Option<usize> {
+        (0..dir.m)
+            .filter(|&j| dir.holds(j, object))
+            .min_by_key(|&j| (dir.costs.cost(site, j), j))
+    }
+
+    fn assert_matches_scan(dir: &Directory<'_>) {
+        for object in 0..dir.n {
+            assert_eq!(dir.holders(object), scan_holders(dir, object));
+            for site in 0..dir.m {
+                assert_eq!(
+                    dir.nearest(site, object),
+                    scan_nearest(dir, site, object),
+                    "object {object} seen from site {site}"
+                );
+            }
+        }
+    }
+
+    /// The epoch protocol with the directory checked against the scan
+    /// after every callback that installed a replica or cut an object
+    /// over.
+    struct Checked<'a> {
+        epoch: Epoch<'a>,
+        checks: usize,
+    }
+
+    impl Checked<'_> {
+        fn check_if_changed(&mut self, installed: usize, deallocated: usize) {
+            let counters = &self.epoch.counters;
+            if counters.installed != installed || counters.deallocated != deallocated {
+                assert_matches_scan(&self.epoch.dir);
+                self.checks += 1;
+            }
+        }
+    }
+
+    impl Node<Msg> for Checked<'_> {
+        fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
+            self.epoch.on_start(ctx);
+        }
+
+        fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, payload: Msg) {
+            let before = (
+                self.epoch.counters.installed,
+                self.epoch.counters.deallocated,
+            );
+            self.epoch.on_timer(ctx, payload);
+            self.check_if_changed(before.0, before.1);
+        }
+
+        fn on_message(&mut self, ctx: &mut Context<'_, Msg>, msg: Message<Msg>) {
+            let before = (
+                self.epoch.counters.installed,
+                self.epoch.counters.deallocated,
+            );
+            self.epoch.on_message(ctx, msg);
+            self.check_if_changed(before.0, before.1);
+        }
+    }
+
+    /// The primaries plus replicas at random, as capacity allows.
+    fn random_scheme(problem: &Problem, rng: &mut StdRng, tries: usize) -> ReplicationScheme {
+        let mut scheme = ReplicationScheme::primary_only(problem);
+        for _ in 0..tries {
+            let site = SiteId::new(rng.random_range(0..problem.num_sites()));
+            let object = ObjectId::new(rng.random_range(0..problem.num_objects()));
+            if !scheme.holds(site, object) {
+                let _ = scheme.add_replica(problem, site, object);
+            }
+        }
+        scheme
+    }
+
+    /// Random migration plans under crash windows, drops and jitter, with
+    /// serving traffic: after every install and cutover the cached holder
+    /// lists and nearest holders equal a brute-force scan of the
+    /// directory.
+    #[test]
+    fn directory_cache_matches_scan_through_migration() {
+        let mut checks = 0;
+        for seed in 0..24u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let m = rng.random_range(5..14);
+            let n = rng.random_range(3..9);
+            let problem = WorkloadSpec::paper(m, n, 8.0, 30.0)
+                .generate(&mut rng)
+                .unwrap();
+            let old = random_scheme(&problem, &mut rng, m * n / 2);
+            let new = random_scheme(&problem, &mut rng, m * n / 2);
+            let plan = plan_migration(&problem, &old, &new).unwrap();
+            let queues: Vec<Vec<(u64, usize, bool)>> = (0..m)
+                .map(|_| {
+                    (0..rng.random_range(0..30))
+                        .map(|_| {
+                            (
+                                rng.random_range(0..400),
+                                rng.random_range(0..n),
+                                rng.random_bool(0.3),
+                            )
+                        })
+                        .collect()
+                })
+                .collect();
+            let mut faults = FaultPlan::new(seed)
+                .drop_probability(0.05)
+                .jitter(rng.random_range(0..4));
+            for _ in 0..rng.random_range(0..3) {
+                let site = rng.random_range(0..m);
+                let from: u64 = rng.random_range(0..200);
+                faults = faults.crash(site, from, from + rng.random_range(1..300u64));
+            }
+
+            let epoch = Epoch::new(
+                &problem,
+                &old,
+                Some(&plan),
+                &queues,
+                MigrationTuning::default(),
+                Counters::default(),
+            );
+            assert_matches_scan(&epoch.dir);
+            let mut sim = Simulator::new(problem.costs(), Checked { epoch, checks: 0 });
+            sim.set_fault_plan(faults);
+            sim.run_to_completion().unwrap();
+            let checked = sim.into_handler();
+            assert_matches_scan(&checked.epoch.dir);
+            checks += checked.checks;
+        }
+        assert!(checks >= 24, "only {checks} installs or cutovers checked");
+    }
 }
