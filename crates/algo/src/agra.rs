@@ -14,9 +14,7 @@
 use std::sync::{Arc, Mutex};
 
 use drp_core::telemetry::{self, Recorder};
-use drp_core::{
-    kernels, CoreError, NarrowMirror, ObjectId, Problem, ReplicationScheme, Result, SiteId,
-};
+use drp_core::{CoreError, NarrowMirror, ObjectId, Problem, ReplicationScheme, Result, SiteId};
 use drp_ga::{ops, BitString, Engine, GaConfig, GaSpec, SamplingSpace, SelectionScheme};
 use rand::{Rng, RngCore};
 
@@ -431,10 +429,12 @@ fn repair_capacity(problem: &Problem, chromosome: &mut BitString, weights: &[f64
     }
 }
 
-/// Thread-local nearest-cost buffers of one micro-GA worker, recycled
-/// across generations through the [`MicroSpec`] arena.
+/// Thread-local buffers of one micro-GA worker, recycled across
+/// generations through the [`MicroSpec`] arena: the chromosome's replica
+/// set and the nearest-cost scratch of the Eq. 4 kernels.
 #[derive(Debug)]
 struct MicroScratch {
+    replicas: Vec<usize>,
     nearest: Vec<u64>,
     nearest32: Vec<u32>,
 }
@@ -442,6 +442,7 @@ struct MicroScratch {
 impl MicroScratch {
     fn new(num_sites: usize) -> Self {
         Self {
+            replicas: Vec::with_capacity(num_sites),
             nearest: vec![u64::MAX; num_sites],
             nearest32: vec![u32::MAX; num_sites],
         }
@@ -507,76 +508,29 @@ impl<'a> MicroSpec<'a> {
             .push(scratch);
     }
 
-    /// `V_k` of a replica set given as an M-bit string (capacity ignored —
-    /// AGRA solves the unconstrained problem and repairs later). `nearest`
-    /// is caller-owned scratch, overwritten on every call.
-    ///
-    /// Streams the contiguous per-object `r_k(·)` / `w_k(·)` rows through
-    /// the shared kernels. Replicators have a zero nearest distance (their
-    /// own cost-row diagonal), so the full-width [`kernels::traffic_scan`]
-    /// only over-charges their write terms, subtracted exactly below —
-    /// bitwise-identical to the per-site branchy sum by `u64`
-    /// distributivity under the instance overflow guard.
-    fn replica_set_cost_with(&self, bits: &BitString, nearest: &mut [u64]) -> u64 {
-        let problem = self.problem;
-        let object = self.object;
-        let sp_row = problem.costs().row(self.primary_bit);
-        let r_row = problem.object_reads(object);
-        let w_row = problem.object_writes(object);
-
-        let mut broadcast = 0u64;
-        let mut replica_writes = 0u64;
-        nearest.fill(u64::MAX);
-        for j in bits.iter_ones() {
-            broadcast += sp_row[j];
-            replica_writes += w_row[j] * sp_row[j];
-            kernels::min_scan(nearest, problem.costs().row(j));
-        }
-        let traffic = kernels::traffic_scan(r_row, w_row, nearest, sp_row);
-        problem.write_volume(object) * broadcast
-            + problem.object_size(object) * (traffic - replica_writes)
-    }
-
-    /// The u32-SoA twin of [`replica_set_cost_with`](Self::replica_set_cost_with):
-    /// same loop, narrow rows, every product widened through `u64::from` —
-    /// the mirror only exists when all values are exact u32 copies, so the
-    /// accumulators match the wide path bit for bit.
-    fn replica_set_cost_narrow(
-        &self,
-        narrow: &NarrowMirror,
-        bits: &BitString,
-        nearest: &mut [u32],
-    ) -> u64 {
-        let problem = self.problem;
-        let object = self.object;
-        let sp_row = narrow.cost_row(self.primary_bit);
-        let r_row = narrow.reads_row(object.index());
-        let w_row = narrow.writes_row(object.index());
-
-        let mut broadcast = 0u64;
-        let mut replica_writes = 0u64;
-        nearest.fill(u32::MAX);
-        for j in bits.iter_ones() {
-            broadcast += u64::from(sp_row[j]);
-            replica_writes += u64::from(w_row[j]) * u64::from(sp_row[j]);
-            kernels::min_scan_u32(nearest, narrow.cost_row(j));
-        }
-        let traffic = kernels::traffic_scan_u32(r_row, w_row, nearest, sp_row);
-        problem.write_volume(object) * broadcast
-            + problem.object_size(object) * (traffic - replica_writes)
-    }
-
     /// The micro-GA fitness `(V′_k − V_k) / V′_k` with the reset rule.
     fn score(&self, chromosome: &mut BitString, scratch: &mut MicroScratch) -> f64 {
         chromosome.set(self.primary_bit, true);
         if self.v_prime == 0 {
             return 0.0;
         }
+        // `V_k` of the chromosome's replica set (capacity ignored — AGRA
+        // solves the unconstrained problem and repairs later), through the
+        // shared Eq. 4 kernel; the u32 mirror gives the same integer.
+        scratch.replicas.clear();
+        scratch.replicas.extend(chromosome.iter_ones());
+        let replicas = &scratch.replicas;
         let v = match &self.narrow {
-            Some(narrow) => {
-                self.replica_set_cost_narrow(narrow, chromosome, &mut scratch.nearest32)
+            Some(narrow) => narrow.object_cost_from_replicas(
+                self.problem,
+                self.object,
+                replicas,
+                &mut scratch.nearest32,
+            ),
+            None => {
+                self.problem
+                    .object_cost_from_replicas(self.object, replicas, &mut scratch.nearest)
             }
-            None => self.replica_set_cost_with(chromosome, &mut scratch.nearest),
         };
         let fitness = (self.v_prime as f64 - v as f64) / self.v_prime as f64;
         if fitness < 0.0 {

@@ -79,16 +79,5 @@ fn bench_evaluator(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_replay(c: &mut Criterion) {
-    let mut group = c.benchmark_group("simulator_replay");
-    group.sample_size(20);
-    let problem = instance(15, 30, 5.0);
-    let scheme = Sra::new().solve(&problem, &mut rng()).unwrap();
-    group.bench_function("replay_15x30", |b| {
-        b.iter(|| drp_core::replay::replay_total_cost(&problem, &scheme).unwrap())
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_cost_model, bench_evaluator, bench_replay);
+criterion_group!(benches, bench_cost_model, bench_evaluator);
 criterion_main!(benches);

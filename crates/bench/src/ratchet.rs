@@ -19,7 +19,11 @@
 //!   `true` in the reference must stay `true`;
 //! * **fingerprints and costs** are identity: they key the sample, so a
 //!   drifted fingerprint surfaces as a *missing sample* — the loudest
-//!   possible failure, because it means determinism broke.
+//!   possible failure, because it means determinism broke;
+//! * **spreads** must agree with their metric, in the reference and the
+//!   current artifact alike: a sample carrying `X` beside its `_min`/`_max`
+//!   siblings (`incremental_flip_ns` with `incremental_flip_min_ns` and
+//!   `incremental_flip_max_ns`) fails when `X` lies outside `[min, max]`.
 //!
 //! Intentional changes (new config, faster-but-different algorithm) are
 //! recorded by re-blessing: `--bless` copies the current artifacts over
@@ -361,6 +365,53 @@ fn check_metric(
     }
 }
 
+/// Checks one artifact against its own spreads: every sample field `X`
+/// whose `_min`/`_max` siblings also exist (the sibling name with its
+/// `_min` or `_max` infix dropped is `X`) must lie within `[min, max]`.
+/// `side` names the artifact in the rendered violations.
+pub fn spread_violations(report: &Value, side: &str) -> Vec<Violation> {
+    let bench = match report.get("bench") {
+        Some(Value::Str(s)) => s.as_str(),
+        _ => "<unnamed>",
+    };
+    let mut violations = Vec::new();
+    let Some(Value::Arr(samples)) = report.get("samples") else {
+        return violations;
+    };
+    for sample in samples {
+        let Value::Obj(fields) = sample else {
+            continue;
+        };
+        for (min_name, min_value) in fields {
+            // The infix is `_min` at the end of the name or before `_`.
+            let Some(at) = min_name
+                .match_indices("_min")
+                .map(|(at, _)| at)
+                .find(|&at| matches!(min_name.as_bytes().get(at + 4), None | Some(b'_')))
+            else {
+                continue;
+            };
+            let name = format!("{}{}", &min_name[..at], &min_name[at + 4..]);
+            let max_name = format!("{}_max{}", &min_name[..at], &min_name[at + 4..]);
+            let (Some(x), Some(lo), Some(hi)) = (
+                sample.get(&name).and_then(Value::as_f64),
+                min_value.as_f64(),
+                sample.get(&max_name).and_then(Value::as_f64),
+            ) else {
+                continue;
+            };
+            if !(lo..=hi).contains(&x) {
+                violations.push(format!(
+                    "{bench} ({side}) [{}]: {name} = {x} lies outside its own \
+                     spread [{lo}, {hi}]",
+                    identity_key(sample)
+                ));
+            }
+        }
+    }
+    violations
+}
+
 /// Compares one current report against its reference. Returns every
 /// violation found (empty = ratchet holds).
 pub fn compare_reports(reference: &Value, current: &Value, tol: &Tolerance) -> Vec<Violation> {
@@ -374,6 +425,8 @@ pub fn compare_reports(reference: &Value, current: &Value, tol: &Tolerance) -> V
         violations.push(format!("{bench}: bench name differs between the artifacts"));
         return violations;
     }
+    violations.extend(spread_violations(reference, "reference"));
+    violations.extend(spread_violations(current, "current"));
 
     // Identity config fields must match exactly: a changed configuration
     // invalidates every timing comparison, so it requires a bless, not a
@@ -737,6 +790,46 @@ mod tests {
         assert!(
             violations.iter().any(|v| v.contains("gra_noop_ms")),
             "{violations:?}"
+        );
+    }
+
+    #[test]
+    fn metric_outside_its_own_spread_fails() {
+        let artifact = |x: f64| {
+            let mut report = Report::new(
+                "demo",
+                Fields::new().text("unit", "ns"),
+                Budget::at_least("speedup", 1.5, 2.0),
+            );
+            report.sample(
+                Fields::new()
+                    .int("sites", 10)
+                    .float("flip_ns", x, 1)
+                    .float("flip_min_ns", 100.0, 1)
+                    .float("flip_max_ns", 120.0, 1)
+                    .float("ns_per_req", 900.0, 1)
+                    .float("ns_per_req_min", 300.0, 1),
+            );
+            parse(&report.render()).unwrap()
+        };
+        // In range, and at either bound: nothing to report. `ns_per_req`
+        // has no `_max` sibling, so it is never checked.
+        for x in [100.0, 110.0, 120.0] {
+            assert!(spread_violations(&artifact(x), "current").is_empty());
+        }
+        for x in [99.0, 121.0] {
+            let violations = spread_violations(&artifact(x), "current");
+            assert_eq!(violations.len(), 1, "{violations:?}");
+            assert!(violations[0].contains("flip_ns") && violations[0].contains("current"));
+        }
+        // The ratchet applies it to both sides, even when they are equal.
+        let bad = artifact(90.0);
+        let violations = compare_reports(&bad, &bad, &Tolerance::default());
+        assert_eq!(violations.len(), 2, "{violations:?}");
+        assert!(violations[0].contains("(reference)"));
+        assert!(violations[1].contains("(current)"));
+        assert!(
+            compare_reports(&artifact(110.0), &artifact(110.0), &Tolerance::default()).is_empty()
         );
     }
 

@@ -24,9 +24,7 @@
 //!   adaptive *deallocation estimator* of Eq. 6
 //!   ([`Problem::replica_value_estimate`]);
 //! * the [`ReplicationAlgorithm`] trait implemented by the solvers in
-//!   `drp-algo`;
-//! * [`replay`] — a discrete-event replay of the read/write pattern that
-//!   reproduces the analytic NTC message by message.
+//!   `drp-algo`.
 //!
 //! # Examples
 //!
@@ -69,7 +67,6 @@ pub mod migration;
 pub mod narrow;
 pub mod pool;
 mod problem;
-pub mod replay;
 mod scheme;
 mod sparse;
 pub mod telemetry;

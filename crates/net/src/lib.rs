@@ -18,9 +18,8 @@
 //!   kernels (all-pairs shortest paths here, population fitness in
 //!   `drp-algo`) share instead of re-spawning scoped threads.
 //! * [`sim`] — a deterministic discrete-event message simulator used to run
-//!   the distributed version of the greedy algorithm and to replay request
-//!   traces against a replication scheme, cross-checking the analytic cost
-//!   model.
+//!   the distributed version of the greedy algorithm and to serve request
+//!   epochs against a replication scheme (`drp-serve`'s epoch engine).
 //!
 //! # Examples
 //!

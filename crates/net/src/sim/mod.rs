@@ -28,17 +28,14 @@
 //! `(at, seq)` of the two heads, so the dispatch order is exactly the one
 //! a single heap over every event would give.
 //!
-//! Four consumers live elsewhere in the workspace:
+//! Two consumers live elsewhere in the workspace:
 //!
-//! * `drp-core`'s `replay` replays read/write patterns against a
-//!   replication scheme and checks the measured NTC equals the analytic
-//!   Eq. 4 value;
-//! * `drp-workload`'s `trace::simulate` drives a timestamped request trace
-//!   the same way, request by request;
 //! * `drp-algo` runs the paper's *distributed* SRA (leader, token passing,
 //!   replication broadcasts) on top of it;
 //! * `drp-serve`'s epoch engine serves each epoch's admitted requests,
-//!   with read failover, write queueing and live migration.
+//!   with read failover, write queueing and live migration. On a clean
+//!   epoch (no faults, no migration) its measured NTC equals the analytic
+//!   Eq. 4 value.
 //!
 //! [`CostMatrix`]: crate::CostMatrix
 //!

@@ -1200,7 +1200,7 @@ mod tests {
     use super::*;
     use drp_algo::GraConfig;
     use drp_core::telemetry::InMemoryRecorder;
-    use drp_workload::{trace, WorkloadSpec};
+    use drp_workload::WorkloadSpec;
 
     fn monitor_config() -> MonitorConfig {
         MonitorConfig {
@@ -1285,23 +1285,40 @@ mod tests {
         };
         let report = run_service(&problem, &config).unwrap();
 
-        // Replay the same window offline: identical scheme, identical
-        // timestamps, so the epoch's serving NTC must match data-unit for
-        // data-unit (and nothing may have been billed to migration).
+        // Replay the same window offline as a standalone epoch: the same
+        // bootstrap scheme and the same request stream, so the serving
+        // NTC must match data-unit for data-unit (and nothing may have
+        // been billed to migration).
         let mut boot = StdRng::seed_from_u64(mix(&[config.seed, TAG_BOOT]));
         let scheme = ReplicationMonitor::bootstrap(problem.clone(), monitor_config(), &mut boot)
             .unwrap()
             .scheme()
             .clone();
-        let mut trace_rng = StdRng::seed_from_u64(mix(&[config.seed, TAG_TRACE, 0]));
-        let requests = trace::expand(&problem, config.period, &mut trace_rng);
-        let offline = trace::simulate(&problem, &scheme, &requests).unwrap();
+        let offline = execute_migration(
+            &problem,
+            &scheme,
+            &MigrationPlan::default(),
+            None,
+            config.tuning,
+            Some(EpochTraffic {
+                period: config.period,
+                seed: mix(&[config.seed, TAG_TRACE, 0]),
+            }),
+            telemetry::noop(),
+        )
+        .unwrap();
 
         let e = &report.epochs[0];
-        assert_eq!(e.serving_ntc, offline.transfer_cost);
+        assert_eq!(e.serving_ntc, problem.total_cost(&scheme));
+        assert_eq!(e.serving_ntc, offline.sim.transfer_cost);
         assert_eq!(e.completion_time, offline.completion_time);
+        // Nothing is shed without an admission limit, so everything
+        // offered was issued.
+        assert_eq!(
+            e.offered,
+            offline.requests.reads_issued + offline.requests.writes_issued
+        );
         assert_eq!(e.migration_ntc, 0);
-        assert_eq!(e.offered, requests.len() as u64);
         assert_eq!(e.shed, 0);
         assert_eq!(e.reads_lost, 0);
         assert_eq!(e.writes_lost, 0);

@@ -19,7 +19,7 @@
 //! our own Box–Muller to avoid an extra dependency).
 //!
 //! Extensions beyond the paper: [`zipf`] read skew (web-like popularity) and
-//! [`trace`] timed request traces for the discrete-event simulator.
+//! [`trace`] timed request streams for the serve epoch engine.
 //!
 //! # Examples
 //!

@@ -1,12 +1,19 @@
 //! Property-based validation of the Eq. 4 cost model against both the
-//! discrete-event simulator and brute-force recomputation.
+//! serve epoch engine on the discrete-event simulator and brute-force
+//! recomputation.
 
-use drp::core::replay::replay_total_cost;
+use drp::core::migration::MigrationPlan;
+use drp::core::telemetry;
 use drp::core::CostEvaluator;
+use drp::serve::{execute_migration, EpochTraffic, MigrationOutcome, MigrationTuning};
+use drp::workload::trace::{self, RequestKind};
 use drp::{ObjectId, Problem, ReplicationScheme, SiteId, WorkloadSpec};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// Simulated time units one served period spreads its requests over.
+const PERIOD: u64 = 200;
 
 /// A random instance plus a random valid scheme, driven by proptest seeds.
 fn instance_and_scheme(seed: u64, fill: usize) -> (Problem, ReplicationScheme) {
@@ -28,14 +35,110 @@ fn instance_and_scheme(seed: u64, fill: usize) -> (Problem, ReplicationScheme) {
     (problem, scheme)
 }
 
+/// An instance of the same shape with room for every object at every site
+/// (capacities of at least the total object size), fully replicated.
+fn full_replication(seed: u64) -> (Problem, ReplicationScheme) {
+    let problem = WorkloadSpec::paper(6, 8, 10.0, 200.0)
+        .generate(&mut StdRng::seed_from_u64(seed))
+        .unwrap();
+    let scheme = ReplicationScheme::from_fn(&problem, |_, _| true).unwrap();
+    (problem, scheme)
+}
+
+/// One clean epoch of the serve engine: no migration, no faults, one
+/// period of the pattern's requests timestamped from the stream `seed`.
+fn clean_epoch(problem: &Problem, scheme: &ReplicationScheme, seed: u64) -> MigrationOutcome {
+    execute_migration(
+        problem,
+        scheme,
+        &MigrationPlan::default(),
+        None,
+        MigrationTuning::default(),
+        Some(EpochTraffic {
+            period: PERIOD,
+            seed,
+        }),
+        telemetry::noop(),
+    )
+    .unwrap()
+}
+
+/// What the Eq. 4 policy sends for the same request stream, in closed
+/// form: a remote read is a control request plus `o_k` units back, a write
+/// from `i != SP_k` ships to the primary (`o_k` units unless `i` holds a
+/// replica), and the primary sends every other replicator one `o_k`
+/// update.
+#[derive(Default)]
+struct Expected {
+    requests: u64,
+    messages: u64,
+    data_units: u64,
+    completion_time: u64,
+}
+
+fn expected(problem: &Problem, scheme: &ReplicationScheme, seed: u64) -> Expected {
+    let cost = |a: SiteId, b: SiteId| problem.costs().cost(a.index(), b.index());
+    let mut e = Expected::default();
+    let mut rng = StdRng::seed_from_u64(seed);
+    for r in trace::stream(problem, PERIOD, &mut rng) {
+        let (i, k) = (r.site, r.object);
+        let o = problem.object_size(k);
+        e.requests += 1;
+        let mut done = r.time;
+        match r.kind {
+            RequestKind::Read => {
+                let (sn, c) = scheme.nearest_replica(problem, i, k);
+                if sn != i {
+                    e.messages += 2;
+                    e.data_units += o;
+                    done += 2 * c;
+                }
+            }
+            RequestKind::Write => {
+                let sp = problem.primary(k);
+                if i != sp {
+                    e.messages += 1;
+                    if !scheme.holds(i, k) {
+                        e.data_units += o;
+                    }
+                    done += cost(i, sp);
+                }
+                let arrival = done;
+                for j in scheme.replicators(k).filter(|&j| j != sp) {
+                    e.messages += 1;
+                    e.data_units += o;
+                    done = done.max(arrival + cost(sp, j));
+                }
+            }
+        }
+        e.completion_time = e.completion_time.max(done);
+    }
+    e
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
     fn simulator_replay_equals_analytic_cost(seed in 0u64..10_000, fill in 0usize..30) {
-        let (problem, scheme) = instance_and_scheme(seed, fill);
-        prop_assert_eq!(replay_total_cost(&problem, &scheme).unwrap(),
-                        problem.total_cost(&scheme));
+        // Every case covers primary-only, a random fill and full
+        // replication: the edge schemes are where a lost or extra update
+        // and a mis-sized replicator write ship show up.
+        for (problem, scheme) in [
+            instance_and_scheme(seed, 0),
+            instance_and_scheme(seed, fill),
+            full_replication(seed),
+        ] {
+            let epoch = clean_epoch(&problem, &scheme, seed);
+            let want = expected(&problem, &scheme, seed);
+            prop_assert_eq!(epoch.sim.transfer_cost, problem.total_cost(&scheme));
+            prop_assert_eq!(epoch.sim.messages, want.messages);
+            prop_assert_eq!(epoch.sim.data_units, want.data_units);
+            prop_assert_eq!(epoch.completion_time, want.completion_time);
+            prop_assert_eq!(epoch.sim.timers, want.requests);
+            prop_assert_eq!(epoch.sim_events, epoch.sim.messages + epoch.sim.timers);
+            prop_assert_eq!(epoch.migration_ntc, 0);
+        }
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! End-to-end pipeline tests spanning every crate: workload generation →
-//! placement algorithms → cost model → simulator cross-check.
+//! placement algorithms → cost model → serve epoch engine cross-check.
 
 use drp::baselines::{HillClimb, PrimaryOnly, RandomFill};
-use drp::core::replay::replay_total_cost;
+use drp::core::migration::MigrationPlan;
+use drp::core::telemetry;
 use drp::distributed::distributed_sra;
+use drp::serve::{execute_migration, EpochTraffic, MigrationTuning};
 use drp::workload::TopologyKind;
 use drp::{Gra, GraConfig, ReplicationAlgorithm, Sra, WorkloadSpec};
 use rand::rngs::StdRng;
@@ -40,11 +42,24 @@ fn full_pipeline_on_paper_workload() {
             "{}",
             solver.name()
         );
-        // The simulator measures exactly the analytic NTC.
+        // One clean served epoch measures exactly the analytic NTC.
+        let epoch = execute_migration(
+            &problem,
+            &scheme,
+            &MigrationPlan::default(),
+            None,
+            MigrationTuning::default(),
+            Some(EpochTraffic {
+                period: 100,
+                seed: 2,
+            }),
+            telemetry::noop(),
+        )
+        .unwrap();
         assert_eq!(
-            replay_total_cost(&problem, &scheme).unwrap(),
+            epoch.sim.transfer_cost,
             report.cost,
-            "{} scheme disagrees with the simulator",
+            "{} scheme disagrees with the serve epoch engine",
             solver.name()
         );
     }
