@@ -94,7 +94,7 @@ fn ingest_hash(scratch: &IngestScratch, outcome: &drp_serve::IngestOutcome) -> u
         eat(queue.len() as u64);
         for &(time, object, write) in queue {
             eat(time);
-            eat(object as u64);
+            eat(u64::from(object));
             eat(u64::from(write));
         }
     }

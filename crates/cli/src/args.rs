@@ -179,6 +179,8 @@ pub enum Command {
         admission_limit: u64,
         /// Ingestion worker threads (0 = auto from `DRP_THREADS`/cores).
         threads: usize,
+        /// Replica-degree floor every installed scheme is topped up to.
+        min_degree: usize,
         /// Pattern drift as `(change%, objects%, read share)`.
         drift: Option<(f64, f64, f64)>,
         /// Named workload scenario (mutually exclusive with drift/faults).
@@ -489,6 +491,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             let mut night_every = 0usize;
             let mut admission_limit = 0u64;
             let mut threads = 0usize;
+            let mut min_degree = drp_serve::ServeConfig::default().min_degree;
             let mut drift = None;
             let mut scenario = None;
             let mut oracle = false;
@@ -513,6 +516,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                         admission_limit = parse_num(stream.next_value(flag)?, flag)?;
                     }
                     "--threads" => threads = parse_num(stream.next_value(flag)?, flag)?,
+                    "--min-degree" => min_degree = parse_num(stream.next_value(flag)?, flag)?,
                     "--drift" => drift = Some(parse_drift(stream.next_value(flag)?)?),
                     "--scenario" => scenario = Some(parse_scenario(stream.next_value(flag)?)?),
                     "--oracle" => {
@@ -581,6 +585,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 night_every,
                 admission_limit,
                 threads,
+                min_degree,
                 drift,
                 scenario,
                 oracle,
@@ -808,6 +813,23 @@ mod tests {
         }
         assert!(parse(&argv("serve --instance net.drp --threads")).is_err());
         assert!(parse(&argv("serve --instance net.drp --threads x")).is_err());
+    }
+
+    #[test]
+    fn parses_serve_min_degree_round_trip() {
+        match parse(&argv("serve --instance net.drp --min-degree 3")).unwrap() {
+            Command::Serve { min_degree, .. } => assert_eq!(min_degree, 3),
+            other => panic!("wrong command: {other:?}"),
+        }
+        // Omitted flag means the service's default floor: no top-up.
+        match parse(&argv("serve --instance net.drp")).unwrap() {
+            Command::Serve { min_degree, .. } => {
+                assert_eq!(min_degree, drp_serve::ServeConfig::default().min_degree);
+            }
+            other => panic!("wrong command: {other:?}"),
+        }
+        assert!(parse(&argv("serve --instance net.drp --min-degree")).is_err());
+        assert!(parse(&argv("serve --instance net.drp --min-degree -1")).is_err());
     }
 
     #[test]

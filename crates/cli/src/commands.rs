@@ -416,6 +416,7 @@ pub fn run_command(command: Command) -> Result<String, CliError> {
             night_every,
             admission_limit,
             threads,
+            min_degree,
             drift,
             scenario,
             oracle,
@@ -459,6 +460,7 @@ pub fn run_command(command: Command) -> Result<String, CliError> {
                 night_every,
                 admission_limit,
                 threads,
+                min_degree,
                 drift: drift.map(
                     |(change_percent, objects_percent, read_share)| PatternChange {
                         change_percent,
@@ -1092,6 +1094,81 @@ sim: events=4085 messages=2376 data-units=30958 transfer-cost=87992
         assert!(resumed.contains("recovered from"), "{resumed}");
         assert!(resumed.contains("resumed at epoch 2"), "{resumed}");
         assert_eq!(fp(&plain), fp(&resumed));
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// `--min-degree` reaches the service: every epoch's realized
+    /// directory and every boundary target, as the WAL journals them, hold
+    /// each object at the floor wherever capacity allows (topping up adds
+    /// nothing), while the bare run's do not; the default floor leaves the
+    /// run as it was.
+    #[test]
+    fn serve_min_degree_floors_every_epoch_scheme() {
+        use drp_algo::fault_tolerance::ensure_min_degree;
+        use drp_core::format::{read_instance, read_scheme};
+        use drp_serve::wal::{decode_stream, WalRecord};
+        use drp_serve::{FileWalStore, WalStore};
+
+        let dir = tempdir("serve_floor");
+        let net = dir.join("net.drp");
+        // Write-heavy, so the solvers leave objects below the floor with
+        // room to spare.
+        run(&argv(&format!(
+            "generate --sites 6 --objects 8 --capacity 60 --update 40 --seed 9 -o {}",
+            net.display()
+        )))
+        .unwrap();
+        let problem = read_instance(&std::fs::read_to_string(&net).unwrap()).unwrap();
+        // Journals `serve` with `extra` flags and returns, per journaled
+        // scheme (realized directories and targets), how many replicas
+        // topping it up to `degree` adds.
+        let top_ups = |serve: &str, extra: &str, degree: usize| -> Vec<usize> {
+            let wal = dir.join("wal");
+            let _ = std::fs::remove_dir_all(&wal);
+            run(&argv(&format!(
+                "{serve} {extra} --wal-dir {} --checkpoint-every 100",
+                wal.display()
+            )))
+            .unwrap();
+            let log = FileWalStore::open(&wal).unwrap().load().unwrap();
+            decode_stream(&log)
+                .records
+                .into_iter()
+                .filter_map(|record| match record {
+                    WalRecord::EpochEnd { realized, .. } => Some(realized),
+                    WalRecord::Retune { target, .. } => Some(target),
+                    _ => None,
+                })
+                .map(|text| {
+                    let mut scheme =
+                        read_scheme(std::str::from_utf8(&text).unwrap(), &problem).unwrap();
+                    ensure_min_degree(&problem, &mut scheme, degree)
+                        .unwrap()
+                        .added
+                })
+                .collect()
+        };
+        for (policy, degree) in [("monitor", 3usize), ("static", 2)] {
+            let serve = format!(
+                "serve --instance {} --policy {policy} --epochs 3 --period 128 --seed 9 \
+                 --drift 500:40:0.9 --night-every 2",
+                net.display()
+            );
+            let bare = run(&argv(&serve)).unwrap();
+            assert_eq!(
+                bare,
+                run(&argv(&format!("{serve} --min-degree 1"))).unwrap()
+            );
+
+            let floored = top_ups(&serve, &format!("--min-degree {degree}"), degree);
+            assert_eq!(floored, vec![0; 6], "{policy}: a scheme below the floor");
+            let unfloored = top_ups(&serve, "", degree);
+            assert_eq!(unfloored.len(), 6);
+            assert!(
+                unfloored.iter().any(|&added| added > 0),
+                "{policy}: the bare run already meets the floor"
+            );
+        }
         let _ = std::fs::remove_dir_all(dir);
     }
 }

@@ -40,7 +40,7 @@ usage:
   drp serve    --instance FILE
                [--policy static|monitor|predictive-ewma|predictive-regression]
                [--epochs N] [--period T] [--seed N] [--night-every K]
-               [--admission-limit N] [--threads N]
+               [--admission-limit N] [--threads N] [--min-degree D]
                [--drift CHANGE%:OBJECTS%:READSHARE | --scenario NAME
                 | --crash SITE@FROM..UNTIL... --drop P --jitter J]
                [--oracle] [--report-out FILE] [--trace-out FILE]

@@ -1,15 +1,14 @@
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
 /// Simulated time, in abstract cost units.
 pub type Time = u64;
 
-/// A scheduled occurrence inside the engine.
+/// A scheduled occurrence inside the engine, as [`EventQueue::pop`] hands
+/// it out.
 #[derive(Debug)]
 pub(crate) struct Scheduled<P> {
     pub at: Time,
-    /// Monotonic tie-breaker preserving send order.
-    pub seq: u64,
     pub kind: EventKind<P>,
 }
 
@@ -33,14 +32,22 @@ pub(crate) enum EventKind<P> {
 /// request) collect in `run`, a vector of compact entries that the first
 /// pop sorts once and then drains from the back. Everything else — sends,
 /// crash/recover transitions and every push after the first pop — goes to
-/// the binary heap. `pop` takes the smaller `(at, seq)` of the two heads;
-/// `seq` is unique, so the popped sequence is exactly the one a single
-/// heap over every push would give.
+/// the calendar: one FIFO bucket per pending time, buckets in ascending
+/// time (Brown, "Calendar queues", CACM 1988, with one bucket per time).
+/// `seq` rises with every push, so a bucket's FIFO order *is* its `(at,
+/// seq)` order and the calendar's head is its front bucket's front. Event
+/// times are small integers (link costs and timer delays), so few times
+/// are pending at once: a push binary-searches those few buckets and a
+/// pop is O(1). A bucket is dropped, storage and all, when it empties.
+/// `pop` takes the smaller `(at, seq)` of the two heads; `seq` is unique,
+/// so the popped sequence is exactly the one a single binary heap over
+/// every push would give.
 ///
 /// [`pop`]: Self::pop
 #[derive(Debug)]
 pub(crate) struct EventQueue<P> {
-    heap: BinaryHeap<Reverse<Entry<P>>>,
+    /// Pending times in ascending order, none of them empty.
+    calendar: VecDeque<Bucket<P>>,
     /// Start-phase timers; sorted descending by `(at, seq)` once sealed.
     run: Vec<StartTimer<P>>,
     /// Set by the first pop: the run is sorted and takes no more pushes.
@@ -48,39 +55,28 @@ pub(crate) struct EventQueue<P> {
     next_seq: u64,
 }
 
-/// A start-phase timer: the `Timer` event without the enum around it.
+/// The calendar's events due at one time, in push order.
+#[derive(Debug)]
+struct Bucket<P> {
+    at: Time,
+    events: VecDeque<(u64, EventKind<P>)>,
+}
+
+/// A start-phase timer: the `Timer` event without the enum around it,
+/// with `seq` and `node` narrowed to 32 bits. A timer whose `seq` or
+/// `node` does not fit goes to the calendar instead.
 #[derive(Debug)]
 struct StartTimer<P> {
     at: Time,
-    seq: u64,
-    node: usize,
+    seq: u32,
+    node: u32,
     payload: P,
-}
-
-#[derive(Debug)]
-struct Entry<P>(Scheduled<P>);
-
-impl<P> PartialEq for Entry<P> {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.at == other.0.at && self.0.seq == other.0.seq
-    }
-}
-impl<P> Eq for Entry<P> {}
-impl<P> PartialOrd for Entry<P> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<P> Ord for Entry<P> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.0.at, self.0.seq).cmp(&(other.0.at, other.0.seq))
-    }
 }
 
 impl<P> EventQueue<P> {
     pub fn new() -> Self {
         Self {
-            heap: BinaryHeap::new(),
+            calendar: VecDeque::new(),
             run: Vec::new(),
             sealed: false,
             next_seq: 0,
@@ -90,14 +86,33 @@ impl<P> EventQueue<P> {
     pub fn push(&mut self, at: Time, kind: EventKind<P>) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        match kind {
-            EventKind::Timer { node, payload } if !self.sealed => self.run.push(StartTimer {
-                at,
-                seq,
-                node,
-                payload,
-            }),
-            kind => self.heap.push(Reverse(Entry(Scheduled { at, seq, kind }))),
+        let kind = match kind {
+            EventKind::Timer { node, payload } if !self.sealed => {
+                match (u32::try_from(seq), u32::try_from(node)) {
+                    (Ok(seq), Ok(node)) => {
+                        self.run.push(StartTimer {
+                            at,
+                            seq,
+                            node,
+                            payload,
+                        });
+                        return;
+                    }
+                    _ => EventKind::Timer { node, payload },
+                }
+            }
+            kind => kind,
+        };
+        let i = self.calendar.partition_point(|b| b.at < at);
+        match self.calendar.get_mut(i) {
+            Some(bucket) if bucket.at == at => bucket.events.push_back((seq, kind)),
+            _ => self.calendar.insert(
+                i,
+                Bucket {
+                    at,
+                    events: VecDeque::from([(seq, kind)]),
+                },
+            ),
         }
     }
 
@@ -107,13 +122,19 @@ impl<P> EventQueue<P> {
             // `(at, seq)` is unique, so the unstable sort is deterministic.
             self.run.sort_unstable_by_key(|t| Reverse((t.at, t.seq)));
         }
-        let run_first = match (self.run.last(), self.heap.peek()) {
-            (Some(t), Some(Reverse(Entry(s)))) => (t.at, t.seq) < (s.at, s.seq),
+        let run_first = match (self.run.last(), self.calendar.front()) {
+            (Some(t), Some(b)) => (t.at, u64::from(t.seq)) < (b.at, b.events[0].0),
             (Some(_), None) => true,
             (None, _) => false,
         };
         if !run_first {
-            return self.heap.pop().map(|Reverse(Entry(s))| s);
+            let bucket = self.calendar.front_mut()?;
+            let at = bucket.at;
+            let (_, kind) = bucket.events.pop_front()?;
+            if bucket.events.is_empty() {
+                self.calendar.pop_front();
+            }
+            return Some(Scheduled { at, kind });
         }
         let t = self.run.pop()?;
         // Hand drained capacity back as the run shrinks: halving at a
@@ -123,16 +144,18 @@ impl<P> EventQueue<P> {
         }
         Some(Scheduled {
             at: t.at,
-            seq: t.seq,
             kind: EventKind::Timer {
-                node: t.node,
+                node: t.node as usize,
                 payload: t.payload,
             },
         })
     }
 
+    /// Events queued; counts the calendar bucket by bucket, so it is for
+    /// diagnostics rather than the event loop.
     pub fn len(&self) -> usize {
-        self.heap.len() + self.run.len()
+        let queued: usize = self.calendar.iter().map(|b| b.events.len()).sum();
+        queued + self.run.len()
     }
 }
 
@@ -141,6 +164,7 @@ mod tests {
     use super::*;
     use crate::sim::Message;
     use proptest::prelude::*;
+    use std::collections::BinaryHeap;
 
     #[test]
     fn pops_in_time_order_with_fifo_ties() {
@@ -177,23 +201,27 @@ mod tests {
     }
 
     /// What a popped event is, flattened for comparison:
-    /// `(at, seq, kind, site, payload)` with kinds 0 arrival, 1 timer,
+    /// `(at, kind, site, payload)` with kinds 0 arrival, 1 timer,
     /// 2 crash, 3 recover.
-    type Flat = (Time, u64, u8, usize, u32);
+    type Flat = (Time, u8, usize, u32);
 
     /// The order the queue must reproduce: one binary heap over every
-    /// push, keyed by `(at, seq)`.
+    /// push, keyed by `(at, seq)` with `seq` counting pushes.
     #[derive(Default)]
     struct Reference {
-        heap: BinaryHeap<Reverse<Flat>>,
+        heap: BinaryHeap<Reverse<(Time, u64, Flat)>>,
         next_seq: u64,
     }
 
     impl Reference {
         fn push(&mut self, at: Time, kind: u8, site: usize, payload: u32) {
             self.heap
-                .push(Reverse((at, self.next_seq, kind, site, payload)));
+                .push(Reverse((at, self.next_seq, (at, kind, site, payload))));
             self.next_seq += 1;
+        }
+
+        fn pop(&mut self) -> Option<Flat> {
+            self.heap.pop().map(|Reverse((_, _, flat))| flat)
         }
     }
 
@@ -226,23 +254,41 @@ mod tests {
 
     fn flatten(s: Scheduled<u32>) -> Flat {
         match s.kind {
-            EventKind::Arrival(msg) => (s.at, s.seq, 0, msg.dst, msg.payload),
-            EventKind::Timer { node, payload } => (s.at, s.seq, 1, node, payload),
-            EventKind::Crash => (s.at, s.seq, 2, 0, 0),
-            EventKind::Recover => (s.at, s.seq, 3, 0, 0),
+            EventKind::Arrival(msg) => (s.at, 0, msg.dst, msg.payload),
+            EventKind::Timer { node, payload } => (s.at, 1, node, payload),
+            EventKind::Crash => (s.at, 2, 0, 0),
+            EventKind::Recover => (s.at, 3, 0, 0),
         }
+    }
+
+    /// Pops one event from both queues and checks they agree and that
+    /// time never runs backwards; returns the popped event.
+    fn pop_both(q: &mut EventQueue<u32>, r: &mut Reference, now: &mut Time) -> Option<Flat> {
+        let got = q.pop().map(flatten);
+        let want = r.pop();
+        assert_eq!(got, want);
+        if let Some(f) = got {
+            assert!(f.0 >= *now, "time went backwards");
+            *now = f.0;
+        }
+        assert_eq!(q.len(), r.heap.len());
+        got
     }
 
     proptest! {
         /// Crash/recover windows, then a start phase of interleaved
         /// timers and sends, then pops interleaved with runtime pushes at
-        /// times ≥ now: the run + heap queue pops exactly the sequence
-        /// a single heap over the same pushes pops.
+        /// times ≥ now: the run + calendar queue pops exactly the sequence
+        /// a single heap over the same pushes pops. Runtime ops are
+        /// 0 pop; 1/2 an arrival/timer up to 9 units ahead; 3 an arrival
+        /// 1000+ units ahead (retry and deadline timers); 4 a burst of
+        /// pushes at one time interleaved with pops; 5 a push tied with
+        /// the run's head.
         #[test]
         fn run_and_heap_pop_like_one_heap(
             windows in prop::collection::vec((0u64..30, 0u64..30), 0..4),
             start in prop::collection::vec((0u8..2, 0u64..24, 0usize..5), 0..120),
-            runtime in prop::collection::vec((0u8..3, 0u64..10, 0usize..5), 0..160),
+            runtime in prop::collection::vec((0u8..6, 0u64..10, 0usize..5), 0..160),
         ) {
             let mut q: EventQueue<u32> = EventQueue::new();
             let mut r = Reference::default();
@@ -258,29 +304,100 @@ mod tests {
             prop_assert_eq!(q.len(), r.heap.len());
             let mut now = 0;
             for &(op, delay, site) in &runtime {
-                if op == 0 {
-                    let got = q.pop().map(flatten);
-                    let want = r.heap.pop().map(|Reverse(f)| f);
-                    prop_assert_eq!(got, want);
-                    if let Some(f) = got {
-                        prop_assert!(f.0 >= now, "time went backwards");
-                        now = f.0;
+                match op {
+                    0 => {
+                        pop_both(&mut q, &mut r, &mut now);
                     }
-                } else {
-                    label += 1;
-                    push_both(&mut q, &mut r, now + delay, op - 1, site, label);
+                    1 | 2 => {
+                        label += 1;
+                        push_both(&mut q, &mut r, now + delay, op - 1, site, label);
+                    }
+                    3 => {
+                        label += 1;
+                        push_both(&mut q, &mut r, now + 1000 + 397 * delay, 0, site, label);
+                    }
+                    4 => {
+                        let at = now + delay;
+                        for j in 0..24u8 {
+                            label += 1;
+                            push_both(&mut q, &mut r, at, j % 2, site, label);
+                            if j % 3 == 2 {
+                                pop_both(&mut q, &mut r, &mut now);
+                            }
+                        }
+                    }
+                    _ => {
+                        // Before the first pop the run is unsorted and has
+                        // no head yet.
+                        if let Some(head) = q.run.last().filter(|_| q.sealed).map(|t| t.at) {
+                            prop_assert!(head >= now);
+                            label += 1;
+                            push_both(&mut q, &mut r, head, (delay % 2) as u8, site, label);
+                        }
+                    }
                 }
                 prop_assert_eq!(q.len(), r.heap.len());
             }
-            loop {
-                let got = q.pop().map(flatten);
-                let want = r.heap.pop().map(|Reverse(f)| f);
-                prop_assert_eq!(got, want);
-                if got.is_none() {
-                    break;
+            while pop_both(&mut q, &mut r, &mut now).is_some() {}
+        }
+    }
+
+    #[test]
+    fn drained_queue_holds_no_bucket_storage() {
+        let mut q: EventQueue<u32> = EventQueue::new();
+        let mut pending = std::collections::BTreeMap::<Time, usize>::new();
+        for i in 0..6_000u32 {
+            let at = u64::from(i % 13) * 150 + u64::from(i / 500);
+            q.push(
+                at,
+                EventKind::Arrival(Message {
+                    src: 0,
+                    dst: 1,
+                    size: 0,
+                    payload: i,
+                }),
+            );
+            *pending.entry(at).or_default() += 1;
+            if i % 2 == 1 {
+                let s = q.pop().expect("queued");
+                let left = pending.get_mut(&s.at).expect("pending time");
+                *left -= 1;
+                if *left == 0 {
+                    pending.remove(&s.at);
                 }
             }
+            // One bucket per pending time, none of them empty.
+            assert_eq!(q.calendar.len(), pending.len());
+            assert!(q.calendar.iter().all(|b| !b.events.is_empty()));
         }
+        while q.pop().is_some() {}
+        assert_eq!(q.len(), 0);
+        assert!(q.calendar.is_empty());
+    }
+
+    /// Start-phase timers whose `seq` or `node` overflows the run's 32-bit
+    /// fields are queued in the calendar, intact and in `(at, seq)` order.
+    #[test]
+    fn start_timers_past_u32_go_to_the_calendar() {
+        // The narrowing is what keeps a timer with a 16-byte payload at
+        // 32 bytes.
+        assert_eq!(std::mem::size_of::<StartTimer<[u64; 2]>>(), 32);
+        let mut q: EventQueue<u32> = EventQueue::new();
+        q.next_seq = u64::from(u32::MAX) - 2;
+        let wide = u32::MAX as usize + 1;
+        // Seqs MAX-2 ..= MAX+2: the first three fit in 32 bits, but the
+        // second timer's node does not.
+        for (at, node) in [(9, 0), (7, wide), (7, 1), (5, 2), (7, 3)] {
+            q.push(at, EventKind::Timer { node, payload: 0 });
+        }
+        assert_eq!((q.run.len(), q.len()), (2, 5));
+        let order: Vec<(Time, usize)> = std::iter::from_fn(|| q.pop())
+            .map(|s| match s.kind {
+                EventKind::Timer { node, .. } => (s.at, node),
+                _ => unreachable!(),
+            })
+            .collect();
+        assert_eq!(order, vec![(5, 2), (7, wide), (7, 1), (7, 3), (9, 0)]);
     }
 
     #[test]
@@ -295,8 +412,11 @@ mod tests {
                 },
             );
         }
-        let keys: Vec<(Time, u64)> = std::iter::from_fn(|| q.pop())
-            .map(|s| (s.at, s.seq))
+        let keys: Vec<(Time, u32)> = std::iter::from_fn(|| q.pop())
+            .map(|s| match s.kind {
+                EventKind::Timer { payload, .. } => (s.at, payload),
+                _ => unreachable!(),
+            })
             .collect();
         assert_eq!(keys.len(), 10_000);
         assert!(keys.windows(2).all(|w| w[0] < w[1]));

@@ -24,9 +24,13 @@
 //! of compact `(at, seq, node, payload)` entries, sorted once at the first
 //! step and drained from the back, its capacity released as it empties.
 //! Sends, crash/recover transitions and every event scheduled after the
-//! first step go into a binary heap. Each step takes the smaller
-//! `(at, seq)` of the two heads, so the dispatch order is exactly the one
-//! a single heap over every event would give.
+//! first step go into a calendar: one FIFO bucket per pending time, kept
+//! in time order and dropped with its storage once it empties. `seq`
+//! rises with every push, so a bucket's FIFO order is its `(at, seq)`
+//! order; event times are small integers (link costs, timer delays), so
+//! few buckets are pending at once and a step pops in O(1). Each step
+//! takes the smaller `(at, seq)` of the two heads, so the dispatch order
+//! is exactly the one a single binary heap over every event would give.
 //!
 //! Two consumers live elsewhere in the workspace:
 //!

@@ -378,7 +378,7 @@ struct Epoch<'a> {
     problem: &'a Problem,
     /// Per-site admitted request queues: `(time, object, is_write)`,
     /// borrowed from the caller's reusable [`IngestScratch`].
-    queues: &'a [Vec<(u64, usize, bool)>],
+    queues: &'a [Vec<(u64, u32, bool)>],
     tuning: MigrationTuning,
     dir: Directory<'a>,
     /// Row-major `m x n` installed versions.
@@ -405,7 +405,7 @@ impl<'a> Epoch<'a> {
         problem: &'a Problem,
         scheme: &ReplicationScheme,
         plan: Option<&MigrationPlan>,
-        queues: &'a [Vec<(u64, usize, bool)>],
+        queues: &'a [Vec<(u64, u32, bool)>],
         tuning: MigrationTuning,
         mut counters: Counters,
     ) -> Self {
@@ -528,6 +528,7 @@ impl<'a> Epoch<'a> {
     fn issue(&mut self, ctx: &mut Context<'_, Msg>, index: usize, attempt: u32) {
         let me = ctx.node_id();
         let (_, object, is_write) = self.queues[me][index];
+        let object = object as usize;
         let n = self.n();
         let k = ObjectId::new(object);
         if is_write {
@@ -978,13 +979,13 @@ mod tests {
             let old = random_scheme(&problem, &mut rng, m * n / 2);
             let new = random_scheme(&problem, &mut rng, m * n / 2);
             let plan = plan_migration(&problem, &old, &new).unwrap();
-            let queues: Vec<Vec<(u64, usize, bool)>> = (0..m)
+            let queues: Vec<Vec<(u64, u32, bool)>> = (0..m)
                 .map(|_| {
                     (0..rng.random_range(0..30))
                         .map(|_| {
                             (
                                 rng.random_range(0..400),
-                                rng.random_range(0..n),
+                                rng.random_range(0..n as u32),
                                 rng.random_bool(0.3),
                             )
                         })

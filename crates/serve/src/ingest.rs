@@ -9,11 +9,11 @@
 //! queues and a disjoint block of rows in the observed-traffic matrices:
 //! no locks anywhere on the hot path.
 //!
-//! Determinism: a site's arrival buffer receives exactly the producer's
+//! Determinism: a site's queue receives exactly the producer's
 //! sub-sequence for that site, in producer order, no matter how many
 //! workers run (each site has one owner, and the per-worker channel is
-//! FIFO). Sorting by `(time, per-site sequence)` therefore reproduces the
-//! single-threaded `(time, global sequence)` order restricted to the site,
+//! FIFO). A stable sort by time therefore reproduces the single-threaded
+//! `(time, global sequence)` order restricted to the site,
 //! and the admitted queues — and everything downstream of them — are
 //! bitwise-identical across `threads` ∈ {1, 2, 4, …}. The shed accounting
 //! satisfies `offered == admitted + shed` per site, asserted by property
@@ -52,26 +52,14 @@ pub struct IngestSpec<'a> {
     pub depth: usize,
 }
 
-/// One routed arrival in a site's buffer. `seq` is the site-local arrival
-/// index — the restriction of the producer's global order to this site —
-/// which makes the admission sort thread-count-independent.
-#[derive(Debug, Clone, Copy)]
-struct SiteReq {
-    time: u64,
-    seq: u32,
-    object: u32,
-    write: bool,
-}
-
-/// Reusable per-epoch buffers: arrival staging per site, the admitted
-/// queues the epoch engine mounts, and the producer's pull buffer. Hold
-/// one per serving loop and every epoch reuses the allocations.
+/// Reusable per-epoch buffers: the admitted queues the epoch engine
+/// mounts and the producer's pull buffer. Hold one per serving loop and
+/// every epoch reuses the allocations.
 #[derive(Debug, Default)]
 pub struct IngestScratch {
-    sites: Vec<Vec<SiteReq>>,
     /// Admitted per-site queues: `(time, object, is_write)`, time-ordered.
     /// Valid until the next [`ingest_epoch`] call overwrites them.
-    pub queues: Vec<Vec<(u64, usize, bool)>>,
+    pub queues: Vec<Vec<(u64, u32, bool)>>,
     pull: Vec<Request>,
 }
 
@@ -82,11 +70,7 @@ impl IngestScratch {
     }
 
     pub(crate) fn reset(&mut self, num_sites: usize) {
-        self.sites.resize_with(num_sites, Vec::new);
         self.queues.resize_with(num_sites, Vec::new);
-        for buf in &mut self.sites {
-            buf.clear();
-        }
         for q in &mut self.queues {
             q.clear();
         }
@@ -115,7 +99,7 @@ fn site_limit(admission_limit: u64, offered: usize) -> usize {
     }
 }
 
-/// Routes one request into its site buffer and the observation window.
+/// Routes one request into its site queue and the observation window.
 /// `base` is the first site of the owning shard; `reads`/`writes` are that
 /// shard's rows of the observed matrices.
 #[inline]
@@ -123,7 +107,7 @@ fn absorb(
     r: &Request,
     base: usize,
     n: usize,
-    sites: &mut [Vec<SiteReq>],
+    queues: &mut [Vec<(u64, u32, bool)>],
     reads: &mut [u64],
     writes: &mut [u64],
 ) {
@@ -135,38 +119,23 @@ fn absorb(
     } else {
         reads[local * n + object] += 1;
     }
-    let buf = &mut sites[local];
-    let seq = buf.len() as u32;
-    buf.push(SiteReq {
-        time: r.time,
-        seq,
-        object: object as u32,
-        write: is_write,
-    });
+    queues[local].push((r.time, object as u32, is_write));
 }
 
-/// Sorts, sheds and drains one site's arrivals into its admitted queue.
-/// Returns `(offered, shed, admitted_reads, admitted_writes)`.
-fn finalize_site(
-    buf: &mut Vec<SiteReq>,
-    queue: &mut Vec<(u64, usize, bool)>,
-    admission_limit: u64,
-) -> (u64, u64, u64, u64) {
-    buf.sort_unstable_by_key(|r| (r.time, r.seq));
-    let offered = buf.len();
+/// Sorts one site's arrivals by time and sheds the queue down to the
+/// admission cap. Returns `(offered, shed, admitted_reads,
+/// admitted_writes)`.
+fn finalize_site(queue: &mut Vec<(u64, u32, bool)>, admission_limit: u64) -> (u64, u64, u64, u64) {
+    // The queue holds this site's arrivals in producer order whatever the
+    // thread count, so a stable sort by time is the `(time, arrival
+    // order)` key that keeps the result thread-count-independent.
+    queue.sort_by_key(|&(time, _, _)| time);
+    let offered = queue.len();
     let limit = site_limit(admission_limit, offered);
     let shed = offered.saturating_sub(limit);
-    buf.truncate(limit);
-    let (mut reads, mut writes) = (0u64, 0u64);
-    queue.reserve(buf.len());
-    for r in buf.drain(..) {
-        if r.write {
-            writes += 1;
-        } else {
-            reads += 1;
-        }
-        queue.push((r.time, r.object as usize, r.write));
-    }
+    queue.truncate(limit);
+    let writes = queue.iter().filter(|&&(_, _, write)| write).count() as u64;
+    let reads = queue.len() as u64 - writes;
     (offered as u64, shed as u64, reads, writes)
 }
 
@@ -223,6 +192,10 @@ pub fn ingest_epoch(
     let n = problem.num_objects();
     assert_eq!(observed_reads.rows(), m, "observed_reads shape");
     assert_eq!(observed_writes.rows(), m, "observed_writes shape");
+    assert!(
+        u32::try_from(n).is_ok(),
+        "object ids must fit the queues' u32"
+    );
     scratch.reset(m);
 
     let batch = if spec.batch == 0 {
@@ -250,34 +223,34 @@ pub fn ingest_epoch(
             }
             batches += 1;
             for r in &scratch.pull {
-                absorb(r, 0, n, &mut scratch.sites, reads, writes);
+                absorb(r, 0, n, &mut scratch.queues, reads, writes);
             }
         }
     } else {
         let ranges = shard_ranges(m, threads);
         let read_blocks = split_rows(observed_reads.as_mut_slice(), &ranges, n);
         let write_blocks = split_rows(observed_writes.as_mut_slice(), &ranges, n);
-        let site_blocks = split_sites(&mut scratch.sites, &ranges);
+        let queue_blocks = split_sites(&mut scratch.queues, &ranges);
 
         let mut senders = Vec::with_capacity(ranges.len());
         let mut workers = Vec::with_capacity(ranges.len());
-        for (((&(lo, _), sites), reads), writes) in ranges
+        for (((&(lo, _), queues), reads), writes) in ranges
             .iter()
-            .zip(site_blocks)
+            .zip(queue_blocks)
             .zip(read_blocks)
             .zip(write_blocks)
         {
             let (tx, rx) = crossbeam::channel::bounded::<Vec<Request>>(depth);
             senders.push(tx);
-            workers.push((lo, rx, sites, reads, writes));
+            workers.push((lo, rx, queues, reads, writes));
         }
 
         std::thread::scope(|scope| {
-            for (lo, rx, sites, reads, writes) in workers {
+            for (lo, rx, queues, reads, writes) in workers {
                 scope.spawn(move || {
                     while let Ok(sub) = rx.recv() {
                         for r in &sub {
-                            absorb(r, lo, n, sites, reads, writes);
+                            absorb(r, lo, n, queues, reads, writes);
                         }
                     }
                 });
@@ -324,11 +297,8 @@ pub fn ingest_epoch(
     report.batches = batches;
     let mut outcome = IngestOutcome::default();
     for site in 0..m {
-        let (offered, shed, reads, writes) = finalize_site(
-            &mut scratch.sites[site],
-            &mut scratch.queues[site],
-            spec.admission_limit,
-        );
+        let (offered, shed, reads, writes) =
+            finalize_site(&mut scratch.queues[site], spec.admission_limit);
         report.offered_by_site[site] = offered;
         report.shed_by_site[site] = shed;
         report.admitted_by_site[site] = offered - shed;
@@ -369,16 +339,16 @@ mod tests {
         let p = problem(7, 5, 3);
         let s = spec(&p, 1, 6);
         let mut rng = StdRng::seed_from_u64(s.seed);
-        let mut arrivals: Vec<Vec<(u64, u64, usize, bool)>> = vec![Vec::new(); 7];
+        let mut arrivals: Vec<Vec<(u64, u64, u32, bool)>> = vec![Vec::new(); 7];
         for (seq, r) in trace::stream(&p, s.period, &mut rng).enumerate() {
             arrivals[r.site.index()].push((
                 r.time,
                 seq as u64,
-                r.object.index(),
+                r.object.index() as u32,
                 r.kind == RequestKind::Write,
             ));
         }
-        let mut want: Vec<Vec<(u64, usize, bool)>> = Vec::new();
+        let mut want: Vec<Vec<(u64, u32, bool)>> = Vec::new();
         for mut list in arrivals {
             list.sort_unstable();
             list.truncate(6);
@@ -393,9 +363,46 @@ mod tests {
         assert!(out.report.balanced());
     }
 
+    /// A three-unit period puts most of a site's requests on equal times:
+    /// the admission sort must keep their arrival order (the legacy
+    /// `(time, global sequence)` key) at any thread count.
+    #[test]
+    fn equal_times_keep_arrival_order() {
+        let p = problem(4, 12, 5);
+        let mut rng = StdRng::seed_from_u64(42);
+        let mut arrivals: Vec<Vec<(u64, u64, u32, bool)>> = vec![Vec::new(); 4];
+        for (seq, r) in trace::stream(&p, 3, &mut rng).enumerate() {
+            arrivals[r.site.index()].push((
+                r.time,
+                seq as u64,
+                r.object.index() as u32,
+                r.kind == RequestKind::Write,
+            ));
+        }
+        let want: Vec<Vec<(u64, u32, bool)>> = arrivals
+            .into_iter()
+            .map(|mut list| {
+                list.sort_unstable();
+                list.into_iter().map(|(t, _, o, w)| (t, o, w)).collect()
+            })
+            .collect();
+        assert!(want.iter().all(|q| q.len() > 100), "too few ties");
+        for threads in [1, 3] {
+            let s = IngestSpec {
+                period: 3,
+                ..spec(&p, threads, 0)
+            };
+            let mut scratch = IngestScratch::new();
+            let mut reads = DenseMatrix::zeros(4, 12);
+            let mut writes = DenseMatrix::zeros(4, 12);
+            ingest_epoch(&s, &mut scratch, &mut reads, &mut writes);
+            assert_eq!(scratch.queues, want, "threads={threads}");
+        }
+    }
+
     #[test]
     fn queues_and_reports_are_identical_across_thread_counts() {
-        type Snapshot = (Vec<Vec<(u64, usize, bool)>>, IngestOutcome, Vec<u64>);
+        type Snapshot = (Vec<Vec<(u64, u32, bool)>>, IngestOutcome, Vec<u64>);
         let p = problem(9, 6, 4);
         let mut base: Option<Snapshot> = None;
         for threads in [1usize, 2, 4, 9, 16] {

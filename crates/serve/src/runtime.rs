@@ -844,8 +844,8 @@ fn run_loop(
         None => None,
     };
 
-    // One scratch for the whole run: arrival buffers, admitted queues and
-    // the producer's pull buffer are reused epoch after epoch instead of
+    // One scratch for the whole run: the admitted queues and the
+    // producer's pull buffer are reused epoch after epoch instead of
     // re-materializing the full trace each time.
     let mut scratch = IngestScratch::new();
 
