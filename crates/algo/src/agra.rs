@@ -11,7 +11,8 @@
 //! Optionally, a short "mini-GRA" (5–10 generations) polishes the
 //! transcribed population.
 
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::sync::Arc;
 
 use drp_core::telemetry::{self, Recorder};
 use drp_core::{CoreError, NarrowMirror, ObjectId, Problem, ReplicationScheme, Result, SiteId};
@@ -304,9 +305,7 @@ impl Agra {
             initial.push(BitString::random(m, rng));
         }
 
-        let spec = MicroSpec::new(problem, object)
-            .with_mirror(narrow)
-            .parallel_fitness(self.config.gra.parallel_fitness);
+        let spec = MicroSpec::new(problem, object).with_mirror(narrow);
         for chromosome in &mut initial {
             chromosome.set(spec.primary_bit, true);
         }
@@ -429,9 +428,9 @@ fn repair_capacity(problem: &Problem, chromosome: &mut BitString, weights: &[f64
     }
 }
 
-/// Thread-local buffers of one micro-GA worker, recycled across
-/// generations through the [`MicroSpec`] arena: the chromosome's replica
-/// set and the nearest-cost scratch of the Eq. 4 kernels.
+/// Buffers of the micro-GA fitness, reused by every evaluation of one
+/// [`MicroSpec`]: the chromosome's replica set and the nearest-cost
+/// scratch of the Eq. 4 kernels.
 #[derive(Debug)]
 struct MicroScratch {
     replicas: Vec<usize>,
@@ -456,13 +455,9 @@ struct MicroSpec<'a> {
     object: ObjectId,
     primary_bit: usize,
     v_prime: u64,
-    parallel: bool,
     narrow: Option<Arc<NarrowMirror>>,
-    // Free-list of worker scratch, checked out once per chunk per
-    // generation: contention is one lock round-trip per worker, and the
-    // buffers are fully overwritten before use so recycling cannot affect
-    // results.
-    scratch: Mutex<Vec<MicroScratch>>,
+    // Fully overwritten before use, so reuse cannot affect results.
+    scratch: RefCell<MicroScratch>,
 }
 
 impl<'a> MicroSpec<'a> {
@@ -472,9 +467,8 @@ impl<'a> MicroSpec<'a> {
             object,
             primary_bit: problem.primary(object).index(),
             v_prime: problem.v_prime(object),
-            parallel: false,
             narrow: None,
-            scratch: Mutex::new(Vec::new()),
+            scratch: RefCell::new(MicroScratch::new(problem.num_sites())),
         }
     }
 
@@ -483,29 +477,6 @@ impl<'a> MicroSpec<'a> {
     fn with_mirror(mut self, narrow: Option<Arc<NarrowMirror>>) -> Self {
         self.narrow = narrow;
         self
-    }
-
-    /// Scores batches on the shared [`WorkerPool`](drp_core::pool::WorkerPool)
-    /// when set. Micro-GA fitness is a pure per-chromosome function, so the
-    /// flag never changes results — only wall-clock.
-    fn parallel_fitness(mut self, parallel: bool) -> Self {
-        self.parallel = parallel;
-        self
-    }
-
-    fn checkout(&self) -> MicroScratch {
-        self.scratch
-            .lock()
-            .expect("micro scratch mutex poisoned")
-            .pop()
-            .unwrap_or_else(|| MicroScratch::new(self.problem.num_sites()))
-    }
-
-    fn restore(&self, scratch: MicroScratch) {
-        self.scratch
-            .lock()
-            .expect("micro scratch mutex poisoned")
-            .push(scratch);
     }
 
     /// The micro-GA fitness `(V′_k − V_k) / V′_k` with the reset rule.
@@ -544,39 +515,7 @@ impl<'a> MicroSpec<'a> {
 
 impl GaSpec for MicroSpec<'_> {
     fn evaluate(&self, chromosome: &mut BitString) -> f64 {
-        let mut scratch = self.checkout();
-        let fitness = self.score(chromosome, &mut scratch);
-        self.restore(scratch);
-        fitness
-    }
-
-    fn evaluate_batch(&self, population: &mut [(BitString, f64)]) {
-        let pool = drp_core::pool::WorkerPool::global();
-        let workers = if self.parallel && population.len() >= crate::gra::MIN_PARALLEL_BATCH {
-            pool.threads().min(population.len())
-        } else {
-            1
-        };
-        if workers <= 1 {
-            // One recycled scratch serves the whole batch.
-            let mut scratch = self.checkout();
-            for (chromosome, fitness) in population.iter_mut() {
-                *fitness = self.score(chromosome, &mut scratch);
-            }
-            self.restore(scratch);
-            return;
-        }
-        // Chunk boundaries depend only on the batch length, and scoring is
-        // a pure per-chromosome function, so the fan-out is bitwise
-        // deterministic for every pool size.
-        let chunk = population.len().div_ceil(workers);
-        pool.for_each_chunk_mut(population, chunk, |_, slice| {
-            let mut scratch = self.checkout();
-            for (chromosome, fitness) in slice.iter_mut() {
-                *fitness = self.score(chromosome, &mut scratch);
-            }
-            self.restore(scratch);
-        });
+        self.score(chromosome, &mut self.scratch.borrow_mut())
     }
 
     fn crossover(

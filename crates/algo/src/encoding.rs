@@ -4,7 +4,7 @@
 //! `i·N + k` is `X_ik`. Keeping genes contiguous makes the crossover
 //! validity repair (per-gene capacity check) a local slice operation.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use drp_core::{CoreError, NarrowMirror, ObjectId, Problem, ReplicationScheme, Result, SiteId};
 use drp_ga::BitString;
@@ -44,8 +44,8 @@ pub fn decode_scheme(problem: &Problem, chromosome: &BitString) -> Result<Replic
 /// Reusable buffers for [`chromosome_cost_with`]: per-object replica
 /// buckets (counting-sort style counts/offsets plus a flat site array), a
 /// spare replica list for primary splicing, and a nearest-cost array, all
-/// sized for one instance. One scratch per worker thread keeps the GA
-/// fitness path allocation-free.
+/// sized for one instance. One scratch per GA run keeps the fitness path
+/// allocation-free.
 #[derive(Debug, Clone)]
 pub struct EvalScratch {
     /// Cursor array of the bucket fill; after the fill, `counts[k]` is the
@@ -69,8 +69,7 @@ pub struct EvalScratch {
 impl EvalScratch {
     /// Buffers sized for `problem`, including the `u32` fast-path mirror
     /// when the instance narrows (built fresh — prefer
-    /// [`ScratchPool`] / [`Self::with_mirror`] to share one mirror
-    /// across many scratches).
+    /// [`Self::with_mirror`] to share one mirror across many scratches).
     pub fn new(problem: &Problem) -> Self {
         Self::with_mirror(problem, NarrowMirror::build(problem).map(Arc::new))
     }
@@ -92,62 +91,6 @@ impl EvalScratch {
     }
 }
 
-/// A checkout/restore arena of [`EvalScratch`] buffers for one instance.
-///
-/// The batched fitness paths hand the
-/// [`WorkerPool`](drp_core::pool::WorkerPool) one contiguous chromosome
-/// chunk per worker per generation; each task checks a scratch out,
-/// scores its chunk, and restores it, so in steady state **no**
-/// allocation happens per generation — the same buffers (and the same
-/// shared [`NarrowMirror`]) cycle for the whole GA run. Scratch contents
-/// never influence results (every buffer is overwritten before use), so
-/// reuse cannot perturb a seeded run.
-///
-/// One pool serves one problem: buffers are sized at construction.
-#[derive(Debug)]
-pub struct ScratchPool {
-    narrow: Option<Arc<NarrowMirror>>,
-    free: Mutex<Vec<EvalScratch>>,
-}
-
-impl ScratchPool {
-    /// An empty pool for `problem`, building the shared narrow mirror
-    /// once (O(M² + N·M) — amortized over every evaluation of the run).
-    pub fn new(problem: &Problem) -> Self {
-        Self {
-            narrow: NarrowMirror::build(problem).map(Arc::new),
-            free: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// An empty pool that never narrows: every checkout scores through
-    /// the u64 kernels. This is the pre-mirror code path, kept callable
-    /// so benchmarks can measure the narrow kernels against it.
-    pub fn wide(_problem: &Problem) -> Self {
-        Self {
-            narrow: None,
-            free: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Takes a free scratch, or sizes a fresh one for `problem` (which
-    /// must be the instance the pool was built for).
-    pub fn checkout(&self, problem: &Problem) -> EvalScratch {
-        if let Some(scratch) = self.free.lock().expect("scratch pool poisoned").pop() {
-            return scratch;
-        }
-        EvalScratch::with_mirror(problem, self.narrow.clone())
-    }
-
-    /// Returns a scratch to the pool for reuse.
-    pub fn restore(&self, scratch: EvalScratch) {
-        self.free
-            .lock()
-            .expect("scratch pool poisoned")
-            .push(scratch);
-    }
-}
-
 /// The Eq. 4 total NTC of a chromosome, computed directly from the bits
 /// without materializing a scheme (GRA's hot path).
 ///
@@ -162,7 +105,7 @@ pub fn chromosome_cost(problem: &Problem, chromosome: &BitString) -> u64 {
 }
 
 /// [`chromosome_cost`] against caller-owned scratch buffers — zero
-/// allocations per call, the form the batched/parallel fitness paths use.
+/// allocations per call, the form the GA fitness paths use.
 ///
 /// # Panics
 ///
@@ -313,26 +256,6 @@ mod tests {
                 "round {round}"
             );
         }
-    }
-
-    #[test]
-    fn scratch_pool_cycles_buffers() {
-        let p = problem(9);
-        let pool = ScratchPool::new(&p);
-        let a = pool.checkout(&p);
-        let b = pool.checkout(&p);
-        pool.restore(a);
-        pool.restore(b);
-        assert_eq!(pool.free.lock().unwrap().len(), 2);
-        let _c = pool.checkout(&p);
-        assert_eq!(pool.free.lock().unwrap().len(), 1, "checkout reuses");
-        // A pooled scratch scores identically to a fresh one.
-        let bits = encode_scheme(&p, &ReplicationScheme::primary_only(&p));
-        let mut pooled = pool.checkout(&p);
-        assert_eq!(
-            chromosome_cost_with(&p, &bits, &mut pooled),
-            chromosome_cost(&p, &bits)
-        );
     }
 
     #[test]

@@ -1,3 +1,4 @@
+use std::cell::RefCell;
 use std::sync::Arc;
 
 use drp_core::telemetry::{self, Recorder};
@@ -5,11 +6,7 @@ use drp_core::{Problem, ReplicationAlgorithm, ReplicationScheme, Result, SiteId}
 use drp_ga::{ops, BitString, Engine, GaConfig, GaOutcome, GaSpec, SamplingSpace, SelectionScheme};
 use rand::{Rng, RngCore};
 
-use drp_core::pool::WorkerPool;
-
-use crate::encoding::{
-    chromosome_cost_with, decode_scheme, encode_scheme, EvalScratch, ScratchPool,
-};
+use crate::encoding::{chromosome_cost_with, decode_scheme, encode_scheme, EvalScratch};
 use crate::sra::{SiteOrder, Sra};
 use crate::RngAdapter;
 
@@ -57,11 +54,6 @@ pub struct GraConfig {
     pub seed_perturbation: f64,
     /// Crossover operator.
     pub crossover_op: CrossoverOp,
-    /// Score each generation's offspring on multiple threads. Fitness is a
-    /// pure function of the chromosome, so results are bitwise-identical to
-    /// the serial path for a fixed seed. Defaults to the `parallel` cargo
-    /// feature.
-    pub parallel_fitness: bool,
 }
 
 impl Default for GraConfig {
@@ -76,7 +68,6 @@ impl Default for GraConfig {
             elite_period: 5,
             seed_perturbation: 0.25,
             crossover_op: CrossoverOp::TwoPoint,
-            parallel_fitness: cfg!(feature = "parallel"),
         }
     }
 }
@@ -218,8 +209,7 @@ impl Gra {
         generations: usize,
         rng: &mut dyn RngCore,
     ) -> Result<GraRun> {
-        let spec = GraSpec::new(problem, self.config.crossover_op)
-            .parallel_fitness(self.config.parallel_fitness);
+        let spec = GraSpec::new(problem, self.config.crossover_op);
         let ga_config = GaConfig {
             generations,
             ..self.config.to_ga_config()
@@ -306,83 +296,23 @@ fn try_flip(
 
 /// Scores every chromosome in `population`, writing fitness into the paired
 /// slot — the standalone form of GRA's fitness function (including the
-/// paper's reset-to-primary-only rule for negative fitness).
+/// paper's reset-to-primary-only rule for negative fitness), scored
+/// through caller-owned buffers: [`EvalScratch::new`] for the `u32` kernels
+/// when the instance narrows, [`EvalScratch::with_mirror`]`(problem, None)`
+/// for the `u64` ones. Both give bitwise-identical results.
 ///
-/// With `parallel` set, chromosomes are scored on the persistent
-/// [`WorkerPool`](drp_core::pool::WorkerPool) over disjoint chunks, each
-/// with its own scratch buffers — the pool threads are spawned once per
-/// process and reused across every generation, so no spawn cost recurs.
-/// Fitness is a pure per-chromosome function and chunk boundaries depend
-/// only on the population length, so the results (values *and* repairs)
-/// are bitwise-identical to the serial path — callers may flip `parallel`
-/// freely without perturbing a seeded run.
-pub fn evaluate_population(problem: &Problem, population: &mut [(BitString, f64)], parallel: bool) {
-    let primary_only = encode_scheme(problem, &ReplicationScheme::primary_only(problem));
-    let scratch = ScratchPool::new(problem);
-    evaluate_population_with(
-        problem,
-        &primary_only,
-        population,
-        &scratch,
-        WorkerPool::global(),
-        parallel,
-    );
-}
-
-/// [`evaluate_population`] against caller-owned worker and scratch pools
-/// — the form benchmarks and embedders use to pin the thread count
-/// (e.g. `WorkerPool::new(1)` for an honest serial baseline) and to
-/// amortize scratch/mirror construction across calls.
+/// # Panics
 ///
-/// Results are bitwise identical for any pool size, including 1.
-pub fn evaluate_population_pooled(
+/// Panics if a chromosome or the scratch is sized for another instance.
+pub fn evaluate_population(
     problem: &Problem,
     population: &mut [(BitString, f64)],
-    scratch: &ScratchPool,
-    pool: &WorkerPool,
+    scratch: &mut EvalScratch,
 ) {
     let primary_only = encode_scheme(problem, &ReplicationScheme::primary_only(problem));
-    evaluate_population_with(problem, &primary_only, population, scratch, pool, true);
-}
-
-/// Don't fan out below this many chromosomes: hand-off overhead beats the
-/// win on tiny batches.
-pub(crate) const MIN_PARALLEL_BATCH: usize = 8;
-
-fn evaluate_population_with(
-    problem: &Problem,
-    primary_only: &BitString,
-    population: &mut [(BitString, f64)],
-    scratch_pool: &ScratchPool,
-    pool: &WorkerPool,
-    parallel: bool,
-) {
-    let workers = if parallel && population.len() >= MIN_PARALLEL_BATCH {
-        pool.threads().min(population.len())
-    } else {
-        1
-    };
-    if workers <= 1 {
-        let mut scratch = scratch_pool.checkout(problem);
-        for (chromosome, fitness) in population.iter_mut() {
-            *fitness = score_chromosome(problem, primary_only, chromosome, &mut scratch);
-        }
-        scratch_pool.restore(scratch);
-        return;
+    for (chromosome, fitness) in population.iter_mut() {
+        *fitness = score_chromosome(problem, &primary_only, chromosome, scratch);
     }
-    // One contiguous chunk per worker — the coarsest grain that still
-    // spreads the generation, so per-task hand-off cost is paid `workers`
-    // times, not `population` times. Chunk boundaries depend only on the
-    // population length and fitness is a pure per-chromosome function, so
-    // results are bitwise-identical to the serial path.
-    let chunk = population.len().div_ceil(workers);
-    pool.for_each_chunk_mut(population, chunk, |_, slice| {
-        let mut scratch = scratch_pool.checkout(problem);
-        for (chromosome, fitness) in slice.iter_mut() {
-            *fitness = score_chromosome(problem, primary_only, chromosome, &mut scratch);
-        }
-        scratch_pool.restore(scratch);
-    });
 }
 
 /// GRA fitness `(D′ − D) / D′` with the paper's negative-fitness rule:
@@ -411,10 +341,9 @@ pub(crate) struct GraSpec<'a> {
     problem: &'a Problem,
     crossover_op: CrossoverOp,
     primary_only: BitString,
-    parallel: bool,
-    /// Thread-shared scratch arena: built once per run, reused by every
-    /// generation's fitness batch.
-    scratch: ScratchPool,
+    /// Fitness buffers (and the narrow mirror): built once per run,
+    /// reused by every evaluation.
+    scratch: RefCell<EvalScratch>,
 }
 
 impl<'a> GraSpec<'a> {
@@ -424,14 +353,8 @@ impl<'a> GraSpec<'a> {
             problem,
             crossover_op,
             primary_only,
-            parallel: false,
-            scratch: ScratchPool::new(problem),
+            scratch: RefCell::new(EvalScratch::new(problem)),
         }
-    }
-
-    pub(crate) fn parallel_fitness(mut self, parallel: bool) -> Self {
-        self.parallel = parallel;
-        self
     }
 
     fn gene_is_valid(&self, bits: &BitString, gene: usize) -> bool {
@@ -471,21 +394,12 @@ impl<'a> GraSpec<'a> {
 
 impl GaSpec for GraSpec<'_> {
     fn evaluate(&self, chromosome: &mut BitString) -> f64 {
-        let mut scratch = self.scratch.checkout(self.problem);
-        let fitness = score_chromosome(self.problem, &self.primary_only, chromosome, &mut scratch);
-        self.scratch.restore(scratch);
-        fitness
-    }
-
-    fn evaluate_batch(&self, population: &mut [(BitString, f64)]) {
-        evaluate_population_with(
+        score_chromosome(
             self.problem,
             &self.primary_only,
-            population,
-            &self.scratch,
-            WorkerPool::global(),
-            self.parallel,
-        );
+            chromosome,
+            &mut self.scratch.borrow_mut(),
+        )
     }
 
     fn crossover(
@@ -677,44 +591,6 @@ mod tests {
         assert!(run.fitness >= 0.0);
         assert_eq!(run.outcome.history.len(), 6);
         run.scheme.validate(&p).unwrap();
-    }
-
-    #[test]
-    fn parallel_fitness_matches_serial_run_exactly() {
-        let p = problem(12);
-        let serial = Gra::with_config(GraConfig {
-            parallel_fitness: false,
-            ..small_config()
-        });
-        let parallel = Gra::with_config(GraConfig {
-            parallel_fitness: true,
-            ..small_config()
-        });
-        let a = serial
-            .solve_detailed(&p, &mut StdRng::seed_from_u64(13))
-            .unwrap();
-        let b = parallel
-            .solve_detailed(&p, &mut StdRng::seed_from_u64(13))
-            .unwrap();
-        assert_eq!(a.scheme, b.scheme);
-        assert_eq!(a.fitness, b.fitness);
-        assert_eq!(a.outcome.evaluations, b.outcome.evaluations);
-        assert_eq!(a.outcome.final_population, b.outcome.final_population);
-    }
-
-    #[test]
-    fn evaluate_population_parallel_matches_serial() {
-        let p = problem(14);
-        let gra = Gra::with_config(small_config());
-        let mut rng = StdRng::seed_from_u64(15);
-        let chromosomes = gra.seed_population(&p, &mut rng).unwrap();
-        let mut serial: Vec<(BitString, f64)> =
-            chromosomes.iter().cloned().map(|c| (c, 0.0)).collect();
-        let mut parallel: Vec<(BitString, f64)> =
-            chromosomes.into_iter().map(|c| (c, 0.0)).collect();
-        evaluate_population(&p, &mut serial, false);
-        evaluate_population(&p, &mut parallel, true);
-        assert_eq!(serial, parallel);
     }
 
     #[test]

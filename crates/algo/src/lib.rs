@@ -71,9 +71,7 @@ impl rand::RngCore for RngAdapter<'_> {
 
 pub use agra::{detect_changed_objects, AdaptiveOutcome, Agra, AgraConfig};
 pub use encoding::{
-    chromosome_cost, chromosome_cost_with, decode_scheme, encode_scheme, EvalScratch, ScratchPool,
+    chromosome_cost, chromosome_cost_with, decode_scheme, encode_scheme, EvalScratch,
 };
-pub use gra::{
-    evaluate_population, evaluate_population_pooled, CrossoverOp, Gra, GraConfig, GraRun,
-};
+pub use gra::{evaluate_population, CrossoverOp, Gra, GraConfig, GraRun};
 pub use sra::{SiteOrder, Sra};

@@ -1,7 +1,7 @@
-//! Sharded-vs-flat parity suite (ISSUE satellite 4): on instances small
-//! enough to solve both ways, the sharded hierarchical driver must produce
-//! feasible placements, stay within a bounded NTC ratio of the flat GRA,
-//! and be bitwise deterministic across the `parallel` fitness path.
+//! Sharded-vs-flat parity suite: on instances small enough to solve both
+//! ways, the sharded hierarchical driver must produce feasible placements,
+//! stay within a bounded NTC ratio of the flat GRA, and be bitwise
+//! deterministic for a fixed seed.
 
 use drp_algo::shard::{ShardConfig, ShardedSolver};
 use drp_algo::{Gra, GraConfig};
@@ -65,51 +65,28 @@ fn sharded_tracks_flat_gra_within_budget() {
 }
 
 #[test]
-fn determinism_across_parallel_fitness_paths() {
+fn sharded_solve_repeats_bitwise() {
     let sp = hier_spec(90, 10, 3)
         .generate_sparse(&mut StdRng::seed_from_u64(5))
         .unwrap();
-    let serial = ShardedSolver::with_config(ShardConfig {
-        shards: 3,
-        gra: GraConfig {
-            population_size: 16,
-            generations: 24,
-            parallel_fitness: false,
-            ..GraConfig::default()
-        },
-        ..ShardConfig::default()
-    })
-    .solve(&sp, 5)
-    .unwrap();
-    let parallel = ShardedSolver::with_config(ShardConfig {
-        shards: 3,
-        gra: GraConfig {
-            population_size: 16,
-            generations: 24,
-            parallel_fitness: true,
-            ..GraConfig::default()
-        },
-        ..ShardConfig::default()
-    })
-    .solve(&sp, 5)
-    .unwrap();
-    assert_eq!(serial.placement, parallel.placement);
-    assert_eq!(serial.fingerprint(), parallel.fingerprint());
-    assert_eq!(serial.ntc, parallel.ntc);
-    // And the whole pipeline is a pure function of (instance, seed).
-    let again = ShardedSolver::with_config(ShardConfig {
-        shards: 3,
-        gra: GraConfig {
-            population_size: 16,
-            generations: 24,
-            parallel_fitness: false,
-            ..GraConfig::default()
-        },
-        ..ShardConfig::default()
-    })
-    .solve(&sp, 5)
-    .unwrap();
-    assert_eq!(serial.fingerprint(), again.fingerprint());
+    let solve = || {
+        ShardedSolver::with_config(ShardConfig {
+            shards: 3,
+            gra: GraConfig {
+                population_size: 16,
+                generations: 24,
+                ..GraConfig::default()
+            },
+            ..ShardConfig::default()
+        })
+        .solve(&sp, 5)
+        .unwrap()
+    };
+    // The whole pipeline is a pure function of (instance, seed).
+    let (first, again) = (solve(), solve());
+    assert_eq!(first.placement, again.placement);
+    assert_eq!(first.fingerprint(), again.fingerprint());
+    assert_eq!(first.ntc, again.ntc);
 }
 
 #[test]

@@ -1,10 +1,9 @@
 //! Microbenchmarks of the GA building blocks: selection schemes, crossover
 //! operators and mutation over GRA-sized chromosomes, plus whole-population
-//! fitness scoring (per-call allocation vs scratch-reusing batch vs the
-//! threaded batch).
+//! fitness scoring (per-call allocation vs a scratch-reusing batch).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use drp_algo::{chromosome_cost, encode_scheme, evaluate_population, Sra};
+use drp_algo::{chromosome_cost, encode_scheme, evaluate_population, EvalScratch, Sra};
 use drp_bench::{instance, rng};
 use drp_core::ReplicationAlgorithm;
 use drp_ga::{ops, BitString, SelectionScheme};
@@ -65,8 +64,7 @@ fn bench_mutation(c: &mut Criterion) {
 /// GA-style repeated evaluation: score a whole generation of chromosomes on
 /// the paper-scale 100×200 instance. `per_call_alloc` is the pre-batch
 /// shape (fresh scratch buffers per chromosome); `serial_batch` reuses one
-/// scratch across the generation; `parallel_batch` fans the same scoring
-/// out across worker threads (bitwise-identical results).
+/// scratch across the generation.
 fn bench_population_fitness(c: &mut Criterion) {
     let mut group = c.benchmark_group("population_fitness");
     group.sample_size(10);
@@ -82,7 +80,8 @@ fn bench_population_fitness(c: &mut Criterion) {
         .collect();
     // One pre-pass reaches the repair fixed point (negative-fitness resets),
     // so every timed pass scores the exact same chromosomes.
-    evaluate_population(&problem, &mut population, false);
+    let mut scratch = EvalScratch::new(&problem);
+    evaluate_population(&problem, &mut population, &mut scratch);
 
     group.bench_function("per_call_alloc_32", |b| {
         b.iter(|| {
@@ -95,13 +94,7 @@ fn bench_population_fitness(c: &mut Criterion) {
     });
     group.bench_function("serial_batch_32", |b| {
         b.iter(|| {
-            evaluate_population(&problem, &mut population, false);
-            black_box(population[0].1)
-        })
-    });
-    group.bench_function("parallel_batch_32", |b| {
-        b.iter(|| {
-            evaluate_population(&problem, &mut population, true);
+            evaluate_population(&problem, &mut population, &mut scratch);
             black_box(population[0].1)
         })
     });

@@ -10,8 +10,7 @@
 //! The budget asserts the paper's adaptive-beats-frozen claim end to end:
 //! the worst monitor/static total-NTC ratio across instance sizes must stay
 //! at or below 1.0. The fingerprints let CI assert bitwise determinism
-//! across `--features parallel` and `DRP_THREADS` settings by diffing the
-//! artifact of two builds.
+//! across `DRP_THREADS` settings by diffing the artifacts of two runs.
 
 use drp_bench::report::{Budget, Fields, Report};
 use drp_serve::{run_service, Policy, ServeConfig};

@@ -8,17 +8,14 @@
 //! * **incremental** — one `CostEvaluator` flip (an `apply_add`/`undo`
 //!   pair timed and halved), the evaluator's O(M) delta path, reported as
 //!   the median of [`FLIP_REPS`] calibrated runs with their min and max;
-//! * **wide serial population** — `evaluate_population_pooled` on an
-//!   explicit one-thread pool with the u64-only scratch: the pre-mirror
-//!   code path, the ratchet's serial baseline;
-//! * **narrow serial population** — the same one-thread pool with the
-//!   u32 SoA mirror, isolating the kernel win from threading;
-//! * **parallel population** — the narrow path on the shared global
-//!   pool (`DRP_THREADS` sized), the primary configuration.
+//! * **wide population** — `evaluate_population` with the u64-only
+//!   scratch (`EvalScratch::with_mirror(problem, None)`): the pre-mirror
+//!   code path, the kernel baseline;
+//! * **narrow population** — the same with the u32 SoA mirror
+//!   (`EvalScratch::new`), the path GRA scores with.
 //!
-//! Serial and parallel runs score the *same* chromosomes and the sample
-//! carries a `parity` flag asserting their fitness vectors matched
-//! bitwise — the determinism contract of the coarse-grained fan-out. A
+//! Both runs score the *same* chromosomes and the sample carries a
+//! `parity` flag asserting their fitness vectors matched bitwise. A
 //! `sparse_parity` flag asserts the same of the flip engine's two
 //! candidate sources: k-nearest rows at `k = M` must track the dense rows
 //! bitwise through a fixed flip walk.
@@ -26,10 +23,9 @@
 //! The artifact uses the shared [`drp_bench::report`] shape; the
 //! `ratchet` bin diffs it against the committed reference.
 
-use drp_algo::{encode_scheme, evaluate_population_pooled, ScratchPool, Sra};
+use drp_algo::{encode_scheme, evaluate_population, EvalScratch, Sra};
 use drp_bench::report::{Budget, Fields, Report};
 use drp_bench::{instance, rng};
-use drp_core::pool::WorkerPool;
 use drp_core::{
     CostEvaluator, ObjectId, Problem, ReplicationAlgorithm, ReplicationScheme, SiteId,
     SparseEvaluator, SparseProblem,
@@ -130,9 +126,8 @@ struct Row {
     incremental_flip_ns: f64,
     incremental_flip_min_ns: f64,
     incremental_flip_max_ns: f64,
-    wide_serial_ns_per_eval: f64,
-    narrow_serial_ns_per_eval: f64,
-    parallel_ns_per_eval: f64,
+    wide_ns_per_eval: f64,
+    narrow_ns_per_eval: f64,
     parity: bool,
     sparse_parity: bool,
 }
@@ -177,33 +172,26 @@ fn bench_size(sites: usize, objects: usize) -> Row {
         })
         .collect();
 
-    let serial_pool = WorkerPool::new(1);
-    let global_pool = WorkerPool::global();
-    let wide_scratch = ScratchPool::wide(&problem);
-    let narrow_scratch = ScratchPool::new(&problem);
+    let mut wide_scratch = EvalScratch::with_mirror(&problem, None);
+    let mut narrow_scratch = EvalScratch::new(&problem);
 
     // Reach the repair fixed point so every timed pass scores identical bits.
-    evaluate_population_pooled(&problem, &mut population, &narrow_scratch, &serial_pool);
+    evaluate_population(&problem, &mut population, &mut narrow_scratch);
 
     let wide = measure(|| {
-        evaluate_population_pooled(&problem, &mut population, &wide_scratch, &serial_pool);
+        evaluate_population(&problem, &mut population, &mut wide_scratch);
         std::hint::black_box(population[0].1);
     });
     let wide_fitness: Vec<f64> = population.iter().map(|(_, f)| *f).collect();
     let narrow = measure(|| {
-        evaluate_population_pooled(&problem, &mut population, &narrow_scratch, &serial_pool);
+        evaluate_population(&problem, &mut population, &mut narrow_scratch);
         std::hint::black_box(population[0].1);
     });
     let narrow_fitness: Vec<f64> = population.iter().map(|(_, f)| *f).collect();
-    let parallel = measure(|| {
-        evaluate_population_pooled(&problem, &mut population, &narrow_scratch, global_pool);
-        std::hint::black_box(population[0].1);
-    });
-    let parallel_fitness: Vec<f64> = population.iter().map(|(_, f)| *f).collect();
 
-    // Bitwise: the narrow kernels and the fan-out must not move a single
-    // fitness bit relative to the wide one-thread walk.
-    let parity = wide_fitness == narrow_fitness && wide_fitness == parallel_fitness;
+    // Bitwise: the narrow kernels must not move a single fitness bit
+    // relative to the wide walk.
+    let parity = wide_fitness == narrow_fitness;
 
     Row {
         sites,
@@ -212,9 +200,8 @@ fn bench_size(sites: usize, objects: usize) -> Row {
         incremental_flip_ns: flip_ns[FLIP_REPS / 2],
         incremental_flip_min_ns: flip_ns[0],
         incremental_flip_max_ns: flip_ns[FLIP_REPS - 1],
-        wide_serial_ns_per_eval: wide / POPULATION as f64,
-        narrow_serial_ns_per_eval: narrow / POPULATION as f64,
-        parallel_ns_per_eval: parallel / POPULATION as f64,
+        wide_ns_per_eval: wide / POPULATION as f64,
+        narrow_ns_per_eval: narrow / POPULATION as f64,
         parity,
         sparse_parity,
     }
@@ -230,25 +217,23 @@ fn main() {
         .map(|(m, n)| bench_size(m, n))
         .collect();
 
-    // Parallel-vs-serial is bounded by the cores the host grants; record
-    // what the pool actually used so a flat ratio on a one-core runner
-    // reads as expected rather than as a regression.
+    // No timed path runs on the pool; the thread fields only record the
+    // host the timings came from.
     let config = drp_bench::thread_fields(
         Fields::new()
             .text("unit", "ns_per_eval")
             .int("population", POPULATION as u64),
     );
-    // The headline claim of the raw-speed pass: the shipped configuration
-    // (narrow kernels + arena + pool) beats the old wide serial walk at
-    // the largest site count.
+    // The headline claim of the kernel pass: the u32 mirror kernels beat
+    // the old wide walk at the largest site count.
     let headline = rows
         .last()
-        .map(|r| r.wide_serial_ns_per_eval / r.parallel_ns_per_eval)
+        .map(|r| r.wide_ns_per_eval / r.narrow_ns_per_eval)
         .unwrap_or(0.0);
     let mut report = Report::new(
         "cost_eval",
         config,
-        Budget::at_least("speedup_parallel_vs_serial_at_largest_m", 1.5, headline),
+        Budget::at_least("speedup_kernel_vs_wide_at_largest_m", 1.5, headline),
     );
     for row in &rows {
         report.sample(
@@ -259,21 +244,8 @@ fn main() {
                 .float("incremental_flip_ns", row.incremental_flip_ns, 1)
                 .float("incremental_flip_min_ns", row.incremental_flip_min_ns, 1)
                 .float("incremental_flip_max_ns", row.incremental_flip_max_ns, 1)
-                .float(
-                    "serial_population_ns_per_eval",
-                    row.wide_serial_ns_per_eval,
-                    1,
-                )
-                .float(
-                    "narrow_population_ns_per_eval",
-                    row.narrow_serial_ns_per_eval,
-                    1,
-                )
-                .float(
-                    "parallel_population_ns_per_eval",
-                    row.parallel_ns_per_eval,
-                    1,
-                )
+                .float("wide_population_ns_per_eval", row.wide_ns_per_eval, 1)
+                .float("narrow_population_ns_per_eval", row.narrow_ns_per_eval, 1)
                 .float(
                     "speedup_incremental_vs_full",
                     row.full_eval_ns / row.incremental_flip_ns,
@@ -281,12 +253,7 @@ fn main() {
                 )
                 .float(
                     "speedup_kernel_vs_wide",
-                    row.wide_serial_ns_per_eval / row.narrow_serial_ns_per_eval,
-                    2,
-                )
-                .float(
-                    "speedup_parallel_vs_serial",
-                    row.wide_serial_ns_per_eval / row.parallel_ns_per_eval,
+                    row.wide_ns_per_eval / row.narrow_ns_per_eval,
                     2,
                 )
                 .flag("parity", row.parity)

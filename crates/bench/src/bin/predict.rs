@@ -5,8 +5,8 @@
 //! predictive policies on every named workload scenario — with each run
 //! scored by the offline-optimal replay oracle. Every sample carries the
 //! cell's total NTC, its competitive ratio and the deterministic report
-//! fingerprint (CI diffs the artifact of two builds to assert bitwise
-//! determinism across `--features parallel` and `DRP_THREADS`).
+//! fingerprint (CI diffs the artifacts of runs at different `DRP_THREADS`
+//! to assert bitwise determinism).
 //!
 //! The budget is the paper-extension claim baked into CI: across all
 //! scenarios the *worst* predictive/monitor total-NTC ratio must stay at or

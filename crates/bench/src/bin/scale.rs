@@ -12,9 +12,11 @@
 //! * **build_par_ms** — the same on the shared global pool (all cores);
 //! * **problem_build_ms** — a full `WorkloadSpec::paper` generate, best of
 //!   3 at every site count;
-//! * **SRA / GRA / AGRA** solve times, with GRA and AGRA run twice
-//!   (serial and pool-parallel fitness) and their schemes, costs and
-//!   fingerprints asserted bitwise-identical — the determinism contract.
+//! * **SRA / GRA / AGRA** solve times, with the GRA scheme's cost and
+//!   fingerprint recorded as identity fields.
+//!
+//! Every sample's `parity` flag says the three build paths agreed bit for
+//! bit.
 //!
 //! The budget block claims the build speedup (legacy over parallel) at
 //! the largest site count clears `--budget-speedup` (default 3.0; the CI
@@ -130,10 +132,8 @@ struct Sample {
     build_par_ms: f64,
     problem_build_ms: f64,
     sra_ms: f64,
-    gra_serial_ms: f64,
-    gra_parallel_ms: f64,
-    agra_serial_ms: f64,
-    agra_parallel_ms: f64,
+    gra_ms: f64,
+    agra_ms: f64,
     gra_fingerprint: u64,
     gra_cost: u64,
     parity: bool,
@@ -169,27 +169,17 @@ fn bench_size(m: usize, objects: usize, pop: usize, gens: usize) -> Sample {
     });
     sra_scheme.validate(&problem).expect("SRA scheme is valid");
 
-    let gra_config = |parallel: bool| GraConfig {
-        population_size: pop,
-        generations: gens,
-        parallel_fitness: parallel,
-        ..GraConfig::default()
-    };
-    let (gra_serial_ms, gra_serial) = timed_ms(1, || {
-        Gra::with_config(gra_config(false))
-            .solve_detailed(&problem, &mut StdRng::seed_from_u64(SEED))
-            .expect("GRA solves")
+    let (gra_ms, gra) = timed_ms(1, || {
+        Gra::with_config(GraConfig {
+            population_size: pop,
+            generations: gens,
+            ..GraConfig::default()
+        })
+        .solve_detailed(&problem, &mut StdRng::seed_from_u64(SEED))
+        .expect("GRA solves")
     });
-    let (gra_parallel_ms, gra_parallel) = timed_ms(1, || {
-        Gra::with_config(gra_config(true))
-            .solve_detailed(&problem, &mut StdRng::seed_from_u64(SEED))
-            .expect("GRA solves")
-    });
-    let gra_parity = gra_serial.scheme == gra_parallel.scheme
-        && gra_serial.fitness == gra_parallel.fitness
-        && problem.total_cost(&gra_serial.scheme) == problem.total_cost(&gra_parallel.scheme);
 
-    // AGRA: shift the pattern, adapt serially and in parallel.
+    // AGRA: shift the pattern and adapt.
     let change = PatternChange {
         change_percent: 250.0,
         objects_percent: 20.0,
@@ -199,46 +189,26 @@ fn bench_size(m: usize, objects: usize, pop: usize, gens: usize) -> Sample {
         .apply(&problem, &mut StdRng::seed_from_u64(SEED ^ 1))
         .expect("pattern change applies");
     let changed = detect_changed_objects(&problem, &shift.problem, 50.0);
-    let population: Vec<_> = gra_serial
+    let population: Vec<_> = gra
         .outcome
         .final_population
         .iter()
         .map(|(c, _)| c.clone())
         .collect();
-    let agra_config = |parallel: bool| AgraConfig {
-        generations: 12,
-        gra: GraConfig {
-            parallel_fitness: parallel,
-            ..GraConfig::default()
-        },
-        ..AgraConfig::default()
-    };
-    let (agra_serial_ms, agra_serial) = timed_ms(1, || {
-        Agra::with_config(agra_config(false))
-            .adapt(
-                &shift.problem,
-                &gra_serial.scheme,
-                &population,
-                &changed,
-                &mut StdRng::seed_from_u64(SEED ^ 2),
-            )
-            .expect("AGRA adapts")
+    let (agra_ms, _) = timed_ms(1, || {
+        Agra::with_config(AgraConfig {
+            generations: 12,
+            ..AgraConfig::default()
+        })
+        .adapt(
+            &shift.problem,
+            &gra.scheme,
+            &population,
+            &changed,
+            &mut StdRng::seed_from_u64(SEED ^ 2),
+        )
+        .expect("AGRA adapts")
     });
-    let (agra_parallel_ms, agra_parallel) = timed_ms(1, || {
-        Agra::with_config(agra_config(true))
-            .adapt(
-                &shift.problem,
-                &gra_serial.scheme,
-                &population,
-                &changed,
-                &mut StdRng::seed_from_u64(SEED ^ 2),
-            )
-            .expect("AGRA adapts")
-    });
-    let agra_parity = agra_serial.scheme == agra_parallel.scheme
-        && agra_serial.fitness == agra_parallel.fitness
-        && fingerprint(&shift.problem, &agra_serial.scheme)
-            == fingerprint(&shift.problem, &agra_parallel.scheme);
 
     Sample {
         sites: m,
@@ -247,13 +217,11 @@ fn bench_size(m: usize, objects: usize, pop: usize, gens: usize) -> Sample {
         build_par_ms,
         problem_build_ms,
         sra_ms,
-        gra_serial_ms,
-        gra_parallel_ms,
-        agra_serial_ms,
-        agra_parallel_ms,
-        gra_fingerprint: fingerprint(&problem, &gra_serial.scheme),
-        gra_cost: problem.total_cost(&gra_serial.scheme),
-        parity: builds_agree && gra_parity && agra_parity,
+        gra_ms,
+        agra_ms,
+        gra_fingerprint: fingerprint(&problem, &gra.scheme),
+        gra_cost: problem.total_cost(&gra.scheme),
+        parity: builds_agree,
     }
 }
 
@@ -267,10 +235,8 @@ fn main() {
 
     let last = samples.last().expect("at least one sample");
     let speedup_at_largest = last.build_legacy_ms / last.build_par_ms;
-    // The serial columns are always one thread, the parallel columns run
-    // on `pool_threads`, so every sample carries a 1-thread and an
-    // N-thread reading of the same work; `thread_fields` records which N
-    // that actually was.
+    // `build_seq_ms` is always one thread and `build_par_ms` runs on
+    // `pool_threads`; `thread_fields` records which N that actually was.
     let config = drp_bench::thread_fields(
         Fields::new()
             .text("unit", "ms")
@@ -297,11 +263,8 @@ fn main() {
                 .float("build_speedup", s.build_legacy_ms / s.build_par_ms, 2)
                 .float("problem_build_ms", s.problem_build_ms, 2)
                 .float("sra_ms", s.sra_ms, 2)
-                .float("gra_serial_ms", s.gra_serial_ms, 2)
-                .float("gra_parallel_ms", s.gra_parallel_ms, 2)
-                .float("gra_thread_speedup", s.gra_serial_ms / s.gra_parallel_ms, 2)
-                .float("agra_serial_ms", s.agra_serial_ms, 2)
-                .float("agra_parallel_ms", s.agra_parallel_ms, 2)
+                .float("gra_ms", s.gra_ms, 2)
+                .float("agra_ms", s.agra_ms, 2)
                 .int("gra_cost", s.gra_cost)
                 .text("gra_fingerprint", &format!("{:016x}", s.gra_fingerprint))
                 .flag("parity", s.parity),

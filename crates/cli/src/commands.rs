@@ -473,10 +473,9 @@ pub fn run_command(command: Command) -> Result<String, CliError> {
                 wal: WalTuning { checkpoint_every },
                 ..ServeConfig::default()
             };
-            let trace = trace_out
-                .as_ref()
-                .map(|_| Arc::new(InMemoryRecorder::new()));
-            let recorder = recorder_for(trace.as_ref());
+            // Always recorded: the unmet-floor warning reads a counter.
+            let trace = Arc::new(InMemoryRecorder::new());
+            let recorder: Arc<dyn Recorder> = trace.clone();
             let mut oracle_info = None;
             let report = if let Some(dir) = &wal_dir {
                 let mut store =
@@ -572,13 +571,20 @@ pub fn run_command(command: Command) -> Result<String, CliError> {
                     o.online_ntc, o.opt_ntc, o.competitive_ratio, o.hindsight_epochs
                 );
             }
+            let unmet = trace.counter("serve.min_degree_unmet");
+            if unmet > 0 {
+                let _ = writeln!(
+                    out,
+                    "warning: {unmet} object(s) cannot reach degree {min_degree} under capacity"
+                );
+            }
             let _ = writeln!(out, "fingerprint: {:016x}", report.fingerprint());
             if let Some(path) = &report_out {
                 write_file(path, &report.render_json())?;
                 let _ = writeln!(out, "report written to {}", path.display());
             }
-            if let (Some(rec), Some(path)) = (&trace, &trace_out) {
-                write_trace(&mut out, rec, path)?;
+            if let Some(path) = &trace_out {
+                write_trace(&mut out, &trace, path)?;
             }
         }
         Command::Adapt {
@@ -1169,6 +1175,37 @@ sim: events=4085 messages=2376 data-units=30958 transfer-cost=87992
                 "{policy}: the bare run already meets the floor"
             );
         }
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// A degree floor that capacity cannot meet is reported, as `faults`
+    /// reports it: at degree 3 this write-heavy instance's epoch-1 target
+    /// leaves an object below the floor.
+    #[test]
+    fn serve_warns_when_capacity_leaves_the_degree_floor_unmet() {
+        let dir = tempdir("serve_floor_unmet");
+        let net = dir.join("net.drp");
+        run(&argv(&format!(
+            "generate --sites 6 --objects 8 --capacity 60 --update 40 --seed 9 -o {}",
+            net.display()
+        )))
+        .unwrap();
+        let serve = format!(
+            "serve --instance {} --policy monitor --epochs 3 --period 128 --seed 9 \
+             --drift 500:40:0.9 --night-every 2",
+            net.display()
+        );
+        let floored = run(&argv(&format!("{serve} --min-degree 3"))).unwrap();
+        let warning = floored
+            .lines()
+            .find(|line| line.starts_with("warning: "))
+            .unwrap_or_else(|| panic!("no unmet-floor warning in:\n{floored}"));
+        assert!(
+            warning.ends_with("object(s) cannot reach degree 3 under capacity"),
+            "{warning}"
+        );
+        let bare = run(&argv(&serve)).unwrap();
+        assert!(!bare.contains("warning: "), "{bare}");
         let _ = std::fs::remove_dir_all(dir);
     }
 }

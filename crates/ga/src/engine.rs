@@ -91,11 +91,7 @@ impl Engine {
         let mut evaluations: u64 = 0;
         let rec = self.recorder.as_ref();
 
-        // Resize and evaluate generation 0. All scoring goes through
-        // `evaluate_batch` so specs can parallelize; offspring are always
-        // fully generated *before* the batch call, which keeps the RNG
-        // stream independent of the batching strategy (evaluation itself
-        // consumes no randomness).
+        // Resize and evaluate generation 0.
         let mut population: Vec<(BitString, f64)> = initial
             .into_iter()
             .cycle()
@@ -106,7 +102,7 @@ impl Engine {
         rec.add_counter("ga.evaluations", population.len() as u64);
         {
             let _span = telemetry::span(rec, "ga.evaluate");
-            spec.evaluate_batch(&mut population);
+            evaluate_all(spec, &mut population);
         }
 
         let mut best_ever = population
@@ -161,7 +157,7 @@ impl Engine {
                     rec.add_counter("ga.evaluations", (pool.len() - fresh_from) as u64);
                     {
                         let _span = telemetry::span(rec, "ga.evaluate");
-                        spec.evaluate_batch(&mut pool[fresh_from..]);
+                        evaluate_all(spec, &mut pool[fresh_from..]);
                     }
                     pool
                 }
@@ -192,7 +188,7 @@ impl Engine {
                     rec.add_counter("ga.evaluations", pool.len() as u64);
                     {
                         let _span = telemetry::span(rec, "ga.evaluate");
-                        spec.evaluate_batch(&mut pool);
+                        evaluate_all(spec, &mut pool);
                     }
                     pool
                 }
@@ -267,6 +263,13 @@ impl Engine {
             evaluations,
             final_population: population,
         })
+    }
+}
+
+/// Scores every chromosome in place, writing each fitness into its slot.
+fn evaluate_all<S: GaSpec + ?Sized>(spec: &S, population: &mut [(BitString, f64)]) {
+    for (chromosome, fitness) in population.iter_mut() {
+        *fitness = spec.evaluate(chromosome);
     }
 }
 
@@ -412,51 +415,6 @@ mod tests {
             .map(|(_, f)| *f)
             .fold(f64::NEG_INFINITY, f64::max);
         assert_eq!(best_in_pop, outcome.best_fitness);
-    }
-
-    /// OneMax with a batch override that scores in reverse order — must be
-    /// indistinguishable from the default serial loop.
-    struct ReversedBatch;
-
-    impl GaSpec for ReversedBatch {
-        fn evaluate(&self, c: &mut BitString) -> f64 {
-            OneMax.evaluate(c)
-        }
-        fn crossover(
-            &self,
-            a: &BitString,
-            b: &BitString,
-            rng: &mut dyn RngCore,
-        ) -> (BitString, BitString) {
-            OneMax.crossover(a, b, rng)
-        }
-        fn mutate(&self, c: &mut BitString, rate: f64, rng: &mut dyn RngCore) {
-            OneMax.mutate(c, rate, rng);
-        }
-        fn evaluate_batch(&self, population: &mut [(BitString, f64)]) {
-            for (c, f) in population.iter_mut().rev() {
-                *f = self.evaluate(c);
-            }
-        }
-    }
-
-    #[test]
-    fn batch_override_matches_default_exactly() {
-        for sampling in [SamplingSpace::Enlarged, SamplingSpace::Regular] {
-            let config = GaConfig::new(14, 25).sampling(sampling);
-            let mut rng1 = StdRng::seed_from_u64(31);
-            let mut rng2 = StdRng::seed_from_u64(31);
-            let base = Engine::new(config.clone())
-                .run(&OneMax, initial(14, 32, 32), &mut rng1)
-                .unwrap();
-            let batched = Engine::new(config)
-                .run(&ReversedBatch, initial(14, 32, 32), &mut rng2)
-                .unwrap();
-            assert_eq!(base.best, batched.best);
-            assert_eq!(base.best_fitness, batched.best_fitness);
-            assert_eq!(base.evaluations, batched.evaluations);
-            assert_eq!(base.final_population, batched.final_population);
-        }
     }
 
     #[test]

@@ -18,19 +18,6 @@ pub trait GaSpec {
     /// chromosome (repair-on-evaluate).
     fn evaluate(&self, chromosome: &mut BitString) -> f64;
 
-    /// Scores a batch of chromosomes, writing each fitness into the paired
-    /// slot. The engine funnels *all* evaluations through this hook, so
-    /// specs can override it with scratch-reusing or multi-threaded
-    /// implementations; every override must stay observationally identical
-    /// to the default serial loop (same fitness values, same repairs), since
-    /// engine results for a fixed seed must not depend on the batch
-    /// strategy.
-    fn evaluate_batch(&self, population: &mut [(BitString, f64)]) {
-        for (chromosome, fitness) in population.iter_mut() {
-            *fitness = self.evaluate(chromosome);
-        }
-    }
-
     /// Produces two children from two parents.
     fn crossover(
         &self,

@@ -14,9 +14,8 @@
 //! * [`topology`] — random and regular topology generators, including the
 //!   paper's complete graph with Uniform(1, 10) link costs and the
 //!   two-level [`topology::hierarchical`] clusters-over-backbone family.
-//! * [`pool`] — a persistent, deterministic worker pool that the parallel
-//!   kernels (all-pairs shortest paths here, population fitness in
-//!   `drp-algo`) share instead of re-spawning scoped threads.
+//! * [`pool`] — a persistent, deterministic worker pool behind the
+//!   all-pairs shortest-path build, instead of re-spawning scoped threads.
 //! * [`sim`] — a deterministic discrete-event message simulator used to run
 //!   the distributed version of the greedy algorithm and to serve request
 //!   epochs against a replication scheme (`drp-serve`'s epoch engine).

@@ -1,11 +1,9 @@
 //! A persistent, deterministic fork-join worker pool.
 //!
-//! Every parallel kernel in the workspace — the Dijkstra fan-out behind
-//! [`CostMatrix::from_graph`], GRA's population fitness, AGRA's micro-GA
-//! batches — shares one lazily-started pool instead of re-spawning scoped
-//! threads per call. Spawning costs tens of microseconds per thread; a GA
-//! run evaluates thousands of batches, and AGRA multiplies that by its
-//! per-object micro-GAs, so the spawn tax used to dominate small batches.
+//! The all-pairs shortest-path kernels behind [`CostMatrix::from_graph`]
+//! (the Dijkstra row fan-out and the flat Floyd–Warshall) share one
+//! lazily-started pool instead of re-spawning scoped threads per call;
+//! spawning costs tens of microseconds per thread.
 //!
 //! The canonical implementation lives here, at the bottom of the workspace
 //! dependency DAG, so `drp-net` itself can use it; everything above should

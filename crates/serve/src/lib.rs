@@ -41,8 +41,7 @@
 //!
 //! The whole run is summarized in a serde-serializable [`ServiceReport`]
 //! whose [`fingerprint`](ServiceReport::fingerprint) is bitwise-stable
-//! across thread counts and the `parallel` feature — the determinism
-//! contract CI enforces.
+//! across thread counts — the determinism contract CI enforces.
 //!
 //! [`Problem`]: drp_core::Problem
 //! [`MigrationPlan`]: drp_core::migration::MigrationPlan

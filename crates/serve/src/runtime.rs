@@ -26,10 +26,10 @@
 //!
 //! Every random draw comes from a stream seeded by FNV-mixing the master
 //! seed with a fixed stream tag and the epoch index, the simulator is a
-//! single-threaded event loop, and the only multi-threaded component (GRA
-//! population scoring under the `parallel` feature) is bitwise-order
-//! independent. Same seed ⇒ byte-identical [`ServiceReport`], regardless
-//! of `DRP_THREADS` or the `parallel` feature.
+//! single-threaded event loop, and the only multi-threaded component (the
+//! ingestion front end's per-site shards) builds the same queues for every
+//! thread count. Same seed ⇒ byte-identical [`ServiceReport`], regardless
+//! of `DRP_THREADS` or [`ServeConfig::threads`].
 
 use std::sync::Arc;
 
@@ -168,7 +168,9 @@ pub struct ServeConfig {
     /// Replica-degree floor: the bootstrap scheme and every boundary
     /// target are topped up to this many replicas per object (capacity
     /// permitting) so a crashed holder leaves a failover target. 1 is a
-    /// no-op — every object already has its primary.
+    /// no-op — every object already has its primary. Objects that capacity
+    /// leaves below the floor are added to the `serve.min_degree_unmet`
+    /// counter, once per topped-up scheme.
     pub min_degree: usize,
 }
 
@@ -807,7 +809,8 @@ fn run_loop(
                 &mut boot_rng,
             )?;
             let mut realized = monitor.scheme().clone();
-            ensure_min_degree(problem, &mut realized, config.min_degree)?;
+            let floor = ensure_min_degree(problem, &mut realized, config.min_degree)?;
+            recorder.add_counter("serve.min_degree_unmet", floor.unsatisfiable.len() as u64);
             let target = realized.clone();
             (
                 0,
@@ -1021,7 +1024,8 @@ fn run_loop(
             recorder.add_counter("serve.hot_boosts_removed", boost.removed);
         }
         if config.min_degree > 1 {
-            ensure_min_degree(&truth, &mut target, config.min_degree)?;
+            let floor = ensure_min_degree(&truth, &mut target, config.min_degree)?;
+            recorder.add_counter("serve.min_degree_unmet", floor.unsatisfiable.len() as u64);
             // The monitor adapts from the floored target, which is also the
             // scheme recovery rebuilds it around.
             if config.policy != Policy::Static && monitor.scheme() != &target {

@@ -9,8 +9,8 @@
 //! to the uncrashed run's. Torn mid-record prefixes (the other crash axis)
 //! are sampled by a property test.
 //!
-//! Run under `DRP_THREADS` ∈ {1, 2} and with/without the `parallel`
-//! feature in CI — the fingerprints must not move.
+//! Run under `DRP_THREADS` ∈ {1, 2} in CI — the fingerprints must not
+//! move.
 
 use drp_core::{CoreError, ServeError};
 use drp_serve::{

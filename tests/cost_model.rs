@@ -1,10 +1,12 @@
 //! Property-based validation of the Eq. 4 cost model against both the
 //! serve epoch engine on the discrete-event simulator and brute-force
-//! recomputation.
+//! recomputation, and of the GA fitness that scores it.
 
+use drp::algo::{chromosome_cost, evaluate_population, EvalScratch};
 use drp::core::migration::MigrationPlan;
 use drp::core::telemetry;
 use drp::core::CostEvaluator;
+use drp::ga::BitString;
 use drp::serve::{execute_migration, EpochTraffic, MigrationOutcome, MigrationTuning};
 use drp::workload::trace::{self, RequestKind};
 use drp::{ObjectId, Problem, ReplicationScheme, SiteId, WorkloadSpec};
@@ -212,5 +214,40 @@ proptest! {
             }
         }
         prop_assert!(scheme.validate(&problem).is_ok());
+    }
+}
+
+proptest! {
+    #[test]
+    fn population_scoring_is_identical_across_scratch_widths(
+        instance_seed in 0u64..50,
+        pop_seed in 0u64..1000,
+        pop_size in 1usize..40,
+    ) {
+        // GRA's Eq. 4 fitness through the u32 mirror kernels must equal the
+        // u64 path bitwise: fitness values AND the chromosomes the
+        // negative-fitness rule resets to primary-only.
+        let problem = WorkloadSpec::paper(8, 10, 5.0, 30.0)
+            .generate(&mut StdRng::seed_from_u64(instance_seed))
+            .unwrap();
+        let len = problem.num_sites() * problem.num_objects();
+        let mut rng = StdRng::seed_from_u64(pop_seed);
+        let seeded: Vec<(BitString, f64)> = (0..pop_size)
+            .map(|_| (BitString::random(len, &mut rng), -1.0))
+            .collect();
+        let mut narrow_scratch = EvalScratch::new(&problem);
+        let mut wide_scratch = EvalScratch::with_mirror(&problem, None);
+        let mut narrow = seeded.clone();
+        let mut wide = seeded;
+        evaluate_population(&problem, &mut narrow, &mut narrow_scratch);
+        evaluate_population(&problem, &mut wide, &mut wide_scratch);
+        prop_assert_eq!(&narrow, &wide);
+        // Spot-check the scores against the plain chromosome cost.
+        let dp = problem.d_prime();
+        prop_assume!(dp > 0);
+        for (chromosome, fitness) in &wide {
+            let expected = (dp as f64 - chromosome_cost(&problem, chromosome) as f64) / dp as f64;
+            prop_assert_eq!(*fitness, expected.max(0.0));
+        }
     }
 }
