@@ -145,29 +145,6 @@ pub(crate) struct Counters {
     pub retries: u64,
 }
 
-/// A migration-executor event in deterministic simulator order, harvested
-/// so the durable runtime can journal the epoch's stage/retry/cutover
-/// history into its write-ahead log.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum MigEvent {
-    /// A fetch timer fired and the addition was retried (possibly
-    /// re-sourced).
-    Retry {
-        site: usize,
-        object: usize,
-        attempt: u32,
-    },
-    /// A fetched replica was installed at its target.
-    Install {
-        site: usize,
-        object: usize,
-        version: u64,
-    },
-    /// An object's last pending addition landed; its deferred removals
-    /// were applied.
-    Cutover { object: usize, removals: usize },
-}
-
 /// What one epoch run produced.
 #[derive(Debug, Clone)]
 pub(crate) struct EpochOutcome {
@@ -178,12 +155,6 @@ pub(crate) struct EpochOutcome {
     /// Observed per-(site, object) write counts.
     pub observed_writes: DenseMatrix<u64>,
     pub counters: Counters,
-    /// Per-site backpressure: requests shed at each site's admission gate.
-    pub shed_by_site: Vec<u64>,
-    /// Per-site admitted requests (the drained queue depths).
-    pub admitted_by_site: Vec<u64>,
-    /// Migration events in simulator order.
-    pub mig_events: Vec<MigEvent>,
     pub serving_ntc: u64,
     pub migration_ntc: u64,
     /// Simulator traffic, serving and migration together.
@@ -391,8 +362,6 @@ struct Epoch<'a> {
     pending_by_object: Vec<usize>,
     /// Removals deferred until their object's cutover.
     removals_by_object: Vec<Vec<usize>>,
-    /// Migration events in simulator order.
-    events: Vec<MigEvent>,
     counters: Counters,
     migration_ntc: u64,
 }
@@ -415,7 +384,6 @@ impl<'a> Epoch<'a> {
         let mut pending: Vec<Vec<PendingFetch>> = vec![Vec::new(); m];
         let mut pending_by_object = vec![0usize; n];
         let mut removals_by_object: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut events: Vec<MigEvent> = Vec::new();
         if let Some(plan) = plan {
             for addition in &plan.additions {
                 pending[addition.site.index()].push(PendingFetch {
@@ -428,16 +396,11 @@ impl<'a> Epoch<'a> {
                 removals_by_object[object.index()].push(site.index());
             }
             for (object, removals) in removals_by_object.iter_mut().enumerate() {
-                if pending_by_object[object] == 0 && !removals.is_empty() {
-                    let count = removals.len();
+                if pending_by_object[object] == 0 {
                     for site in removals.drain(..) {
                         dir.remove(site, object);
                         counters.deallocated += 1;
                     }
-                    events.push(MigEvent::Cutover {
-                        object,
-                        removals: count,
-                    });
                 }
             }
         }
@@ -451,7 +414,6 @@ impl<'a> Epoch<'a> {
             pending,
             pending_by_object,
             removals_by_object,
-            events,
             counters,
             migration_ntc: 0,
         }
@@ -596,25 +558,13 @@ impl<'a> Epoch<'a> {
         self.dir.add(me, object);
         let slot = &mut self.version[me * n + object];
         *slot = (*slot).max(version);
-        let installed_version = *slot;
         self.counters.installed += 1;
-        self.events.push(MigEvent::Install {
-            site: me,
-            object,
-            version: installed_version,
-        });
         self.pending_by_object[object] -= 1;
         if self.pending_by_object[object] == 0 {
-            let removals = std::mem::take(&mut self.removals_by_object[object]);
-            let count = removals.len();
-            for site in removals {
+            for site in std::mem::take(&mut self.removals_by_object[object]) {
                 self.dir.remove(site, object);
                 self.counters.deallocated += 1;
             }
-            self.events.push(MigEvent::Cutover {
-                object,
-                removals: count,
-            });
         }
     }
 
@@ -665,11 +615,6 @@ impl Node<Msg> for Epoch<'_> {
                     return; // already installed
                 }
                 self.counters.retries += 1;
-                self.events.push(MigEvent::Retry {
-                    site: me,
-                    object,
-                    attempt,
-                });
                 let candidates = self.fetch_candidates(me, object);
                 let Some(&source) = candidates.get(attempt as usize % candidates.len().max(1))
                 else {
@@ -758,8 +703,6 @@ pub(crate) fn run_epoch(
     let mut observed_reads = DenseMatrix::zeros(m, n);
     let mut observed_writes = DenseMatrix::zeros(m, n);
     let mut counters = Counters::default();
-    let mut shed_by_site = vec![0u64; m];
-    let mut admitted_by_site = vec![0u64; m];
     if spec.traffic {
         let ingested = {
             let _span = telemetry::span(recorder.as_ref(), "serve.ingest");
@@ -783,8 +726,6 @@ pub(crate) fn run_epoch(
         counters.requests.reads_issued = ingested.admitted_reads;
         counters.requests.writes_issued = ingested.admitted_writes;
         counters.admitted = ingested.admitted_reads + ingested.admitted_writes;
-        shed_by_site.copy_from_slice(&ingested.report.shed_by_site);
-        admitted_by_site.copy_from_slice(&ingested.report.admitted_by_site);
         if recorder.enabled() {
             recorder.add_counter("ingest.offered", counters.offered);
             recorder.add_counter("ingest.admitted", counters.admitted);
@@ -856,9 +797,6 @@ pub(crate) fn run_epoch(
         observed_reads,
         observed_writes,
         counters,
-        shed_by_site,
-        admitted_by_site,
-        mig_events: state.events,
         serving_ntc: stats.transfer_cost.saturating_sub(state.migration_ntc),
         migration_ntc: state.migration_ntc,
         traffic: stats,

@@ -276,7 +276,7 @@ impl Predictor for RegressionPredictor {
     }
 }
 
-/// Forecaster state as journaled to the WAL (format v3).
+/// Forecaster state as journaled to the WAL (since format v3).
 ///
 /// `deferred` carries the scheme text of a retune the payback gate has
 /// parked, so a recovered run re-evaluates exactly the candidate the

@@ -3,11 +3,15 @@
 //! Recovery is *commit-point truncation plus deterministic re-run*:
 //!
 //! 1. [`crate::wal::decode_stream`] reads the log up to the first torn or
-//!    corrupt frame (the damage is reported, never panicked on);
-//! 2. the valid records are scanned for the last **commit point** — the
-//!    `RunStart` header, the latest `Checkpoint`, or the `Retune` record
-//!    completing an epoch's `EpochEnd`/`Retune` pair. Everything after it
-//!    (a partially journaled epoch) is dropped;
+//!    corrupt frame (the damage is reported, never panicked on). A log
+//!    torn inside its `RunStart` header holds no commit point at all: the
+//!    runtime rewrites the header and starts the run over;
+//! 2. the valid records — the log is `RunStart (EpochEnd Retune
+//!    Checkpoint?)*`, commit points only — are scanned for the last
+//!    **commit point**: the `RunStart` header, the latest `Checkpoint`, or
+//!    the `Retune` record completing an epoch's `EpochEnd`/`Retune` pair.
+//!    Everything after it (an `EpochEnd` whose `Retune` never landed) is
+//!    dropped;
 //! 3. the loop state at that commit point is reconstructed: committed
 //!    epoch reports verbatim from the log, the realized/target schemes
 //!    from their `drp-scheme v1` payloads, the monitor from its latest
@@ -192,8 +196,6 @@ pub(crate) fn recover(
             WalRecord::RunStart { .. } => {
                 return Err(mismatch(format!("duplicate RunStart at record {index}")));
             }
-            // Admission/migration journal entries: observability only.
-            _ => {}
         }
     }
 

@@ -44,7 +44,7 @@ use drp_workload::{zipf, PatternChange, Scenario};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::epoch::{run_epoch, EpochSpec, MigEvent};
+use crate::epoch::{run_epoch, EpochSpec};
 pub use crate::epoch::{MigrationTuning, RequestTally};
 use crate::hotkey::{self, HotKeyConfig, HotKeyDetector};
 use crate::ingest::IngestScratch;
@@ -625,7 +625,8 @@ pub struct DurableOutcome {
 /// [`CoreError::Serve`]: `WalMismatch` when the log belongs to a different
 /// run, `WalIo` on store failures. Torn or corrupt log tails are NOT
 /// errors — recovery truncates to the last commit point and reports the
-/// damage in [`DurableOutcome::recovery`].
+/// damage in [`DurableOutcome::recovery`]. A log torn inside this run's
+/// own `RunStart` header restarts from epoch 0 the same way.
 pub fn run_service_durable(
     problem: &Problem,
     config: &ServeConfig,
@@ -652,8 +653,18 @@ pub fn run_service_durable_recorded(
         config_hash: config_hash(problem, config),
     }
     .frame();
-    if bytes.is_empty() {
-        store.append(&run_start).map_err(wal_io)?;
+    let decoded = decode_stream(&bytes);
+    // A crash inside the very first append leaves a proper prefix of this
+    // run's header: nothing was committed, so the run starts over.
+    let torn_header = decoded.records.is_empty()
+        && matches!(decoded.damage, Some(ServeError::WalTruncated { .. }))
+        && run_start.starts_with(&bytes);
+    if bytes.is_empty() || torn_header {
+        if torn_header {
+            store.reset(&run_start).map_err(wal_io)?;
+        } else {
+            store.append(&run_start).map_err(wal_io)?;
+        }
         let mut ctx = WalCtx {
             store,
             run_start,
@@ -662,10 +673,13 @@ pub fn run_service_durable_recorded(
         let report = run_loop(problem, config, recorder, None, Some(&mut ctx), None)?;
         return Ok(DurableOutcome {
             report,
-            recovery: None,
+            recovery: torn_header.then_some(RecoveryInfo {
+                resumed_epoch: 0,
+                dropped_records: 0,
+                damage: decoded.damage,
+            }),
         });
     }
-    let decoded = decode_stream(&bytes);
     let recovered = recover(problem, config, &decoded.records, decoded.damage)?;
     // Truncate to the commit point: re-framing the kept records is
     // byte-identical to what was originally written.
@@ -866,9 +880,6 @@ fn run_loop(
         } else {
             None
         };
-        if let Some(ctx) = wal.as_deref_mut() {
-            ctx.append(&[WalRecord::EpochStart { epoch: e as u64 }])?;
-        }
         let outcome = run_epoch(
             &EpochSpec {
                 problem: &truth,
@@ -1041,11 +1052,6 @@ fn run_loop(
         drop(retune_span);
 
         let c = outcome.counters;
-        debug_assert_eq!(
-            outcome.shed_by_site.iter().sum::<u64>(),
-            c.shed,
-            "per-site backpressure counters must total the epoch's shed count"
-        );
         let report = EpochReport {
             epoch: e,
             night,
@@ -1091,84 +1097,28 @@ fn run_loop(
         epochs.push(report);
 
         if let (Some(ctx), Some(epoch_report)) = (wal.as_deref_mut(), epochs.last()) {
-            // Journal the epoch: drains and migration events for
-            // observability, then the EpochEnd/Retune pair that makes the
-            // epoch durable (Retune is the commit point).
-            let mut batch: Vec<WalRecord> = Vec::new();
-            for (site, (&admitted, &shed)) in outcome
-                .admitted_by_site
-                .iter()
-                .zip(&outcome.shed_by_site)
-                .enumerate()
-            {
-                if admitted + shed > 0 {
-                    batch.push(WalRecord::AdmissionDrain {
-                        epoch: e as u64,
-                        site: site as u64,
-                        admitted,
-                        shed,
-                    });
-                }
-            }
-            if let Some(plan) = &plan {
-                for addition in &plan.additions {
-                    batch.push(WalRecord::MigrationStage {
-                        epoch: e as u64,
-                        site: addition.site.index() as u64,
-                        object: addition.object.index() as u64,
-                        source: addition.source.index() as u64,
-                    });
-                }
-            }
-            for event in &outcome.mig_events {
-                batch.push(match *event {
-                    MigEvent::Retry {
-                        site,
-                        object,
-                        attempt,
-                    } => WalRecord::MigrationRetry {
-                        epoch: e as u64,
-                        site: site as u64,
-                        object: object as u64,
-                        attempt: u64::from(attempt),
-                    },
-                    MigEvent::Install {
-                        site,
-                        object,
-                        version,
-                    } => WalRecord::MigrationInstall {
-                        epoch: e as u64,
-                        site: site as u64,
-                        object: object as u64,
-                        version,
-                    },
-                    MigEvent::Cutover { object, removals } => WalRecord::Cutover {
-                        epoch: e as u64,
-                        object: object as u64,
-                        removals: removals as u64,
-                    },
-                });
-            }
-            batch.push(WalRecord::EpochEnd {
-                epoch: e as u64,
-                report: epoch_report.clone(),
-                realized: write_scheme(&realized).into_bytes(),
-            });
+            // Journal the epoch in one append: the EpochEnd/Retune pair
+            // that makes it durable (Retune is the commit point).
             let snapshot = if monitor_changed {
                 Some(snapshot_monitor(&monitor)?)
             } else {
                 None
             };
-            batch.push(WalRecord::Retune {
-                epoch: e as u64,
-                kind,
-                adapted_objects: adapted_objects as u64,
-                target: write_scheme(&target).into_bytes(),
-                monitor: snapshot,
-                hot: hot_state.as_ref().map(|(d, b)| d.snapshot(b)),
-                predictor: predict_state.as_ref().map(PredictState::snapshot),
-            });
-            ctx.append(&batch)?;
+            ctx.append(&[
+                WalRecord::EpochEnd {
+                    epoch: e as u64,
+                    report: epoch_report.clone(),
+                    realized: write_scheme(&realized).into_bytes(),
+                },
+                WalRecord::Retune {
+                    epoch: e as u64,
+                    kind,
+                    target: write_scheme(&target).into_bytes(),
+                    monitor: snapshot,
+                    hot: hot_state.as_ref().map(|(d, b)| d.snapshot(b)),
+                    predictor: predict_state.as_ref().map(PredictState::snapshot),
+                },
+            ])?;
             ctx.since_checkpoint += 1;
             if ctx.since_checkpoint >= config.wal.checkpoint_every {
                 ctx.checkpoint(Checkpoint {

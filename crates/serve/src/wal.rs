@@ -10,14 +10,12 @@
 //! payload := tag: u8, fields...
 //! ```
 //!
-//! and the log is a `RunStart` header followed by per-epoch runs of
+//! and the log is a `RunStart` header followed by one commit-point pair
+//! per epoch:
 //!
 //! ```text
-//! EpochStart
-//!   AdmissionDrain*          per-site admitted/shed counts of the window
-//!   MigrationStage*          the staged plan (one per addition)
-//!   (MigrationRetry | MigrationInstall | Cutover)*   executor events,
-//!                            in deterministic simulator order
+//! RunStart (EpochEnd Retune Checkpoint?)*
+//!
 //! EpochEnd                   the epoch's report + realized directory
 //! Retune                     the boundary decision + next target; carries
 //!                            a monitor snapshot when the decision changed
@@ -26,10 +24,14 @@
 //!                            dropped (compaction)
 //! ```
 //!
-//! An epoch is durable once its `Retune` record is on disk — that record
-//! carries everything the next epoch's decision depends on. A crash at any
+//! Each epoch's `EpochEnd`/`Retune` pair is written by one append, so a
+//! durable run performs one append per epoch plus the header. An epoch is
+//! durable once its `Retune` record is on disk — that record carries
+//! everything the next epoch's decision depends on. A crash at any
 //! earlier byte re-runs the epoch from the previous commit point, which is
 //! safe because epochs are deterministic functions of the committed state.
+//! Nothing that happens inside an epoch (admission drains, migration
+//! fetches, retries, cutovers) is journaled: the re-run reproduces it.
 //!
 //! Integrity is per-record: a CRC or structural failure at record `i`
 //! drops records `i..` (reported as [`ServeError::WalCorrupt`]); a frame
@@ -47,13 +49,17 @@ use crate::report::EpochReport;
 
 /// On-disk format version inside `RunStart`.
 ///
+/// v4 journals commit points only: the per-epoch `EpochStart`,
+/// `AdmissionDrain`, `MigrationStage`, `MigrationRetry`,
+/// `MigrationInstall` and `Cutover` records are gone, and `Retune` no
+/// longer repeats the adapted-object count its `EpochEnd` report carries.
 /// v3 added the predictive policy family: an optional [`PredictSnapshot`]
 /// (forecaster windows, EWMAs, and any deferred retune candidate) on
 /// `Retune` and `Checkpoint`. v2 added the hot-object fast path:
 /// `hot_promotions`/`hot_demotions` in every journaled [`EpochReport`] and
 /// an optional [`HotSnapshot`] on `Retune` and `Checkpoint`. Older logs
 /// are refused cleanly by recovery.
-pub const WAL_VERSION: u32 = 3;
+pub const WAL_VERSION: u32 = 4;
 
 /// Durability knobs of the serving runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -167,64 +173,6 @@ pub enum WalRecord {
         /// FNV hash of the full `ServeConfig` debug rendering.
         config_hash: u64,
     },
-    /// An epoch began executing (not yet durable).
-    EpochStart {
-        /// Epoch index.
-        epoch: u64,
-    },
-    /// One site's admission-queue drain for the epoch's window.
-    AdmissionDrain {
-        /// Epoch index.
-        epoch: u64,
-        /// Site index.
-        site: u64,
-        /// Requests admitted at the site.
-        admitted: u64,
-        /// Requests shed by backpressure at the site.
-        shed: u64,
-    },
-    /// One staged replica addition of the epoch's migration plan.
-    MigrationStage {
-        /// Epoch index.
-        epoch: u64,
-        /// Target site.
-        site: u64,
-        /// Object being replicated.
-        object: u64,
-        /// Planned fetch source.
-        source: u64,
-    },
-    /// The executor re-sourced/retried a fetch.
-    MigrationRetry {
-        /// Epoch index.
-        epoch: u64,
-        /// Fetching site.
-        site: u64,
-        /// Object being fetched.
-        object: u64,
-        /// Retry attempt number (1-based).
-        attempt: u64,
-    },
-    /// A fetched replica was installed at its target.
-    MigrationInstall {
-        /// Epoch index.
-        epoch: u64,
-        /// Installing site.
-        site: u64,
-        /// Installed object.
-        object: u64,
-        /// Version the replica landed at.
-        version: u64,
-    },
-    /// An object's last pending addition landed; deferred removals applied.
-    Cutover {
-        /// Epoch index.
-        epoch: u64,
-        /// Object that cut over.
-        object: u64,
-        /// Deallocations applied at cutover.
-        removals: u64,
-    },
     /// The epoch finished serving; its report and realized directory.
     EpochEnd {
         /// Epoch index.
@@ -240,8 +188,6 @@ pub enum WalRecord {
         epoch: u64,
         /// What the decision did.
         kind: RetuneKind,
-        /// Objects past the drift threshold.
-        adapted_objects: u64,
         /// `drp-scheme v1` text of the next target scheme.
         target: Vec<u8>,
         /// New monitor state when the decision changed it.
@@ -628,13 +574,10 @@ fn take_predictor(dec: &mut Dec<'_>) -> Result<Option<PredictSnapshot>, String> 
     }))
 }
 
+// Tags 2..=7 belonged to the v3 per-epoch observability records. They are
+// not reused, so such a frame decodes as an unknown tag, never as a
+// misparsed record of another kind.
 const TAG_RUN_START: u8 = 1;
-const TAG_EPOCH_START: u8 = 2;
-const TAG_ADMISSION_DRAIN: u8 = 3;
-const TAG_MIGRATION_STAGE: u8 = 4;
-const TAG_MIGRATION_RETRY: u8 = 5;
-const TAG_MIGRATION_INSTALL: u8 = 6;
-const TAG_CUTOVER: u8 = 7;
 const TAG_EPOCH_END: u8 = 8;
 const TAG_RETUNE: u8 = 9;
 const TAG_CHECKPOINT: u8 = 10;
@@ -654,68 +597,6 @@ impl WalRecord {
                 enc.u64(*seed);
                 enc.u64(*config_hash);
             }
-            WalRecord::EpochStart { epoch } => {
-                enc.u8(TAG_EPOCH_START);
-                enc.u64(*epoch);
-            }
-            WalRecord::AdmissionDrain {
-                epoch,
-                site,
-                admitted,
-                shed,
-            } => {
-                enc.u8(TAG_ADMISSION_DRAIN);
-                enc.u64(*epoch);
-                enc.u64(*site);
-                enc.u64(*admitted);
-                enc.u64(*shed);
-            }
-            WalRecord::MigrationStage {
-                epoch,
-                site,
-                object,
-                source,
-            } => {
-                enc.u8(TAG_MIGRATION_STAGE);
-                enc.u64(*epoch);
-                enc.u64(*site);
-                enc.u64(*object);
-                enc.u64(*source);
-            }
-            WalRecord::MigrationRetry {
-                epoch,
-                site,
-                object,
-                attempt,
-            } => {
-                enc.u8(TAG_MIGRATION_RETRY);
-                enc.u64(*epoch);
-                enc.u64(*site);
-                enc.u64(*object);
-                enc.u64(*attempt);
-            }
-            WalRecord::MigrationInstall {
-                epoch,
-                site,
-                object,
-                version,
-            } => {
-                enc.u8(TAG_MIGRATION_INSTALL);
-                enc.u64(*epoch);
-                enc.u64(*site);
-                enc.u64(*object);
-                enc.u64(*version);
-            }
-            WalRecord::Cutover {
-                epoch,
-                object,
-                removals,
-            } => {
-                enc.u8(TAG_CUTOVER);
-                enc.u64(*epoch);
-                enc.u64(*object);
-                enc.u64(*removals);
-            }
             WalRecord::EpochEnd {
                 epoch,
                 report,
@@ -729,7 +610,6 @@ impl WalRecord {
             WalRecord::Retune {
                 epoch,
                 kind,
-                adapted_objects,
                 target,
                 monitor,
                 hot,
@@ -738,7 +618,6 @@ impl WalRecord {
                 enc.u8(TAG_RETUNE);
                 enc.u64(*epoch);
                 enc.u8(kind.tag());
-                enc.u64(*adapted_objects);
                 enc.bytes(target);
                 put_monitor(&mut enc, monitor);
                 put_hot(&mut enc, hot);
@@ -788,36 +667,6 @@ impl WalRecord {
                 seed: dec.u64()?,
                 config_hash: dec.u64()?,
             },
-            TAG_EPOCH_START => WalRecord::EpochStart { epoch: dec.u64()? },
-            TAG_ADMISSION_DRAIN => WalRecord::AdmissionDrain {
-                epoch: dec.u64()?,
-                site: dec.u64()?,
-                admitted: dec.u64()?,
-                shed: dec.u64()?,
-            },
-            TAG_MIGRATION_STAGE => WalRecord::MigrationStage {
-                epoch: dec.u64()?,
-                site: dec.u64()?,
-                object: dec.u64()?,
-                source: dec.u64()?,
-            },
-            TAG_MIGRATION_RETRY => WalRecord::MigrationRetry {
-                epoch: dec.u64()?,
-                site: dec.u64()?,
-                object: dec.u64()?,
-                attempt: dec.u64()?,
-            },
-            TAG_MIGRATION_INSTALL => WalRecord::MigrationInstall {
-                epoch: dec.u64()?,
-                site: dec.u64()?,
-                object: dec.u64()?,
-                version: dec.u64()?,
-            },
-            TAG_CUTOVER => WalRecord::Cutover {
-                epoch: dec.u64()?,
-                object: dec.u64()?,
-                removals: dec.u64()?,
-            },
             TAG_EPOCH_END => WalRecord::EpochEnd {
                 epoch: dec.u64()?,
                 report: take_report(&mut dec)?,
@@ -826,7 +675,6 @@ impl WalRecord {
             TAG_RETUNE => WalRecord::Retune {
                 epoch: dec.u64()?,
                 kind: RetuneKind::from_tag(dec.u8()?)?,
-                adapted_objects: dec.u64()?,
                 target: dec.bytes()?,
                 monitor: take_monitor(&mut dec)?,
                 hot: take_hot(&mut dec)?,
@@ -1185,36 +1033,6 @@ mod tests {
                 seed: 7,
                 config_hash: 0xdead_beef,
             },
-            WalRecord::EpochStart { epoch: 0 },
-            WalRecord::AdmissionDrain {
-                epoch: 0,
-                site: 2,
-                admitted: 40,
-                shed: 3,
-            },
-            WalRecord::MigrationStage {
-                epoch: 0,
-                site: 1,
-                object: 4,
-                source: 0,
-            },
-            WalRecord::MigrationRetry {
-                epoch: 0,
-                site: 1,
-                object: 4,
-                attempt: 1,
-            },
-            WalRecord::MigrationInstall {
-                epoch: 0,
-                site: 1,
-                object: 4,
-                version: 2,
-            },
-            WalRecord::Cutover {
-                epoch: 0,
-                object: 4,
-                removals: 1,
-            },
             WalRecord::EpochEnd {
                 epoch: 0,
                 report: sample_report(0),
@@ -1223,7 +1041,6 @@ mod tests {
             WalRecord::Retune {
                 epoch: 0,
                 kind: RetuneKind::Adapt,
-                adapted_objects: 2,
                 target: b"drp-scheme v1\n".to_vec(),
                 monitor: Some(MonitorSnapshot {
                     problem: b"drp-instance v1\n".to_vec(),
@@ -1323,6 +1140,31 @@ mod tests {
             decoded.damage,
             Some(ServeError::WalCorrupt { record: 2, .. })
         ));
+    }
+
+    #[test]
+    fn retired_tags_are_corrupt_and_prefix_kept() {
+        let records = sample_records();
+        for tag in 2u8..=7 {
+            // A v3 `EpochStart { epoch: 0 }`-shaped payload under each
+            // retired tag, framed with a valid CRC.
+            let mut payload = vec![tag];
+            payload.extend_from_slice(&0u64.to_le_bytes());
+            let mut bytes = stream(&records[..2]);
+            bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
+            bytes.extend_from_slice(&payload);
+            bytes.extend_from_slice(&stream(&records[2..]));
+            let decoded = decode_stream(&bytes);
+            assert_eq!(decoded.records, records[..2]);
+            assert_eq!(decoded.valid_bytes, stream(&records[..2]).len());
+            match decoded.damage {
+                Some(ServeError::WalCorrupt { record: 2, reason }) => {
+                    assert_eq!(reason, format!("unknown record tag {tag}"));
+                }
+                other => panic!("tag {tag}: expected corruption, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! move.
 
 use drp_core::{CoreError, ServeError};
+use drp_serve::wal::{decode_stream, WalRecord, WAL_VERSION};
 use drp_serve::{
     crash_points, run_service, run_service_durable, FaultSpec, MemWalStore, Policy, ServeConfig,
     TracingStore, WalStore, WalTuning,
@@ -44,11 +45,13 @@ fn monitor_config() -> drp_algo::monitor::MonitorConfig {
 /// A config that exercises every journaled path: drift (so the monitor
 /// adapts and snapshots ride the Retune records), a nightly rebuild,
 /// faults (so migration retries/re-sourcing appear), admission shedding,
-/// and a checkpoint mid-run.
+/// and checkpoints mid-run. Five epochs, so the rebuild at epoch 2 is
+/// followed by migrating epochs: crash points then sit on both sides of
+/// epochs whose migrations install replicas and retry fetches.
 fn config(seed: u64) -> ServeConfig {
     ServeConfig {
         policy: Policy::Monitor,
-        epochs: 3,
+        epochs: 5,
         seed,
         night_every: 3,
         admission_limit: 24,
@@ -89,6 +92,15 @@ fn every_record_boundary_crash_recovers_bitwise_identically() {
     let mut tracing = TracingStore::default();
     let baseline = run_service_durable(&problem, &config, &mut tracing).unwrap();
     let fingerprint = baseline.report.fingerprint();
+    let epochs = &baseline.report.epochs;
+    assert!(
+        epochs.iter().any(|e| e.migration_planned > 0),
+        "no epoch migrated — no crash point sits inside a migration"
+    );
+    assert!(
+        epochs.iter().any(|e| e.migration_retries > 0),
+        "no migration retried — the fault path never ran"
+    );
 
     let points = crash_points(tracing.ops());
     assert!(
@@ -248,4 +260,78 @@ proptest! {
         prop_assert_eq!(recovered.report.fingerprint(), baseline.report.fingerprint());
         prop_assert_eq!(recovered.report.epochs.len(), config.epochs);
     }
+}
+
+#[test]
+fn torn_run_start_header_restarts_the_run() {
+    let problem = problem(17);
+    let config = config(17);
+    let mut tracing = TracingStore::default();
+    let baseline = run_service_durable(&problem, &config, &mut tracing).unwrap();
+    let header = tracing.ops()[0].bytes.clone();
+    assert!(!tracing.ops()[0].reset, "the header is the first append");
+
+    // Every proper prefix of the header: nothing was committed, so the run
+    // starts over from epoch 0 and reports the torn header as damage.
+    for cut in 1..header.len() {
+        let mut store = MemWalStore::from_bytes(tracing.contents_at(0, cut));
+        let recovered = run_service_durable(&problem, &config, &mut store)
+            .unwrap_or_else(|e| panic!("header cut at {cut} failed: {e}"));
+        assert_eq!(
+            recovered.report.fingerprint(),
+            baseline.report.fingerprint(),
+            "header cut at {cut} diverged"
+        );
+        let info = recovered.recovery.expect("a torn header is a recovery");
+        assert_eq!((info.resumed_epoch, info.dropped_records), (0, 0));
+        assert!(
+            matches!(
+                info.damage,
+                Some(ServeError::WalTruncated { record: 0, .. })
+            ),
+            "header cut at {cut}: {:?}",
+            info.damage
+        );
+        assert_eq!(store.bytes(), tracing.bytes(), "header cut at {cut}");
+    }
+
+    // A torn prefix of another run's header is still foreign. (Cuts inside
+    // the length word are byte-identical for every run's header.)
+    let mut other = TracingStore::default();
+    run_service_durable(&problem, &self::config(18), &mut other).unwrap();
+    let foreign = &other.ops()[0].bytes;
+    for cut in [8, 20, foreign.len() - 1] {
+        let mut store = MemWalStore::from_bytes(foreign[..cut].to_vec());
+        let err = run_service_durable(&problem, &config, &mut store).unwrap_err();
+        assert!(
+            matches!(err, CoreError::Serve(ServeError::WalMismatch { .. })),
+            "foreign header cut at {cut}: {err}"
+        );
+    }
+}
+
+#[test]
+fn recovery_refuses_a_log_of_another_format_version() {
+    let problem = problem(17);
+    let config = config(17);
+    let mut store = MemWalStore::default();
+    run_service_durable(&problem, &config, &mut store).unwrap();
+
+    // Same run, header rewritten to claim the previous format.
+    let mut records = decode_stream(store.bytes()).records;
+    let WalRecord::RunStart { version, .. } = &mut records[0] else {
+        panic!("log must begin with RunStart");
+    };
+    *version = WAL_VERSION - 1;
+    let bytes: Vec<u8> = records.iter().flat_map(WalRecord::frame).collect();
+    let err =
+        run_service_durable(&problem, &config, &mut MemWalStore::from_bytes(bytes)).unwrap_err();
+    let CoreError::Serve(ServeError::WalMismatch { reason }) = &err else {
+        panic!("expected a version mismatch, got {err}");
+    };
+    assert!(
+        reason.contains(&format!("v{}", WAL_VERSION - 1))
+            && reason.contains(&format!("v{WAL_VERSION}")),
+        "{reason}"
+    );
 }
