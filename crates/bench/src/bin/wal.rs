@@ -3,10 +3,12 @@
 //!
 //! For each instance size it runs the same drifting monitor-policy service
 //! twice — once in memory, once journaling every commit point to a WAL —
-//! and reports the wall-clock overhead of durable mode, the log footprint,
-//! and two parity flags: the durable run's [`ServiceReport`] fingerprint
-//! must equal the in-memory run's, and a recovery from a truncated log
-//! must reproduce it bitwise.
+//! and reports the wall-clock overhead of durable mode, the final log
+//! size (`wal_bytes`: what a compacted log occupies at the end of the
+//! run), the journaling volume (`written_bytes`: every append and reset
+//! payload of one durable run), and two parity flags: the durable run's
+//! [`ServiceReport`] fingerprint must equal the in-memory run's, and a
+//! recovery from a truncated log must reproduce it bitwise.
 //!
 //! The store is in-memory (the same code path the crash simulator
 //! exercises), so the measured overhead is the journaling machinery
@@ -17,7 +19,9 @@
 //! [`ServiceReport`]: drp_serve::ServiceReport
 
 use drp_bench::report::{Budget, Fields, Report};
-use drp_serve::{run_service, run_service_durable, MemWalStore, Policy, ServeConfig, WalTuning};
+use drp_serve::{
+    run_service, run_service_durable, MemWalStore, Policy, ServeConfig, TracingStore, WalTuning,
+};
 use drp_workload::{PatternChange, WorkloadSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -63,6 +67,7 @@ struct Row {
     durable_ms: f64,
     overhead_percent: f64,
     wal_bytes: u64,
+    written_bytes: u64,
     parity: bool,
     recovery_parity: bool,
     fingerprint: String,
@@ -85,6 +90,11 @@ fn bench_size(sites: usize, objects: usize) -> Row {
         .fingerprint();
     let mut warm = MemWalStore::default();
     run_service_durable(&problem, &config, &mut warm).expect("durable runs");
+    // Journaling volume from a separate untimed run, so the timed reps
+    // keep the plain in-memory store.
+    let mut traced = TracingStore::default();
+    run_service_durable(&problem, &config, &mut traced).expect("durable runs");
+    let written_bytes: usize = traced.ops().iter().map(|op| op.bytes.len()).sum();
 
     let mut plain_ms = f64::MAX;
     let mut durable_ms = f64::MAX;
@@ -134,6 +144,7 @@ fn bench_size(sites: usize, objects: usize) -> Row {
         durable_ms,
         overhead_percent: (median_ratio - 1.0) * 100.0,
         wal_bytes: wal_bytes.len() as u64,
+        written_bytes: written_bytes as u64,
         parity: durable_fp == plain_fp,
         recovery_parity: recovered.report.fingerprint() == plain_fp,
         fingerprint: format!("{plain_fp:016x}"),
@@ -183,6 +194,7 @@ fn main() {
                 .float("durable_ms", row.durable_ms, 2)
                 .float("overhead_percent", row.overhead_percent, 2)
                 .int("wal_bytes", row.wal_bytes)
+                .int("written_bytes", row.written_bytes)
                 .flag("parity", row.parity)
                 .flag("recovery_parity", row.recovery_parity)
                 .text("fingerprint", &row.fingerprint),

@@ -2,6 +2,7 @@ use std::error::Error;
 use std::fmt;
 use std::path::PathBuf;
 
+use drp_serve::Policy;
 use drp_workload::{Scenario, TopologyKind};
 
 /// CLI-level errors with human-readable messages.
@@ -47,19 +48,6 @@ impl From<drp_core::format::FormatError> for CliError {
     fn from(e: drp_core::format::FormatError) -> Self {
         CliError::Format(e)
     }
-}
-
-/// Which adaptation policy `drp serve` runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServePolicy {
-    /// Freeze the bootstrap scheme.
-    Static,
-    /// Monitor + AGRA by day, GRA by night.
-    Monitor,
-    /// Monitor loop driven by EWMA demand forecasts.
-    PredictiveEwma,
-    /// Monitor loop driven by windowed linear-regression forecasts.
-    PredictiveRegression,
 }
 
 /// Which solver `drp solve` runs.
@@ -166,7 +154,7 @@ pub enum Command {
         /// Instance file.
         instance: PathBuf,
         /// Adaptation policy.
-        policy: ServePolicy,
+        policy: Policy,
         /// Serving epochs.
         epochs: usize,
         /// Simulated time units per epoch.
@@ -286,20 +274,8 @@ fn parse_solver(value: &str) -> Result<SolverKind, CliError> {
     })
 }
 
-/// Parses one `--crash SITE@FROM..UNTIL` window.
-fn parse_policy(value: &str) -> Result<ServePolicy, CliError> {
-    Ok(match value {
-        "static" => ServePolicy::Static,
-        "monitor" => ServePolicy::Monitor,
-        "predictive-ewma" => ServePolicy::PredictiveEwma,
-        "predictive-regression" => ServePolicy::PredictiveRegression,
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown policy `{other}` (expected static, monitor, \
-                 predictive-ewma or predictive-regression)"
-            )))
-        }
-    })
+fn parse_policy(value: &str) -> Result<Policy, CliError> {
+    Policy::parse(value).map_err(CliError::Usage)
 }
 
 fn parse_scenario(value: &str) -> Result<Scenario, CliError> {
@@ -334,6 +310,7 @@ fn parse_drift(value: &str) -> Result<(f64, f64, f64), CliError> {
     Ok((change, objects, read_share))
 }
 
+/// Parses one `--crash SITE@FROM..UNTIL` window.
 fn parse_crash(value: &str) -> Result<(usize, u64, u64), CliError> {
     let usage = || {
         CliError::Usage(format!(
@@ -484,7 +461,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
         }
         "serve" => {
             let mut instance = None;
-            let mut policy = ServePolicy::Monitor;
+            let mut policy = Policy::Monitor;
             let mut epochs = 3usize;
             let mut period = 256u64;
             let mut seed = 0u64;
@@ -835,10 +812,10 @@ mod tests {
     #[test]
     fn parses_serve_policy_and_scenario_round_trip() {
         for (name, want) in [
-            ("static", ServePolicy::Static),
-            ("monitor", ServePolicy::Monitor),
-            ("predictive-ewma", ServePolicy::PredictiveEwma),
-            ("predictive-regression", ServePolicy::PredictiveRegression),
+            ("static", Policy::Static),
+            ("monitor", Policy::Monitor),
+            ("predictive-ewma", Policy::PredictiveEwma),
+            ("predictive-regression", Policy::PredictiveRegression),
         ] {
             let line = format!("serve --instance net.drp --policy {name}");
             match parse(&argv(&line)).unwrap() {
@@ -846,6 +823,12 @@ mod tests {
                 other => panic!("wrong command: {other:?}"),
             }
         }
+        let err = parse(&argv("serve --instance net.drp --policy oracle")).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "unknown policy `oracle` (expected static, monitor, predictive-ewma or \
+             predictive-regression)"
+        );
         for name in [
             "diurnal",
             "flash-crowd",

@@ -15,13 +15,13 @@ use drp_net::sim::FaultPlan;
 use drp_serve::{
     execute_migration, run_service_durable_recorded, run_service_recorded,
     run_service_with_oracle_recorded, EpochTraffic, FaultSpec, FileWalStore, MigrationTuning,
-    Policy, ServeConfig, WalStore, WalTuning,
+    ServeConfig, WalStore, WalTuning,
 };
 use drp_workload::{PatternChange, WorkloadSpec};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
-use crate::args::{CliError, Command, ServePolicy, SolverKind};
+use crate::args::{CliError, Command, SolverKind};
 
 fn read_file(path: &Path) -> Result<String, CliError> {
     std::fs::read_to_string(path).map_err(|source| CliError::Io {
@@ -448,12 +448,7 @@ pub fn run_command(command: Command) -> Result<String, CliError> {
                 })
             };
             let config = ServeConfig {
-                policy: match policy {
-                    ServePolicy::Static => Policy::Static,
-                    ServePolicy::Monitor => Policy::Monitor,
-                    ServePolicy::PredictiveEwma => Policy::PredictiveEwma,
-                    ServePolicy::PredictiveRegression => Policy::PredictiveRegression,
-                },
+                policy,
                 epochs,
                 period,
                 seed,

@@ -17,7 +17,7 @@
 mod args;
 mod commands;
 
-pub use args::{parse, CliError, Command, ServePolicy};
+pub use args::{parse, CliError, Command};
 pub use commands::run_command;
 
 /// Usage banner printed on argument errors.

@@ -1,4 +1,4 @@
-use crossbeam::channel;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Summary statistics over per-instance measurements.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -54,35 +54,38 @@ where
     if workers <= 1 {
         return (0..instances).map(&job).collect();
     }
-    let (task_tx, task_rx) = channel::unbounded::<usize>();
-    let (result_tx, result_rx) = channel::unbounded::<(usize, T)>();
-    for index in 0..instances {
-        task_tx.send(index).expect("queue is open");
-    }
-    drop(task_tx);
-
+    // Workers claim indices from a shared counter and return what they
+    // ran; the results are then placed back in index order.
+    let next = AtomicUsize::new(0);
+    let mut slots: Vec<Option<T>> = (0..instances).map(|_| None).collect();
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let task_rx = task_rx.clone();
-            let result_tx = result_tx.clone();
-            let job = &job;
-            scope.spawn(move || {
-                while let Ok(index) = task_rx.recv() {
-                    let value = job(index);
-                    result_tx.send((index, value)).expect("result channel open");
-                }
-            });
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let index = next.fetch_add(1, Ordering::Relaxed);
+                        if index >= instances {
+                            return done;
+                        }
+                        done.push((index, job(index)));
+                    }
+                })
+            })
+            .collect();
+        for handle in handles {
+            let done = handle
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            for (index, value) in done {
+                slots[index] = Some(value);
+            }
         }
-        drop(result_tx);
-        let mut slots: Vec<Option<T>> = (0..instances).map(|_| None).collect();
-        while let Ok((index, value)) = result_rx.recv() {
-            slots[index] = Some(value);
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("all jobs completed"))
-            .collect()
-    })
+    });
+    slots
+        .into_iter()
+        .map(|s| s.expect("all jobs completed"))
+        .collect()
 }
 
 #[cfg(test)]

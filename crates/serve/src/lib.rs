@@ -39,9 +39,10 @@
 //! [`MigrationPlan`] executes *live* during the next epoch while serving
 //! continues on the old replicas.
 //!
-//! The whole run is summarized in a serde-serializable [`ServiceReport`]
-//! whose [`fingerprint`](ServiceReport::fingerprint) is bitwise-stable
-//! across thread counts — the determinism contract CI enforces.
+//! The whole run is summarized in a [`ServiceReport`] (rendered as JSON by
+//! [`ServiceReport::render_json`]) whose
+//! [`fingerprint`](ServiceReport::fingerprint) is bitwise-stable across
+//! thread counts — the determinism contract CI enforces.
 //!
 //! [`Problem`]: drp_core::Problem
 //! [`MigrationPlan`]: drp_core::migration::MigrationPlan
@@ -90,7 +91,7 @@ pub use epoch::{MigrationTuning, RequestTally};
 pub use hotkey::{HotKeyConfig, HotKeyDetector, HotSnapshot};
 pub use ingest::{ingest_epoch, IngestOutcome, IngestScratch, IngestSpec};
 pub use oracle::OracleReport;
-pub use predict::{DemandPredictor, PredictConfig, PredictSnapshot, Predictor, PredictorKind};
+pub use predict::{DemandPredictor, PredictConfig, PredictSnapshot, PredictorKind};
 pub use recovery::{crash_points, RecoveryInfo};
 pub use report::{EpochReport, ServiceReport, ServiceTotals};
 pub use runtime::{

@@ -2,30 +2,27 @@
 //!
 //! The AGRA monitor is reactive: it retunes from the demand it has already
 //! seen. The predictive policy family instead forecasts the next epoch's
-//! demand and hands the *forecast* to the retune machinery, following the
-//! online-algorithms-with-predictions framing of Zuo, Tang & Lee (2024):
-//! a good forecaster lets the online policy approach the clairvoyant
-//! optimum, while a bad one must not make it much worse than the reactive
-//! baseline.
+//! demand and hands the *forecast* to the same retune machinery, following
+//! the online-algorithms-with-predictions framing of Zuo, Tang & Lee
+//! (2024): a good forecaster lets the online policy approach the
+//! clairvoyant optimum, while a bad one must not make it much worse than
+//! the reactive baseline.
 //!
-//! Three forecasters are provided behind the [`Predictor`] trait, all pure
-//! integer / fixed-point arithmetic so forecasts are bitwise identical
-//! across platforms, thread counts, and crash/recovery cycles:
+//! One [`DemandPredictor`] serves both forecaster kinds, in pure integer /
+//! fixed-point arithmetic so forecasts are bitwise identical across
+//! platforms, thread counts, and crash/recovery cycles:
 //!
-//! * **last-value** — tomorrow looks like today (the implicit model of the
-//!   reactive monitor, included as the degenerate baseline);
 //! * **EWMA** — exponentially weighted moving average in Q10 fixed point,
 //!   the same representation as the hot-key detector;
 //! * **windowed linear regression** — integer least-squares slope over the
 //!   trailing demand window, extrapolated one epoch ahead. This is the only
 //!   forecaster that can see a ramp *before* its peak.
 //!
-//! Every forecaster tracks per-object demand and per-site aggregate demand
-//! side by side; the serve loop uses object forecasts to shape the pattern
-//! handed to the monitor and site aggregates for pre-staging replica
-//! boosts. State snapshots ([`PredictSnapshot`]) ride the WAL (format v3)
-//! so a recovered run resumes with the exact forecaster state of the
-//! crashed one.
+//! The forecaster tracks per-object read demand; the serve loop uses the
+//! forecast both to shape the pattern handed to the monitor and to
+//! pre-stage hot-object replica boosts. State snapshots
+//! ([`PredictSnapshot`]) ride the WAL so a recovered run resumes with the
+//! exact forecaster state of the crashed one.
 
 use std::collections::VecDeque;
 
@@ -37,23 +34,10 @@ const FP: u32 = 10;
 /// Which forecaster a predictive policy runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PredictorKind {
-    /// Forecast = the most recent observation.
-    LastValue,
     /// Forecast = fixed-point EWMA of the window.
     Ewma,
     /// Forecast = last value plus the least-squares slope of the window.
     Regression,
-}
-
-impl PredictorKind {
-    /// Short name used in reports and bench output.
-    pub fn name(self) -> &'static str {
-        match self {
-            PredictorKind::LastValue => "last-value",
-            PredictorKind::Ewma => "ewma",
-            PredictorKind::Regression => "regression",
-        }
-    }
 }
 
 /// Knobs for the predictive policy family.
@@ -104,73 +88,78 @@ impl PredictConfig {
     }
 }
 
-/// A demand forecaster over per-object and per-site aggregate windows.
-pub trait Predictor {
-    /// Feeds one epoch of realized demand (reads per object, reads per
-    /// site).
-    fn observe(&mut self, objects: &[u64], sites: &[u64]);
-    /// Forecasts the next epoch's per-object demand.
-    fn forecast_objects(&self) -> Vec<u64>;
-    /// Forecasts the next epoch's per-site aggregate demand.
-    fn forecast_sites(&self) -> Vec<u64>;
-}
-
-/// Shared window/EWMA state behind every forecaster.
+/// A demand forecaster over the trailing per-object demand window.
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct DemandState {
-    window: usize,
+pub struct DemandPredictor {
+    kind: PredictorKind,
+    depth: usize,
     alpha_pct: u64,
     windows: VecDeque<Vec<u64>>,
     ewma: Vec<u64>,
-    site_windows: VecDeque<Vec<u64>>,
-    site_ewma: Vec<u64>,
 }
 
-impl DemandState {
-    fn new(cfg: PredictConfig, num_objects: usize, num_sites: usize) -> Self {
-        DemandState {
-            window: cfg.window,
+impl DemandPredictor {
+    /// Creates a cold forecaster of the given kind.
+    pub fn new(kind: PredictorKind, cfg: PredictConfig, num_objects: usize) -> Self {
+        DemandPredictor {
+            kind,
+            depth: cfg.window,
             alpha_pct: cfg.alpha_pct,
             windows: VecDeque::new(),
             ewma: vec![0; num_objects],
-            site_windows: VecDeque::new(),
-            site_ewma: vec![0; num_sites],
         }
     }
 
-    fn observe(&mut self, objects: &[u64], sites: &[u64]) {
+    /// Feeds one epoch of realized per-object read demand.
+    pub fn observe(&mut self, demand: &[u64]) {
         let first = self.windows.is_empty();
-        push_window(&mut self.windows, objects, self.window);
-        push_window(&mut self.site_windows, sites, self.window);
-        update_ewma(&mut self.ewma, objects, self.alpha_pct, first);
-        update_ewma(&mut self.site_ewma, sites, self.alpha_pct, first);
+        if self.windows.len() == self.depth {
+            self.windows.pop_front();
+        }
+        self.windows.push_back(demand.to_vec());
+        for (e, &d) in self.ewma.iter_mut().zip(demand) {
+            if first {
+                // Seed at full value so a cold forecaster degrades to
+                // last-value instead of under-predicting by (100 - alpha)%.
+                *e = d << FP;
+            } else {
+                *e = (self.alpha_pct * (d << FP) + (100 - self.alpha_pct) * *e) / 100;
+            }
+        }
     }
 
-    fn last(windows: &VecDeque<Vec<u64>>, len: usize) -> Vec<u64> {
-        windows.back().cloned().unwrap_or_else(|| vec![0; len])
+    /// Forecasts the next epoch's per-object read demand.
+    pub fn forecast(&self) -> Vec<u64> {
+        match self.kind {
+            PredictorKind::Ewma => self.ewma.iter().map(|e| e >> FP).collect(),
+            PredictorKind::Regression => (0..self.ewma.len())
+                .map(|k| regress_next(&self.windows, k))
+                .collect(),
+        }
     }
-}
 
-fn push_window(ring: &mut VecDeque<Vec<u64>>, demand: &[u64], depth: usize) {
-    if ring.len() == depth {
-        ring.pop_front();
+    /// Captures the forecaster state for the WAL; the caller supplies the
+    /// rendered deferred-candidate scheme, if one is parked.
+    pub fn snapshot(&self, deferred: Option<Vec<u8>>) -> PredictSnapshot {
+        PredictSnapshot {
+            windows: self.windows.iter().cloned().collect(),
+            ewma: self.ewma.clone(),
+            deferred,
+        }
     }
-    ring.push_back(demand.to_vec());
-}
 
-fn update_ewma(ewma: &mut [u64], demand: &[u64], alpha_pct: u64, first: bool) {
-    for (e, &d) in ewma.iter_mut().zip(demand) {
-        if first {
-            // Seed at full value so a cold forecaster degrades to
-            // last-value instead of under-predicting by (100 - alpha)%.
-            *e = d << FP;
-        } else {
-            *e = (alpha_pct * (d << FP) + (100 - alpha_pct) * *e) / 100;
+    /// Rebuilds a forecaster from a WAL snapshot (the `deferred` field is
+    /// the caller's to interpret).
+    pub fn restore(kind: PredictorKind, cfg: PredictConfig, snap: &PredictSnapshot) -> Self {
+        DemandPredictor {
+            windows: snap.windows.iter().cloned().collect(),
+            ewma: snap.ewma.clone(),
+            ..DemandPredictor::new(kind, cfg, 0)
         }
     }
 }
 
-/// Least-squares one-step extrapolation of one series in the ring.
+/// Least-squares one-step extrapolation of one object's series in the ring.
 ///
 /// The slope is `(L·Σxy − Σx·Σy) / (L·Σx² − (Σx)²)` with integer division
 /// truncating toward zero; the forecast is the last value plus the slope,
@@ -198,85 +187,7 @@ fn regress_next(windows: &VecDeque<Vec<u64>>, index: usize) -> u64 {
     forecast.clamp(0, u64::MAX as i128) as u64
 }
 
-macro_rules! forecaster {
-    ($(#[$doc:meta])* $name:ident) => {
-        $(#[$doc])*
-        #[derive(Debug, Clone, PartialEq, Eq)]
-        pub struct $name {
-            state: DemandState,
-        }
-
-        impl $name {
-            /// Creates a cold forecaster for the given instance shape.
-            pub fn new(cfg: PredictConfig, num_objects: usize, num_sites: usize) -> Self {
-                $name {
-                    state: DemandState::new(cfg, num_objects, num_sites),
-                }
-            }
-        }
-    };
-}
-
-forecaster!(
-    /// Forecasts the next epoch as an exact repeat of the last one.
-    LastValuePredictor
-);
-forecaster!(
-    /// Forecasts with a Q10 fixed-point exponentially weighted average.
-    EwmaPredictor
-);
-forecaster!(
-    /// Forecasts by extrapolating the windowed least-squares trend.
-    RegressionPredictor
-);
-
-impl Predictor for LastValuePredictor {
-    fn observe(&mut self, objects: &[u64], sites: &[u64]) {
-        self.state.observe(objects, sites);
-    }
-
-    fn forecast_objects(&self) -> Vec<u64> {
-        DemandState::last(&self.state.windows, self.state.ewma.len())
-    }
-
-    fn forecast_sites(&self) -> Vec<u64> {
-        DemandState::last(&self.state.site_windows, self.state.site_ewma.len())
-    }
-}
-
-impl Predictor for EwmaPredictor {
-    fn observe(&mut self, objects: &[u64], sites: &[u64]) {
-        self.state.observe(objects, sites);
-    }
-
-    fn forecast_objects(&self) -> Vec<u64> {
-        self.state.ewma.iter().map(|e| e >> FP).collect()
-    }
-
-    fn forecast_sites(&self) -> Vec<u64> {
-        self.state.site_ewma.iter().map(|e| e >> FP).collect()
-    }
-}
-
-impl Predictor for RegressionPredictor {
-    fn observe(&mut self, objects: &[u64], sites: &[u64]) {
-        self.state.observe(objects, sites);
-    }
-
-    fn forecast_objects(&self) -> Vec<u64> {
-        (0..self.state.ewma.len())
-            .map(|k| regress_next(&self.state.windows, k))
-            .collect()
-    }
-
-    fn forecast_sites(&self) -> Vec<u64> {
-        (0..self.state.site_ewma.len())
-            .map(|i| regress_next(&self.state.site_windows, i))
-            .collect()
-    }
-}
-
-/// Forecaster state as journaled to the WAL (since format v3).
+/// Forecaster state as journaled to the WAL.
 ///
 /// `deferred` carries the scheme text of a retune the payback gate has
 /// parked, so a recovered run re-evaluates exactly the candidate the
@@ -287,197 +198,73 @@ pub struct PredictSnapshot {
     pub windows: Vec<Vec<u64>>,
     /// Per-object EWMA in Q10 fixed point.
     pub ewma: Vec<u64>,
-    /// Trailing per-site aggregate demand window, oldest first.
-    pub site_windows: Vec<Vec<u64>>,
-    /// Per-site EWMA in Q10 fixed point.
-    pub site_ewma: Vec<u64>,
     /// Scheme text of a deferred retune candidate, if any.
     pub deferred: Option<Vec<u8>>,
-}
-
-/// A snapshot-able forecaster of any [`PredictorKind`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DemandPredictor {
-    /// Last-value forecaster.
-    LastValue(LastValuePredictor),
-    /// EWMA forecaster.
-    Ewma(EwmaPredictor),
-    /// Windowed-regression forecaster.
-    Regression(RegressionPredictor),
-}
-
-impl DemandPredictor {
-    /// Creates a cold forecaster of the given kind.
-    pub fn new(
-        kind: PredictorKind,
-        cfg: PredictConfig,
-        num_objects: usize,
-        num_sites: usize,
-    ) -> Self {
-        match kind {
-            PredictorKind::LastValue => {
-                DemandPredictor::LastValue(LastValuePredictor::new(cfg, num_objects, num_sites))
-            }
-            PredictorKind::Ewma => {
-                DemandPredictor::Ewma(EwmaPredictor::new(cfg, num_objects, num_sites))
-            }
-            PredictorKind::Regression => {
-                DemandPredictor::Regression(RegressionPredictor::new(cfg, num_objects, num_sites))
-            }
-        }
-    }
-
-    /// The forecaster's kind.
-    pub fn kind(&self) -> PredictorKind {
-        match self {
-            DemandPredictor::LastValue(_) => PredictorKind::LastValue,
-            DemandPredictor::Ewma(_) => PredictorKind::Ewma,
-            DemandPredictor::Regression(_) => PredictorKind::Regression,
-        }
-    }
-
-    fn state(&self) -> &DemandState {
-        match self {
-            DemandPredictor::LastValue(p) => &p.state,
-            DemandPredictor::Ewma(p) => &p.state,
-            DemandPredictor::Regression(p) => &p.state,
-        }
-    }
-
-    fn state_mut(&mut self) -> &mut DemandState {
-        match self {
-            DemandPredictor::LastValue(p) => &mut p.state,
-            DemandPredictor::Ewma(p) => &mut p.state,
-            DemandPredictor::Regression(p) => &mut p.state,
-        }
-    }
-
-    /// Captures the forecaster state for the WAL; the caller supplies the
-    /// rendered deferred-candidate scheme, if one is parked.
-    pub fn snapshot(&self, deferred: Option<Vec<u8>>) -> PredictSnapshot {
-        let state = self.state();
-        PredictSnapshot {
-            windows: state.windows.iter().cloned().collect(),
-            ewma: state.ewma.clone(),
-            site_windows: state.site_windows.iter().cloned().collect(),
-            site_ewma: state.site_ewma.clone(),
-            deferred,
-        }
-    }
-
-    /// Rebuilds a forecaster from a WAL snapshot (the `deferred` field is
-    /// the caller's to interpret).
-    pub fn restore(kind: PredictorKind, cfg: PredictConfig, snap: &PredictSnapshot) -> Self {
-        let mut predictor = DemandPredictor::new(kind, cfg, snap.ewma.len(), snap.site_ewma.len());
-        let state = predictor.state_mut();
-        state.windows = snap.windows.iter().cloned().collect();
-        state.ewma = snap.ewma.clone();
-        state.site_windows = snap.site_windows.iter().cloned().collect();
-        state.site_ewma = snap.site_ewma.clone();
-        predictor
-    }
-}
-
-impl Predictor for DemandPredictor {
-    fn observe(&mut self, objects: &[u64], sites: &[u64]) {
-        match self {
-            DemandPredictor::LastValue(p) => p.observe(objects, sites),
-            DemandPredictor::Ewma(p) => p.observe(objects, sites),
-            DemandPredictor::Regression(p) => p.observe(objects, sites),
-        }
-    }
-
-    fn forecast_objects(&self) -> Vec<u64> {
-        match self {
-            DemandPredictor::LastValue(p) => p.forecast_objects(),
-            DemandPredictor::Ewma(p) => p.forecast_objects(),
-            DemandPredictor::Regression(p) => p.forecast_objects(),
-        }
-    }
-
-    fn forecast_sites(&self) -> Vec<u64> {
-        match self {
-            DemandPredictor::LastValue(p) => p.forecast_sites(),
-            DemandPredictor::Ewma(p) => p.forecast_sites(),
-            DemandPredictor::Regression(p) => p.forecast_sites(),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    const KINDS: [PredictorKind; 2] = [PredictorKind::Ewma, PredictorKind::Regression];
+
     fn feed(kind: PredictorKind, series: &[&[u64]]) -> DemandPredictor {
-        let sites = vec![0u64; 2];
-        let mut p = DemandPredictor::new(kind, PredictConfig::default(), series[0].len(), 2);
+        let mut p = DemandPredictor::new(kind, PredictConfig::default(), series[0].len());
         for epoch in series {
-            p.observe(epoch, &sites);
+            p.observe(epoch);
         }
         p
     }
 
     #[test]
     fn cold_forecasters_degrade_to_last_value() {
-        for kind in [
-            PredictorKind::LastValue,
-            PredictorKind::Ewma,
-            PredictorKind::Regression,
-        ] {
+        for kind in KINDS {
             let p = feed(kind, &[&[10, 40]]);
-            assert_eq!(p.forecast_objects(), vec![10, 40], "{}", kind.name());
+            assert_eq!(p.forecast(), vec![10, 40], "{kind:?}");
         }
-        let cold = DemandPredictor::new(PredictorKind::Regression, PredictConfig::default(), 3, 2);
-        assert_eq!(cold.forecast_objects(), vec![0, 0, 0]);
+        let cold = DemandPredictor::new(PredictorKind::Regression, PredictConfig::default(), 3);
+        assert_eq!(cold.forecast(), vec![0, 0, 0]);
     }
 
     #[test]
     fn regression_extrapolates_a_ramp() {
         let p = feed(PredictorKind::Regression, &[&[10], &[20], &[30], &[40]]);
-        assert_eq!(p.forecast_objects(), vec![50]);
+        assert_eq!(p.forecast(), vec![50]);
         // A falling ramp is clamped at zero rather than wrapping.
         let p = feed(PredictorKind::Regression, &[&[20], &[10], &[2]]);
-        assert_eq!(p.forecast_objects(), vec![0]);
+        assert_eq!(p.forecast(), vec![0]);
     }
 
     #[test]
     fn ewma_tracks_but_lags_a_step() {
         let p = feed(PredictorKind::Ewma, &[&[100], &[100], &[200]]);
-        let f = p.forecast_objects()[0];
+        let f = p.forecast()[0];
         assert!(f > 100 && f < 200, "forecast {f}");
-        // Last-value jumps straight to the step.
-        let p = feed(PredictorKind::LastValue, &[&[100], &[100], &[200]]);
-        assert_eq!(p.forecast_objects(), vec![200]);
     }
 
     #[test]
-    fn windows_stay_bounded_and_sites_are_tracked() {
+    fn windows_stay_bounded() {
         let cfg = PredictConfig {
             window: 3,
             ..PredictConfig::default()
         };
-        let mut p = DemandPredictor::new(PredictorKind::Regression, cfg, 1, 2);
+        let mut p = DemandPredictor::new(PredictorKind::Regression, cfg, 1);
         for t in 0..10u64 {
-            p.observe(&[t], &[t * 2, t * 3]);
+            p.observe(&[t * 2]);
         }
         let snap = p.snapshot(None);
         assert_eq!(snap.windows.len(), 3);
-        assert_eq!(snap.site_windows.len(), 3);
-        assert_eq!(p.forecast_sites(), vec![20, 30]);
+        assert_eq!(p.forecast(), vec![20]);
     }
 
     #[test]
     fn snapshot_round_trips_bitwise() {
-        for kind in [
-            PredictorKind::LastValue,
-            PredictorKind::Ewma,
-            PredictorKind::Regression,
-        ] {
+        for kind in KINDS {
             let p = feed(kind, &[&[5, 9], &[7, 3], &[8, 1]]);
             let snap = p.snapshot(Some(b"scheme".to_vec()));
             let q = DemandPredictor::restore(kind, PredictConfig::default(), &snap);
-            assert_eq!(p, q, "{}", kind.name());
-            assert_eq!(p.forecast_objects(), q.forecast_objects());
+            assert_eq!(p, q, "{kind:?}");
+            assert_eq!(p.forecast(), q.forecast());
             assert_eq!(snap.deferred.as_deref(), Some(&b"scheme"[..]));
         }
     }
@@ -486,8 +273,7 @@ mod tests {
     fn identical_feeds_forecast_identically() {
         let a = feed(PredictorKind::Ewma, &[&[13, 7], &[29, 5], &[31, 2]]);
         let b = feed(PredictorKind::Ewma, &[&[13, 7], &[29, 5], &[31, 2]]);
-        assert_eq!(a.forecast_objects(), b.forecast_objects());
-        assert_eq!(a.forecast_sites(), b.forecast_sites());
+        assert_eq!(a.forecast(), b.forecast());
     }
 
     #[test]

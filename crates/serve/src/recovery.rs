@@ -23,18 +23,17 @@
 //!    is bitwise-identical to what the crashed run would have produced —
 //!    the property the crash-simulation suite certifies.
 
-use drp_algo::fault_tolerance::ensure_min_degree;
 use drp_algo::monitor::ReplicationMonitor;
 use drp_core::format::{read_instance, read_scheme};
 use drp_core::{CoreError, Problem, ReplicationScheme, ServeError};
 use drp_ga::BitString;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use crate::hotkey::HotSnapshot;
 use crate::predict::PredictSnapshot;
 use crate::report::EpochReport;
-use crate::runtime::{config_hash, mix, ServeConfig, ShiftPlan, TAG_BOOT};
+use crate::runtime::{
+    bootstrap, config_hash, hot_state, LoopState, PredictState, ServeConfig, ShiftPlan,
+};
 use crate::wal::{MonitorSnapshot, RetuneKind, WalOp, WalRecord, WAL_VERSION};
 
 /// What recovery found in the log, reported alongside the resumed run.
@@ -49,27 +48,10 @@ pub struct RecoveryInfo {
     pub damage: Option<ServeError>,
 }
 
-/// The reconstructed loop state at the last commit point.
-pub(crate) struct Resume {
-    pub start_epoch: usize,
-    pub truth: Problem,
-    pub monitor: ReplicationMonitor,
-    pub realized: ReplicationScheme,
-    pub target: ReplicationScheme,
-    pub epochs: Vec<EpochReport>,
-    pub adaptations: u64,
-    pub rebuilds: u64,
-    /// Hot-object detector state at the commit point (present iff the run
-    /// journaled the hot path).
-    pub hot: Option<HotSnapshot>,
-    /// Demand forecaster state at the commit point (present iff the policy
-    /// is predictive).
-    pub predictor: Option<PredictSnapshot>,
-}
-
-/// [`Resume`] plus the log bookkeeping the durable runtime needs.
+/// The loop state at the last commit point plus the log bookkeeping the
+/// durable runtime needs.
 pub(crate) struct Recovered {
-    pub resume: Resume,
+    pub resume: LoopState,
     /// Records kept (`records[..kept]` ends at the commit point); the
     /// runtime truncates the store to exactly these before resuming.
     pub kept: usize,
@@ -90,7 +72,11 @@ fn bits_from_words(len: u32, words: &[u64]) -> BitString {
     })
 }
 
-fn parse_scheme(text: &[u8], problem: &Problem, what: &str) -> drp_core::Result<ReplicationScheme> {
+pub(crate) fn parse_scheme(
+    text: &[u8],
+    problem: &Problem,
+    what: &str,
+) -> drp_core::Result<ReplicationScheme> {
     let text = std::str::from_utf8(text)
         .map_err(|e| mismatch(format!("{what} scheme is not utf-8: {e}")))?;
     read_scheme(text, problem).map_err(|e| mismatch(format!("{what} scheme: {e}")))
@@ -284,18 +270,14 @@ pub(crate) fn recover(
             (monitor, parse_scheme(realized, &truth, "realized")?, target)
         }
         (None, realized, target) => {
-            let mut boot = StdRng::seed_from_u64(mix(&[config.seed, TAG_BOOT]));
-            let monitor =
-                ReplicationMonitor::bootstrap(problem.clone(), config.monitor.clone(), &mut boot)?;
-            let mut bootstrap = monitor.scheme().clone();
-            ensure_min_degree(problem, &mut bootstrap, config.min_degree)?;
+            let (monitor, scheme, _) = bootstrap(problem, config)?;
             let realized = match realized {
                 Some(text) => parse_scheme(text, &truth, "realized")?,
-                None => bootstrap.clone(),
+                None => scheme.clone(),
             };
             let target = match target {
                 Some(text) => parse_scheme(text, &truth, "target")?,
-                None => bootstrap,
+                None => scheme,
             };
             (monitor, realized, target)
         }
@@ -307,8 +289,10 @@ pub(crate) fn recover(
     };
 
     Ok(Recovered {
-        resume: Resume {
+        resume: LoopState {
             start_epoch: next_epoch,
+            hot: hot_state(config, truth.num_objects(), hot_snap),
+            predict: PredictState::new(config, &truth, pred_snap)?,
             truth,
             monitor,
             realized,
@@ -316,8 +300,6 @@ pub(crate) fn recover(
             epochs,
             adaptations,
             rebuilds,
-            hot: hot_snap.cloned(),
-            predictor: pred_snap.cloned(),
         },
         kept,
         since_checkpoint,

@@ -46,10 +46,10 @@ use rand::SeedableRng;
 
 use crate::epoch::{run_epoch, EpochSpec};
 pub use crate::epoch::{MigrationTuning, RequestTally};
-use crate::hotkey::{self, HotKeyConfig, HotKeyDetector};
+use crate::hotkey::{self, HotKeyConfig, HotKeyDetector, HotSnapshot};
 use crate::ingest::IngestScratch;
-use crate::predict::{DemandPredictor, PredictConfig, PredictSnapshot, Predictor, PredictorKind};
-use crate::recovery::{recover, RecoveryInfo, Resume};
+use crate::predict::{DemandPredictor, PredictConfig, PredictSnapshot, PredictorKind};
+use crate::recovery::{parse_scheme, recover, RecoveryInfo};
 use crate::report::{EpochReport, ServiceReport};
 use crate::wal::{
     decode_stream, Checkpoint, MonitorSnapshot, RetuneKind, WalRecord, WalStore, WalTuning,
@@ -72,6 +72,34 @@ pub enum Policy {
 }
 
 impl Policy {
+    /// Every policy, in canonical order.
+    pub const ALL: [Policy; 4] = [
+        Policy::Static,
+        Policy::Monitor,
+        Policy::PredictiveEwma,
+        Policy::PredictiveRegression,
+    ];
+
+    /// Parses a CLI name.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message listing the valid names when the input matches
+    /// none of them.
+    pub fn parse(name: &str) -> Result<Policy, String> {
+        Policy::ALL
+            .into_iter()
+            .find(|p| p.name() == name)
+            .ok_or_else(|| {
+                let names: Vec<&str> = Policy::ALL.iter().map(|p| p.name()).collect();
+                let (last, rest) = names.split_last().expect("ALL is not empty");
+                format!(
+                    "unknown policy `{name}` (expected {} or {last})",
+                    rest.join(", ")
+                )
+            })
+    }
+
     /// The name used in reports and CLI flags.
     pub fn name(self) -> &'static str {
         match self {
@@ -332,47 +360,37 @@ impl ShiftPlan {
 
 /// Forecaster state of a predictive policy: the demand predictor plus any
 /// retune candidate the payback gate has parked for a later boundary.
-struct PredictState {
+pub(crate) struct PredictState {
     predictor: DemandPredictor,
     deferred: Option<ReplicationScheme>,
 }
 
 impl PredictState {
-    fn fresh(kind: PredictorKind, config: &ServeConfig, problem: &Problem) -> Self {
-        PredictState {
-            predictor: DemandPredictor::new(
-                kind,
-                config.predict,
-                problem.num_objects(),
-                problem.num_sites(),
-            ),
-            deferred: None,
-        }
-    }
-
-    fn restore(
-        kind: PredictorKind,
+    /// The forecaster of `config`'s policy (`None` for the reactive
+    /// policies): cold, or restored bitwise from a WAL snapshot including
+    /// any payback-deferred candidate.
+    pub(crate) fn new(
         config: &ServeConfig,
-        snap: &PredictSnapshot,
-        truth: &Problem,
-    ) -> drp_core::Result<Self> {
-        let deferred = match &snap.deferred {
-            None => None,
-            Some(text) => {
-                let text = std::str::from_utf8(text).map_err(|e| ServeError::WalMismatch {
-                    reason: format!("deferred scheme is not utf-8: {e}"),
-                })?;
-                Some(drp_core::format::read_scheme(text, truth).map_err(|e| {
-                    CoreError::from(ServeError::WalMismatch {
-                        reason: format!("deferred scheme: {e}"),
-                    })
-                })?)
-            }
+        problem: &Problem,
+        snap: Option<&PredictSnapshot>,
+    ) -> drp_core::Result<Option<Self>> {
+        let Some(kind) = config.policy.predictor_kind() else {
+            return Ok(None);
         };
-        Ok(PredictState {
-            predictor: DemandPredictor::restore(kind, config.predict, snap),
-            deferred,
-        })
+        Ok(Some(match snap {
+            None => PredictState {
+                predictor: DemandPredictor::new(kind, config.predict, problem.num_objects()),
+                deferred: None,
+            },
+            Some(snap) => PredictState {
+                predictor: DemandPredictor::restore(kind, config.predict, snap),
+                deferred: snap
+                    .deferred
+                    .as_deref()
+                    .map(|text| parse_scheme(text, problem, "deferred"))
+                    .transpose()?,
+            },
+        }))
     }
 
     fn snapshot(&self) -> PredictSnapshot {
@@ -381,6 +399,114 @@ impl PredictState {
                 .as_ref()
                 .map(|scheme| write_scheme(scheme).into_bytes()),
         )
+    }
+
+    /// Payback gate: the candidate is this boundary's adaptation, else the
+    /// parked one. It becomes the new target only if the NTC it saves on
+    /// the `predicted` window amortizes its migration traffic within
+    /// `payback_epochs`; one that saves, just not fast enough yet, is
+    /// parked for a cheaper boundary.
+    fn payback_gate(
+        &mut self,
+        adapted: Option<ReplicationScheme>,
+        predicted: &Problem,
+        truth: &Problem,
+        realized: &ReplicationScheme,
+        target: &ReplicationScheme,
+        payback_epochs: u64,
+    ) -> drp_core::Result<Option<ReplicationScheme>> {
+        let parked = self.deferred.take();
+        let Some(candidate) = adapted.or(parked).filter(|c| c != target) else {
+            return Ok(None);
+        };
+        let saving = predicted
+            .total_cost(target)
+            .saturating_sub(predicted.total_cost(&candidate));
+        if saving == 0 {
+            return Ok(None);
+        }
+        let migration = plan_migration(truth, realized, &candidate)?.transfer_cost();
+        if migration <= saving.saturating_mul(payback_epochs) {
+            Ok(Some(candidate))
+        } else {
+            self.deferred = Some(candidate);
+            Ok(None)
+        }
+    }
+}
+
+/// Hot-object detector plus the overlay of boosted replicas it currently
+/// maintains on the target.
+pub(crate) type HotState = (HotKeyDetector, Vec<(usize, usize)>);
+
+/// The hot path of `config` (`None` when disabled): cold, or restored
+/// exactly from a WAL snapshot.
+pub(crate) fn hot_state(
+    config: &ServeConfig,
+    num_objects: usize,
+    snap: Option<&HotSnapshot>,
+) -> Option<HotState> {
+    config.hot.map(|hcfg| match snap {
+        Some(snap) => HotKeyDetector::restore(hcfg, snap),
+        None => (HotKeyDetector::new(hcfg, num_objects), Vec::new()),
+    })
+}
+
+/// The seeded bootstrap GRA topped up to [`ServeConfig::min_degree`]: the
+/// scheme every run starts from, so all policies start from the same
+/// realized scheme and differ only in how they adapt. Returns the monitor,
+/// the floored scheme and the number of objects capacity leaves below the
+/// floor. Recovery re-runs it when the log holds no monitor snapshot.
+pub(crate) fn bootstrap(
+    problem: &Problem,
+    config: &ServeConfig,
+) -> drp_core::Result<(ReplicationMonitor, ReplicationScheme, u64)> {
+    let mut boot_rng = StdRng::seed_from_u64(mix(&[config.seed, TAG_BOOT]));
+    let monitor =
+        ReplicationMonitor::bootstrap(problem.clone(), config.monitor.clone(), &mut boot_rng)?;
+    let mut scheme = monitor.scheme().clone();
+    let floor = ensure_min_degree(problem, &mut scheme, config.min_degree)?;
+    Ok((monitor, scheme, floor.unsatisfiable.len() as u64))
+}
+
+/// The serving loop's state at an epoch boundary: built by
+/// [`LoopState::fresh`] for a new run, or rebuilt from the WAL's last
+/// commit point by [`recover`].
+pub(crate) struct LoopState {
+    pub(crate) start_epoch: usize,
+    pub(crate) truth: Problem,
+    pub(crate) monitor: ReplicationMonitor,
+    pub(crate) realized: ReplicationScheme,
+    pub(crate) target: ReplicationScheme,
+    pub(crate) epochs: Vec<EpochReport>,
+    pub(crate) adaptations: u64,
+    pub(crate) rebuilds: u64,
+    pub(crate) hot: Option<HotState>,
+    pub(crate) predict: Option<PredictState>,
+}
+
+impl LoopState {
+    /// Epoch 0 of a new run: the bootstrap scheme realized and targeted,
+    /// cold detectors. Records `serve.min_degree_unmet` for the bootstrap.
+    fn fresh(
+        problem: &Problem,
+        config: &ServeConfig,
+        recorder: &dyn Recorder,
+    ) -> drp_core::Result<Self> {
+        let (monitor, scheme, unmet) = bootstrap(problem, config)?;
+        recorder.add_counter("serve.min_degree_unmet", unmet);
+        Ok(LoopState {
+            start_epoch: 0,
+            truth: problem.clone(),
+            monitor,
+            realized: scheme.clone(),
+            target: scheme,
+            epochs: Vec::with_capacity(config.epochs),
+            adaptations: 0,
+            rebuilds: 0,
+            hot: hot_state(config, problem.num_objects(), None),
+            predict: PredictState::new(config, problem, None)?,
+        })
     }
 }
 
@@ -758,7 +884,7 @@ fn run_loop(
     problem: &Problem,
     config: &ServeConfig,
     recorder: Arc<dyn Recorder>,
-    resume: Option<Resume>,
+    resume: Option<LoopState>,
     mut wal: Option<&mut WalCtx<'_>>,
     mut schemes_out: Option<&mut Vec<ReplicationScheme>>,
 ) -> drp_core::Result<ServiceReport> {
@@ -788,77 +914,9 @@ fn run_loop(
         config.threads
     };
 
-    // Bootstrap (or resume): one GRA build shared by every policy, so all
-    // runs start from the same realized scheme and differ only in how they
-    // adapt. A recovered run restores the committed loop state instead.
-    let (
-        start_epoch,
-        mut truth,
-        mut monitor,
-        mut realized,
-        mut target,
-        mut epochs,
-        mut adaptations,
-        mut rebuilds,
-        resumed_hot,
-        resumed_predictor,
-    ) = match resume {
-        Some(r) => (
-            r.start_epoch,
-            r.truth,
-            r.monitor,
-            r.realized,
-            r.target,
-            r.epochs,
-            r.adaptations,
-            r.rebuilds,
-            r.hot,
-            r.predictor,
-        ),
-        None => {
-            let mut boot_rng = StdRng::seed_from_u64(mix(&[config.seed, TAG_BOOT]));
-            let monitor = ReplicationMonitor::bootstrap(
-                problem.clone(),
-                config.monitor.clone(),
-                &mut boot_rng,
-            )?;
-            let mut realized = monitor.scheme().clone();
-            let floor = ensure_min_degree(problem, &mut realized, config.min_degree)?;
-            recorder.add_counter("serve.min_degree_unmet", floor.unsatisfiable.len() as u64);
-            let target = realized.clone();
-            (
-                0,
-                problem.clone(),
-                monitor,
-                realized,
-                target,
-                Vec::with_capacity(config.epochs),
-                0,
-                0,
-                None,
-                None,
-            )
-        }
-    };
-
-    // Hot-object fast path: detector plus the overlay of boosted replicas
-    // it currently maintains on the target. Restored exactly from the WAL
-    // snapshot on recovery.
-    let mut hot_state: Option<(HotKeyDetector, Vec<(usize, usize)>)> =
-        config.hot.map(|hcfg| match &resumed_hot {
-            Some(snap) => HotKeyDetector::restore(hcfg, snap),
-            None => (HotKeyDetector::new(hcfg, problem.num_objects()), Vec::new()),
-        });
-
-    // Forecaster state for the predictive policies, restored bitwise from
-    // the WAL snapshot on recovery (including any payback-deferred retune
-    // candidate).
-    let mut predict_state: Option<PredictState> = match config.policy.predictor_kind() {
-        Some(kind) => Some(match &resumed_predictor {
-            Some(snap) => PredictState::restore(kind, config, snap, &truth)?,
-            None => PredictState::fresh(kind, config, problem),
-        }),
-        None => None,
+    let mut st = match resume {
+        Some(state) => state,
+        None => LoopState::fresh(problem, config, recorder.as_ref())?,
     };
 
     // One scratch for the whole run: the admitted queues and the
@@ -866,24 +924,24 @@ fn run_loop(
     // re-materializing the full trace each time.
     let mut scratch = IngestScratch::new();
 
-    for e in start_epoch..config.epochs {
+    for e in st.start_epoch..config.epochs {
         let _epoch_span = telemetry::span(recorder.as_ref(), "serve.epoch");
         if e > 0 {
-            shift_plan.advance(&mut truth, config, e)?;
+            shift_plan.advance(&mut st.truth, config, e)?;
         }
         if let Some(out) = schemes_out.as_deref_mut() {
-            out.push(realized.clone());
+            out.push(st.realized.clone());
         }
 
-        let plan = if realized != target {
-            Some(plan_migration(&truth, &realized, &target)?)
+        let plan = if st.realized != st.target {
+            Some(plan_migration(&st.truth, &st.realized, &st.target)?)
         } else {
             None
         };
         let outcome = run_epoch(
             &EpochSpec {
-                problem: &truth,
-                scheme: &realized,
+                problem: &st.truth,
+                scheme: &st.realized,
                 plan: plan.as_ref(),
                 period: config.period,
                 admission_limit: config.admission_limit,
@@ -898,112 +956,90 @@ fn run_loop(
             &mut scratch,
             Arc::clone(&recorder),
         )?;
-        realized = outcome.scheme.clone();
+        st.realized = outcome.scheme.clone();
 
-        // Boundary decision on the observed window. The matrices move out
-        // of the outcome — no clone; nothing downstream reads them again.
-        // The `serve.retune` span covers the policy, hot boosts and degree
-        // floor.
+        // Boundary decision. The matrices move out of the outcome — no
+        // clone; nothing downstream reads them again. The `serve.retune`
+        // span covers the policy, hot boosts and degree floor.
         let retune_span = telemetry::span(recorder.as_ref(), "serve.retune");
-        let observed = truth.with_patterns(outcome.observed_reads, outcome.observed_writes)?;
+        let observed = st
+            .truth
+            .with_patterns(outcome.observed_reads, outcome.observed_writes)?;
         let night = config.night_every > 0 && (e + 1) % config.night_every == 0;
         let mut decide_rng = StdRng::seed_from_u64(mix(&[config.seed, TAG_DECIDE, e as u64]));
         let mut adapted_objects = 0usize;
-        let mut rebuilt = false;
         // What this boundary did, for the WAL's commit record. A monitor
         // snapshot rides along exactly when the decision mutated the
         // monitor — its state is untouched on the Keep path.
         let mut kind = RetuneKind::Keep;
         let mut monitor_changed = false;
-        // Predictive policies pre-stage the hot detector with next-window
-        // forecasts instead of this window's realized demand.
+        // The retune input. A predictive policy folds this window's
+        // realized demand into its forecaster and retunes on the observed
+        // window rescaled to the forecast demand — the window it is about
+        // to serve, not the one that just ended — and pre-stages the hot
+        // detector with the same forecast.
         let mut prestage: Option<Vec<u64>> = None;
-        match config.policy {
-            Policy::Static => {}
-            Policy::Monitor => {
-                if night {
-                    monitor.nightly_rebuild_with(observed, &mut decide_rng)?;
-                    rebuilt = true;
-                    rebuilds += 1;
-                    kind = RetuneKind::Rebuild;
-                    monitor_changed = true;
-                } else if let MonitorAction::Adapted {
-                    changed_objects, ..
-                } = monitor.ingest_statistics(observed, &mut decide_rng)?
-                {
-                    adapted_objects = changed_objects;
-                    adaptations += 1;
-                    kind = RetuneKind::Adapt;
-                    monitor_changed = true;
-                }
-                target = monitor.scheme().clone();
-            }
-            Policy::PredictiveEwma | Policy::PredictiveRegression => {
-                let ps = predict_state
-                    .as_mut()
-                    .expect("predictive policy implies predictor state");
-                // Fold this window's realized demand into the forecaster,
-                // then predict the next window.
-                let demand: Vec<u64> = truth.objects().map(|k| truth.total_reads(k)).collect();
-                let site_demand: Vec<u64> = truth
-                    .sites()
-                    .map(|i| truth.objects().map(|k| truth.reads(i, k)).sum())
+        let input = match st.predict.as_mut() {
+            Some(ps) => {
+                let demand: Vec<u64> = st
+                    .truth
+                    .objects()
+                    .map(|k| st.truth.total_reads(k))
                     .collect();
-                ps.predictor.observe(&demand, &site_demand);
-                let forecast = ps.predictor.forecast_objects();
-                // The retune input is the observed window rescaled to the
-                // forecast demand: the monitor tunes for the window it is
-                // about to serve, not the one that just ended.
+                ps.predictor.observe(&demand);
+                let forecast = ps.predictor.forecast();
                 let predicted = forecast_problem(&observed, &forecast)?;
-                if night {
-                    monitor.nightly_rebuild_with(predicted, &mut decide_rng)?;
-                    rebuilt = true;
-                    rebuilds += 1;
-                    kind = RetuneKind::Rebuild;
-                    monitor_changed = true;
-                    ps.deferred = None;
-                    target = monitor.scheme().clone();
-                } else {
-                    let mut acted_objects = 0usize;
-                    let candidate = if let MonitorAction::Adapted {
-                        changed_objects, ..
-                    } =
-                        monitor.ingest_statistics(predicted.clone(), &mut decide_rng)?
-                    {
-                        acted_objects = changed_objects;
-                        monitor_changed = true;
-                        ps.deferred = None;
-                        Some(monitor.scheme().clone())
-                    } else {
-                        ps.deferred.take()
-                    };
-                    if let Some(cand) = candidate {
-                        if cand != target {
-                            // Payback gate: a retune must save enough NTC
-                            // on the predicted window to amortize its
-                            // migration traffic within `payback_epochs`.
-                            let saving = predicted
-                                .total_cost(&target)
-                                .saturating_sub(predicted.total_cost(&cand));
-                            let migration =
-                                plan_migration(&truth, &realized, &cand)?.transfer_cost();
-                            if saving > 0
-                                && migration <= saving.saturating_mul(config.predict.payback_epochs)
-                            {
-                                target = cand;
-                                adaptations += 1;
-                                kind = RetuneKind::Adapt;
-                                adapted_objects = acted_objects;
-                            } else if saving > 0 {
-                                // Predicted to pay off eventually, just not
-                                // fast enough yet — park it for a cheaper
-                                // boundary.
-                                ps.deferred = Some(cand);
-                            }
-                        }
-                    }
-                }
                 prestage = Some(forecast);
+                predicted
+            }
+            None => observed,
+        };
+        if config.policy != Policy::Static {
+            if night {
+                st.monitor.nightly_rebuild_with(input, &mut decide_rng)?;
+                st.rebuilds += 1;
+                kind = RetuneKind::Rebuild;
+                monitor_changed = true;
+                st.target = st.monitor.scheme().clone();
+                if let Some(ps) = st.predict.as_mut() {
+                    ps.deferred = None;
+                }
+            } else {
+                // Only a predictive policy gates the candidate, on the
+                // input it was tuned for.
+                let gate = st.predict.as_mut().map(|ps| (ps, input.clone()));
+                let mut acted = 0usize;
+                let mut candidate = None;
+                if let MonitorAction::Adapted {
+                    changed_objects, ..
+                } = st.monitor.ingest_statistics(input, &mut decide_rng)?
+                {
+                    acted = changed_objects;
+                    monitor_changed = true;
+                    candidate = Some(st.monitor.scheme().clone());
+                }
+                let accepted = match gate {
+                    Some((ps, predicted)) => ps.payback_gate(
+                        candidate,
+                        &predicted,
+                        &st.truth,
+                        &st.realized,
+                        &st.target,
+                        config.predict.payback_epochs,
+                    )?,
+                    // The reactive monitor serves its own scheme, adapted
+                    // or not.
+                    None => {
+                        st.target = st.monitor.scheme().clone();
+                        candidate
+                    }
+                };
+                if let Some(next) = accepted {
+                    st.target = next;
+                    st.adaptations += 1;
+                    kind = RetuneKind::Adapt;
+                    adapted_objects = acted;
+                }
             }
         }
 
@@ -1013,38 +1049,39 @@ fn run_loop(
         // adaptation between (or on top of) retunes.
         let mut hot_promotions = 0u64;
         let mut hot_demotions = 0u64;
-        if let Some((detector, boosted)) = hot_state.as_mut() {
+        if let Some((detector, boosted)) = st.hot.as_mut() {
             let hcfg = config.hot.as_ref().expect("hot state implies hot config");
             // The streaming driver offers exactly the truth's pattern and
             // demand is counted pre-shed, so the truth's per-object read
             // totals ARE the observed window's demand vector — no extra
-            // observed-problem materialization needed. Predictive policies
-            // feed the *forecast* vector instead, pre-staging boosts ahead
-            // of predicted hot windows.
-            let demand: Vec<u64> = match prestage {
-                Some(forecast) => forecast,
-                None => truth.objects().map(|k| truth.total_reads(k)).collect(),
-            };
+            // observed-problem materialization needed.
+            let demand: Vec<u64> = prestage.unwrap_or_else(|| {
+                st.truth
+                    .objects()
+                    .map(|k| st.truth.total_reads(k))
+                    .collect()
+            });
             let step = detector.observe(&demand);
             hot_promotions = step.promotions;
             hot_demotions = step.demotions;
-            let boost = hotkey::apply_boosts(&truth, &realized, target, detector, boosted, hcfg);
-            target = boost.target;
+            let boost =
+                hotkey::apply_boosts(&st.truth, &st.realized, st.target, detector, boosted, hcfg);
+            st.target = boost.target;
             *boosted = boost.boosted;
             recorder.add_counter("serve.hot_boosts_added", boost.added);
             recorder.add_counter("serve.hot_boosts_removed", boost.removed);
         }
         if config.min_degree > 1 {
-            let floor = ensure_min_degree(&truth, &mut target, config.min_degree)?;
+            let floor = ensure_min_degree(&st.truth, &mut st.target, config.min_degree)?;
             recorder.add_counter("serve.min_degree_unmet", floor.unsatisfiable.len() as u64);
             // The monitor adapts from the floored target, which is also the
             // scheme recovery rebuilds it around.
-            if config.policy != Policy::Static && monitor.scheme() != &target {
-                monitor = ReplicationMonitor::from_parts(
-                    monitor.problem().clone(),
+            if config.policy != Policy::Static && st.monitor.scheme() != &st.target {
+                st.monitor = ReplicationMonitor::from_parts(
+                    st.monitor.problem().clone(),
                     config.monitor.clone(),
-                    target.clone(),
-                    monitor.population().to_vec(),
+                    st.target.clone(),
+                    st.monitor.population().to_vec(),
                 )?;
                 monitor_changed = true;
             }
@@ -1056,7 +1093,7 @@ fn run_loop(
             epoch: e,
             night,
             adapted_objects,
-            rebuilt,
+            rebuilt: kind == RetuneKind::Rebuild,
             hot_promotions,
             hot_demotions,
             serving_ntc: outcome.serving_ntc,
@@ -1076,8 +1113,8 @@ fn run_loop(
             writes_issued: c.requests.writes_issued,
             writes_committed: c.requests.writes_committed,
             writes_lost: c.requests.writes_lost(),
-            replicas: realized.replica_count(),
-            savings_percent: truth.savings_percent(&realized),
+            replicas: st.realized.replica_count(),
+            savings_percent: st.truth.savings_percent(&st.realized),
             crashes: outcome.fault_stats.crashes,
             messages_lost: outcome.fault_stats.dropped_random
                 + outcome.fault_stats.dropped_partition
@@ -1088,19 +1125,18 @@ fn run_loop(
         recorder.add_counter("serve.serving_ntc", report.serving_ntc);
         recorder.add_counter("serve.migration_ntc", report.migration_ntc);
         recorder.add_counter("serve.shed", report.shed);
-        if adapted_objects > 0 {
-            recorder.add_counter("serve.adaptations", 1);
+        match kind {
+            RetuneKind::Keep => {}
+            RetuneKind::Adapt => recorder.add_counter("serve.adaptations", 1),
+            RetuneKind::Rebuild => recorder.add_counter("serve.rebuilds", 1),
         }
-        if rebuilt {
-            recorder.add_counter("serve.rebuilds", 1);
-        }
-        epochs.push(report);
+        st.epochs.push(report);
 
-        if let (Some(ctx), Some(epoch_report)) = (wal.as_deref_mut(), epochs.last()) {
+        if let (Some(ctx), Some(epoch_report)) = (wal.as_deref_mut(), st.epochs.last()) {
             // Journal the epoch in one append: the EpochEnd/Retune pair
             // that makes it durable (Retune is the commit point).
             let snapshot = if monitor_changed {
-                Some(snapshot_monitor(&monitor)?)
+                Some(snapshot_monitor(&st.monitor)?)
             } else {
                 None
             };
@@ -1108,42 +1144,42 @@ fn run_loop(
                 WalRecord::EpochEnd {
                     epoch: e as u64,
                     report: epoch_report.clone(),
-                    realized: write_scheme(&realized).into_bytes(),
+                    realized: write_scheme(&st.realized).into_bytes(),
                 },
                 WalRecord::Retune {
                     epoch: e as u64,
                     kind,
-                    target: write_scheme(&target).into_bytes(),
+                    target: write_scheme(&st.target).into_bytes(),
                     monitor: snapshot,
-                    hot: hot_state.as_ref().map(|(d, b)| d.snapshot(b)),
-                    predictor: predict_state.as_ref().map(PredictState::snapshot),
+                    hot: st.hot.as_ref().map(|(d, b)| d.snapshot(b)),
+                    predictor: st.predict.as_ref().map(PredictState::snapshot),
                 },
             ])?;
             ctx.since_checkpoint += 1;
             if ctx.since_checkpoint >= config.wal.checkpoint_every {
                 ctx.checkpoint(Checkpoint {
                     next_epoch: e as u64 + 1,
-                    adaptations,
-                    rebuilds,
-                    realized: write_scheme(&realized).into_bytes(),
-                    target: write_scheme(&target).into_bytes(),
-                    monitor: Some(snapshot_monitor(&monitor)?),
-                    hot: hot_state.as_ref().map(|(d, b)| d.snapshot(b)),
-                    predictor: predict_state.as_ref().map(PredictState::snapshot),
-                    reports: epochs.clone(),
+                    adaptations: st.adaptations,
+                    rebuilds: st.rebuilds,
+                    realized: write_scheme(&st.realized).into_bytes(),
+                    target: write_scheme(&st.target).into_bytes(),
+                    monitor: Some(snapshot_monitor(&st.monitor)?),
+                    hot: st.hot.as_ref().map(|(d, b)| d.snapshot(b)),
+                    predictor: st.predict.as_ref().map(PredictState::snapshot),
+                    reports: st.epochs.clone(),
                 })?;
             }
         }
     }
 
-    let totals = ServiceReport::tally(&epochs, adaptations, rebuilds);
+    let totals = ServiceReport::tally(&st.epochs, st.adaptations, st.rebuilds);
     Ok(ServiceReport {
         policy: config.policy.name().to_string(),
         seed: config.seed,
         period: config.period,
         admission_limit: config.admission_limit,
         night_every: config.night_every,
-        epochs,
+        epochs: st.epochs,
         totals,
         competitive_ratio: 0.0,
     })

@@ -49,7 +49,8 @@ use crate::report::EpochReport;
 
 /// On-disk format version inside `RunStart`.
 ///
-/// v4 journals commit points only: the per-epoch `EpochStart`,
+/// v5 drops the per-site demand windows and EWMAs from the
+/// [`PredictSnapshot`]: no decision reads them. v4 journals commit points only: the per-epoch `EpochStart`,
 /// `AdmissionDrain`, `MigrationStage`, `MigrationRetry`,
 /// `MigrationInstall` and `Cutover` records are gone, and `Retune` no
 /// longer repeats the adapted-object count its `EpochEnd` report carries.
@@ -59,7 +60,7 @@ use crate::report::EpochReport;
 /// `hot_promotions`/`hot_demotions` in every journaled [`EpochReport`] and
 /// an optional [`HotSnapshot`] on `Retune` and `Checkpoint`. Older logs
 /// are refused cleanly by recovery.
-pub const WAL_VERSION: u32 = 4;
+pub const WAL_VERSION: u32 = 5;
 
 /// Durability knobs of the serving runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -528,11 +529,6 @@ fn put_predictor(enc: &mut Enc, snapshot: &Option<PredictSnapshot>) {
                 put_u64_list(enc, w);
             }
             put_u64_list(enc, &s.ewma);
-            enc.u32(u32::try_from(s.site_windows.len()).expect("predict windows fit u32"));
-            for w in &s.site_windows {
-                put_u64_list(enc, w);
-            }
-            put_u64_list(enc, &s.site_ewma);
             match &s.deferred {
                 None => enc.bool(false),
                 Some(scheme) => {
@@ -554,12 +550,6 @@ fn take_predictor(dec: &mut Dec<'_>) -> Result<Option<PredictSnapshot>, String> 
         windows.push(take_u64_list(dec)?);
     }
     let ewma = take_u64_list(dec)?;
-    let site_count = dec.u32()? as usize;
-    let mut site_windows = Vec::with_capacity(site_count);
-    for _ in 0..site_count {
-        site_windows.push(take_u64_list(dec)?);
-    }
-    let site_ewma = take_u64_list(dec)?;
     let deferred = if dec.bool()? {
         Some(dec.bytes()?)
     } else {
@@ -568,8 +558,6 @@ fn take_predictor(dec: &mut Dec<'_>) -> Result<Option<PredictSnapshot>, String> 
     Ok(Some(PredictSnapshot {
         windows,
         ewma,
-        site_windows,
-        site_ewma,
         deferred,
     }))
 }
@@ -1057,8 +1045,6 @@ mod tests {
                 predictor: Some(PredictSnapshot {
                     windows: vec![vec![5, 0, 2], vec![6, 1, 2]],
                     ewma: vec![5 << 10, 1 << 10, 2 << 10],
-                    site_windows: vec![vec![4, 3], vec![5, 4]],
-                    site_ewma: vec![4 << 10, 3 << 10],
                     deferred: Some(b"drp-scheme v1\n".to_vec()),
                 }),
             },
@@ -1076,8 +1062,6 @@ mod tests {
                 predictor: Some(PredictSnapshot {
                     windows: vec![vec![5, 0, 2]],
                     ewma: vec![5 << 10, 0, 2 << 10],
-                    site_windows: vec![vec![4, 3]],
-                    site_ewma: vec![4 << 10, 3 << 10],
                     deferred: None,
                 }),
                 reports: vec![sample_report(0)],

@@ -15,10 +15,13 @@
 //!
 //! [`ServiceReport`]: drp_serve::ServiceReport
 
+use std::sync::Arc;
+
+use drp_core::telemetry::InMemoryRecorder;
 use drp_core::Problem;
 use drp_serve::{
-    crash_points, run_service, run_service_durable, run_service_with_oracle, HotKeyConfig,
-    MemWalStore, Policy, ServeConfig, TracingStore, WalTuning,
+    crash_points, run_service, run_service_durable, run_service_recorded, run_service_with_oracle,
+    HotKeyConfig, MemWalStore, Policy, ServeConfig, TracingStore, WalTuning,
 };
 use drp_workload::{Scenario, TopologyKind, WorkloadSpec};
 use proptest::prelude::*;
@@ -164,4 +167,47 @@ fn forecaster_state_survives_crash_recovery_bitwise() {
             );
         }
     }
+}
+
+#[test]
+fn recorded_retune_counters_match_the_report_totals() {
+    // The prediction benchmark's shape: 8 sites, 12 objects on a binary
+    // tree, 6 epochs, hot path on for the predictive policies. Every
+    // boundary that counts an adaptation or a rebuild in the report must
+    // bump the matching recorder counter exactly once.
+    let mut spec = WorkloadSpec::paper(8, 12, 6.0, 35.0);
+    spec.topology = TopologyKind::Tree { arity: 2 };
+    let (mut adaptations, mut rebuilds) = (0, 0);
+    for seed in [3u64, 41, 97] {
+        let p = spec.generate(&mut StdRng::seed_from_u64(seed)).unwrap();
+        for scenario in Scenario::ALL {
+            for policy in Policy::ALL {
+                let config = ServeConfig {
+                    epochs: 6,
+                    period: 256,
+                    hot: PREDICTIVE.contains(&policy).then(HotKeyConfig::default),
+                    ..scenario_config(policy, scenario, seed, 1)
+                };
+                let recorder = Arc::new(InMemoryRecorder::new());
+                let report = run_service_recorded(&p, &config, recorder.clone()).unwrap();
+                let cell = format!("{policy:?}/{}/seed {seed}", scenario.name());
+                assert_eq!(
+                    recorder.counter("serve.adaptations"),
+                    report.totals.adaptations,
+                    "{cell}"
+                );
+                assert_eq!(
+                    recorder.counter("serve.rebuilds"),
+                    report.totals.rebuilds,
+                    "{cell}"
+                );
+                adaptations += report.totals.adaptations;
+                rebuilds += report.totals.rebuilds;
+            }
+        }
+    }
+    assert!(
+        adaptations > 0 && rebuilds > 0,
+        "the sweep must retune both ways"
+    );
 }
