@@ -32,10 +32,12 @@ pub fn rng() -> StdRng {
     StdRng::seed_from_u64(0xfeed)
 }
 
-/// Appends the threading fields every artifact's config records: the
-/// cores the host offers, the pool size actually used (`DRP_THREADS`
-/// wins over auto-detection), and the raw `DRP_THREADS` value. The
-/// ratchet treats all three as environment, not benchmark identity.
+/// Appends the host fields every artifact's config records: the cores
+/// the host offers, the pool size actually used (`DRP_THREADS` wins over
+/// auto-detection), the raw `DRP_THREADS` value, and the instruction set
+/// the Eq. 4 cost kernels run on (`"avx2"` or `"baseline"`, see
+/// [`drp_core::kernels::isa`]). The ratchet treats all four as
+/// environment, not benchmark identity.
 #[must_use]
 pub fn thread_fields(fields: report::Fields) -> report::Fields {
     let available = std::thread::available_parallelism().map_or(1, usize::from);
@@ -47,4 +49,5 @@ pub fn thread_fields(fields: report::Fields) -> report::Fields {
             drp_core::pool::WorkerPool::global().threads() as u64,
         )
         .text("drp_threads", &drp_threads)
+        .text("kernel_isa", drp_core::kernels::isa())
 }

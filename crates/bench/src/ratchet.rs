@@ -305,7 +305,12 @@ impl Default for Tolerance {
 pub type Violation = String;
 
 /// Config fields that describe the host, not the benchmark.
-const ENV_FIELDS: &[&str] = &["available_parallelism", "pool_threads", "drp_threads"];
+const ENV_FIELDS: &[&str] = &[
+    "available_parallelism",
+    "pool_threads",
+    "drp_threads",
+    "kernel_isa",
+];
 
 fn identity_key(sample: &Value) -> String {
     let Value::Obj(fields) = sample else {
@@ -765,6 +770,7 @@ mod tests {
     #[test]
     fn machine_fields_and_config_timings_are_not_identity() {
         let build = |threads: u64, noop_ms: f64| {
+            let isa = if threads == 1 { "baseline" } else { "avx2" };
             let mut report = Report::new(
                 "demo",
                 Fields::new()
@@ -773,13 +779,15 @@ mod tests {
                     .int("available_parallelism", threads)
                     .int("pool_threads", threads)
                     .text("drp_threads", "unset")
+                    .text("kernel_isa", isa)
                     .float("gra_noop_ms", noop_ms, 1),
                 Budget::at_least("speedup", 1.5, 2.0),
             );
             report.sample(Fields::new().int("sites", 100).flag("parity", true));
             parse(&report.render()).unwrap()
         };
-        // Different core counts and noisy config timing: still passes.
+        // Different core counts, kernel builds and noisy config timing:
+        // still passes.
         let reference = build(1, 10.0);
         let current = build(8, 12.0);
         let violations = compare_reports(&reference, &current, &Tolerance::default());

@@ -19,15 +19,14 @@ impl Problem {
     /// range.
     pub fn nearest_costs_into(&self, replicas: &[usize], nearest: &mut [u64]) {
         assert_eq!(nearest.len(), self.num_sites());
-        nearest.fill(u64::MAX);
-        for &j in replicas {
-            kernels::min_scan(nearest, self.costs().row(j));
-        }
+        kernels::nearest_fill(self.costs().as_slice(), replicas, nearest);
     }
 
     /// Eq. 4 per-object NTC for an explicit replica set, using `nearest` as
     /// scratch — the zero-allocation kernel behind [`Self::object_cost`]
-    /// and the chromosome/subset evaluators in `drp-algo`.
+    /// and the chromosome/subset evaluators in `drp-algo`. The sums come
+    /// from [`kernels::object_sums`]; the update volume `write_volume(k)
+    /// = Σ_x w_k(x) · o_k` scales the broadcast, the object size the rest.
     ///
     /// `replicas` must be sorted ascending and contain the primary;
     /// `nearest` is overwritten.
@@ -42,31 +41,14 @@ impl Problem {
         replicas: &[usize],
         nearest: &mut [u64],
     ) -> u64 {
-        debug_assert!(replicas.windows(2).all(|w| w[0] < w[1]));
-        let o = self.object_size(object);
-        let sp = self.primary(object).index();
-        let sp_row = self.costs().row(sp);
-        let r_row = self.object_reads(object);
-        let w_row = self.object_writes(object);
-
-        // Update broadcast: every replicator receives every write —
-        // write_volume(k) = Σ_x w_k(x) · o_k per unit of distance to SP.
-        // Replicators also don't ship their own writes to the primary, so
-        // collect their w·C(j, SP) terms to subtract from the full scan.
-        self.nearest_costs_into(replicas, nearest);
-        let mut broadcast = 0u64;
-        let mut replica_writes = 0u64;
-        for &j in replicas {
-            broadcast += sp_row[j];
-            replica_writes += w_row[j] * sp_row[j];
-        }
-
-        // Reads from the nearest replica plus writes to SP, streamed
-        // branchlessly over every site: replicators contribute zero read
-        // traffic (their nearest distance is 0) and their write terms were
-        // collected above, so no per-site membership test is needed.
-        let traffic = kernels::traffic_scan(r_row, w_row, nearest, sp_row);
-        self.write_volume(object) * broadcast + o * (traffic - replica_writes)
+        let rows = kernels::ObjectRows {
+            costs: self.costs().as_slice(),
+            reads: self.object_reads(object),
+            writes: self.object_writes(object),
+            primary: self.primary(object).index(),
+        };
+        let sums = kernels::object_sums(&rows, replicas, nearest);
+        self.write_volume(object) * sums.broadcast + self.object_size(object) * sums.traffic
     }
 
     /// Per-object NTC `V_k` (Eq. 4 restricted to one object): the reads of

@@ -1,5 +1,5 @@
-//! Cache-friendly scalar kernels shared by the cost model, the
-//! incremental evaluator and the solvers.
+//! Cache-friendly kernels shared by the cost model, the incremental
+//! evaluator and the solvers.
 //!
 //! Every Eq. 4 evaluation reduces to streaming over contiguous `M`-length
 //! rows: a cost-matrix row per replicator and the per-object `r_k(·)` /
@@ -7,24 +7,63 @@
 //! [`Problem::object_writes`]. Keeping the inner loops here — branchless,
 //! slice-to-slice, bounds-checks hoisted by `zip` — gives the compiler
 //! straight-line code it can unroll and vectorise, and gives the humans
-//! one place to reason about it.
+//! one place to reason about it. The scans are generic over the row
+//! [`Lane`] width: `u64` rows of the [`Problem`] itself, or the `u32`
+//! rows of a [`NarrowMirror`](crate::NarrowMirror).
 //!
+//! # Instruction sets
+//!
+//! The workspace builds for baseline x86-64, which stops at SSE2. SSE2
+//! has no unsigned 32- or 64-bit `min`, so at that level the min-scan is
+//! a compare-and-select over sign-flipped lanes, and the widening
+//! products of the traffic scan get no wider than two lanes. The whole
+//! per-object Eq. 4 pass over `u32` rows — nearest fill, one min-scan per
+//! replica row, the traffic scan — is therefore compiled twice from the
+//! one `#[inline(always)]` body [`object_sums`]: once inside a
+//! `#[target_feature(enable = "avx2")]` function, where the min-scan
+//! becomes `vpminud` over eight lanes and the products `vpmuludq` over
+//! four, and once for the baseline. [`object_sums_u32`] picks the AVX2
+//! build per object when the CPU reports the feature ([`isa`] names the
+//! build in use). Every operation is an integer `min`, multiply or add,
+//! so both builds return the same integer; only the speed differs. The
+//! `u64` path of [`Problem`] keeps the baseline build: the GA scores
+//! every instance whose values fit 32 bits on the `u32` rows.
+//!
+//! [`Problem`]: crate::Problem
 //! [`Problem::object_reads`]: crate::Problem::object_reads
 //! [`Problem::object_writes`]: crate::Problem::object_writes
+
+/// An unsigned row element the cost kernels stream over: `u64` for the
+/// rows of a [`Problem`](crate::Problem), `u32` for the narrowed rows of
+/// a [`NarrowMirror`](crate::NarrowMirror). Products widen to `u64`
+/// before accumulation, so both widths give bitwise-identical sums on
+/// values that fit either.
+pub trait Lane: Copy + Ord + Into<u64> {
+    /// The "no replica yet" sentinel of the nearest-cost fill.
+    const MAX: Self;
+}
+
+impl Lane for u32 {
+    const MAX: Self = u32::MAX;
+}
+
+impl Lane for u64 {
+    const MAX: Self = u64::MAX;
+}
 
 /// Folds one cost-matrix row into the running nearest-replicator
 /// distances: `nearest[i] = min(nearest[i], row[i])` for every site.
 ///
 /// This is the nearest-replicator min-scan: calling it once per
 /// replicator row leaves `nearest[i] = min_{j ∈ R_k} C(i, j)`, the
-/// `C(i, SN_k(i))` term of Eq. 4. `min` on unsigned integers compiles to
-/// a branchless `cmov`/`pminub`-style select, so the scan costs one pass
-/// of sequential memory traffic per replicator with no mispredictions.
+/// `C(i, SN_k(i))` term of Eq. 4. The select is branchless, so the scan
+/// costs one pass of sequential memory traffic per replicator with no
+/// mispredictions.
 ///
 /// Only the first `min(nearest.len(), row.len())` entries are touched;
 /// callers in this workspace always pass equal-length `M` slices.
-#[inline]
-pub fn min_scan(nearest: &mut [u64], row: &[u64]) {
+#[inline(always)]
+pub fn min_scan<T: Lane>(nearest: &mut [T], row: &[T]) {
     for (slot, &cost) in nearest.iter_mut().zip(row) {
         *slot = (*slot).min(cost);
     }
@@ -38,46 +77,152 @@ pub fn min_scan(nearest: &mut [u64], row: &[u64]) {
 /// term is the ordinary "send the update to the primary" cost, which
 /// Eq. 4 only charges to non-replicators — callers subtract or skip those
 /// sites themselves when required.
-#[inline]
-pub fn traffic_scan(reads: &[u64], writes: &[u64], nearest: &[u64], sp_row: &[u64]) -> u64 {
+///
+/// Each product is computed in `u64` (for `u32` lanes, `r·near` cannot
+/// overflow: `(2³²−1)² < 2⁶⁴`) into a `u64` accumulator, so `u32` rows
+/// that are exact copies of `u64` rows give the same sum.
+#[inline(always)]
+pub fn traffic_scan<T: Lane>(reads: &[T], writes: &[T], nearest: &[T], sp_row: &[T]) -> u64 {
     let mut total = 0u64;
     for (((&r, &w), &near), &sp) in reads.iter().zip(writes).zip(nearest).zip(sp_row) {
-        total += r * near + w * sp;
+        total += r.into() * near.into() + w.into() * sp.into();
     }
     total
 }
 
-/// Narrow-word variant of [`min_scan`] over `u32` rows.
+/// Fills `nearest[i] = min { costs(i, j) : j ∈ replicas }` over the
+/// row-major square matrix `costs` (one [`min_scan`] per replica row); an
+/// empty list leaves every slot at [`Lane::MAX`].
 ///
-/// Same pointwise-minimum semantics, half the memory traffic: a `u32`
-/// cost matrix row streams twice as many lanes per cache line and per
-/// SIMD register, so the autovectorised scan (`vpminud`) covers `M`
-/// sites in half the passes. Used when the whole instance fits the
-/// [`NarrowMirror`](crate::narrow::NarrowMirror) width check; since the
-/// narrow values are exact copies of the wide ones, the surviving
-/// minima are bitwise identical to the `u64` path.
-#[inline]
-pub fn min_scan_u32(nearest: &mut [u32], row: &[u32]) {
-    for (slot, &cost) in nearest.iter_mut().zip(row) {
-        *slot = (*slot).min(cost);
+/// # Panics
+///
+/// Panics if `costs.len() != nearest.len()²` or a replica index is out of
+/// range.
+#[inline(always)]
+pub fn nearest_fill<T: Lane>(costs: &[T], replicas: &[usize], nearest: &mut [T]) {
+    let m = nearest.len();
+    assert_eq!(costs.len(), m * m, "cost matrix is not M × M");
+    nearest.fill(T::MAX);
+    for &j in replicas {
+        min_scan(nearest, &costs[j * m..(j + 1) * m]);
     }
 }
 
-/// Narrow-word variant of [`traffic_scan`]: `u32` inputs, `u64` sum.
+/// The rows one object's Eq. 4 cost streams over.
+#[derive(Debug, Clone, Copy)]
+pub struct ObjectRows<'a, T> {
+    /// The row-major `M × M` cost matrix `C`.
+    pub costs: &'a [T],
+    /// The object's per-site reads `r_k(·)`.
+    pub reads: &'a [T],
+    /// The object's per-site writes `w_k(·)`.
+    pub writes: &'a [T],
+    /// The object's primary site `SP_k`.
+    pub primary: usize,
+}
+
+/// The two unscaled sums one object's Eq. 4 cost is made of:
+/// `V_k = W_k·o_k·broadcast + o_k·traffic`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ObjectSums {
+    /// `Σ_{j ∈ R_k} C(j, SP_k)`: the distance every update travels to
+    /// reach the replicators.
+    pub broadcast: u64,
+    /// `Σ_i r_k(i)·C(i, SN_k(i))` plus the writes `w_k(i)·C(i, SP_k)` of
+    /// the non-replicators.
+    pub traffic: u64,
+}
+
+/// The per-object Eq. 4 sums for the sorted replica set `replicas` (which
+/// must contain the primary), with `nearest` as scratch: the nearest
+/// fill, then the broadcast and traffic sums.
 ///
-/// Each product is computed in `u64` (`r·near` of two `u32` values
-/// cannot overflow 64 bits: `(2³²−1)² < 2⁶⁴`), and the accumulator is
-/// the same `u64` as the wide path, so for inputs that are exact `u32`
-/// copies of the `u64` rows the result is bitwise identical. The
-/// widening multiply keeps the loop a straight zip the compiler can
-/// unroll and vectorise (`vpmuludq`).
-#[inline]
-pub fn traffic_scan_u32(reads: &[u32], writes: &[u32], nearest: &[u32], sp_row: &[u32]) -> u64 {
-    let mut total = 0u64;
-    for (((&r, &w), &near), &sp) in reads.iter().zip(writes).zip(nearest).zip(sp_row) {
-        total += u64::from(r) * u64::from(near) + u64::from(w) * u64::from(sp);
+/// This is the one source of every build of the per-object pass: it is
+/// `#[inline(always)]`, so it compiles for whatever target its caller
+/// is compiled for — the baseline in
+/// [`Problem::object_cost_from_replicas`], the baseline or AVX2 in
+/// [`object_sums_u32`].
+///
+/// [`Problem::object_cost_from_replicas`]: crate::Problem::object_cost_from_replicas
+///
+/// # Panics
+///
+/// Panics if the rows are not `M` long (`M²` for `costs`, with
+/// `M = nearest.len()`) or an index is out of range.
+#[inline(always)]
+pub fn object_sums<T: Lane>(
+    rows: &ObjectRows<'_, T>,
+    replicas: &[usize],
+    nearest: &mut [T],
+) -> ObjectSums {
+    debug_assert!(replicas.windows(2).all(|w| w[0] < w[1]));
+    let m = nearest.len();
+    nearest_fill(rows.costs, replicas, nearest);
+    let sp_row = &rows.costs[rows.primary * m..(rows.primary + 1) * m];
+
+    // Update broadcast: every replicator receives every write. Replicators
+    // also don't ship their own writes to the primary, so collect their
+    // w·C(j, SP) terms to subtract from the full scan.
+    let mut broadcast = 0u64;
+    let mut replica_writes = 0u64;
+    for &j in replicas {
+        let to_primary: u64 = sp_row[j].into();
+        broadcast += to_primary;
+        replica_writes += rows.writes[j].into() * to_primary;
     }
-    total
+
+    // Reads from the nearest replica plus writes to SP, streamed
+    // branchlessly over every site: replicators contribute zero read
+    // traffic (their nearest distance is 0) and their write terms were
+    // collected above, so no per-site membership test is needed.
+    let traffic = traffic_scan(rows.reads, rows.writes, nearest, sp_row);
+    ObjectSums {
+        broadcast,
+        traffic: traffic - replica_writes,
+    }
+}
+
+/// [`object_sums`] over `u32` rows, run on the AVX2 build when the CPU
+/// has AVX2 and on the baseline build otherwise (see the module docs).
+/// Both return the same sums.
+///
+/// # Panics
+///
+/// As [`object_sums`].
+pub fn object_sums_u32(
+    rows: &ObjectRows<'_, u32>,
+    replicas: &[usize],
+    nearest: &mut [u32],
+) -> ObjectSums {
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("avx2") {
+        // SAFETY: `object_sums_u32_avx2` needs nothing beyond AVX2
+        // support, which the CPU has just reported.
+        return unsafe { object_sums_u32_avx2(rows, replicas, nearest) };
+    }
+    object_sums(rows, replicas, nearest)
+}
+
+/// The instruction set [`object_sums_u32`] runs on this CPU: `"avx2"` or
+/// `"baseline"`.
+pub fn isa() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("avx2") {
+        return "avx2";
+    }
+    "baseline"
+}
+
+/// [`object_sums`] compiled with AVX2 enabled: the body and the scans it
+/// calls inline here, so their loops are vectorised at AVX2 width.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn object_sums_u32_avx2(
+    rows: &ObjectRows<'_, u32>,
+    replicas: &[usize],
+    nearest: &mut [u32],
+) -> ObjectSums {
+    object_sums(rows, replicas, nearest)
 }
 
 /// Total set bits across a packed `u64` word slice.
@@ -124,6 +269,9 @@ pub fn popcount_range(words: &[u64], start: usize, end: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn min_scan_keeps_the_pointwise_minimum() {
@@ -136,7 +284,7 @@ mod tests {
 
     #[test]
     fn traffic_scan_matches_the_naive_sum() {
-        let reads = [2, 0, 5];
+        let reads = [2u64, 0, 5];
         let writes = [1, 3, 0];
         let nearest = [0, 4, 2];
         let sp = [0, 7, 9];
@@ -152,12 +300,12 @@ mod tests {
         let wide = |v: &[u32]| v.iter().map(|&x| u64::from(x)).collect::<Vec<u64>>();
         let (r64, w64, n64, s64) = (wide(reads), wide(writes), wide(nearest), wide(sp));
         assert_eq!(
-            traffic_scan_u32(reads, writes, nearest, sp),
+            traffic_scan(reads, writes, nearest, sp),
             traffic_scan(&r64, &w64, &n64, &s64),
         );
         let mut narrow = nearest.to_vec();
         let mut wide_nearest = n64.clone();
-        min_scan_u32(&mut narrow, sp);
+        min_scan(&mut narrow, sp);
         min_scan(&mut wide_nearest, &s64);
         assert_eq!(wide(&narrow), wide_nearest);
     }
@@ -175,7 +323,7 @@ mod tests {
             &[5, 7, u32::MAX],
         );
         assert_eq!(
-            traffic_scan_u32(&[u32::MAX], &[0], &[u32::MAX], &[0]),
+            traffic_scan(&[u32::MAX], &[0], &[u32::MAX], &[0]),
             (u64::from(u32::MAX)) * (u64::from(u32::MAX)),
         );
     }
@@ -189,7 +337,7 @@ mod tests {
             &[9, 9, 9, 9],
             &[1, 0, 3, 1],
         );
-        assert_eq!(traffic_scan_u32(&[0; 4], &[0; 4], &[1; 4], &[1; 4]), 0);
+        assert_eq!(traffic_scan(&[0u32; 4], &[0; 4], &[1; 4], &[1; 4]), 0);
     }
 
     #[test]
@@ -225,5 +373,109 @@ mod tests {
     #[should_panic(expected = "bad bit range")]
     fn popcount_range_rejects_out_of_bounds() {
         popcount_range(&[0], 0, 65);
+    }
+
+    /// One object's rows over `m` sites for the build-equivalence
+    /// property, with a sorted random replica set holding the primary.
+    /// Costs are arbitrary `u32`s, a quarter of them `u32::MAX`. `mode`
+    /// picks the frequency rows: 0 — reads and writes below 2¹², so the
+    /// 67-site traffic sum stays far below `u64::MAX`; 1 — all-zero
+    /// reads; 2 — one saturated read lane and no writes, whose product
+    /// may reach `(2³²−1)²`.
+    struct RandomObject {
+        costs: Vec<u32>,
+        reads: Vec<u32>,
+        writes: Vec<u32>,
+        primary: usize,
+        replicas: Vec<usize>,
+    }
+
+    impl RandomObject {
+        fn draw(m: usize, mode: u8, seed: u64) -> Self {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let costs = (0..m * m)
+                .map(|_| {
+                    if rng.random_range(0..4) == 0 {
+                        u32::MAX
+                    } else {
+                        rng.random_range(0..=u32::MAX)
+                    }
+                })
+                .collect();
+            let small = |rng: &mut StdRng| (0..m).map(|_| rng.random_range(0..4096)).collect();
+            let (reads, writes) = match mode {
+                0 => (small(&mut rng), small(&mut rng)),
+                1 => (vec![0; m], small(&mut rng)),
+                _ => {
+                    let mut reads = vec![0; m];
+                    reads[rng.random_range(0..m)] = u32::MAX;
+                    (reads, vec![0; m])
+                }
+            };
+            let primary = rng.random_range(0..m);
+            let replicas = (0..m)
+                .filter(|&i| i == primary || rng.random_range(0..3) == 0)
+                .collect();
+            Self {
+                costs,
+                reads,
+                writes,
+                primary,
+                replicas,
+            }
+        }
+
+        fn rows(&self) -> ObjectRows<'_, u32> {
+            ObjectRows {
+                costs: &self.costs,
+                reads: &self.reads,
+                writes: &self.writes,
+                primary: self.primary,
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Both builds of the per-object kernel — and both lane widths —
+        /// return the same sums, bit for bit, at every row length up to
+        /// two AVX2 registers of `u32` past a multiple of 64, so every
+        /// vector tail is covered.
+        #[test]
+        fn avx2_and_baseline_builds_agree(m in 1usize..=67, mode in 0u8..3, seed in 0u64..=u64::MAX) {
+            let object = RandomObject::draw(m, mode, seed);
+            let rows = object.rows();
+            let wide = |v: &[u32]| v.iter().map(|&x| u64::from(x)).collect::<Vec<u64>>();
+            let (costs, reads, writes) = (wide(&object.costs), wide(&object.reads), wide(&object.writes));
+            let wide_rows = ObjectRows { costs: &costs, reads: &reads, writes: &writes, primary: object.primary };
+
+            let mut nearest = vec![0u32; m];
+            let baseline = object_sums(&rows, &object.replicas, &mut nearest);
+            let baseline_nearest = nearest.clone();
+            let mut wide_nearest = vec![0u64; m];
+            prop_assert_eq!(object_sums(&wide_rows, &object.replicas, &mut wide_nearest), baseline);
+            prop_assert_eq!(wide(&baseline_nearest), wide_nearest.clone());
+
+            #[cfg(target_arch = "x86_64")]
+            if std::is_x86_feature_detected!("avx2") {
+                // SAFETY: the CPU has just reported AVX2.
+                let avx2 = unsafe { object_sums_u32_avx2(&rows, &object.replicas, &mut nearest) };
+                prop_assert_eq!(avx2, baseline);
+                prop_assert_eq!(&nearest, &baseline_nearest);
+            }
+
+            // And the sums are the Eq. 4 terms, recomputed naively.
+            let sp = object.primary;
+            let broadcast: u64 = object.replicas.iter().map(|&j| costs[sp * m + j]).sum();
+            let traffic: u64 = (0..m)
+                .map(|i| {
+                    let near = object.replicas.iter().map(|&j| costs[j * m + i]).min().unwrap();
+                    let write = if object.replicas.contains(&i) { 0 } else { writes[i] * costs[sp * m + i] };
+                    reads[i] * near + write
+                })
+                .sum();
+            prop_assert_eq!(baseline, ObjectSums { broadcast, traffic });
+        }
     }
 }

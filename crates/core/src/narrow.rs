@@ -6,10 +6,12 @@
 //! as `u64` in [`Problem`], but paper-scale instances use small
 //! integral costs and frequencies, so the values almost always fit in
 //! 32 bits. Mirroring them as `u32` halves the memory traffic of every
-//! scan and doubles the SIMD lane count of the autovectorised kernels
-//! ([`kernels::min_scan_u32`], [`kernels::traffic_scan_u32`]) — the
-//! same width split `drp_net::shortest::all_pairs_flat` applies to its
-//! Floyd–Warshall/Dijkstra distance arrays.
+//! scan and doubles the lane count of each vector register in the
+//! [`kernels`] — the same width split `drp_net::shortest::all_pairs_flat`
+//! applies to its Floyd–Warshall/Dijkstra distance arrays. The `u32`
+//! min-scan only becomes one instruction per register (`vpminud`) in the
+//! AVX2 build of [`kernels::object_sums_u32`]; see the [`kernels`] module
+//! docs for how that build is chosen.
 //!
 //! Width selection is a pure function of the input: [`NarrowMirror::build`]
 //! returns `None` unless *every* mirrored value fits `u32`, and callers
@@ -17,9 +19,6 @@
 //! exact copies and every product is widened to `u64` before
 //! accumulation, the narrow path is bitwise identical to the wide one —
 //! it is a representation change, never a semantics change.
-//!
-//! [`kernels::min_scan_u32`]: crate::kernels::min_scan_u32
-//! [`kernels::traffic_scan_u32`]: crate::kernels::traffic_scan_u32
 
 use crate::{kernels, ObjectId, Problem};
 
@@ -108,15 +107,13 @@ impl NarrowMirror {
     /// out of range.
     pub fn nearest_costs_into(&self, replicas: &[usize], nearest: &mut [u32]) {
         assert_eq!(nearest.len(), self.num_sites);
-        nearest.fill(u32::MAX);
-        for &j in replicas {
-            kernels::min_scan_u32(nearest, self.cost_row(j));
-        }
+        kernels::nearest_fill(&self.costs, replicas, nearest);
     }
 
     /// Narrow-width twin of [`Problem::object_cost_from_replicas`]:
-    /// the same Eq. 4 terms streamed over `u32` rows, accumulating in
-    /// `u64`, bitwise identical to the wide path.
+    /// the same Eq. 4 terms streamed over `u32` rows by
+    /// [`kernels::object_sums_u32`], accumulating in `u64`, bitwise identical
+    /// to the wide path.
     ///
     /// `problem` must be the instance this mirror was built from;
     /// `replicas` must be sorted ascending and contain the primary;
@@ -133,24 +130,16 @@ impl NarrowMirror {
         replicas: &[usize],
         nearest: &mut [u32],
     ) -> u64 {
-        debug_assert!(replicas.windows(2).all(|w| w[0] < w[1]));
         debug_assert_eq!(self.num_sites, problem.num_sites());
-        let o = problem.object_size(object);
         let k = object.index();
-        let sp = problem.primary(object).index();
-        let sp_row = self.cost_row(sp);
-        let w_row = self.writes_row(k);
-
-        self.nearest_costs_into(replicas, nearest);
-        let mut broadcast = 0u64;
-        let mut replica_writes = 0u64;
-        for &j in replicas {
-            broadcast += u64::from(sp_row[j]);
-            replica_writes += u64::from(w_row[j]) * u64::from(sp_row[j]);
-        }
-
-        let traffic = kernels::traffic_scan_u32(self.reads_row(k), w_row, nearest, sp_row);
-        problem.write_volume(object) * broadcast + o * (traffic - replica_writes)
+        let rows = kernels::ObjectRows {
+            costs: &self.costs,
+            reads: self.reads_row(k),
+            writes: self.writes_row(k),
+            primary: problem.primary(object).index(),
+        };
+        let sums = kernels::object_sums_u32(&rows, replicas, nearest);
+        problem.write_volume(object) * sums.broadcast + problem.object_size(object) * sums.traffic
     }
 }
 

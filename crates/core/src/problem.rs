@@ -1,3 +1,5 @@
+use std::sync::Arc;
+
 use drp_net::CostMatrix;
 use serde::{Deserialize, Serialize};
 
@@ -16,6 +18,9 @@ use crate::{CoreError, DenseMatrix, ObjectId, Result, SiteId};
 ///
 /// Instances are immutable; adaptive experiments derive new instances with
 /// [`with_patterns`](Self::with_patterns) when read/write patterns shift.
+/// The `M × M` cost table and the read/write tables are reference-counted,
+/// so a clone shares them instead of copying them, and `with_patterns`
+/// shares the cost table.
 ///
 /// Construct instances with [`Problem::builder`] or, for the paper's
 /// synthetic workloads, with the generator in `drp-workload`.
@@ -25,13 +30,7 @@ pub struct Problem {
     object_sizes: Vec<u64>,
     primaries: Vec<SiteId>,
     capacities: Vec<u64>,
-    reads: DenseMatrix<u64>,
-    writes: DenseMatrix<u64>,
-    /// Object-major (`N × M`) transpose of `reads`: row `k` is the
-    /// contiguous `r_k(i)` vector the cost kernels stream over.
-    reads_by_object: DenseMatrix<u64>,
-    /// Object-major (`N × M`) transpose of `writes`.
-    writes_by_object: DenseMatrix<u64>,
+    patterns: Arc<Patterns>,
     total_reads: Vec<u64>,
     total_writes: Vec<u64>,
     /// Per-object update volume `Σ_x w_k(x) · o_k`: the factor every
@@ -39,6 +38,19 @@ pub struct Problem {
     write_volumes: Vec<u64>,
     d_prime: u64,
     v_prime: Vec<u64>,
+}
+
+/// The read/write tables of a [`Problem`], in both layouts; shared by the
+/// problem's clones.
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+struct Patterns {
+    reads: DenseMatrix<u64>,
+    writes: DenseMatrix<u64>,
+    /// Object-major (`N × M`) transpose of `reads`: row `k` is the
+    /// contiguous `r_k(i)` vector the cost kernels stream over.
+    reads_by_object: DenseMatrix<u64>,
+    /// Object-major (`N × M`) transpose of `writes`.
+    writes_by_object: DenseMatrix<u64>,
 }
 
 impl Problem {
@@ -95,7 +107,7 @@ impl Problem {
     ///
     /// Panics if either id is out of range.
     pub fn reads(&self, site: SiteId, object: ObjectId) -> u64 {
-        *self.reads.get(site.index(), object.index())
+        *self.patterns.reads.get(site.index(), object.index())
     }
 
     /// Writes `w_k(i)` issued from `site` for `object` during the period.
@@ -104,7 +116,7 @@ impl Problem {
     ///
     /// Panics if either id is out of range.
     pub fn writes(&self, site: SiteId, object: ObjectId) -> u64 {
-        *self.writes.get(site.index(), object.index())
+        *self.patterns.writes.get(site.index(), object.index())
     }
 
     /// Total reads `Σ_i r_k(i)` for an object.
@@ -139,7 +151,7 @@ impl Problem {
     /// Panics if `object` is out of range.
     #[inline]
     pub fn object_reads(&self, object: ObjectId) -> &[u64] {
-        self.reads_by_object.row(object.index())
+        self.patterns.reads_by_object.row(object.index())
     }
 
     /// Contiguous per-site write counts `w_k(·)` of one object.
@@ -149,7 +161,7 @@ impl Problem {
     /// Panics if `object` is out of range.
     #[inline]
     pub fn object_writes(&self, object: ObjectId) -> &[u64] {
-        self.writes_by_object.row(object.index())
+        self.patterns.writes_by_object.row(object.index())
     }
 
     /// Precomputed update volume `Σ_x w_k(x) · o_k` of one object: what
@@ -166,12 +178,12 @@ impl Problem {
 
     /// The full read table (sites × objects).
     pub fn read_matrix(&self) -> &DenseMatrix<u64> {
-        &self.reads
+        &self.patterns.reads
     }
 
     /// The full write table (sites × objects).
     pub fn write_matrix(&self) -> &DenseMatrix<u64> {
-        &self.writes
+        &self.patterns.writes
     }
 
     /// NTC of the primary-only allocation (`D_prime`), the paper's
@@ -579,10 +591,12 @@ impl ProblemBuilder {
             object_sizes: self.object_sizes.clone(),
             primaries: self.primaries.clone(),
             capacities,
-            reads,
-            writes,
-            reads_by_object,
-            writes_by_object,
+            patterns: Arc::new(Patterns {
+                reads,
+                writes,
+                reads_by_object,
+                writes_by_object,
+            }),
             total_reads,
             total_writes,
             write_volumes,

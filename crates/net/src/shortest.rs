@@ -250,10 +250,11 @@ const FW_INF32: u32 = u32::MAX / 4;
 /// hops of at most the largest edge weight), the sweep runs over a `u32`
 /// copy of the matrix: half the memory traffic of the `u64` table — the
 /// binding resource at M ≈ 1000, where the 8·M² working set dwarfs every
-/// cache — and a native SIMD unsigned-min. Unreachable pairs ride through
-/// as [`FW_INF32`] (plain adds cannot wrap it, and any path over an
-/// unreachable hop stays at least `FW_INF32` while no real path gets
-/// close, so clamping at the end is exact). Wider weights fall back to
+/// cache — and twice the lanes per vector register (baseline x86-64 has
+/// no native unsigned `min`, so each lane is a compare-and-select).
+/// Unreachable pairs ride through as [`FW_INF32`] (plain adds cannot wrap
+/// it, and any path over an unreachable hop stays at least `FW_INF32`
+/// while no real path gets close, so clamping at the end is exact). Wider weights fall back to
 /// the same sweep in `u64` with a saturating add. Either way the math is
 /// exact integer shortest paths, so kernel choice — a pure function of
 /// the input — never changes results.

@@ -82,6 +82,49 @@ pub(crate) fn parse_scheme(
     read_scheme(text, problem).map_err(|e| mismatch(format!("{what} scheme: {e}")))
 }
 
+/// Rejects a journaled forecaster or hot-path snapshot that does not fit
+/// the `m`-site, `n`-object instance: every demand window, EWMA and
+/// promotion flag vector must cover the `n` objects, and every boosted
+/// `(site, object)` must name a cell of the instance. A CRC-valid log of
+/// another shape would otherwise index out of bounds mid-run, or resume
+/// forecasting only a prefix of the objects.
+fn check_snapshot_shapes(
+    hot: Option<&HotSnapshot>,
+    predictor: Option<&PredictSnapshot>,
+    m: usize,
+    n: usize,
+) -> drp_core::Result<()> {
+    let covers_n = |what: &str, len: usize| {
+        if len == n {
+            Ok(())
+        } else {
+            Err(mismatch(format!(
+                "{what} covers {len} objects, the instance has {n}"
+            )))
+        }
+    };
+    if let Some(snap) = predictor {
+        for window in &snap.windows {
+            covers_n("forecaster window", window.len())?;
+        }
+        covers_n("forecaster EWMA", snap.ewma.len())?;
+    }
+    if let Some(snap) = hot {
+        for window in &snap.windows {
+            covers_n("hot-key window", window.len())?;
+        }
+        covers_n("hot-key EWMA", snap.ewma.len())?;
+        covers_n("hot-key promotion flags", snap.promoted.len())?;
+        let outside = |&&(i, k): &&(u64, u64)| i >= m as u64 || k >= n as u64;
+        if let Some((i, k)) = snap.boosted.iter().find(outside) {
+            return Err(mismatch(format!(
+                "boosted replica (site {i}, object {k}) lies outside the {m}-site, {n}-object instance"
+            )));
+        }
+    }
+    Ok(())
+}
+
 fn rebuild_monitor(
     snapshot: &MonitorSnapshot,
     config: &ServeConfig,
@@ -288,6 +331,7 @@ pub(crate) fn recover(
         }
     };
 
+    check_snapshot_shapes(hot_snap, pred_snap, truth.num_sites(), truth.num_objects())?;
     Ok(Recovered {
         resume: LoopState {
             start_epoch: next_epoch,

@@ -11,17 +11,21 @@
 //!   one of its own candidate paths, so OPT can never cost more);
 //! * forecaster state survives WAL crash-recovery bitwise: a predictive
 //!   run resumed from any prefix of the log finishes with the same
-//!   fingerprint as the uninterrupted run.
+//!   fingerprint as the uninterrupted run;
+//! * a journaled forecaster or hot-path snapshot that does not fit the
+//!   instance is refused as a WAL mismatch.
 //!
 //! [`ServiceReport`]: drp_serve::ServiceReport
 
 use std::sync::Arc;
 
 use drp_core::telemetry::InMemoryRecorder;
-use drp_core::Problem;
+use drp_core::{CoreError, Problem, ServeError};
+use drp_serve::wal::{decode_stream, WalRecord};
 use drp_serve::{
     crash_points, run_service, run_service_durable, run_service_recorded, run_service_with_oracle,
-    HotKeyConfig, MemWalStore, Policy, ServeConfig, TracingStore, WalTuning,
+    HotKeyConfig, HotSnapshot, MemWalStore, Policy, PredictSnapshot, ServeConfig, TracingStore,
+    WalTuning,
 };
 use drp_workload::{Scenario, TopologyKind, WorkloadSpec};
 use proptest::prelude::*;
@@ -210,4 +214,79 @@ fn recorded_retune_counters_match_the_report_totals() {
         adaptations > 0 && rebuilds > 0,
         "the sweep must retune both ways"
     );
+}
+
+/// Recovery checks every snapshot it restores against the instance: a
+/// CRC-valid log whose forecaster or hot-path state covers another number
+/// of objects, or boosts a replica outside the instance, is refused with
+/// `WalMismatch` — not panicked on mid-run, and not resumed forecasting
+/// only a prefix of the objects.
+#[test]
+fn recovery_refuses_snapshots_of_another_shape() {
+    let p = problem(6, 8, 5);
+    // No checkpoint within the four epochs: it would compact the log
+    // past epoch 1's records.
+    let config = ServeConfig {
+        wal: WalTuning {
+            checkpoint_every: 5,
+        },
+        ..scenario_config(Policy::PredictiveRegression, Scenario::FlashCrowd, 5, 1)
+    };
+    let mut store = MemWalStore::default();
+    run_service_durable(&p, &config, &mut store).unwrap();
+    let records = decode_stream(store.bytes()).records;
+    // End the log at epoch 1's commit point, so recovery resumes from the
+    // snapshots that record carries.
+    let commit = records
+        .iter()
+        .position(|r| matches!(r, WalRecord::Retune { epoch: 1, .. }))
+        .expect("a four-epoch run commits epoch 1");
+
+    type Edit = fn(&mut WalRecord);
+    let edits: [(&str, Edit); 4] = [
+        ("forecaster windows cut to 3 of 8 objects", |r| {
+            predictor(r).windows.iter_mut().for_each(|w| w.truncate(3));
+        }),
+        ("forecaster windows and EWMA cut to 3 of 8 objects", |r| {
+            let snap = predictor(r);
+            snap.windows.iter_mut().for_each(|w| w.truncate(3));
+            snap.ewma.truncate(3);
+        }),
+        ("hot-key EWMA cut to 3 of 8 objects", |r| {
+            hot(r).ewma.truncate(3)
+        }),
+        ("boosted replica at site 6 of 6", |r| {
+            hot(r).boosted.push((6, 0))
+        }),
+    ];
+    for (what, edit) in edits {
+        let mut log = records[..=commit].to_vec();
+        edit(&mut log[commit]);
+        let bytes: Vec<u8> = log.iter().flat_map(WalRecord::frame).collect();
+        let err =
+            run_service_durable(&p, &config, &mut MemWalStore::from_bytes(bytes)).unwrap_err();
+        assert!(
+            matches!(err, CoreError::Serve(ServeError::WalMismatch { .. })),
+            "{what}: {err}"
+        );
+    }
+}
+
+fn predictor(record: &mut WalRecord) -> &mut PredictSnapshot {
+    match record {
+        WalRecord::Retune {
+            predictor: Some(snap),
+            ..
+        } => snap,
+        _ => panic!("a predictive run's Retune carries a forecaster snapshot"),
+    }
+}
+
+fn hot(record: &mut WalRecord) -> &mut HotSnapshot {
+    match record {
+        WalRecord::Retune {
+            hot: Some(snap), ..
+        } => snap,
+        _ => panic!("a hot-path run's Retune carries a hot-key snapshot"),
+    }
 }
