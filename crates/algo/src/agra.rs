@@ -21,7 +21,6 @@ use rand::{Rng, RngCore};
 
 use crate::encoding::{chromosome_cost, decode_scheme, encode_scheme};
 use crate::gra::{Gra, GraConfig};
-use crate::RngAdapter;
 
 /// Configuration of AGRA. Defaults follow the paper: `A_p = 10`,
 /// `A_g = 50`, single-point crossover at 0.8, mutation 0.01, regular
@@ -185,7 +184,7 @@ impl Agra {
         }
         population[0] = current_bits.clone();
 
-        let weights = link_weights(problem);
+        let eq6 = Eq6Table::new(problem);
         // One narrow mirror serves every micro-GA of this adaptation step;
         // `None` (values too wide for u32) falls back to the u64 path.
         let narrow = NarrowMirror::build(problem).map(Arc::new);
@@ -214,7 +213,7 @@ impl Agra {
                 };
                 write_column(chromosome, n, object, source);
                 ensure_primary_bits(problem, chromosome);
-                repair_capacity(problem, chromosome, &weights);
+                repair_capacity(problem, chromosome, &eq6);
             }
         }
 
@@ -318,7 +317,7 @@ impl Agra {
             .elite_period(self.config.elite_period);
         Engine::new(config)
             .with_recorder(self.recorder.clone())
-            .run(&spec, initial, &mut RngAdapter(rng))
+            .run(&spec, initial, rng)
             .map_err(|e| CoreError::InvalidInstance {
                 reason: e.to_string(),
             })
@@ -382,47 +381,86 @@ fn ensure_primary_bits(problem: &Problem, chromosome: &mut BitString) {
     }
 }
 
+/// Eq. 6 inputs of one adaptation step, built once per [`Agra::adapt`]
+/// call: the per-site link weights and an `M×N` table of estimate
+/// numerators `tr_k + w_k(i) − tw_k + r_k(i)·cap(i)/o_k` at `i·N + k`
+/// (the generic Eq. 6 accessor recomputes the O(M²) mean row sum on every
+/// call, far too slow for the repair loop).
+struct Eq6Table {
+    weights: Vec<f64>,
+    numerators: Vec<f64>,
+}
+
+impl Eq6Table {
+    fn new(problem: &Problem) -> Self {
+        let mut numerators = Vec::with_capacity(problem.num_sites() * problem.num_objects());
+        for site in problem.sites() {
+            for object in problem.objects() {
+                numerators.push(
+                    problem.total_reads(object) as f64 + problem.writes(site, object) as f64
+                        - problem.total_writes(object) as f64
+                        + problem.reads(site, object) as f64 * problem.capacity(site) as f64
+                            / problem.object_size(object) as f64,
+                );
+            }
+        }
+        Self {
+            weights: link_weights(problem),
+            numerators,
+        }
+    }
+}
+
 /// Greedy capacity repair: at every over-full site, deallocate the held
-/// object with the lowest Eq. 6 estimate until the site fits. Primaries are
-/// never deallocated (and every site fits its primaries by instance
-/// validation, so repair always terminates).
-fn repair_capacity(problem: &Problem, chromosome: &mut BitString, weights: &[f64]) {
+/// object with the lowest Eq. 6 estimate (the first one on a tie) until the
+/// site fits. Primaries are never deallocated (and every site fits its
+/// primaries by instance validation, so repair always terminates).
+fn repair_capacity(problem: &Problem, chromosome: &mut BitString, eq6: &Eq6Table) {
     let m = problem.num_sites();
     let n = problem.num_objects();
-    // Usage per site and replica degree per object.
+    // Usage per site and replica degree per object, one gene at a time.
     let mut used = vec![0u64; m];
     let mut degree = vec![0usize; n];
-    for one in chromosome.iter_ones() {
-        let (i, k) = (one / n, one % n);
-        used[i] += problem.object_size(ObjectId::new(k));
-        degree[k] += 1;
+    for (i, used) in used.iter_mut().enumerate() {
+        for one in chromosome.iter_ones_in(i * n, (i + 1) * n) {
+            let k = one - i * n;
+            *used += problem.object_size(ObjectId::new(k));
+            degree[k] += 1;
+        }
     }
-    for i in 0..m {
+    let mut candidates: Vec<(usize, f64)> = Vec::new();
+    for (i, used) in used.iter_mut().enumerate() {
         let site = SiteId::new(i);
         let capacity = problem.capacity(site);
-        // Eq. 6 with the precomputed link weight (the generic accessor
-        // recomputes the O(M²) mean row sum on every call, far too slow in
-        // this loop).
-        let estimate = |k: usize, degree: usize| -> f64 {
-            let object = ObjectId::new(k);
-            let numerator = problem.total_reads(object) as f64
-                + problem.writes(site, object) as f64
-                - problem.total_writes(object) as f64
-                + problem.reads(site, object) as f64 * problem.capacity(site) as f64
-                    / problem.object_size(object) as f64;
-            numerator / (weights[i] * degree as f64)
-        };
-        while used[i] > capacity {
-            let victim = (0..n)
-                .filter(|&k| chromosome.get(i * n + k) && problem.primary(ObjectId::new(k)) != site)
-                .min_by(|&a, &b| {
-                    estimate(a, degree[a])
-                        .partial_cmp(&estimate(b, degree[b]))
+        if *used <= capacity {
+            continue;
+        }
+        // Each held non-primary object is scored once. An eviction changes
+        // only the victim's degree, and the victim leaves the list, so the
+        // other estimates hold while this site is repaired. `remove` keeps
+        // object order, so ties go to the lowest object index.
+        let row = &eq6.numerators[i * n..(i + 1) * n];
+        candidates.clear();
+        candidates.extend(
+            chromosome
+                .iter_ones_in(i * n, (i + 1) * n)
+                .map(|one| one - i * n)
+                .filter(|&k| problem.primary(ObjectId::new(k)) != site)
+                .map(|k| (k, row[k] / (eq6.weights[i] * degree[k] as f64))),
+        );
+        while *used > capacity {
+            let (slot, &(victim, _)) = candidates
+                .iter()
+                .enumerate()
+                .min_by(|a, b| {
+                    a.1 .1
+                        .partial_cmp(&b.1 .1)
                         .unwrap_or(std::cmp::Ordering::Equal)
                 })
                 .expect("an over-full site must hold a non-primary object");
+            candidates.remove(slot);
             chromosome.set(i * n + victim, false);
-            used[i] -= problem.object_size(ObjectId::new(victim));
+            *used -= problem.object_size(ObjectId::new(victim));
             degree[victim] -= 1;
         }
     }
@@ -734,14 +772,172 @@ mod tests {
         }
     }
 
+    /// The per-eviction repair [`repair_capacity`] replaced, kept as its
+    /// oracle: every eviction re-scans all `N` objects of the site and
+    /// recomputes each held candidate's Eq. 6 estimate.
+    fn repair_capacity_oracle(problem: &Problem, chromosome: &mut BitString, weights: &[f64]) {
+        let m = problem.num_sites();
+        let n = problem.num_objects();
+        // Usage per site and replica degree per object.
+        let mut used = vec![0u64; m];
+        let mut degree = vec![0usize; n];
+        for one in chromosome.iter_ones() {
+            let (i, k) = (one / n, one % n);
+            used[i] += problem.object_size(ObjectId::new(k));
+            degree[k] += 1;
+        }
+        for i in 0..m {
+            let site = SiteId::new(i);
+            let capacity = problem.capacity(site);
+            // Eq. 6 with the precomputed link weight (the generic accessor
+            // recomputes the O(M²) mean row sum on every call, far too slow in
+            // this loop).
+            let estimate = |k: usize, degree: usize| -> f64 {
+                let object = ObjectId::new(k);
+                let numerator = problem.total_reads(object) as f64
+                    + problem.writes(site, object) as f64
+                    - problem.total_writes(object) as f64
+                    + problem.reads(site, object) as f64 * problem.capacity(site) as f64
+                        / problem.object_size(object) as f64;
+                numerator / (weights[i] * degree as f64)
+            };
+            while used[i] > capacity {
+                let victim = (0..n)
+                    .filter(|&k| {
+                        chromosome.get(i * n + k) && problem.primary(ObjectId::new(k)) != site
+                    })
+                    .min_by(|&a, &b| {
+                        estimate(a, degree[a])
+                            .partial_cmp(&estimate(b, degree[b]))
+                            .unwrap_or(std::cmp::Ordering::Equal)
+                    })
+                    .expect("an over-full site must hold a non-primary object");
+                chromosome.set(i * n + victim, false);
+                used[i] -= problem.object_size(ObjectId::new(victim));
+                degree[victim] -= 1;
+            }
+        }
+    }
+
+    #[test]
+    fn one_pass_repair_matches_the_per_eviction_oracle() {
+        let base = WorkloadSpec::paper(10, 30, 5.0, 15.0)
+            .generate(&mut StdRng::seed_from_u64(17))
+            .unwrap();
+        let (m, n) = (base.num_sites(), base.num_objects());
+        // Every third object is neither read nor written, so its Eq. 6
+        // estimate is exactly 0 at every site: ten objects tie, and only
+        // the eviction order decides which of their copies go. Objects
+        // `k ≡ 1 (mod 6)` are written but never read (negative estimates).
+        let mut reads = base.read_matrix().clone();
+        let mut writes = base.write_matrix().clone();
+        for k in 0..n {
+            for i in 0..m {
+                if k % 3 == 0 || k % 6 == 1 {
+                    reads.set(i, k, 0);
+                }
+                if k % 3 == 0 {
+                    writes.set(i, k, 0);
+                }
+            }
+        }
+        let problem = base.with_patterns(reads, writes).unwrap();
+        let eq6 = Eq6Table::new(&problem);
+        let weights = link_weights(&problem);
+        let mut rng = StdRng::seed_from_u64(18);
+        let mut most_evictions_at_a_site = 0;
+        for case in 0..400 {
+            let density = [0.3, 0.6, 0.9][case % 3];
+            let mut chromosome = BitString::from_fn(m * n, |_| rng.random_bool(density));
+            ensure_primary_bits(&problem, &mut chromosome);
+            let mut oracle = chromosome.clone();
+            let before = chromosome.clone();
+            repair_capacity(&problem, &mut chromosome, &eq6);
+            repair_capacity_oracle(&problem, &mut oracle, &weights);
+            assert_eq!(chromosome, oracle, "case {case}");
+            decode_scheme(&problem, &chromosome).expect("repair restores validity");
+            for i in 0..m {
+                let evicted = before.count_ones_in(i * n, (i + 1) * n)
+                    - chromosome.count_ones_in(i * n, (i + 1) * n);
+                most_evictions_at_a_site = most_evictions_at_a_site.max(evicted);
+            }
+        }
+        assert!(
+            most_evictions_at_a_site >= 5,
+            "cases must need several evictions at one site"
+        );
+    }
+
+    /// FNV-1a over every chromosome's words, in population order.
+    fn population_hash<'a>(population: impl IntoIterator<Item = &'a BitString>) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for chromosome in population {
+            for word in chromosome.words() {
+                for byte in word.to_le_bytes() {
+                    hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+        hash
+    }
+
+    #[test]
+    fn seeded_gra_and_agra_outputs_are_pinned() {
+        let mut rng = StdRng::seed_from_u64(2024);
+        let problem = WorkloadSpec::paper(12, 30, 5.0, 15.0)
+            .generate(&mut rng)
+            .unwrap();
+        let run = Gra::with_config(GraConfig {
+            population_size: 12,
+            generations: 10,
+            ..GraConfig::default()
+        })
+        .solve_detailed(&problem, &mut rng)
+        .unwrap();
+        let population: Vec<BitString> = run
+            .outcome
+            .final_population
+            .iter()
+            .map(|(c, _)| c.clone())
+            .collect();
+        let change = PatternChange {
+            change_percent: 400.0,
+            objects_percent: 30.0,
+            read_share: 0.7,
+        };
+        let shift = change.apply(&problem, &mut rng).unwrap();
+        let changed: Vec<_> = shift.changed.iter().map(|(k, _)| *k).collect();
+        // Stand-alone AGRA returns the transcribed, capacity-repaired
+        // population itself; the default one polishes it with a mini-GRA.
+        let standalone = Agra::with_config(AgraConfig {
+            mini_gra_generations: 0,
+            ..AgraConfig::default()
+        })
+        .adapt(&shift.problem, &run.scheme, &population, &changed, &mut rng)
+        .unwrap();
+        let polished = Agra::new()
+            .adapt(&shift.problem, &run.scheme, &population, &changed, &mut rng)
+            .unwrap();
+        // Pinned outputs: a speed-up of the GA operators or of the repair
+        // must leave every population and scheme bitwise as it is.
+        assert_eq!(population_hash(&population), 0x88ce_41e2_cb26_5b38);
+        assert_eq!(problem.total_cost(&run.scheme), 612_673);
+        assert_eq!(
+            population_hash(&standalone.population),
+            0xc73d_a714_1a4e_fbea
+        );
+        assert_eq!(shift.problem.total_cost(&standalone.scheme), 1_033_929);
+        assert_eq!(population_hash(&polished.population), 0x3d36_cfc4_5884_dee4);
+        assert_eq!(shift.problem.total_cost(&polished.scheme), 1_002_766);
+    }
+
     #[test]
     fn repair_capacity_respects_constraints() {
         let (problem, _, _) = setup(12);
         let n = problem.num_objects();
         // Start from an everything-everywhere chromosome (over capacity).
         let mut chromosome = BitString::from_fn(problem.num_sites() * n, |_| true);
-        let weights = link_weights(&problem);
-        repair_capacity(&problem, &mut chromosome, &weights);
+        repair_capacity(&problem, &mut chromosome, &Eq6Table::new(&problem));
         ensure_primary_bits(&problem, &mut chromosome);
         decode_scheme(&problem, &chromosome).expect("repair must restore validity");
     }

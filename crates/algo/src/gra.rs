@@ -8,7 +8,6 @@ use rand::{Rng, RngCore};
 
 use crate::encoding::{chromosome_cost_with, decode_scheme, encode_scheme, EvalScratch};
 use crate::sra::{SiteOrder, Sra};
-use crate::RngAdapter;
 
 /// Which crossover operator GRA uses. The paper uses two-point; the others
 /// are reproduction ablations. All variants restore gene validity by
@@ -216,7 +215,7 @@ impl Gra {
         };
         let outcome = Engine::new(ga_config)
             .with_recorder(self.recorder.clone())
-            .run(&spec, initial, &mut RngAdapter(rng))
+            .run(&spec, initial, rng)
             .map_err(|e| drp_core::CoreError::InvalidInstance {
                 reason: e.to_string(),
             })?;

@@ -53,22 +53,6 @@ pub mod monitor;
 pub mod shard;
 mod sra;
 
-/// Newtype making `&mut dyn RngCore` usable where a sized `RngCore` is
-/// required (the GA engine is generic over a sized rng).
-pub(crate) struct RngAdapter<'a>(pub &'a mut dyn rand::RngCore);
-
-impl rand::RngCore for RngAdapter<'_> {
-    fn next_u32(&mut self) -> u32 {
-        self.0.next_u32()
-    }
-    fn next_u64(&mut self) -> u64 {
-        self.0.next_u64()
-    }
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        self.0.fill_bytes(dest)
-    }
-}
-
 pub use agra::{detect_changed_objects, AdaptiveOutcome, Agra, AgraConfig};
 pub use encoding::{
     chromosome_cost, chromosome_cost_with, decode_scheme, encode_scheme, EvalScratch,

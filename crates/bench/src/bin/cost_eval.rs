@@ -6,15 +6,19 @@
 //!
 //! * **full** — `Problem::total_cost`, the rescan-everything baseline;
 //! * **incremental** — one `CostEvaluator` flip (an `apply_add`/`undo`
-//!   pair timed and halved), the evaluator's O(M) delta path, reported as
-//!   the median of [`FLIP_REPS`] calibrated runs with their min and max;
+//!   pair timed and halved), the evaluator's O(M) delta path;
 //! * **wide population** — `evaluate_population` with the u64-only
 //!   scratch (`EvalScratch::with_mirror(problem, None)`): the pre-mirror
 //!   code path, the kernel baseline;
 //! * **narrow population** — the same with the u32 SoA mirror
 //!   (`EvalScratch::new`), the path GRA scores with.
 //!
-//! Both runs score the *same* chromosomes and the sample carries a
+//! The four variants are timed round-robin over [`PASSES`] calibrated
+//! passes ([`drp_bench::round_robin`]); each timing is the best pass, and
+//! its `*_spread` sibling is the worst pass over the best, a record of how
+//! noisy the host was while the sample ran.
+//!
+//! Both population runs score the *same* chromosomes and the sample carries a
 //! `parity` flag asserting their fitness vectors matched bitwise. A
 //! `sparse_parity` flag asserts the same of the flip engine's two
 //! candidate sources: k-nearest rows at `k = M` must track the dense rows
@@ -25,36 +29,24 @@
 
 use drp_algo::{encode_scheme, evaluate_population, EvalScratch, Sra};
 use drp_bench::report::{Budget, Fields, Report};
-use drp_bench::{instance, rng};
+use drp_bench::{instance, rng, round_robin, Passes};
 use drp_core::{
     CostEvaluator, ObjectId, Problem, ReplicationAlgorithm, ReplicationScheme, SiteId,
     SparseEvaluator, SparseProblem,
 };
 use drp_ga::{ops, BitString};
 use drp_net::SparseCostRows;
-use std::time::Instant;
 
 /// Chromosomes per timed population pass — a typical GRA generation.
 const POPULATION: usize = 32;
 
-/// Calibrated runs behind each flip timing's median, min and max.
-const FLIP_REPS: usize = 5;
+/// Round-robin passes behind each timing; the best is kept. One pass per
+/// metric swung the small-M timings several-fold between runs of
+/// unchanged code on a 2-vCPU host.
+const PASSES: usize = 9;
 
 /// Steps of the fixed flip walk behind `sparse_parity`.
 const PARITY_FLIPS: usize = 64;
-
-/// Times `f`, calibrating the iteration count to ~20ms of wall clock.
-fn measure<F: FnMut()>(mut f: F) -> f64 {
-    let warm = Instant::now();
-    f();
-    let once = (warm.elapsed().as_nanos() as u64).max(1);
-    let iters = (20_000_000 / once).clamp(1, 2_000_000) as u32;
-    let timed = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    timed.elapsed().as_nanos() as f64 / f64::from(iters)
-}
 
 fn feasible_add(problem: &Problem, scheme: &ReplicationScheme) -> Option<(SiteId, ObjectId)> {
     problem
@@ -122,12 +114,10 @@ fn sparse_parity(problem: &Problem, scheme: &ReplicationScheme) -> bool {
 struct Row {
     sites: usize,
     objects: usize,
-    full_eval_ns: f64,
-    incremental_flip_ns: f64,
-    incremental_flip_min_ns: f64,
-    incremental_flip_max_ns: f64,
-    wide_ns_per_eval: f64,
-    narrow_ns_per_eval: f64,
+    full_eval: Passes,
+    flip_pair: Passes,
+    wide_population: Passes,
+    narrow_population: Passes,
     parity: bool,
     sparse_parity: bool,
 }
@@ -137,23 +127,9 @@ fn bench_size(sites: usize, objects: usize) -> Row {
     let mut r = rng();
     let scheme = Sra::new().solve(&problem, &mut r).unwrap();
 
-    let full_eval_ns = measure(|| {
-        std::hint::black_box(problem.total_cost(&scheme));
-    });
-
     let (site, object) = feasible_add(&problem, &scheme)
         .expect("paper instances leave room for at least one extra replica");
     let mut eval = CostEvaluator::new(&problem, scheme.clone());
-    let mut flip_ns: Vec<f64> = (0..FLIP_REPS)
-        .map(|_| {
-            measure(|| {
-                eval.apply_add(site, object).unwrap();
-                eval.undo().unwrap();
-                std::hint::black_box(eval.total());
-            }) / 2.0
-        })
-        .collect();
-    flip_ns.sort_by(f64::total_cmp);
     let sparse_parity = sparse_parity(&problem, &scheme);
 
     let seed_bits = encode_scheme(&problem, &scheme);
@@ -175,33 +151,48 @@ fn bench_size(sites: usize, objects: usize) -> Row {
     let mut wide_scratch = EvalScratch::with_mirror(&problem, None);
     let mut narrow_scratch = EvalScratch::new(&problem);
 
-    // Reach the repair fixed point so every timed pass scores identical bits.
+    // Reach the repair fixed point so every timed pass scores identical
+    // bits, then give each width its own copy of the population.
     evaluate_population(&problem, &mut population, &mut narrow_scratch);
-
-    let wide = measure(|| {
-        evaluate_population(&problem, &mut population, &mut wide_scratch);
-        std::hint::black_box(population[0].1);
-    });
-    let wide_fitness: Vec<f64> = population.iter().map(|(_, f)| *f).collect();
-    let narrow = measure(|| {
-        evaluate_population(&problem, &mut population, &mut narrow_scratch);
-        std::hint::black_box(population[0].1);
-    });
-    let narrow_fitness: Vec<f64> = population.iter().map(|(_, f)| *f).collect();
+    let mut wide_population = population.clone();
+    let mut narrow_population = population;
 
     // Bitwise: the narrow kernels must not move a single fitness bit
     // relative to the wide walk.
-    let parity = wide_fitness == narrow_fitness;
+    evaluate_population(&problem, &mut wide_population, &mut wide_scratch);
+    evaluate_population(&problem, &mut narrow_population, &mut narrow_scratch);
+    let fitness = |p: &[(BitString, f64)]| p.iter().map(|(_, f)| *f).collect::<Vec<_>>();
+    let parity = fitness(&wide_population) == fitness(&narrow_population);
+
+    let [full_eval, flip_pair, wide_population, narrow_population] = round_robin(
+        PASSES,
+        &mut [
+            &mut || {
+                std::hint::black_box(problem.total_cost(&scheme));
+            },
+            &mut || {
+                eval.apply_add(site, object).unwrap();
+                eval.undo().unwrap();
+                std::hint::black_box(eval.total());
+            },
+            &mut || {
+                evaluate_population(&problem, &mut wide_population, &mut wide_scratch);
+                std::hint::black_box(wide_population[0].1);
+            },
+            &mut || {
+                evaluate_population(&problem, &mut narrow_population, &mut narrow_scratch);
+                std::hint::black_box(narrow_population[0].1);
+            },
+        ],
+    );
 
     Row {
         sites,
         objects,
-        full_eval_ns,
-        incremental_flip_ns: flip_ns[FLIP_REPS / 2],
-        incremental_flip_min_ns: flip_ns[0],
-        incremental_flip_max_ns: flip_ns[FLIP_REPS - 1],
-        wide_ns_per_eval: wide / POPULATION as f64,
-        narrow_ns_per_eval: narrow / POPULATION as f64,
+        full_eval,
+        flip_pair,
+        wide_population,
+        narrow_population,
         parity,
         sparse_parity,
     }
@@ -222,13 +213,15 @@ fn main() {
     let config = drp_bench::thread_fields(
         Fields::new()
             .text("unit", "ns_per_eval")
-            .int("population", POPULATION as u64),
+            .int("population", POPULATION as u64)
+            .int("passes", PASSES as u64),
     );
     // The headline claim of the kernel pass: the u32 mirror kernels beat
     // the old wide walk at the largest site count.
+    let per_eval = |p: &Passes| p.best / POPULATION as f64;
     let headline = rows
         .last()
-        .map(|r| r.wide_ns_per_eval / r.narrow_ns_per_eval)
+        .map(|r| per_eval(&r.wide_population) / per_eval(&r.narrow_population))
         .unwrap_or(0.0);
     let mut report = Report::new(
         "cost_eval",
@@ -236,24 +229,40 @@ fn main() {
         Budget::at_least("speedup_kernel_vs_wide_at_largest_m", 1.5, headline),
     );
     for row in &rows {
+        // A flip is half of the timed add/undo pair.
+        let flip_ns = row.flip_pair.best / 2.0;
         report.sample(
             Fields::new()
                 .int("sites", row.sites as u64)
                 .int("objects", row.objects as u64)
-                .float("full_eval_ns", row.full_eval_ns, 1)
-                .float("incremental_flip_ns", row.incremental_flip_ns, 1)
-                .float("incremental_flip_min_ns", row.incremental_flip_min_ns, 1)
-                .float("incremental_flip_max_ns", row.incremental_flip_max_ns, 1)
-                .float("wide_population_ns_per_eval", row.wide_ns_per_eval, 1)
-                .float("narrow_population_ns_per_eval", row.narrow_ns_per_eval, 1)
+                .float("full_eval_ns", row.full_eval.best, 1)
+                .float("full_eval_spread", row.full_eval.spread(), 2)
+                .float("incremental_flip_ns", flip_ns, 1)
+                .float("incremental_flip_spread", row.flip_pair.spread(), 2)
+                .float(
+                    "wide_population_ns_per_eval",
+                    per_eval(&row.wide_population),
+                    1,
+                )
+                .float("wide_population_spread", row.wide_population.spread(), 2)
+                .float(
+                    "narrow_population_ns_per_eval",
+                    per_eval(&row.narrow_population),
+                    1,
+                )
+                .float(
+                    "narrow_population_spread",
+                    row.narrow_population.spread(),
+                    2,
+                )
                 .float(
                     "speedup_incremental_vs_full",
-                    row.full_eval_ns / row.incremental_flip_ns,
+                    row.full_eval.best / flip_ns,
                     2,
                 )
                 .float(
                     "speedup_kernel_vs_wide",
-                    row.wide_ns_per_eval / row.narrow_ns_per_eval,
+                    per_eval(&row.wide_population) / per_eval(&row.narrow_population),
                     2,
                 )
                 .flag("parity", row.parity)

@@ -24,7 +24,7 @@
 
 use drp_algo::{Gra, GraConfig};
 use drp_bench::report::{Budget, Fields, Report};
-use drp_bench::{instance, rng};
+use drp_bench::{instance, rng, round_robin};
 use drp_core::telemetry::{self, InMemoryRecorder, NoopRecorder, Recorder};
 use drp_core::{CostEvaluator, ObjectId, Problem, ReplicationScheme, SiteId};
 use std::sync::Arc;
@@ -37,44 +37,13 @@ const BUDGET_PERCENT: f64 = 2.0;
 /// hundred nanoseconds while the effect under test (two devirtualised
 /// `enabled()` calls) costs single digits, so one pass drowns in scheduler
 /// noise — the best-of-N floor is the stable estimator. The variants are
-/// timed *interleaved* (one pass of each per round, see [`measure_all`]):
+/// timed *interleaved* (one pass of each per round, see
+/// [`drp_bench::round_robin`]):
 /// timing each variant's passes back to back lets a CPU-frequency or
 /// steal-time shift between the phases masquerade as recorder overhead
 /// (or as a negative overhead), which on virtualized single-core hosts
 /// dwarfs the single-digit-nanosecond effect under test.
 const PASSES: usize = 25;
-
-/// Times `f` once, calibrating the iteration count to ~5ms of wall clock.
-fn measure_once<F: FnMut()>(mut f: F) -> f64 {
-    let warm = Instant::now();
-    f();
-    let once = (warm.elapsed().as_nanos() as u64).max(1);
-    let iters = (5_000_000 / once).clamp(1, 5_000_000) as u32;
-    let timed = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    timed.elapsed().as_nanos() as f64 / f64::from(iters)
-}
-
-/// Best-of-[`PASSES`] timing of every variant, round-robin: each round
-/// times one pass of each closure, so all minima come from the same few
-/// hundred milliseconds and host-speed drift cancels out of the
-/// differential.
-fn measure_all<const K: usize>(variants: &mut [&mut dyn FnMut(); K]) -> [f64; K] {
-    // One discarded round first: the very first timed closure otherwise
-    // pays the cold instruction cache and page-fault bill for everyone.
-    for f in variants.iter_mut() {
-        measure_once(&mut **f);
-    }
-    let mut best = [f64::MAX; K];
-    for _ in 0..PASSES {
-        for (slot, f) in best.iter_mut().zip(variants.iter_mut()) {
-            *slot = slot.min(measure_once(&mut **f));
-        }
-    }
-    best
-}
 
 fn feasible_add(problem: &Problem, scheme: &ReplicationScheme) -> Option<(SiteId, ObjectId)> {
     problem
@@ -121,32 +90,35 @@ fn bench_size(sites: usize, objects: usize) -> Row {
     let mut eval_noop_dyn = CostEvaluator::new(&problem, scheme.clone());
     let mut eval_armed = CostEvaluator::new(&problem, scheme);
 
-    let [baseline_ns, noop_ns, noop_dyn_ns, armed_ns] = measure_all(&mut [
-        &mut || flip_pair(&mut eval_baseline, site, object),
-        &mut || {
-            let _span = telemetry::span(&noop, "bench.flip");
-            noop.add_counter("bench.flips", 1);
-            flip_pair(&mut eval_noop, site, object);
-        },
-        &mut || {
-            let _span = telemetry::span(noop_dyn, "bench.flip");
-            noop_dyn.add_counter("bench.flips", 1);
-            flip_pair(&mut eval_noop_dyn, site, object);
-        },
-        &mut || {
-            let _span = telemetry::span(&armed, "bench.flip");
-            armed.add_counter("bench.flips", 1);
-            flip_pair(&mut eval_armed, site, object);
-        },
-    ]);
+    let [baseline, noop_pass, noop_dyn_pass, armed_pass] = round_robin(
+        PASSES,
+        &mut [
+            &mut || flip_pair(&mut eval_baseline, site, object),
+            &mut || {
+                let _span = telemetry::span(&noop, "bench.flip");
+                noop.add_counter("bench.flips", 1);
+                flip_pair(&mut eval_noop, site, object);
+            },
+            &mut || {
+                let _span = telemetry::span(noop_dyn, "bench.flip");
+                noop_dyn.add_counter("bench.flips", 1);
+                flip_pair(&mut eval_noop_dyn, site, object);
+            },
+            &mut || {
+                let _span = telemetry::span(&armed, "bench.flip");
+                armed.add_counter("bench.flips", 1);
+                flip_pair(&mut eval_armed, site, object);
+            },
+        ],
+    );
 
     Row {
         sites,
         objects,
-        baseline_ns,
-        noop_ns,
-        noop_dyn_ns,
-        armed_ns,
+        baseline_ns: baseline.best,
+        noop_ns: noop_pass.best,
+        noop_dyn_ns: noop_dyn_pass.best,
+        armed_ns: armed_pass.best,
     }
 }
 

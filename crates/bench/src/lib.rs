@@ -15,6 +15,8 @@
 pub mod ratchet;
 pub mod report;
 
+use std::time::Instant;
+
 use drp_core::Problem;
 use drp_workload::WorkloadSpec;
 use rand::rngs::StdRng;
@@ -50,4 +52,62 @@ pub fn thread_fields(fields: report::Fields) -> report::Fields {
         )
         .text("drp_threads", &drp_threads)
         .text("kernel_isa", drp_core::kernels::isa())
+}
+
+/// Times `f` once, calibrating the iteration count to ~5 ms of wall clock;
+/// returns nanoseconds per call.
+fn measure_once<F: FnMut()>(mut f: F) -> f64 {
+    let warm = Instant::now();
+    f();
+    let once = (warm.elapsed().as_nanos() as u64).max(1);
+    let iters = (5_000_000 / once).clamp(1, 5_000_000) as u32;
+    let timed = Instant::now();
+    for _ in 0..iters {
+        f();
+    }
+    timed.elapsed().as_nanos() as f64 / f64::from(iters)
+}
+
+/// The fastest and slowest of one variant's [`round_robin`] passes, in
+/// nanoseconds per call.
+#[derive(Debug, Clone, Copy)]
+pub struct Passes {
+    /// The best pass: the stable estimator on a noisy host.
+    pub best: f64,
+    /// The worst pass.
+    pub worst: f64,
+}
+
+impl Passes {
+    /// Worst pass over best pass; 1.0 when every pass agreed.
+    pub fn spread(&self) -> f64 {
+        self.worst / self.best
+    }
+}
+
+/// Times every variant over `passes` rounds, round-robin: each round times
+/// one calibrated ~5 ms pass of each closure, so every variant's passes
+/// come from the same stretch of wall clock and host-speed drift hits all
+/// of them alike. One discarded round comes first: the very first timed
+/// closure otherwise pays the cold instruction cache and page-fault bill
+/// for everyone.
+pub fn round_robin<const K: usize>(
+    passes: usize,
+    variants: &mut [&mut dyn FnMut(); K],
+) -> [Passes; K] {
+    for f in variants.iter_mut() {
+        measure_once(&mut **f);
+    }
+    let mut times = [Passes {
+        best: f64::MAX,
+        worst: 0.0,
+    }; K];
+    for _ in 0..passes {
+        for (slot, f) in times.iter_mut().zip(variants.iter_mut()) {
+            let ns = measure_once(&mut **f);
+            slot.best = slot.best.min(ns);
+            slot.worst = slot.worst.max(ns);
+        }
+    }
+    times
 }

@@ -22,8 +22,11 @@
 //!   possible failure, because it means determinism broke;
 //! * **spreads** must agree with their metric, in the reference and the
 //!   current artifact alike: a sample carrying `X` beside its `_min`/`_max`
-//!   siblings (`incremental_flip_ns` with `incremental_flip_min_ns` and
-//!   `incremental_flip_max_ns`) fails when `X` lies outside `[min, max]`.
+//!   siblings (`flip_ns` with `flip_min_ns` and `flip_max_ns`) fails when
+//!   `X` lies outside `[min, max]`;
+//! * **pass spreads** (`*_spread`, a timing's worst pass over its best)
+//!   describe how noisy the host was during the run; they are recorded for
+//!   the reader and never gated, and they do not key the sample.
 //!
 //! Intentional changes (new config, faster-but-different algorithm) are
 //! recorded by re-blessing: `--bless` copies the current artifacts over
@@ -237,6 +240,8 @@ pub enum Class {
     /// Part of the sample's identity key (config, counts, fingerprints,
     /// costs): exact match through the key, never a tolerance.
     Identity,
+    /// A timing's pass spread (`*_spread`): host noise, never compared.
+    Spread,
 }
 
 /// Classifies a field by name. Identity is the safe default: an
@@ -244,6 +249,9 @@ pub enum Class {
 /// missing sample rather than being silently tolerated.
 pub fn classify(key: &str) -> Class {
     let k = key.to_ascii_lowercase();
+    if k.ends_with("_spread") {
+        return Class::Spread;
+    }
     if k == "within_budget" || k.contains("parity") || k.ends_with("_ok") || k.ends_with("_valid") {
         return Class::MustStayTrue;
     }
@@ -342,6 +350,7 @@ fn check_metric(
 ) {
     match classify(name) {
         Class::Identity => {} // covered by the sample key
+        Class::Spread => {}   // host noise, not a property of the code
         Class::MustStayTrue => {
             if reference == &Value::Bool(true) && current != &Value::Bool(true) {
                 violations.push(format!("{context}: flag {name} regressed from true"));
@@ -359,7 +368,7 @@ fn check_metric(
                 Class::HigherBetter => c >= r * (1.0 - tol.ratio_frac),
                 Class::HigherBetterAbs => c >= r - tol.percent_abs,
                 Class::LowerBetterAbs => c <= r + tol.percent_abs,
-                Class::Identity | Class::MustStayTrue => unreachable!(),
+                Class::Identity | Class::MustStayTrue | Class::Spread => unreachable!(),
             };
             if !ok {
                 violations.push(format!(
@@ -671,6 +680,27 @@ mod tests {
         assert_eq!(classify("sites"), Class::Identity);
         assert_eq!(classify("gra_fingerprint"), Class::Identity);
         assert_eq!(classify("gra_cost"), Class::Identity);
+        assert_eq!(classify("full_eval_spread"), Class::Spread);
+    }
+
+    #[test]
+    fn pass_spreads_neither_key_nor_gate_the_sample() {
+        let artifact = |spread: f64| {
+            let mut report = Report::new(
+                "demo",
+                Fields::new().text("unit", "ns"),
+                Budget::at_least("speedup", 1.5, 2.0),
+            );
+            report.sample(
+                Fields::new()
+                    .int("sites", 10)
+                    .float("full_eval_ns", 100.0, 1)
+                    .float("full_eval_spread", spread, 2),
+            );
+            parse(&report.render()).unwrap()
+        };
+        let violations = compare_reports(&artifact(1.05), &artifact(3.5), &Tolerance::default());
+        assert!(violations.is_empty(), "{violations:?}");
     }
 
     #[test]

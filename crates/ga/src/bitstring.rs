@@ -201,8 +201,10 @@ impl BitString {
         })
     }
 
-    /// Copies bits `range` from `other` into `self`; both strings must have
-    /// the same length. This is the primitive behind crossover operators.
+    /// Copies bits `[start, end)` from `other` into `self`; both strings
+    /// must have the same length. This is the primitive behind crossover
+    /// operators and GRA's gene donation. Word-wise: whole words are copied
+    /// and only the head and tail words are merged under a mask.
     ///
     /// # Panics
     ///
@@ -210,10 +212,20 @@ impl BitString {
     pub fn copy_range_from(&mut self, other: &BitString, start: usize, end: usize) {
         assert_eq!(self.len, other.len, "length mismatch");
         assert!(start <= end && end <= self.len, "bad range");
-        // Bit-by-bit is fine: ranges are short relative to evaluation cost.
-        for i in start..end {
-            self.set(i, other.get(i));
+        if start == end {
+            return;
         }
+        let head = u64::MAX << (start % 64);
+        let tail = u64::MAX >> (63 - (end - 1) % 64);
+        let (first, last) = (start / 64, (end - 1) / 64);
+        let merge = |dst: &mut u64, src: u64, mask: u64| *dst = (*dst & !mask) | (src & mask);
+        if first == last {
+            merge(&mut self.words[first], other.words[first], head & tail);
+            return;
+        }
+        merge(&mut self.words[first], other.words[first], head);
+        self.words[first + 1..last].copy_from_slice(&other.words[first + 1..last]);
+        merge(&mut self.words[last], other.words[last], tail);
     }
 
     /// Hamming distance to another string of the same length.

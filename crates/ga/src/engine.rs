@@ -60,6 +60,10 @@ impl Engine {
 
     /// Evolves `initial` for the configured number of generations.
     ///
+    /// The rng is a trait object, the same `&mut dyn RngCore` the
+    /// [`GaSpec`] operators take, so a draw inside an operator costs one
+    /// virtual call whatever rng the caller holds.
+    ///
     /// The initial population is resized to `population_size` by cycling (if
     /// too small) or truncating (if too large).
     ///
@@ -68,11 +72,11 @@ impl Engine {
     /// * [`GaError::BadConfig`] when the configuration fails validation;
     /// * [`GaError::BadInitialPopulation`] when `initial` is empty or holds
     ///   chromosomes of differing lengths.
-    pub fn run<S: GaSpec + ?Sized, R: RngCore>(
+    pub fn run<S: GaSpec + ?Sized>(
         &self,
         spec: &S,
         initial: Vec<BitString>,
-        rng: &mut R,
+        rng: &mut dyn RngCore,
     ) -> Result<GaOutcome> {
         self.config.validate()?;
         if initial.is_empty() {

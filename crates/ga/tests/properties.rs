@@ -19,6 +19,40 @@ proptest! {
     }
 
     #[test]
+    fn word_wise_copy_range_matches_per_bit_copy(
+        len in 1usize..301,
+        a in 0usize..301,
+        b in 0usize..301,
+        seed in 0u64..1000,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let src = BitString::random(len, &mut rng);
+        let dst = BitString::random(len, &mut rng);
+        let (lo, hi) = (a.min(b).min(len), a.max(b).min(len));
+        // The drawn range, an empty one, and the same range with its start
+        // or end snapped onto a word boundary.
+        let ranges = [
+            (lo, hi),
+            (lo, lo),
+            (hi, hi),
+            (lo / 64 * 64, hi),
+            (lo, (hi.div_ceil(64) * 64).min(len)),
+            (lo / 64 * 64, (hi / 64 * 64).max(lo / 64 * 64)),
+            (0, len),
+        ];
+        for (start, end) in ranges {
+            let mut fast = dst.clone();
+            fast.copy_range_from(&src, start, end);
+            let reference =
+                BitString::from_fn(len, |i| if (start..end).contains(&i) { src.get(i) } else { dst.get(i) });
+            prop_assert_eq!(&fast, &reference, "len {} range [{}, {})", len, start, end);
+            // Bits past `len` stay zero.
+            let ones: usize = fast.words().iter().map(|w| w.count_ones() as usize).sum();
+            prop_assert_eq!(ones, (0..len).filter(|&i| fast.get(i)).count());
+        }
+    }
+
+    #[test]
     fn crossover_conserves_locus_material(len in 3usize..128, seed in 0u64..1000) {
         // For complementary parents, every crossover child pair still holds
         // exactly one 1 per locus across the two children.

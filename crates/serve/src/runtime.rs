@@ -665,7 +665,10 @@ pub fn run_service(problem: &Problem, config: &ServeConfig) -> drp_core::Result<
     run_service_recorded(problem, config, telemetry::noop())
 }
 
-/// Runs the service, emitting `serve.*` spans and counters to `recorder`.
+/// Runs the service, emitting `serve.*` spans and counters to `recorder`,
+/// plus one `algo.adapt` span per daytime monitor call and one
+/// `algo.rebuild` span per nightly GRA rebuild, each inside its boundary's
+/// `serve.retune` span.
 ///
 /// # Errors
 ///
@@ -960,7 +963,10 @@ fn run_loop(
 
         // Boundary decision. The matrices move out of the outcome — no
         // clone; nothing downstream reads them again. The `serve.retune`
-        // span covers the policy, hot boosts and degree floor.
+        // span covers the policy, hot boosts and degree floor; inside it,
+        // `algo.rebuild` times the nightly GRA and `algo.adapt` the
+        // monitor's daytime AGRA call (the GA's own spans stay off the
+        // serve recorder).
         let retune_span = telemetry::span(recorder.as_ref(), "serve.retune");
         let observed = st
             .truth
@@ -996,7 +1002,10 @@ fn run_loop(
         };
         if config.policy != Policy::Static {
             if night {
-                st.monitor.nightly_rebuild_with(input, &mut decide_rng)?;
+                {
+                    let _span = telemetry::span(recorder.as_ref(), "algo.rebuild");
+                    st.monitor.nightly_rebuild_with(input, &mut decide_rng)?;
+                }
                 st.rebuilds += 1;
                 kind = RetuneKind::Rebuild;
                 monitor_changed = true;
@@ -1010,9 +1019,13 @@ fn run_loop(
                 let gate = st.predict.as_mut().map(|ps| (ps, input.clone()));
                 let mut acted = 0usize;
                 let mut candidate = None;
+                let action = {
+                    let _span = telemetry::span(recorder.as_ref(), "algo.adapt");
+                    st.monitor.ingest_statistics(input, &mut decide_rng)?
+                };
                 if let MonitorAction::Adapted {
                     changed_objects, ..
-                } = st.monitor.ingest_statistics(input, &mut decide_rng)?
+                } = action
                 {
                     acted = changed_objects;
                     monitor_changed = true;
@@ -1360,6 +1373,32 @@ mod tests {
         run_service_recorded(&problem, &config, recorder.clone()).unwrap();
         assert_eq!(recorder.span_count("serve.ingest"), 4);
         assert_eq!(recorder.span_count("serve.retune"), 4);
+    }
+
+    #[test]
+    fn monitor_spans_count_the_boundaries_inside_retune() {
+        let problem = problem(4);
+        let config = ServeConfig {
+            policy: Policy::Monitor,
+            epochs: 5,
+            seed: 4,
+            night_every: 2,
+            monitor: monitor_config(),
+            drift: Some(drift()),
+            ..ServeConfig::default()
+        };
+        let recorder = Arc::new(InMemoryRecorder::default());
+        let report = run_service_recorded(&problem, &config, recorder.clone()).unwrap();
+        let days = (0..config.epochs)
+            .filter(|e| (e + 1) % config.night_every != 0)
+            .count() as u64;
+        assert!(report.totals.rebuilds > 0 && days > 0);
+        assert_eq!(recorder.span_count("algo.rebuild"), report.totals.rebuilds);
+        assert_eq!(recorder.span_count("algo.adapt"), days);
+        let total = |name| recorder.span_stats(name).map_or(0, |s| s.total_ns);
+        assert!(total("algo.adapt") + total("algo.rebuild") <= total("serve.retune"));
+        // The GA's own spans stay off the serve recorder.
+        assert_eq!(recorder.span_count("ga.generation"), 0);
     }
 
     #[test]
