@@ -17,7 +17,7 @@
 //! reactive monitor, and every competitive ratio must be >= 1.0.
 
 use drp_bench::report::{Budget, Fields, Report};
-use drp_serve::{run_service_with_oracle, HotKeyConfig, Policy, ServeConfig};
+use drp_serve::{run_service_with_oracle, Policy, ServeConfig};
 use drp_workload::{Scenario, TopologyKind, WorkloadSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -32,12 +32,12 @@ const OBJECTS: usize = 12;
 const EPOCHS: usize = 6;
 const PERIOD: u64 = 256;
 
-/// `(label, policy, hot fast path)` — the predictive family runs with the
-/// hot fast path on: forecast pre-staging of replica boosts is part of it.
-const POLICIES: [(&str, Policy, bool); 3] = [
-    ("monitor", Policy::Monitor, false),
-    ("predictive-ewma", Policy::PredictiveEwma, true),
-    ("predictive-regression", Policy::PredictiveRegression, true),
+/// The reactive monitor against both predictive policies (which run the
+/// hot fast path, pre-staged by their forecasts).
+const POLICIES: [Policy; 3] = [
+    Policy::Monitor,
+    Policy::PredictiveEwma,
+    Policy::PredictiveRegression,
 ];
 
 struct Row {
@@ -54,7 +54,7 @@ struct Row {
     fingerprint: String,
 }
 
-fn bench_cell(scenario: Scenario, label: &'static str, policy: Policy, hot: bool) -> Row {
+fn bench_cell(scenario: Scenario, policy: Policy) -> Row {
     let mut spec = WorkloadSpec::paper(SITES, OBJECTS, 6.0, 35.0);
     spec.topology = TopologyKind::Tree { arity: 2 };
     let problem = spec
@@ -66,7 +66,6 @@ fn bench_cell(scenario: Scenario, label: &'static str, policy: Policy, hot: bool
         period: PERIOD,
         seed: SEED,
         scenario: Some(scenario),
-        hot: hot.then(HotKeyConfig::default),
         ..ServeConfig::default()
     };
     let started = Instant::now();
@@ -75,7 +74,7 @@ fn bench_cell(scenario: Scenario, label: &'static str, policy: Policy, hot: bool
     let t = report.totals;
     Row {
         scenario: scenario.name(),
-        policy: label,
+        policy: policy.name(),
         serving_ntc: t.serving_ntc,
         migration_ntc: t.migration_ntc,
         total_ntc: t.total_ntc,
@@ -95,8 +94,8 @@ fn main() {
 
     let mut rows = Vec::new();
     for scenario in Scenario::ALL {
-        for (label, policy, hot) in POLICIES {
-            rows.push(bench_cell(scenario, label, policy, hot));
+        for policy in POLICIES {
+            rows.push(bench_cell(scenario, policy));
         }
     }
 

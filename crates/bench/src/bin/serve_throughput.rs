@@ -13,11 +13,10 @@
 //!
 //! * the FNV hash of the admitted queues plus the admission report must
 //!   be identical across every thread count (`ingest_parity`);
-//! * a small closed-loop service run with the hot-object fast path on
-//!   must fingerprint identically at `threads` 1 and 2
-//!   (`service_thread_parity`), bill no more total NTC than the same run
-//!   with the fast path off (`hot_ntc_ok`), and its promotion/demotion
-//!   counts are pinned exactly.
+//! * a small closed-loop `monitor+hot` service run must fingerprint
+//!   identically at `threads` 1 and 2 (`service_thread_parity`), bill no
+//!   more total NTC than the same run under plain `monitor`
+//!   (`hot_ntc_ok`), and its promotion/demotion counts are pinned exactly.
 //!
 //! The `epoch_scaling` samples time the serving engine behind the front
 //! end: one fault-free epoch served through
@@ -31,8 +30,8 @@ use drp_bench::report::{Budget, Fields, Report};
 use drp_core::migration::MigrationPlan;
 use drp_core::{telemetry, DenseMatrix, Problem, ReplicationAlgorithm};
 use drp_serve::{
-    execute_migration, ingest_epoch, run_service, EpochTraffic, HotKeyConfig, IngestScratch,
-    IngestSpec, MigrationTuning, Policy, ServeConfig,
+    execute_migration, ingest_epoch, run_service, EpochTraffic, IngestScratch, IngestSpec,
+    MigrationTuning, Policy, ServeConfig,
 };
 use drp_workload::{PatternChange, WorkloadSpec};
 use rand::rngs::StdRng;
@@ -192,15 +191,16 @@ struct ServiceRow {
     fingerprint: u64,
 }
 
-/// One small closed-loop service run under drift; `hot` toggles the
-/// fast path, `threads` the ingestion workers.
-fn bench_service(hot: bool, threads: usize) -> ServiceRow {
+/// One small closed-loop service run under drift; `policy` is
+/// [`Policy::MonitorHot`] or the [`Policy::Monitor`] baseline, `threads`
+/// the ingestion workers.
+fn bench_service(policy: Policy, threads: usize) -> ServiceRow {
     let spec = WorkloadSpec::paper(24, 16, 6.0, 35.0);
     let problem = spec
         .generate(&mut StdRng::seed_from_u64(SEED))
         .expect("service instance generates");
     let config = ServeConfig {
-        policy: Policy::Monitor,
+        policy,
         epochs: 4,
         period: 256,
         seed: SEED,
@@ -211,7 +211,6 @@ fn bench_service(hot: bool, threads: usize) -> ServiceRow {
             read_share: 0.9,
         }),
         threads,
-        hot: hot.then(HotKeyConfig::default),
         ..ServeConfig::default()
     };
     let report = run_service(&problem, &config).expect("service runs");
@@ -292,9 +291,9 @@ fn main() {
     let parity = rows.iter().all(|r| r.hash == rows[0].hash);
     let budget_row = &rows[1]; // threads == 2, the headline configuration
 
-    let hot_on = bench_service(true, 1);
-    let hot_on_t2 = bench_service(true, 2);
-    let hot_off = bench_service(false, 1);
+    let hot_on = bench_service(Policy::MonitorHot, 1);
+    let hot_on_t2 = bench_service(Policy::MonitorHot, 2);
+    let hot_off = bench_service(Policy::Monitor, 1);
     let scaling: Vec<ScalingRow> = SCALING_SITES
         .iter()
         .map(|&m| bench_epoch_scaling(m, args.period))

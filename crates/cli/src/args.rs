@@ -811,12 +811,8 @@ mod tests {
 
     #[test]
     fn parses_serve_policy_and_scenario_round_trip() {
-        for (name, want) in [
-            ("static", Policy::Static),
-            ("monitor", Policy::Monitor),
-            ("predictive-ewma", Policy::PredictiveEwma),
-            ("predictive-regression", Policy::PredictiveRegression),
-        ] {
+        for want in Policy::ALL {
+            let name = want.name();
             let line = format!("serve --instance net.drp --policy {name}");
             match parse(&argv(&line)).unwrap() {
                 Command::Serve { policy, .. } => assert_eq!(policy, want, "{name}"),
@@ -826,8 +822,8 @@ mod tests {
         let err = parse(&argv("serve --instance net.drp --policy oracle")).unwrap_err();
         assert_eq!(
             err.to_string(),
-            "unknown policy `oracle` (expected static, monitor, predictive-ewma or \
-             predictive-regression)"
+            "unknown policy `oracle` (expected static, monitor, monitor+hot, \
+             predictive-ewma or predictive-regression)"
         );
         for name in [
             "diurnal",

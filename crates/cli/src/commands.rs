@@ -11,7 +11,6 @@ use drp_core::format::{read_instance, read_scheme, write_instance, write_scheme}
 use drp_core::migration::MigrationPlan;
 use drp_core::telemetry::{self, InMemoryRecorder, Recorder};
 use drp_core::{Problem, ReplicationAlgorithm, ReplicationScheme, SparseProblem};
-use drp_net::sim::FaultPlan;
 use drp_serve::{
     execute_migration, run_service_durable_recorded, run_service_recorded,
     run_service_with_oracle_recorded, EpochTraffic, FaultSpec, FileWalStore, MigrationTuning,
@@ -316,14 +315,14 @@ pub fn run_command(command: Command) -> Result<String, CliError> {
             trace_out,
         } => {
             let problem = load_instance(&instance)?;
-            for &(site, _, _) in &crashes {
-                if site >= problem.num_sites() {
-                    return Err(CliError::Run(format!(
-                        "crash site {site} out of range for {} sites",
-                        problem.num_sites()
-                    )));
-                }
-            }
+            let faults = FaultSpec {
+                crashes,
+                drop_probability: drop,
+                jitter,
+            };
+            faults
+                .validate(problem.num_sites())
+                .map_err(|e| CliError::Run(e.to_string()))?;
             let mut scheme = match scheme {
                 Some(path) => read_scheme(&read_file(&path)?, &problem)?,
                 None => ReplicationScheme::primary_only(&problem),
@@ -337,17 +336,9 @@ pub fn run_command(command: Command) -> Result<String, CliError> {
                     top_up.unsatisfiable.len()
                 );
             }
-            // An all-default plan means "injector off": the same workload
+            // An all-default spec means "injector off": the same workload
             // runs with the fault machinery disarmed.
-            let plan = if crashes.is_empty() && drop == 0.0 && jitter == 0 {
-                None
-            } else {
-                let mut plan = FaultPlan::new(seed).drop_probability(drop).jitter(jitter);
-                for (site, from, until) in crashes {
-                    plan = plan.crash(site, from, until);
-                }
-                Some(plan)
-            };
+            let plan = (faults != FaultSpec::default()).then(|| faults.plan(seed));
             let trace = trace_out
                 .as_ref()
                 .map(|_| Arc::new(InMemoryRecorder::new()));
@@ -388,12 +379,11 @@ pub fn run_command(command: Command) -> Result<String, CliError> {
             let fs = run.fault_stats;
             let _ = writeln!(
                 out,
-                "faults: crashes={} recoveries={} dropped-random={} dropped-partition={} \
-                 lost-arrivals={} lost-timers={} extra-delay={}",
+                "faults: crashes={} recoveries={} dropped-random={} lost-arrivals={} \
+                 lost-timers={} extra-delay={}",
                 fs.crashes,
                 fs.recoveries,
                 fs.dropped_random,
-                fs.dropped_partition,
                 fs.lost_arrivals,
                 fs.lost_timers,
                 fs.extra_delay
@@ -430,23 +420,15 @@ pub fn run_command(command: Command) -> Result<String, CliError> {
             checkpoint_every,
         } => {
             let problem = load_instance(&instance)?;
-            for &(site, _, _) in &crashes {
-                if site >= problem.num_sites() {
-                    return Err(CliError::Run(format!(
-                        "crash site {site} out of range for {} sites",
-                        problem.num_sites()
-                    )));
-                }
-            }
-            let faults = if crashes.is_empty() && drop == 0.0 && jitter == 0 {
-                None
-            } else {
-                Some(FaultSpec {
-                    crashes,
-                    drop_probability: drop,
-                    jitter,
-                })
+            // Checked before a durable run writes its WAL header.
+            let faults = FaultSpec {
+                crashes,
+                drop_probability: drop,
+                jitter,
             };
+            faults
+                .validate(problem.num_sites())
+                .map_err(|e| CliError::Run(e.to_string()))?;
             let config = ServeConfig {
                 policy,
                 epochs,
@@ -463,7 +445,7 @@ pub fn run_command(command: Command) -> Result<String, CliError> {
                         read_share,
                     },
                 ),
-                faults,
+                faults: (faults != FaultSpec::default()).then_some(faults),
                 scenario,
                 wal: WalTuning { checkpoint_every },
                 ..ServeConfig::default()
@@ -831,8 +813,8 @@ mod tests {
         let golden = "\
 reads: issued=1621 served=1490 failed-over=96 stale=75 lost=131
 writes: issued=75 committed=66 queued=4 lost=9
-faults: crashes=2 recoveries=2 dropped-random=0 dropped-partition=0 lost-arrivals=7 \
-lost-timers=137 extra-delay=1164
+faults: crashes=2 recoveries=2 dropped-random=0 lost-arrivals=7 lost-timers=137 \
+extra-delay=1164
 sim: events=4085 messages=2376 data-units=30958 transfer-cost=87992
 ";
         assert_eq!(out, golden);
@@ -1023,6 +1005,48 @@ sim: events=4085 messages=2376 data-units=30958 transfer-cost=87992
     }
 
     #[test]
+    fn serve_predictive_policy_runs_the_library_policy_with_its_hot_path() {
+        use drp_serve::{Policy, ServeConfig};
+        use drp_workload::Scenario;
+
+        let dir = tempdir("serve_predict_hot");
+        let net = dir.join("net.drp");
+        let report = dir.join("report.json");
+        run(&argv(&format!(
+            "generate --sites 8 --objects 12 --capacity 35 --seed 9 -o {}",
+            net.display()
+        )))
+        .unwrap();
+        run(&argv(&format!(
+            "serve --instance {} --policy predictive-ewma --scenario flash-crowd \
+             --epochs 6 --period 256 --seed 9 --report-out {}",
+            net.display(),
+            report.display()
+        )))
+        .unwrap();
+        let json = std::fs::read_to_string(&report).unwrap();
+
+        // The CLI policy is the whole boundary configuration: the library
+        // run of the same policy, hot path included, reports identically.
+        let problem = super::load_instance(&net).unwrap();
+        let config = ServeConfig {
+            policy: Policy::PredictiveEwma,
+            epochs: 6,
+            period: 256,
+            seed: 9,
+            scenario: Some(Scenario::FlashCrowd),
+            ..ServeConfig::default()
+        };
+        let library = drp_serve::run_service(&problem, &config).unwrap();
+        assert_eq!(json, library.render_json());
+        assert!(
+            library.totals.hot_promotions > 0,
+            "the forecast must pre-stage hot promotions"
+        );
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
     fn serve_oracle_trace_out_writes_the_run_trace() {
         // The oracle path records too: a "trace written" line must never
         // sit on top of an empty trace file.
@@ -1071,6 +1095,17 @@ sim: events=4085 messages=2376 data-units=30958 transfer-cost=87992
                 .unwrap()
         };
         let plain = run(&argv(&serve)).unwrap();
+
+        // A fault spec naming a site outside the instance is refused before
+        // the durable run writes anything.
+        let bad = format!(
+            "serve --instance {} --crash 6@0..10 --wal-dir {}",
+            net.display(),
+            wal.display()
+        );
+        let err = run(&argv(&bad)).unwrap_err();
+        assert!(err.to_string().contains("out of range"), "{err}");
+        assert!(!wal.join("wal.log").exists());
 
         // Fresh durable run: journals, same fingerprint as the in-memory run.
         let durable = run(&argv(&format!(

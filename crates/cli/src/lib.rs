@@ -38,7 +38,8 @@ usage:
   drp adapt    --instance FILE --new-instance FILE --scheme FILE
                [--mini N] [--threshold PCT] [--seed N] [-o|--output FILE]
   drp serve    --instance FILE
-               [--policy static|monitor|predictive-ewma|predictive-regression]
+               [--policy static|monitor|monitor+hot|predictive-ewma|
+                         predictive-regression]
                [--epochs N] [--period T] [--seed N] [--night-every K]
                [--admission-limit N] [--threads N] [--min-degree D]
                [--drift CHANGE%:OBJECTS%:READSHARE | --scenario NAME
@@ -75,13 +76,8 @@ mod tests {
             let listed = USAGE.contains(&format!("{flag} ")) || USAGE.contains(&format!("{flag}]"));
             assert!(listed, "USAGE omits {flag}");
         }
-        for policy in [
-            "static",
-            "monitor",
-            "predictive-ewma",
-            "predictive-regression",
-        ] {
-            assert!(USAGE.contains(policy), "USAGE omits policy {policy}");
+        for policy in drp_serve::Policy::ALL {
+            assert!(USAGE.contains(policy.name()), "USAGE omits {policy:?}");
         }
         for scenario in drp_workload::Scenario::ALL {
             assert!(USAGE.contains(scenario.name()), "USAGE omits {scenario:?}");

@@ -9,8 +9,8 @@
 //!
 //! * **static** — the bootstrap GRA scheme, frozen;
 //! * **monitor** — windowed statistics into the replication monitor (AGRA
-//!   by day, full GRA every `night_every`-th boundary), with and without
-//!   the hot-object fast path.
+//!   by day, full GRA every `night_every`-th boundary);
+//! * **monitor+hot** — the monitor plus the hot-object fast path.
 //!
 //! All of them run on the same binary-tree topology and the same seeds, so
 //! they serve byte-identical traffic and differ only in how they adapt.
@@ -74,26 +74,20 @@ impl Params {
     }
 }
 
-/// `(label, policy, hot fast path)` rows of the study. `monitor+hot`
-/// runs the same monitor policy with the windowed hot-object detector
-/// issuing capacity-checked replica boosts between retunes; every boost
-/// must pay for its own fetch, so its total NTC can only improve on
-/// plain `monitor`.
-const VARIANTS: [(&str, Policy, bool); 3] = [
-    ("static", Policy::Static, false),
-    ("monitor", Policy::Monitor, false),
-    ("monitor+hot", Policy::Monitor, true),
-];
+/// Rows of the study. `monitor+hot` runs the monitor with the windowed
+/// hot-object detector issuing capacity-checked replica boosts between
+/// retunes; every boost must pay for its own fetch, so its total NTC can
+/// only improve on plain `monitor`.
+const VARIANTS: [Policy; 3] = [Policy::Static, Policy::Monitor, Policy::MonitorHot];
 
-/// `(label, policy, hot fast path)` rows of the policy × scenario matrix.
-/// The predictive policies run with the hot fast path enabled — forecast
-/// pre-staging of replica boosts is part of the predictive family.
-const MATRIX_POLICIES: [(&str, Policy, bool); 5] = [
-    ("monitor", Policy::Monitor, false),
-    ("static", Policy::Static, false),
-    ("monitor+hot", Policy::Monitor, true),
-    ("predictive-ewma", Policy::PredictiveEwma, true),
-    ("predictive-regression", Policy::PredictiveRegression, true),
+/// Rows of the policy × scenario matrix; `monitor` comes first because
+/// every other row is reported relative to it.
+const MATRIX_POLICIES: [Policy; 5] = [
+    Policy::Monitor,
+    Policy::Static,
+    Policy::MonitorHot,
+    Policy::PredictiveEwma,
+    Policy::PredictiveRegression,
 ];
 
 /// Runs the adaptation study: cumulative NTC per policy under drift, then
@@ -133,7 +127,8 @@ fn drift_table(params: &Params, recorder: Arc<dyn Recorder>) -> Table {
         ],
     );
     let mut static_total = None;
-    for (label, policy, hot) in VARIANTS {
+    for policy in VARIANTS {
+        let label = policy.name();
         let _point = telemetry::span(recorder.as_ref(), "adapt.policy");
         let runs = run_parallel(params.instances, |instance| {
             let seed = mix_seed(&[params.seed, 0xADA7, instance as u64]);
@@ -146,7 +141,6 @@ fn drift_table(params: &Params, recorder: Arc<dyn Recorder>) -> Table {
                 seed,
                 night_every: params.night_every,
                 drift: Some(params.drift),
-                hot: hot.then(drp_serve::HotKeyConfig::default),
                 ..ServeConfig::default()
             };
             let report =
@@ -213,7 +207,8 @@ fn matrix_table(params: &Params, recorder: Arc<dyn Recorder>) -> Table {
         let _point = telemetry::span(recorder.as_ref(), "adapt.scenario");
         let mut monitor_total = None;
         let mut monitor_opt = 0.0f64;
-        for (label, policy, hot) in MATRIX_POLICIES {
+        for policy in MATRIX_POLICIES {
+            let label = policy.name();
             let runs = run_parallel(params.instances, |instance| {
                 let seed = mix_seed(&[params.seed, 0xADA7, instance as u64]);
                 let mut rng = StdRng::seed_from_u64(seed);
@@ -225,7 +220,6 @@ fn matrix_table(params: &Params, recorder: Arc<dyn Recorder>) -> Table {
                     seed,
                     night_every: params.night_every,
                     scenario: Some(scenario),
-                    hot: hot.then(drp_serve::HotKeyConfig::default),
                     ..ServeConfig::default()
                 };
                 let (report, oracle) =
@@ -246,7 +240,7 @@ fn matrix_table(params: &Params, recorder: Arc<dyn Recorder>) -> Table {
                 aggregate(&values).mean
             };
             let total = mean(2);
-            if label == "monitor" {
+            if policy == Policy::Monitor {
                 monitor_total = Some(total);
                 monitor_opt = mean(6);
             }

@@ -52,9 +52,6 @@ pub struct GaConfig {
     /// many generations (0 disables elitism). The paper uses 5 to avoid
     /// premature convergence.
     pub elite_period: usize,
-    /// Stop early after this many generations without improvement
-    /// (`None` runs all generations).
-    pub stagnation_limit: Option<usize>,
 }
 
 impl GaConfig {
@@ -69,7 +66,6 @@ impl GaConfig {
             selection: SelectionScheme::StochasticRemainder,
             sampling: SamplingSpace::Enlarged,
             elite_period: 5,
-            stagnation_limit: None,
         }
     }
 
@@ -105,13 +101,6 @@ impl GaConfig {
     #[must_use]
     pub fn elite_period(mut self, period: usize) -> Self {
         self.elite_period = period;
-        self
-    }
-
-    /// Enables early stopping after `generations_without_improvement`.
-    #[must_use]
-    pub fn stagnation_limit(mut self, generations_without_improvement: usize) -> Self {
-        self.stagnation_limit = Some(generations_without_improvement);
         self
     }
 

@@ -123,7 +123,6 @@ impl Engine {
             best_ever.1,
         ));
 
-        let mut stagnant = 0usize;
         for generation in 1..=self.config.generations {
             let _gen_span = telemetry::span(rec, "ga.generation");
             let mut pool: Vec<(BitString, f64)> = match self.config.sampling {
@@ -199,18 +198,13 @@ impl Engine {
             };
 
             // Track the best chromosome in the pool even if selection drops it.
-            let improved = {
-                let pool_best = pool
-                    .iter()
-                    .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
-                    .expect("pool is non-empty");
-                if pool_best.1 > best_ever.1 {
-                    best_ever = pool_best.clone();
-                    true
-                } else {
-                    false
-                }
-            };
+            let pool_best = pool
+                .iter()
+                .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
+                .expect("pool is non-empty");
+            if pool_best.1 > best_ever.1 {
+                best_ever = pool_best.clone();
+            }
 
             // Offspring allocation over the pool.
             let fitness = fitness_of(&pool);
@@ -244,19 +238,6 @@ impl Engine {
                 &fitness_of(&population),
                 best_ever.1,
             ));
-
-            if improved {
-                stagnant = 0;
-            } else {
-                stagnant += 1;
-                if self
-                    .config
-                    .stagnation_limit
-                    .is_some_and(|limit| stagnant >= limit)
-                {
-                    break;
-                }
-            }
         }
 
         population.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
@@ -392,18 +373,6 @@ mod tests {
         let pop = vec![BitString::zeros(4), BitString::zeros(5)];
         let err = Engine::new(GaConfig::new(2, 5)).run(&OneMax, pop, &mut rng);
         assert!(matches!(err, Err(GaError::BadInitialPopulation { .. })));
-    }
-
-    #[test]
-    fn stagnation_limit_stops_early() {
-        let mut rng = StdRng::seed_from_u64(8);
-        // All-ones start: nothing can improve, so it stops after the limit.
-        let pop = vec![BitString::from_fn(16, |_| true); 6];
-        let outcome = Engine::new(GaConfig::new(6, 1000).stagnation_limit(3))
-            .run(&OneMax, pop, &mut rng)
-            .unwrap();
-        assert!(outcome.history.len() <= 6);
-        assert_eq!(outcome.best_fitness, 1.0);
     }
 
     #[test]

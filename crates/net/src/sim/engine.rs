@@ -80,7 +80,7 @@ impl<P> Context<'_, P> {
     /// dispatch round at the current time (cost 0). Under a fault plan the
     /// message may be dropped or delayed; NTC is charged for every
     /// transmitted message, delivered or not, except those suppressed at a
-    /// down origin or blocked by a partition at the source.
+    /// down origin.
     ///
     /// # Panics
     ///
@@ -162,9 +162,9 @@ impl<'a, P, H: Node<P>> Simulator<'a, P, H> {
     /// what that run did as counters: `sim.events`, `sim.messages`,
     /// `sim.data_units`, `sim.transfer_cost`, `sim.timers` and the
     /// [`FaultStats`] breakdown (`fault.dropped_random`,
-    /// `fault.dropped_partition`, `fault.lost_arrivals`,
-    /// `fault.lost_timers`, `fault.suppressed_effects`, `fault.crashes`,
-    /// `fault.recoveries`, `fault.extra_delay`). The per-event hot loop is
+    /// `fault.lost_arrivals`, `fault.lost_timers`,
+    /// `fault.suppressed_effects`, `fault.crashes`, `fault.recoveries`,
+    /// `fault.extra_delay`). The per-event hot loop is
     /// untouched, so an armed [`NoopRecorder`](telemetry::NoopRecorder)
     /// costs nothing.
     ///
@@ -192,14 +192,6 @@ impl<'a, P, H: Node<P>> Simulator<'a, P, H> {
                 w.site < self.costs.num_sites(),
                 "crash window site {} out of range",
                 w.site
-            );
-        }
-        for w in plan.partition_windows() {
-            assert!(
-                w.a < self.costs.num_sites() && w.b < self.costs.num_sites(),
-                "partition window ({}, {}) out of range",
-                w.a,
-                w.b
             );
         }
         self.faults = Some(plan);
@@ -247,7 +239,7 @@ impl<'a, P, H: Node<P>> Simulator<'a, P, H> {
                     );
                     let c = self.costs.cost(origin, dst);
                     let extra = match &mut self.faults {
-                        Some(plan) => match plan.verdict(origin, dst, self.now) {
+                        Some(plan) => match plan.verdict() {
                             Verdict::Deliver { extra_delay } => {
                                 self.fault_stats.extra_delay += extra_delay;
                                 extra_delay
@@ -257,12 +249,6 @@ impl<'a, P, H: Node<P>> Simulator<'a, P, H> {
                                 // flight: the bandwidth is spent.
                                 self.stats.record(size, c);
                                 self.fault_stats.dropped_random += 1;
-                                continue;
-                            }
-                            Verdict::DropPartition => {
-                                // Blocked at the cut: nothing crosses the
-                                // link, so no NTC is charged.
-                                self.fault_stats.dropped_partition += 1;
                                 continue;
                             }
                         },
@@ -437,10 +423,6 @@ impl<'a, P, H: Node<P>> Simulator<'a, P, H> {
         rec.add_counter(
             "fault.dropped_random",
             f.dropped_random - faults.dropped_random,
-        );
-        rec.add_counter(
-            "fault.dropped_partition",
-            f.dropped_partition - faults.dropped_partition,
         );
         rec.add_counter(
             "fault.lost_arrivals",
@@ -705,18 +687,6 @@ mod tests {
                                        // Ticks at t=1..=4 each send one message; the t=5 tick fires after
                                        // the crash (transition first on ties) and is lost.
         assert_eq!(sim.stats().data_units, 4);
-        Ok(())
-    }
-
-    #[test]
-    fn partitions_block_without_charging() -> TestResult {
-        let costs = two_site_costs()?;
-        let mut sim = Simulator::new(&costs, Ticker::new([5, 0]));
-        sim.set_fault_plan(FaultPlan::new(0).partition(0, 1, 0, 1_000));
-        sim.run_to_completion()?;
-        assert_eq!(sim.fault_stats().dropped_partition, 5);
-        assert_eq!(sim.stats().data_units, 0);
-        assert_eq!(sim.stats().transfer_cost, 0);
         Ok(())
     }
 

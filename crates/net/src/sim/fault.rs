@@ -6,8 +6,6 @@
 //! * **site crashes** — half-open windows `[from, until)` during which a
 //!   site is fail-stopped: it receives nothing, its timers are discarded
 //!   when they fire, and effects it would produce are suppressed;
-//! * **link partitions** — windows during which messages between a pair of
-//!   sites (both directions) are silently dropped in transit;
 //! * **message drops** — an i.i.d. per-message loss probability;
 //! * **delay jitter** — a uniformly drawn extra delivery delay.
 //!
@@ -34,20 +32,6 @@ pub struct CrashWindow {
     pub until: Time,
 }
 
-/// One link-partition window: messages between `a` and `b` (either
-/// direction) sent at `from <= t < until` are lost in transit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PartitionWindow {
-    /// One endpoint.
-    pub a: usize,
-    /// The other endpoint.
-    pub b: usize,
-    /// First instant (inclusive) the link is cut.
-    pub from: Time,
-    /// First instant (exclusive) the link is restored.
-    pub until: Time,
-}
-
 /// Seeded, deterministic schedule of faults injected into a simulation.
 ///
 /// Built fluently and handed to
@@ -58,7 +42,6 @@ pub struct PartitionWindow {
 ///
 /// let plan = FaultPlan::new(42)
 ///     .crash(3, 100, 400)
-///     .partition(0, 1, 50, 60)
 ///     .drop_probability(0.01)
 ///     .jitter(2);
 /// assert!(!plan.is_up(3, 250));
@@ -68,7 +51,6 @@ pub struct PartitionWindow {
 pub struct FaultPlan {
     seed: u64,
     crashes: Vec<CrashWindow>,
-    partitions: Vec<PartitionWindow>,
     drop_probability: f64,
     max_jitter: Time,
     draws: u64,
@@ -80,7 +62,6 @@ impl FaultPlan {
         Self {
             seed,
             crashes: Vec::new(),
-            partitions: Vec::new(),
             drop_probability: 0.0,
             max_jitter: 0,
             draws: 0,
@@ -95,18 +76,6 @@ impl FaultPlan {
     pub fn crash(mut self, site: usize, from: Time, until: Time) -> Self {
         assert!(from < until, "empty crash window [{from}, {until})");
         self.crashes.push(CrashWindow { site, from, until });
-        self
-    }
-
-    /// Cuts the link between `a` and `b` for `from <= t < until`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window is empty or `a == b`.
-    pub fn partition(mut self, a: usize, b: usize, from: Time, until: Time) -> Self {
-        assert!(from < until, "empty partition window [{from}, {until})");
-        assert!(a != b, "cannot partition a site from itself");
-        self.partitions.push(PartitionWindow { a, b, from, until });
         self
     }
 
@@ -137,11 +106,6 @@ impl FaultPlan {
         &self.crashes
     }
 
-    /// The scheduled partition windows, in insertion order.
-    pub fn partition_windows(&self) -> &[PartitionWindow] {
-        &self.partitions
-    }
-
     /// Is `site` up at time `at`?
     pub fn is_up(&self, site: usize, at: Time) -> bool {
         !self
@@ -150,24 +114,14 @@ impl FaultPlan {
             .any(|w| w.site == site && w.from <= at && at < w.until)
     }
 
-    /// Is the link between `a` and `b` open at time `at`?
-    pub fn link_open(&self, a: usize, b: usize, at: Time) -> bool {
-        !self.partitions.iter().any(|w| {
-            ((w.a == a && w.b == b) || (w.a == b && w.b == a)) && w.from <= at && at < w.until
-        })
-    }
-
     /// Next deterministic pseudo-random u64 (counter-mode splitmix64).
     fn next_draw(&mut self) -> u64 {
         self.draws += 1;
         splitmix64(self.seed ^ self.draws.wrapping_mul(0x9e37_79b9_7f4a_7c15))
     }
 
-    /// Decides the fate of one message sent `src -> dst` at time `at`.
-    pub(crate) fn verdict(&mut self, src: usize, dst: usize, at: Time) -> Verdict {
-        if !self.link_open(src, dst, at) {
-            return Verdict::DropPartition;
-        }
+    /// Decides the fate of one message.
+    pub(crate) fn verdict(&mut self) -> Verdict {
         if self.drop_probability > 0.0 {
             let u = (self.next_draw() >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
             if u < self.drop_probability {
@@ -199,8 +153,6 @@ pub(crate) enum Verdict {
     },
     /// Lost to the i.i.d. drop probability.
     DropRandom,
-    /// Lost to a link partition.
-    DropPartition,
 }
 
 fn splitmix64(mut z: u64) -> u64 {
@@ -218,8 +170,6 @@ fn splitmix64(mut z: u64) -> u64 {
 pub struct FaultStats {
     /// Messages lost to the i.i.d. drop probability.
     pub dropped_random: u64,
-    /// Messages lost to link partitions.
-    pub dropped_partition: u64,
     /// Messages that arrived at a crashed destination and were discarded.
     pub lost_arrivals: u64,
     /// Timers that fired while their owner was down and were discarded.
@@ -249,21 +199,10 @@ mod tests {
     }
 
     #[test]
-    fn partitions_cut_both_directions() {
-        let plan = FaultPlan::new(1).partition(0, 1, 5, 6);
-        assert!(!plan.link_open(0, 1, 5));
-        assert!(!plan.link_open(1, 0, 5));
-        assert!(plan.link_open(0, 1, 6));
-        assert!(plan.link_open(0, 2, 5));
-    }
-
-    #[test]
     fn verdicts_are_deterministic_per_seed() {
         let run = |seed: u64| {
             let mut plan = FaultPlan::new(seed).drop_probability(0.3).jitter(5);
-            (0..200)
-                .map(|i| plan.verdict(0, 1, i))
-                .collect::<Vec<Verdict>>()
+            (0..200).map(|_| plan.verdict()).collect::<Vec<Verdict>>()
         };
         assert_eq!(run(7), run(7));
         assert_ne!(run(7), run(8));
@@ -273,17 +212,17 @@ mod tests {
     fn drop_probability_extremes() {
         let mut never = FaultPlan::new(3);
         let mut always = FaultPlan::new(3).drop_probability(1.0);
-        for i in 0..50 {
-            assert_eq!(never.verdict(0, 1, i), Verdict::Deliver { extra_delay: 0 });
-            assert_eq!(always.verdict(0, 1, i), Verdict::DropRandom);
+        for _ in 0..50 {
+            assert_eq!(never.verdict(), Verdict::Deliver { extra_delay: 0 });
+            assert_eq!(always.verdict(), Verdict::DropRandom);
         }
     }
 
     #[test]
     fn jitter_is_bounded() {
         let mut plan = FaultPlan::new(9).jitter(4);
-        for i in 0..200 {
-            match plan.verdict(0, 1, i) {
+        for _ in 0..200 {
+            match plan.verdict() {
                 Verdict::Deliver { extra_delay } => assert!(extra_delay <= 4),
                 v => panic!("unexpected verdict {v:?}"),
             }
@@ -294,15 +233,15 @@ mod tests {
     fn jitter_at_time_max_does_not_overflow() {
         // max_jitter + 1 used to overflow u64 (debug panic, % 0 in release).
         let mut plan = FaultPlan::new(11).jitter(Time::MAX);
-        for i in 0..50 {
-            match plan.verdict(0, 1, i) {
+        for _ in 0..50 {
+            match plan.verdict() {
                 Verdict::Deliver { .. } => {}
                 v => panic!("unexpected verdict {v:?}"),
             }
         }
         // One below the boundary still goes through the modulus path.
         let mut plan = FaultPlan::new(11).jitter(Time::MAX - 1);
-        match plan.verdict(0, 1, 0) {
+        match plan.verdict() {
             Verdict::Deliver { extra_delay } => assert!(extra_delay < Time::MAX),
             v => panic!("unexpected verdict {v:?}"),
         }

@@ -97,6 +97,6 @@ mod stats;
 pub use engine::{Context, Node, Simulator};
 pub use error::SimError;
 pub use event::Time;
-pub use fault::{CrashWindow, FaultPlan, FaultStats, PartitionWindow};
+pub use fault::{CrashWindow, FaultPlan, FaultStats};
 pub use message::Message;
 pub use stats::TrafficStats;

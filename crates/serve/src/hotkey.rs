@@ -26,69 +26,19 @@ use drp_core::{CostEvaluator, ObjectId, Problem, ReplicationScheme, SiteId};
 /// Fixed-point fractional bits of the demand EWMA.
 const FP: u32 = 10;
 
-/// Knobs of the hot-object detector and fast-track boost path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HotKeyConfig {
-    /// Ring-buffer depth: demand is summed over the last `window` epochs.
-    pub window: usize,
-    /// EWMA weight of the newest window, in percent (1..=100).
-    pub alpha_pct: u64,
-    /// Promote when `ewma * 100 >= promote_pct * mean_ewma`.
-    pub promote_pct: u64,
-    /// Demote when `ewma * 100 <= demote_pct * mean_ewma`; must sit below
-    /// `promote_pct` (the hysteresis band).
-    pub demote_pct: u64,
-    /// Cap on simultaneously promoted objects.
-    pub max_hot: usize,
-    /// Fast-track replicas maintained per hot object.
-    pub boost_replicas: usize,
-}
-
-impl Default for HotKeyConfig {
-    fn default() -> Self {
-        Self {
-            window: 4,
-            alpha_pct: 50,
-            promote_pct: 200,
-            demote_pct: 120,
-            max_hot: 4,
-            boost_replicas: 1,
-        }
-    }
-}
-
-impl HotKeyConfig {
-    /// Rejects degenerate settings (empty window, out-of-range alpha,
-    /// inverted hysteresis band, zero boost budget).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`drp_core::CoreError::InvalidInstance`] naming the bad knob.
-    pub fn validate(&self) -> drp_core::Result<()> {
-        let bad = |reason: String| drp_core::CoreError::InvalidInstance { reason };
-        if self.window == 0 {
-            return Err(bad("HotKeyConfig::window must be at least 1".into()));
-        }
-        if self.alpha_pct == 0 || self.alpha_pct > 100 {
-            return Err(bad(format!(
-                "HotKeyConfig::alpha_pct must be in 1..=100, got {}",
-                self.alpha_pct
-            )));
-        }
-        if self.demote_pct >= self.promote_pct {
-            return Err(bad(format!(
-                "HotKeyConfig hysteresis requires demote_pct < promote_pct, got {} >= {}",
-                self.demote_pct, self.promote_pct
-            )));
-        }
-        if self.max_hot == 0 || self.boost_replicas == 0 {
-            return Err(bad(
-                "HotKeyConfig::max_hot and boost_replicas must be at least 1".into(),
-            ));
-        }
-        Ok(())
-    }
-}
+/// Ring-buffer depth: demand is summed over the last `WINDOW` epochs.
+pub(crate) const WINDOW: usize = 4;
+/// EWMA weight of the newest window, in percent.
+const ALPHA_PCT: u64 = 50;
+/// Promote when `ewma * 100 >= PROMOTE_PCT * mean_ewma`.
+const PROMOTE_PCT: u64 = 200;
+/// Demote when `ewma * 100 <= DEMOTE_PCT * mean_ewma`; below
+/// [`PROMOTE_PCT`], so the band between them is the hysteresis.
+const DEMOTE_PCT: u64 = 120;
+/// Cap on simultaneously promoted objects.
+const MAX_HOT: usize = 4;
+/// Fast-track replicas maintained per hot object.
+const BOOST_REPLICAS: usize = 1;
 
 /// What one [`HotKeyDetector::observe`] call changed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -120,8 +70,7 @@ pub struct HotSnapshot {
 /// Windowed per-object demand EWMA with promotion/demotion hysteresis.
 #[derive(Debug, Clone)]
 pub struct HotKeyDetector {
-    cfg: HotKeyConfig,
-    /// Last `cfg.window` demand vectors, oldest first.
+    /// Last [`WINDOW`] demand vectors, oldest first.
     ring: std::collections::VecDeque<Vec<u64>>,
     /// Per-object sum over the ring.
     window_sum: Vec<u64>,
@@ -134,10 +83,9 @@ pub struct HotKeyDetector {
 
 impl HotKeyDetector {
     /// Creates a cold detector for `num_objects` objects.
-    pub fn new(cfg: HotKeyConfig, num_objects: usize) -> Self {
+    pub fn new(num_objects: usize) -> Self {
         Self {
-            cfg,
-            ring: std::collections::VecDeque::with_capacity(cfg.window),
+            ring: std::collections::VecDeque::with_capacity(WINDOW),
             window_sum: vec![0; num_objects],
             ewma: vec![0; num_objects],
             promoted: vec![false; num_objects],
@@ -148,7 +96,7 @@ impl HotKeyDetector {
 
     /// Folds one epoch's per-object demand into the window and re-decides
     /// the hot set. Deterministic: promotion candidates are ranked by
-    /// `(ewma desc, object id asc)` and admitted up to `max_hot`.
+    /// `(ewma desc, object id asc)` and admitted up to `MAX_HOT` (4).
     ///
     /// # Panics
     ///
@@ -156,7 +104,7 @@ impl HotKeyDetector {
     pub fn observe(&mut self, demand: &[u64]) -> HotStep {
         let n = self.window_sum.len();
         assert_eq!(demand.len(), n, "demand vector shape");
-        if self.ring.len() == self.cfg.window {
+        if self.ring.len() == WINDOW {
             let old = self.ring.pop_front().expect("non-empty ring");
             for (sum, v) in self.window_sum.iter_mut().zip(&old) {
                 *sum -= v;
@@ -167,9 +115,8 @@ impl HotKeyDetector {
         }
         self.ring.push_back(demand.to_vec());
 
-        let a = self.cfg.alpha_pct;
         for (e, &w) in self.ewma.iter_mut().zip(&self.window_sum) {
-            *e = (a * (w << FP) + (100 - a) * *e) / 100;
+            *e = (ALPHA_PCT * (w << FP) + (100 - ALPHA_PCT) * *e) / 100;
         }
 
         let mean = self.ewma.iter().sum::<u64>() / n.max(1) as u64;
@@ -187,17 +134,17 @@ impl HotKeyDetector {
         }
 
         for k in 0..n {
-            if self.promoted[k] && self.ewma[k] * 100 <= self.cfg.demote_pct * mean {
+            if self.promoted[k] && self.ewma[k] * 100 <= DEMOTE_PCT * mean {
                 self.promoted[k] = false;
                 step.demotions += 1;
             }
         }
         let hot_count = self.promoted.iter().filter(|&&p| p).count();
         let mut candidates: Vec<usize> = (0..n)
-            .filter(|&k| !self.promoted[k] && self.ewma[k] * 100 >= self.cfg.promote_pct * mean)
+            .filter(|&k| !self.promoted[k] && self.ewma[k] * 100 >= PROMOTE_PCT * mean)
             .collect();
         candidates.sort_by_key(|&k| (std::cmp::Reverse(self.ewma[k]), k));
-        candidates.truncate(self.cfg.max_hot.saturating_sub(hot_count));
+        candidates.truncate(MAX_HOT.saturating_sub(hot_count));
         for k in candidates {
             self.promoted[k] = true;
             step.promotions += 1;
@@ -240,10 +187,9 @@ impl HotKeyDetector {
 
     /// Rebuilds a detector (and the runtime's boosted list) from a
     /// journaled snapshot.
-    pub fn restore(cfg: HotKeyConfig, snap: &HotSnapshot) -> (Self, Vec<(usize, usize)>) {
-        let n = snap.ewma.len();
-        let mut det = Self::new(cfg, n);
-        for w in snap.windows.iter().take(cfg.window) {
+    pub fn restore(snap: &HotSnapshot) -> (Self, Vec<(usize, usize)>) {
+        let mut det = Self::new(snap.ewma.len());
+        for w in snap.windows.iter().take(WINDOW) {
             for (sum, v) in det.window_sum.iter_mut().zip(w) {
                 *sum += v;
             }
@@ -300,7 +246,7 @@ fn fetch_cost(
 ///
 /// For each hot object, candidate sites are ranked by that object's read
 /// demand (descending, site id ascending) and admitted while the object
-/// has fewer than `cfg.boost_replicas` live boosts, the evaluator predicts
+/// has fewer than `BOOST_REPLICAS` (1) live boosts, the evaluator predicts
 /// a strict NTC improvement that covers the fetch cost from the realized
 /// directory, and the capacity-checked add succeeds. A boost whose object
 /// cooled down is removed only when the removal does not increase the
@@ -311,7 +257,6 @@ pub fn apply_boosts(
     target: ReplicationScheme,
     detector: &HotKeyDetector,
     prev_boosted: &[(usize, usize)],
-    cfg: &HotKeyConfig,
 ) -> BoostOutcome {
     let mut eval = CostEvaluator::new(problem, target);
     let mut boosted: Vec<(usize, usize)> = Vec::new();
@@ -341,14 +286,14 @@ pub fn apply_boosts(
     for k in detector.hot_objects() {
         let object = ObjectId::new(k);
         let mut live = boosted.iter().filter(|&&(_, bk)| bk == k).count();
-        if live >= cfg.boost_replicas {
+        if live >= BOOST_REPLICAS {
             continue;
         }
         let reads = problem.object_reads(object);
         let mut sites: Vec<usize> = (0..problem.num_sites()).filter(|&i| reads[i] > 0).collect();
         sites.sort_by_key(|&i| (std::cmp::Reverse(reads[i]), i));
         for i in sites {
-            if live >= cfg.boost_replicas {
+            if live >= BOOST_REPLICAS {
                 break;
             }
             let site = SiteId::new(i);
@@ -387,46 +332,17 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    #[test]
-    fn config_validation_names_bad_knobs() {
-        assert!(HotKeyConfig::default().validate().is_ok());
-        for bad in [
-            HotKeyConfig {
-                window: 0,
-                ..HotKeyConfig::default()
-            },
-            HotKeyConfig {
-                alpha_pct: 0,
-                ..HotKeyConfig::default()
-            },
-            HotKeyConfig {
-                alpha_pct: 101,
-                ..HotKeyConfig::default()
-            },
-            HotKeyConfig {
-                demote_pct: 300,
-                ..HotKeyConfig::default()
-            },
-            HotKeyConfig {
-                boost_replicas: 0,
-                ..HotKeyConfig::default()
-            },
-        ] {
-            assert!(bad.validate().is_err(), "{bad:?} must be rejected");
-        }
+    /// Whether `object`'s EWMA sits strictly inside the hysteresis band:
+    /// below the promotion line, above the demotion line.
+    fn in_band(det: &HotKeyDetector, object: usize) -> bool {
+        let mean = det.ewma.iter().sum::<u64>() / det.ewma.len() as u64;
+        let e = det.ewma[object] * 100;
+        DEMOTE_PCT * mean < e && e < PROMOTE_PCT * mean
     }
 
     #[test]
     fn hysteresis_promotes_then_demotes_with_lag() {
-        let cfg = HotKeyConfig {
-            window: 2,
-            alpha_pct: 100, // no smoothing: the windowed sum is the signal
-            promote_pct: 200,
-            demote_pct: 120,
-            max_hot: 2,
-            boost_replicas: 1,
-        };
-        let mut det = HotKeyDetector::new(cfg, 4);
+        let mut det = HotKeyDetector::new(4);
         // Uniform demand: nothing promotes.
         let step = det.observe(&[10, 10, 10, 10]);
         assert_eq!(step, HotStep::default());
@@ -434,12 +350,18 @@ mod tests {
         let step = det.observe(&[10, 10, 200, 10]);
         assert_eq!(step.promotions, 1);
         assert!(det.is_hot(2));
-        // The spike leaves the window gradually; hysteresis keeps object 2
-        // hot while its windowed demand is still above the demote line.
-        let step = det.observe(&[10, 10, 10, 10]);
-        assert_eq!(step.demotions, 0, "still hot inside the band");
-        assert!(det.is_hot(2));
-        // Spike fully out of the window: demand uniform again, demote.
+        // The spike leaves the window and the EWMA decays; object 2 stays
+        // hot while it is still above the demote line, including epochs
+        // where it has already fallen below the promote line.
+        let mut band_epochs = 0;
+        for _ in 0..6 {
+            let step = det.observe(&[10, 10, 10, 10]);
+            assert_eq!(step, HotStep::default(), "still hot above the band floor");
+            assert!(det.is_hot(2));
+            band_epochs += u32::from(in_band(&det, 2));
+        }
+        assert!(band_epochs > 0, "the decay never crossed the band");
+        // Demand uniform long enough: it drops through the demote line.
         let step = det.observe(&[10, 10, 10, 10]);
         assert_eq!(step.demotions, 1);
         assert!(!det.is_hot(2));
@@ -448,31 +370,27 @@ mod tests {
 
     #[test]
     fn max_hot_caps_the_promoted_set_deterministically() {
-        let cfg = HotKeyConfig {
-            window: 1,
-            alpha_pct: 100,
-            promote_pct: 110,
-            demote_pct: 50,
-            max_hot: 2,
-            boost_replicas: 1,
-        };
-        let mut det = HotKeyDetector::new(cfg, 5);
-        det.observe(&[100, 90, 95, 1, 1]);
+        let mut demand = vec![1u64; 20];
+        demand[..5].copy_from_slice(&[100, 90, 95, 98, 97]);
+        let mut det = HotKeyDetector::new(demand.len());
+        // Five objects stand over 2x the mean; only MAX_HOT are admitted.
+        let step = det.observe(&demand);
+        assert_eq!(step.promotions, MAX_HOT as u64);
         let hot: Vec<usize> = det.hot_objects().collect();
-        assert_eq!(hot, vec![0, 2], "two hottest by ewma, ids ascending");
+        assert_eq!(hot, vec![0, 2, 3, 4], "four hottest by ewma, ids ascending");
     }
 
     #[test]
     fn snapshot_round_trips_bitwise() {
-        let cfg = HotKeyConfig::default();
-        let mut det = HotKeyDetector::new(cfg, 6);
+        let mut det = HotKeyDetector::new(6);
         for epoch in 0..5u64 {
             let demand: Vec<u64> = (0..6).map(|k| (k as u64 + 1) * (epoch + 1) % 37).collect();
             det.observe(&demand);
         }
         let boosted = vec![(3usize, 1usize), (0, 4)];
         let snap = det.snapshot(&boosted);
-        let (back, boosted_back) = HotKeyDetector::restore(cfg, &snap);
+        assert_eq!(snap.windows.len(), WINDOW);
+        let (back, boosted_back) = HotKeyDetector::restore(&snap);
         assert_eq!(boosted_back, boosted);
         assert_eq!(back.snapshot(&boosted_back), snap);
         // The restored detector evolves identically.
@@ -490,43 +408,49 @@ mod tests {
             .generate(&mut StdRng::seed_from_u64(8))
             .unwrap();
         let target = ReplicationScheme::primary_only(&problem);
-        let cfg = HotKeyConfig {
-            window: 1,
-            alpha_pct: 100,
-            promote_pct: 101,
-            demote_pct: 50,
-            max_hot: 5,
-            boost_replicas: 2,
-        };
-        let mut det = HotKeyDetector::new(cfg, problem.num_objects());
-        let demand: Vec<u64> = problem.objects().map(|k| problem.total_reads(k)).collect();
-        det.observe(&demand);
+        let mut det = HotKeyDetector::new(problem.num_objects());
+        // Two objects carry most of the demand: both promote.
+        det.observe(&[1000, 1, 1000, 1, 1]);
+        assert_eq!(det.hot_objects().collect::<Vec<_>>(), vec![0, 2]);
 
         let before = problem.total_cost(&target);
-        let out = apply_boosts(&problem, &target, target.clone(), &det, &[], &cfg);
-        let after = problem.total_cost(&out.target);
-        assert!(after <= before, "boosts must never regress modeled NTC");
+        let out = apply_boosts(&problem, &target, target.clone(), &det, &[]);
+        assert!(out.added > 0, "a primary-only scheme leaves boosts to take");
         assert_eq!(out.added as usize, out.boosted.len());
         out.target.validate(&problem).unwrap();
-        // Every boost actually pays for its own fetch within one epoch.
-        if out.added > 0 {
-            assert!(before - after >= 1);
+        // At most BOOST_REPLICAS per hot object, each one paying for its
+        // own fetch from the realized directory within one epoch.
+        for &(i, k) in &out.boosted {
+            assert!(det.is_hot(k));
+            assert_eq!(
+                out.boosted.iter().filter(|&&(_, bk)| bk == k).count(),
+                BOOST_REPLICAS
+            );
+            let (site, object) = (SiteId::new(i), ObjectId::new(k));
+            let fetch = fetch_cost(&problem, &target, site, object);
+            let mut without = out.target.clone();
+            without.remove_replica(&problem, site, object).unwrap();
+            let saving = problem.total_cost(&without) - problem.total_cost(&out.target);
+            assert!(
+                saving >= fetch,
+                "boost ({i}, {k}) saves {saving} < fetch {fetch}"
+            );
         }
+        assert!(problem.total_cost(&out.target) < before);
 
-        // A second pass with everything cooled down retires the overlay
-        // only where removal doesn't hurt.
+        // Cooled down: uniform demand flushes the window and demotes both,
+        // and retirement never regresses the modeled NTC.
         let mut cold = det.clone();
-        cold.observe(&[0; 5]);
-        let retired = apply_boosts(
-            &problem,
-            &target,
-            out.target.clone(),
-            &cold,
-            &out.boosted,
-            &cfg,
-        );
+        for _ in 0..16 {
+            cold.observe(&[10; 5]);
+        }
+        assert_eq!(cold.hot_objects().count(), 0);
+        let retired = apply_boosts(&problem, &target, out.target.clone(), &cold, &out.boosted);
         let final_cost = problem.total_cost(&retired.target);
-        assert!(final_cost <= after, "retirement must not regress NTC");
+        assert!(
+            final_cost <= problem.total_cost(&out.target),
+            "retirement must not regress NTC"
+        );
         retired.target.validate(&problem).unwrap();
     }
 }

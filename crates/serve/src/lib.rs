@@ -87,16 +87,17 @@ pub mod report;
 pub mod runtime;
 pub mod wal;
 
+pub use drp_workload::FaultSpec;
 pub use epoch::{MigrationTuning, RequestTally};
-pub use hotkey::{HotKeyConfig, HotKeyDetector, HotSnapshot};
+pub use hotkey::{HotKeyDetector, HotSnapshot};
 pub use ingest::{ingest_epoch, IngestOutcome, IngestScratch, IngestSpec};
 pub use oracle::OracleReport;
-pub use predict::{DemandPredictor, PredictConfig, PredictSnapshot, PredictorKind};
+pub use predict::{DemandPredictor, PredictSnapshot, PredictorKind};
 pub use recovery::{crash_points, RecoveryInfo};
 pub use report::{EpochReport, ServiceReport, ServiceTotals};
 pub use runtime::{
     execute_migration, run_service, run_service_durable, run_service_durable_recorded,
     run_service_recorded, run_service_with_oracle, run_service_with_oracle_recorded,
-    DurableOutcome, EpochTraffic, FaultSpec, MigrationOutcome, Policy, ServeConfig,
+    DurableOutcome, EpochTraffic, MigrationOutcome, Policy, ServeConfig,
 };
 pub use wal::{FileWalStore, MemWalStore, TracingStore, WalStore, WalTuning};

@@ -26,8 +26,6 @@
 
 use std::collections::VecDeque;
 
-use drp_core::CoreError;
-
 /// Fixed-point shift shared with the hot-key detector (Q10).
 const FP: u32 = 10;
 
@@ -40,71 +38,24 @@ pub enum PredictorKind {
     Regression,
 }
 
-/// Knobs for the predictive policy family.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PredictConfig {
-    /// Demand window depth in epochs (also the regression span).
-    pub window: usize,
-    /// EWMA weight of the newest observation, in percent (1–100).
-    pub alpha_pct: u64,
-    /// A retune is accepted only if its predicted per-epoch saving repays
-    /// the migration transfer cost within this many epochs.
-    pub payback_epochs: u64,
-}
-
-impl Default for PredictConfig {
-    fn default() -> Self {
-        PredictConfig {
-            window: 4,
-            alpha_pct: 60,
-            payback_epochs: 2,
-        }
-    }
-}
-
-impl PredictConfig {
-    /// Checks knob ranges.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidInstance`] naming the offending knob.
-    pub fn validate(&self) -> drp_core::Result<()> {
-        if self.window < 2 {
-            return Err(CoreError::InvalidInstance {
-                reason: format!("predict window {} must be at least 2", self.window),
-            });
-        }
-        if self.alpha_pct == 0 || self.alpha_pct > 100 {
-            return Err(CoreError::InvalidInstance {
-                reason: format!("predict alpha {}% out of [1, 100]", self.alpha_pct),
-            });
-        }
-        if self.payback_epochs == 0 {
-            return Err(CoreError::InvalidInstance {
-                reason: "predict payback horizon must be at least 1 epoch".into(),
-            });
-        }
-        Ok(())
-    }
-}
+/// Demand window depth in epochs (also the regression span).
+pub(crate) const WINDOW: usize = 4;
+/// EWMA weight of the newest observation, in percent.
+const ALPHA_PCT: u64 = 60;
 
 /// A demand forecaster over the trailing per-object demand window.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DemandPredictor {
     kind: PredictorKind,
-    depth: usize,
-    alpha_pct: u64,
     windows: VecDeque<Vec<u64>>,
     ewma: Vec<u64>,
 }
 
 impl DemandPredictor {
     /// Creates a cold forecaster of the given kind.
-    pub fn new(kind: PredictorKind, cfg: PredictConfig, num_objects: usize) -> Self {
+    pub fn new(kind: PredictorKind, num_objects: usize) -> Self {
         DemandPredictor {
             kind,
-            depth: cfg.window,
-            alpha_pct: cfg.alpha_pct,
             windows: VecDeque::new(),
             ewma: vec![0; num_objects],
         }
@@ -113,7 +64,7 @@ impl DemandPredictor {
     /// Feeds one epoch of realized per-object read demand.
     pub fn observe(&mut self, demand: &[u64]) {
         let first = self.windows.is_empty();
-        if self.windows.len() == self.depth {
+        if self.windows.len() == WINDOW {
             self.windows.pop_front();
         }
         self.windows.push_back(demand.to_vec());
@@ -123,7 +74,7 @@ impl DemandPredictor {
                 // last-value instead of under-predicting by (100 - alpha)%.
                 *e = d << FP;
             } else {
-                *e = (self.alpha_pct * (d << FP) + (100 - self.alpha_pct) * *e) / 100;
+                *e = (ALPHA_PCT * (d << FP) + (100 - ALPHA_PCT) * *e) / 100;
             }
         }
     }
@@ -150,11 +101,11 @@ impl DemandPredictor {
 
     /// Rebuilds a forecaster from a WAL snapshot (the `deferred` field is
     /// the caller's to interpret).
-    pub fn restore(kind: PredictorKind, cfg: PredictConfig, snap: &PredictSnapshot) -> Self {
+    pub fn restore(kind: PredictorKind, snap: &PredictSnapshot) -> Self {
         DemandPredictor {
+            kind,
             windows: snap.windows.iter().cloned().collect(),
             ewma: snap.ewma.clone(),
-            ..DemandPredictor::new(kind, cfg, 0)
         }
     }
 }
@@ -209,7 +160,7 @@ mod tests {
     const KINDS: [PredictorKind; 2] = [PredictorKind::Ewma, PredictorKind::Regression];
 
     fn feed(kind: PredictorKind, series: &[&[u64]]) -> DemandPredictor {
-        let mut p = DemandPredictor::new(kind, PredictConfig::default(), series[0].len());
+        let mut p = DemandPredictor::new(kind, series[0].len());
         for epoch in series {
             p.observe(epoch);
         }
@@ -222,7 +173,7 @@ mod tests {
             let p = feed(kind, &[&[10, 40]]);
             assert_eq!(p.forecast(), vec![10, 40], "{kind:?}");
         }
-        let cold = DemandPredictor::new(PredictorKind::Regression, PredictConfig::default(), 3);
+        let cold = DemandPredictor::new(PredictorKind::Regression, 3);
         assert_eq!(cold.forecast(), vec![0, 0, 0]);
     }
 
@@ -244,16 +195,12 @@ mod tests {
 
     #[test]
     fn windows_stay_bounded() {
-        let cfg = PredictConfig {
-            window: 3,
-            ..PredictConfig::default()
-        };
-        let mut p = DemandPredictor::new(PredictorKind::Regression, cfg, 1);
+        let mut p = DemandPredictor::new(PredictorKind::Regression, 1);
         for t in 0..10u64 {
             p.observe(&[t * 2]);
         }
         let snap = p.snapshot(None);
-        assert_eq!(snap.windows.len(), 3);
+        assert_eq!(snap.windows.len(), WINDOW);
         assert_eq!(p.forecast(), vec![20]);
     }
 
@@ -262,7 +209,7 @@ mod tests {
         for kind in KINDS {
             let p = feed(kind, &[&[5, 9], &[7, 3], &[8, 1]]);
             let snap = p.snapshot(Some(b"scheme".to_vec()));
-            let q = DemandPredictor::restore(kind, PredictConfig::default(), &snap);
+            let q = DemandPredictor::restore(kind, &snap);
             assert_eq!(p, q, "{kind:?}");
             assert_eq!(p.forecast(), q.forecast());
             assert_eq!(snap.deferred.as_deref(), Some(&b"scheme"[..]));
@@ -274,30 +221,5 @@ mod tests {
         let a = feed(PredictorKind::Ewma, &[&[13, 7], &[29, 5], &[31, 2]]);
         let b = feed(PredictorKind::Ewma, &[&[13, 7], &[29, 5], &[31, 2]]);
         assert_eq!(a.forecast(), b.forecast());
-    }
-
-    #[test]
-    fn config_validation_rejects_bad_knobs() {
-        let bad = PredictConfig {
-            window: 1,
-            ..PredictConfig::default()
-        };
-        assert!(bad.validate().is_err());
-        let bad = PredictConfig {
-            alpha_pct: 0,
-            ..PredictConfig::default()
-        };
-        assert!(bad.validate().is_err());
-        let bad = PredictConfig {
-            alpha_pct: 101,
-            ..PredictConfig::default()
-        };
-        assert!(bad.validate().is_err());
-        let bad = PredictConfig {
-            payback_epochs: 0,
-            ..PredictConfig::default()
-        };
-        assert!(bad.validate().is_err());
-        assert!(PredictConfig::default().validate().is_ok());
     }
 }

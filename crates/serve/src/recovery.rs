@@ -83,11 +83,12 @@ pub(crate) fn parse_scheme(
 }
 
 /// Rejects a journaled forecaster or hot-path snapshot that does not fit
-/// the `m`-site, `n`-object instance: every demand window, EWMA and
-/// promotion flag vector must cover the `n` objects, and every boosted
-/// `(site, object)` must name a cell of the instance. A CRC-valid log of
-/// another shape would otherwise index out of bounds mid-run, or resume
-/// forecasting only a prefix of the objects.
+/// the `m`-site, `n`-object instance: each holds at most its window depth
+/// of demand windows, every demand window, EWMA and promotion flag vector
+/// must cover the `n` objects, and every boosted `(site, object)` must name
+/// a cell of the instance. A CRC-valid log of another shape would otherwise
+/// index out of bounds mid-run, resume forecasting only a prefix of the
+/// objects, or keep a forecast window that never shrinks back to depth.
 fn check_snapshot_shapes(
     hot: Option<&HotSnapshot>,
     predictor: Option<&PredictSnapshot>,
@@ -103,13 +104,28 @@ fn check_snapshot_shapes(
             )))
         }
     };
+    let within_depth = |what: &str, len: usize, depth: usize| {
+        if len <= depth {
+            Ok(())
+        } else {
+            Err(mismatch(format!(
+                "{what} holds {len} windows, the depth is {depth}"
+            )))
+        }
+    };
     if let Some(snap) = predictor {
+        within_depth("forecaster", snap.windows.len(), crate::predict::WINDOW)?;
         for window in &snap.windows {
             covers_n("forecaster window", window.len())?;
         }
         covers_n("forecaster EWMA", snap.ewma.len())?;
     }
     if let Some(snap) = hot {
+        within_depth(
+            "hot-key detector",
+            snap.windows.len(),
+            crate::hotkey::WINDOW,
+        )?;
         for window in &snap.windows {
             covers_n("hot-key window", window.len())?;
         }

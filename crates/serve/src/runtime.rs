@@ -14,8 +14,12 @@
 //!   window to [`ReplicationMonitor::ingest_statistics`] (AGRA re-tune of
 //!   drifted objects), every [`ServeConfig::night_every`]-th boundary runs
 //!   a full nightly GRA rebuild instead.
+//! * [`Policy::MonitorHot`] — the monitor loop plus the hot-object fast
+//!   path: a windowed demand detector layers capacity-checked replica
+//!   boosts onto every boundary's target.
 //! * [`Policy::PredictiveEwma`] / [`Policy::PredictiveRegression`] — the
-//!   monitor loop retuned on the forecast next window.
+//!   hot-path monitor loop retuned on the forecast next window, with the
+//!   forecast pre-staging the hot detector.
 //!
 //! Under [`ServeConfig::drift`], the true pattern shifts every epoch, so
 //! the adaptive policies chase it while the static baseline decays.
@@ -40,15 +44,15 @@ use drp_core::migration::{plan_migration, MigrationPlan};
 use drp_core::telemetry::{self, Recorder};
 use drp_core::{CoreError, Problem, ReplicationScheme, ServeError};
 use drp_net::sim::{FaultPlan, FaultStats, TrafficStats};
-use drp_workload::{zipf, PatternChange, Scenario};
+use drp_workload::{zipf, FaultSpec, PatternChange, Scenario};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::epoch::{run_epoch, EpochSpec};
 pub use crate::epoch::{MigrationTuning, RequestTally};
-use crate::hotkey::{self, HotKeyConfig, HotKeyDetector, HotSnapshot};
+use crate::hotkey::{self, HotKeyDetector, HotSnapshot};
 use crate::ingest::IngestScratch;
-use crate::predict::{DemandPredictor, PredictConfig, PredictSnapshot, PredictorKind};
+use crate::predict::{DemandPredictor, PredictSnapshot, PredictorKind};
 use crate::recovery::{parse_scheme, recover, RecoveryInfo};
 use crate::report::{EpochReport, ServiceReport};
 use crate::wal::{
@@ -63,8 +67,12 @@ pub enum Policy {
     Static,
     /// Monitor + AGRA by day, GRA by night.
     Monitor,
-    /// The monitor loop driven by EWMA demand forecasts: retunes act on the
-    /// predicted next window and must pass the migration payback gate.
+    /// [`Policy::Monitor`] plus the hot-object fast path: replica boosts
+    /// for objects whose windowed demand stands far above the mean.
+    MonitorHot,
+    /// The hot-path monitor loop driven by EWMA demand forecasts: retunes
+    /// act on the predicted next window and must pass the migration
+    /// payback gate, and the forecast pre-stages the hot detector.
     PredictiveEwma,
     /// Like [`Policy::PredictiveEwma`] with windowed linear regression —
     /// the only forecaster that anticipates a ramp before its peak.
@@ -73,9 +81,10 @@ pub enum Policy {
 
 impl Policy {
     /// Every policy, in canonical order.
-    pub const ALL: [Policy; 4] = [
+    pub const ALL: [Policy; 5] = [
         Policy::Static,
         Policy::Monitor,
+        Policy::MonitorHot,
         Policy::PredictiveEwma,
         Policy::PredictiveRegression,
     ];
@@ -105,6 +114,7 @@ impl Policy {
         match self {
             Policy::Static => "static",
             Policy::Monitor => "monitor",
+            Policy::MonitorHot => "monitor+hot",
             Policy::PredictiveEwma => "predictive-ewma",
             Policy::PredictiveRegression => "predictive-regression",
         }
@@ -119,37 +129,13 @@ impl Policy {
             _ => None,
         }
     }
-}
 
-/// Faults injected into every serving epoch.
-///
-/// Partitions are deliberately absent: the epoch's migration ledger charges
-/// fetch data at send time, which matches the simulator's NTC accounting
-/// for delivered and randomly dropped messages but not for partition-blocked
-/// ones.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct FaultSpec {
-    /// Crash windows `(site, from, until)` in epoch-local time.
-    pub crashes: Vec<(usize, u64, u64)>,
-    /// I.i.d. message drop probability.
-    pub drop_probability: f64,
-    /// Maximum extra per-message delivery delay.
-    pub jitter: u64,
-}
-
-impl FaultSpec {
-    fn plan(&self, seed: u64) -> FaultPlan {
-        let mut plan = FaultPlan::new(seed);
-        for &(site, from, until) in &self.crashes {
-            plan = plan.crash(site, from, until);
-        }
-        if self.drop_probability > 0.0 {
-            plan = plan.drop_probability(self.drop_probability);
-        }
-        if self.jitter > 0 {
-            plan = plan.jitter(self.jitter);
-        }
-        plan
+    /// Whether the policy runs the hot-object fast path.
+    pub fn hot(self) -> bool {
+        matches!(
+            self,
+            Policy::MonitorHot | Policy::PredictiveEwma | Policy::PredictiveRegression
+        )
     }
 }
 
@@ -174,13 +160,12 @@ pub struct ServeConfig {
     /// Pattern drift applied to the true workload before every epoch after
     /// the first.
     pub drift: Option<PatternChange>,
-    /// Faults injected into every epoch.
+    /// Faults injected into every epoch (crash windows in epoch-local
+    /// time).
     pub faults: Option<FaultSpec>,
     /// A scenario compiled into per-epoch drift and fault windows. Mutually
     /// exclusive with `drift`/`faults`.
     pub scenario: Option<Scenario>,
-    /// Forecaster knobs for the predictive policies (ignored otherwise).
-    pub predict: PredictConfig,
     /// Migration executor timers.
     pub tuning: MigrationTuning,
     /// Durability knobs (used by [`run_service_durable`] only).
@@ -190,9 +175,6 @@ pub struct ServeConfig {
     /// throughput knob: every value produces the same report bitwise, so
     /// it is excluded from [`config_hash`] and WAL binding.
     pub threads: usize,
-    /// Hot-object fast path: windowed demand detector plus capacity-checked
-    /// replica boosts between retunes. `None` disables it.
-    pub hot: Option<HotKeyConfig>,
     /// Replica-degree floor: the bootstrap scheme and every boundary
     /// target are topped up to this many replicas per object (capacity
     /// permitting) so a crashed holder leaves a failover target. 1 is a
@@ -215,11 +197,9 @@ impl Default for ServeConfig {
             drift: None,
             faults: None,
             scenario: None,
-            predict: PredictConfig::default(),
             tuning: MigrationTuning::default(),
             wal: WalTuning::default(),
             threads: 0,
-            hot: None,
             min_degree: 1,
         }
     }
@@ -346,17 +326,17 @@ impl ShiftPlan {
     }
 
     /// The fault spec active during epoch `e`.
-    fn fault_spec(&self, config: &ServeConfig, e: usize) -> Option<FaultSpec> {
+    fn fault_spec<'a>(&'a self, config: &'a ServeConfig, e: usize) -> Option<&'a FaultSpec> {
         match &self.shifts {
-            Some(plan) => plan[e].faults.as_ref().map(|f| FaultSpec {
-                crashes: f.crashes.clone(),
-                drop_probability: f.drop_probability,
-                jitter: f.jitter,
-            }),
-            None => config.faults.clone(),
+            Some(plan) => plan[e].faults.as_ref(),
+            None => config.faults.as_ref(),
         }
     }
 }
+
+/// A retune is accepted only if its predicted per-epoch saving repays the
+/// migration transfer cost within this many epochs.
+const PAYBACK_EPOCHS: u64 = 2;
 
 /// Forecaster state of a predictive policy: the demand predictor plus any
 /// retune candidate the payback gate has parked for a later boundary.
@@ -379,11 +359,11 @@ impl PredictState {
         };
         Ok(Some(match snap {
             None => PredictState {
-                predictor: DemandPredictor::new(kind, config.predict, problem.num_objects()),
+                predictor: DemandPredictor::new(kind, problem.num_objects()),
                 deferred: None,
             },
             Some(snap) => PredictState {
-                predictor: DemandPredictor::restore(kind, config.predict, snap),
+                predictor: DemandPredictor::restore(kind, snap),
                 deferred: snap
                     .deferred
                     .as_deref()
@@ -404,7 +384,7 @@ impl PredictState {
     /// Payback gate: the candidate is this boundary's adaptation, else the
     /// parked one. It becomes the new target only if the NTC it saves on
     /// the `predicted` window amortizes its migration traffic within
-    /// `payback_epochs`; one that saves, just not fast enough yet, is
+    /// [`PAYBACK_EPOCHS`]; one that saves, just not fast enough yet, is
     /// parked for a cheaper boundary.
     fn payback_gate(
         &mut self,
@@ -413,7 +393,6 @@ impl PredictState {
         truth: &Problem,
         realized: &ReplicationScheme,
         target: &ReplicationScheme,
-        payback_epochs: u64,
     ) -> drp_core::Result<Option<ReplicationScheme>> {
         let parked = self.deferred.take();
         let Some(candidate) = adapted.or(parked).filter(|c| c != target) else {
@@ -426,7 +405,7 @@ impl PredictState {
             return Ok(None);
         }
         let migration = plan_migration(truth, realized, &candidate)?.transfer_cost();
-        if migration <= saving.saturating_mul(payback_epochs) {
+        if migration <= saving.saturating_mul(PAYBACK_EPOCHS) {
             Ok(Some(candidate))
         } else {
             self.deferred = Some(candidate);
@@ -439,16 +418,16 @@ impl PredictState {
 /// maintains on the target.
 pub(crate) type HotState = (HotKeyDetector, Vec<(usize, usize)>);
 
-/// The hot path of `config` (`None` when disabled): cold, or restored
-/// exactly from a WAL snapshot.
+/// The hot path of `config`'s policy (`None` when it runs none): cold, or
+/// restored exactly from a WAL snapshot.
 pub(crate) fn hot_state(
     config: &ServeConfig,
     num_objects: usize,
     snap: Option<&HotSnapshot>,
 ) -> Option<HotState> {
-    config.hot.map(|hcfg| match snap {
-        Some(snap) => HotKeyDetector::restore(hcfg, snap),
-        None => (HotKeyDetector::new(hcfg, num_objects), Vec::new()),
+    config.policy.hot().then(|| match snap {
+        Some(snap) => HotKeyDetector::restore(snap),
+        None => (HotKeyDetector::new(num_objects), Vec::new()),
     })
 }
 
@@ -665,10 +644,11 @@ pub fn run_service(problem: &Problem, config: &ServeConfig) -> drp_core::Result<
     run_service_recorded(problem, config, telemetry::noop())
 }
 
-/// Runs the service, emitting `serve.*` spans and counters to `recorder`,
-/// plus one `algo.adapt` span per daytime monitor call and one
-/// `algo.rebuild` span per nightly GRA rebuild, each inside its boundary's
-/// `serve.retune` span.
+/// Runs the service, emitting `serve.*` spans and counters to `recorder`.
+/// Inside each boundary's `serve.retune` span sit one `algo.adapt` span per
+/// daytime monitor call, one `algo.rebuild` span per nightly GRA rebuild,
+/// one `serve.forecast` span per predictive forecast and one `serve.hot`
+/// span per hot-path pass.
 ///
 /// # Errors
 ///
@@ -902,14 +882,15 @@ fn run_loop(
             reason: "a scenario is mutually exclusive with explicit drift/faults".into(),
         });
     }
-    if config.policy.predictor_kind().is_some() {
-        config.predict.validate()?;
+    if let Some(faults) = &config.faults {
+        faults
+            .validate(problem.num_sites())
+            .map_err(|e| CoreError::InvalidInstance {
+                reason: format!("bad fault spec: {e}"),
+            })?;
     }
     config.tuning.validate()?;
     config.wal.validate()?;
-    if let Some(hot) = &config.hot {
-        hot.validate()?;
-    }
     let shift_plan = ShiftPlan::new(problem, config)?;
     let threads = if config.threads == 0 {
         drp_net::pool::WorkerPool::global().threads()
@@ -964,8 +945,9 @@ fn run_loop(
         // Boundary decision. The matrices move out of the outcome — no
         // clone; nothing downstream reads them again. The `serve.retune`
         // span covers the policy, hot boosts and degree floor; inside it,
-        // `algo.rebuild` times the nightly GRA and `algo.adapt` the
-        // monitor's daytime AGRA call (the GA's own spans stay off the
+        // `serve.forecast` times the forecaster, `algo.rebuild` the nightly
+        // GRA, `algo.adapt` the monitor's daytime AGRA call and `serve.hot`
+        // the hot detector and its boosts (the GA's own spans stay off the
         // serve recorder).
         let retune_span = telemetry::span(recorder.as_ref(), "serve.retune");
         let observed = st
@@ -987,6 +969,7 @@ fn run_loop(
         let mut prestage: Option<Vec<u64>> = None;
         let input = match st.predict.as_mut() {
             Some(ps) => {
+                let _span = telemetry::span(recorder.as_ref(), "serve.forecast");
                 let demand: Vec<u64> = st
                     .truth
                     .objects()
@@ -1032,14 +1015,9 @@ fn run_loop(
                     candidate = Some(st.monitor.scheme().clone());
                 }
                 let accepted = match gate {
-                    Some((ps, predicted)) => ps.payback_gate(
-                        candidate,
-                        &predicted,
-                        &st.truth,
-                        &st.realized,
-                        &st.target,
-                        config.predict.payback_epochs,
-                    )?,
+                    Some((ps, predicted)) => {
+                        ps.payback_gate(candidate, &predicted, &st.truth, &st.realized, &st.target)?
+                    }
                     // The reactive monitor serves its own scheme, adapted
                     // or not.
                     None => {
@@ -1063,7 +1041,7 @@ fn run_loop(
         let mut hot_promotions = 0u64;
         let mut hot_demotions = 0u64;
         if let Some((detector, boosted)) = st.hot.as_mut() {
-            let hcfg = config.hot.as_ref().expect("hot state implies hot config");
+            let _span = telemetry::span(recorder.as_ref(), "serve.hot");
             // The streaming driver offers exactly the truth's pattern and
             // demand is counted pre-shed, so the truth's per-object read
             // totals ARE the observed window's demand vector — no extra
@@ -1077,8 +1055,7 @@ fn run_loop(
             let step = detector.observe(&demand);
             hot_promotions = step.promotions;
             hot_demotions = step.demotions;
-            let boost =
-                hotkey::apply_boosts(&st.truth, &st.realized, st.target, detector, boosted, hcfg);
+            let boost = hotkey::apply_boosts(&st.truth, &st.realized, st.target, detector, boosted);
             st.target = boost.target;
             *boosted = boost.boosted;
             recorder.add_counter("serve.hot_boosts_added", boost.added);
@@ -1129,9 +1106,7 @@ fn run_loop(
             replicas: st.realized.replica_count(),
             savings_percent: st.truth.savings_percent(&st.realized),
             crashes: outcome.fault_stats.crashes,
-            messages_lost: outcome.fault_stats.dropped_random
-                + outcome.fault_stats.dropped_partition
-                + outcome.fault_stats.lost_arrivals,
+            messages_lost: outcome.fault_stats.dropped_random + outcome.fault_stats.lost_arrivals,
             sim_events: outcome.sim_events,
             completion_time: outcome.completion_time,
         };
@@ -1228,6 +1203,56 @@ mod tests {
             change_percent: 600.0,
             objects_percent: 50.0,
             read_share: 0.9,
+        }
+    }
+
+    #[test]
+    fn the_hot_path_runs_under_monitor_hot_and_both_predictive_policies() {
+        let hot: Vec<Policy> = Policy::ALL.into_iter().filter(|p| p.hot()).collect();
+        assert_eq!(
+            hot,
+            [
+                Policy::MonitorHot,
+                Policy::PredictiveEwma,
+                Policy::PredictiveRegression
+            ]
+        );
+        // Every forecaster pre-stages a hot detector.
+        for policy in Policy::ALL {
+            assert!(
+                policy.predictor_kind().is_none() || policy.hot(),
+                "{policy:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn explicit_faults_are_validated_not_panicked_on() {
+        let problem = problem(2);
+        let sites = problem.num_sites();
+        for bad in [
+            FaultSpec {
+                crashes: vec![(sites, 0, 10)],
+                ..FaultSpec::default()
+            },
+            FaultSpec {
+                crashes: vec![(0, 10, 10)],
+                ..FaultSpec::default()
+            },
+            FaultSpec {
+                drop_probability: 1.5,
+                ..FaultSpec::default()
+            },
+        ] {
+            let config = ServeConfig {
+                policy: Policy::Static,
+                epochs: 1,
+                monitor: monitor_config(),
+                faults: Some(bad.clone()),
+                ..ServeConfig::default()
+            };
+            let err = run_service(&problem, &config).unwrap_err();
+            assert!(err.to_string().contains("bad fault spec"), "{bad:?}: {err}");
         }
     }
 
@@ -1399,6 +1424,42 @@ mod tests {
         assert!(total("algo.adapt") + total("algo.rebuild") <= total("serve.retune"));
         // The GA's own spans stay off the serve recorder.
         assert_eq!(recorder.span_count("ga.generation"), 0);
+    }
+
+    #[test]
+    fn forecast_and_hot_spans_count_the_boundaries_inside_retune() {
+        let problem = problem(4);
+        for policy in Policy::ALL {
+            let config = ServeConfig {
+                policy,
+                epochs: 5,
+                seed: 4,
+                night_every: 2,
+                monitor: monitor_config(),
+                drift: Some(drift()),
+                ..ServeConfig::default()
+            };
+            let recorder = Arc::new(InMemoryRecorder::default());
+            run_service_recorded(&problem, &config, recorder.clone()).unwrap();
+            let boundaries = config.epochs as u64;
+            let forecasts = if policy.predictor_kind().is_some() {
+                boundaries
+            } else {
+                0
+            };
+            let hot = if policy.hot() { boundaries } else { 0 };
+            assert_eq!(
+                recorder.span_count("serve.forecast"),
+                forecasts,
+                "{policy:?}"
+            );
+            assert_eq!(recorder.span_count("serve.hot"), hot, "{policy:?}");
+            let total = |name| recorder.span_stats(name).map_or(0, |s| s.total_ns);
+            assert!(
+                total("serve.forecast") + total("serve.hot") <= total("serve.retune"),
+                "{policy:?}"
+            );
+        }
     }
 
     #[test]

@@ -154,7 +154,7 @@ pub struct Checkpoint {
     /// Monitor state (absent only if the run never snapshotted one —
     /// checkpoints written by the runtime always carry it).
     pub monitor: Option<MonitorSnapshot>,
-    /// Hot-object detector state (present iff the hot path is enabled).
+    /// Hot-object detector state (present iff the policy runs the hot path).
     pub hot: Option<HotSnapshot>,
     /// Demand forecaster state (present iff the policy is predictive).
     pub predictor: Option<PredictSnapshot>,
@@ -194,7 +194,7 @@ pub enum WalRecord {
         /// New monitor state when the decision changed it.
         monitor: Option<MonitorSnapshot>,
         /// Hot-object detector state after this boundary's observe/boost
-        /// step (present iff the hot path is enabled — the detector
+        /// step (present iff the policy runs the hot path — the detector
         /// advances every boundary).
         hot: Option<HotSnapshot>,
         /// Demand forecaster state after this boundary's observe/forecast

@@ -9,7 +9,7 @@
 //! * thread-count independence — queues, admission reports and the
 //!   observation window are bitwise-equal for any worker count, and the
 //!   full closed-loop [`ServiceReport`] fingerprint does not move across
-//!   `threads` ∈ {1, 2, 4}, with the hot path on or off;
+//!   `threads` ∈ {1, 2, 4}, with and without the hot path;
 //! * the hot fast path never bills more total NTC than the same run
 //!   without it (every boost is admitted only when the modeled saving
 //!   covers its fetch);
@@ -19,8 +19,8 @@
 
 use drp_core::{DenseMatrix, Problem};
 use drp_serve::{
-    crash_points, ingest_epoch, run_service, run_service_durable, HotKeyConfig, IngestScratch,
-    IngestSpec, MemWalStore, Policy, ServeConfig, TracingStore, WalTuning,
+    crash_points, ingest_epoch, run_service, run_service_durable, IngestScratch, IngestSpec,
+    MemWalStore, Policy, ServeConfig, TracingStore, WalTuning,
 };
 use drp_workload::{PatternChange, WorkloadSpec};
 use proptest::prelude::*;
@@ -52,9 +52,9 @@ fn drift() -> PatternChange {
     }
 }
 
-fn service_config(seed: u64, threads: usize, hot: Option<HotKeyConfig>) -> ServeConfig {
+fn service_config(seed: u64, threads: usize, policy: Policy) -> ServeConfig {
     ServeConfig {
-        policy: Policy::Monitor,
+        policy,
         epochs: 4,
         period: 256,
         seed,
@@ -63,7 +63,6 @@ fn service_config(seed: u64, threads: usize, hot: Option<HotKeyConfig>) -> Serve
         monitor: small_monitor(),
         drift: Some(drift()),
         threads,
-        hot,
         ..ServeConfig::default()
     }
 }
@@ -163,15 +162,15 @@ proptest! {
 #[test]
 fn service_fingerprints_are_identical_across_ingest_threads() {
     let p = problem(10, 8, 21);
-    for hot in [None, Some(HotKeyConfig::default())] {
-        let base = run_service(&p, &service_config(21, 1, hot)).unwrap();
+    for policy in [Policy::Monitor, Policy::MonitorHot] {
+        let base = run_service(&p, &service_config(21, 1, policy)).unwrap();
         for threads in [2usize, 4] {
-            let other = run_service(&p, &service_config(21, threads, hot)).unwrap();
+            let other = run_service(&p, &service_config(21, threads, policy)).unwrap();
             assert_eq!(
                 base.fingerprint(),
                 other.fingerprint(),
-                "threads={threads} hot={} drifted",
-                hot.is_some()
+                "threads={threads} {} drifted",
+                policy.name()
             );
         }
     }
@@ -182,8 +181,8 @@ fn hot_fast_path_never_bills_more_than_the_baseline() {
     let mut promoted_somewhere = false;
     for seed in [5u64, 11, 23] {
         let p = problem(12, 10, seed);
-        let hot = run_service(&p, &service_config(seed, 1, Some(HotKeyConfig::default()))).unwrap();
-        let base = run_service(&p, &service_config(seed, 1, None)).unwrap();
+        let hot = run_service(&p, &service_config(seed, 1, Policy::MonitorHot)).unwrap();
+        let base = run_service(&p, &service_config(seed, 1, Policy::Monitor)).unwrap();
         assert!(
             hot.totals.total_ntc <= base.totals.total_ntc,
             "seed {seed}: hot billed {} vs baseline {}",
@@ -208,7 +207,7 @@ fn hot_state_survives_crash_recovery_bitwise() {
         wal: WalTuning {
             checkpoint_every: 2,
         },
-        ..service_config(17, 1, Some(HotKeyConfig::default()))
+        ..service_config(17, 1, Policy::MonitorHot)
     };
     let mut tracing = TracingStore::default();
     let baseline = run_service_durable(&p, &config, &mut tracing).unwrap();

@@ -24,8 +24,7 @@ use drp_core::{CoreError, Problem, ServeError};
 use drp_serve::wal::{decode_stream, WalRecord};
 use drp_serve::{
     crash_points, run_service, run_service_durable, run_service_recorded, run_service_with_oracle,
-    HotKeyConfig, HotSnapshot, MemWalStore, Policy, PredictSnapshot, ServeConfig, TracingStore,
-    WalTuning,
+    HotSnapshot, MemWalStore, Policy, PredictSnapshot, ServeConfig, TracingStore, WalTuning,
 };
 use drp_workload::{Scenario, TopologyKind, WorkloadSpec};
 use proptest::prelude::*;
@@ -59,7 +58,6 @@ fn scenario_config(policy: Policy, scenario: Scenario, seed: u64, threads: usize
         monitor: small_monitor(),
         scenario: Some(scenario),
         threads,
-        hot: Some(HotKeyConfig::default()),
         ..ServeConfig::default()
     }
 }
@@ -103,15 +101,9 @@ proptest! {
         spec.topology = TopologyKind::Tree { arity: 2 };
         let p = spec.generate(&mut StdRng::seed_from_u64(seed)).unwrap();
         for scenario in Scenario::ALL {
-            for policy in [
-                Policy::Static,
-                Policy::Monitor,
-                Policy::PredictiveEwma,
-                Policy::PredictiveRegression,
-            ] {
+            for policy in Policy::ALL {
                 let config = ServeConfig {
                     epochs: 3,
-                    hot: None,
                     ..scenario_config(policy, scenario, seed, 1)
                 };
                 let (mut report, oracle) = run_service_with_oracle(&p, &config).unwrap();
@@ -176,9 +168,9 @@ fn forecaster_state_survives_crash_recovery_bitwise() {
 #[test]
 fn recorded_retune_counters_match_the_report_totals() {
     // The prediction benchmark's shape: 8 sites, 12 objects on a binary
-    // tree, 6 epochs, hot path on for the predictive policies. Every
-    // boundary that counts an adaptation or a rebuild in the report must
-    // bump the matching recorder counter exactly once.
+    // tree, 6 epochs, every policy. Every boundary that counts an
+    // adaptation or a rebuild in the report must bump the matching
+    // recorder counter exactly once.
     let mut spec = WorkloadSpec::paper(8, 12, 6.0, 35.0);
     spec.topology = TopologyKind::Tree { arity: 2 };
     let (mut adaptations, mut rebuilds) = (0, 0);
@@ -189,7 +181,6 @@ fn recorded_retune_counters_match_the_report_totals() {
                 let config = ServeConfig {
                     epochs: 6,
                     period: 256,
-                    hot: PREDICTIVE.contains(&policy).then(HotKeyConfig::default),
                     ..scenario_config(policy, scenario, seed, 1)
                 };
                 let recorder = Arc::new(InMemoryRecorder::new());
@@ -243,10 +234,21 @@ fn recovery_refuses_snapshots_of_another_shape() {
         .expect("a four-epoch run commits epoch 1");
 
     type Edit = fn(&mut WalRecord);
-    let edits: [(&str, Edit); 4] = [
+    let edits: [(&str, Edit); 6] = [
         ("forecaster windows cut to 3 of 8 objects", |r| {
             predictor(r).windows.iter_mut().for_each(|w| w.truncate(3));
         }),
+        ("forecaster holding more windows than its depth", |r| {
+            let windows = &mut predictor(r).windows;
+            windows.extend(std::iter::repeat_n(windows[0].clone(), 4));
+        }),
+        (
+            "hot-key detector holding more windows than its depth",
+            |r| {
+                let windows = &mut hot(r).windows;
+                windows.extend(std::iter::repeat_n(windows[0].clone(), 4));
+            },
+        ),
         ("forecaster windows and EWMA cut to 3 of 8 objects", |r| {
             let snap = predictor(r);
             snap.windows.iter_mut().for_each(|w| w.truncate(3));

@@ -45,7 +45,7 @@ pub mod zipf;
 
 pub use change::{ChangeKind, PatternChange, PatternShift};
 pub use generator::WorkloadError;
-pub use scenario::{EpochShift, ObjectSurge, Scenario, ScenarioFaults};
+pub use scenario::{EpochShift, FaultSpec, ObjectSurge, Scenario};
 pub use spec::{TopologyKind, WorkloadSpec};
 
 /// Convenience alias for results in this crate.

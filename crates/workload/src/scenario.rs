@@ -7,8 +7,8 @@
 //! storyline and compiles it — purely and deterministically — into the
 //! existing per-epoch machinery: a [`PatternChange`] drift (applied with the
 //! epoch's seeded drift RNG), an optional Zipf-exponent spike that reshapes
-//! read popularity, and a fault window description that the serve layer maps
-//! onto its `FaultSpec`.
+//! read popularity, and a [`FaultSpec`] that the serve layer arms on the
+//! epoch's simulator.
 //!
 //! Compilation takes no RNG: the same `(scenario, epochs, num_sites,
 //! period)` always yields the same shift plan. All randomness enters later
@@ -16,18 +16,18 @@
 //! bitwise reproducible end to end.
 
 use drp_core::DenseMatrix;
+use drp_net::sim::FaultPlan;
 use serde::{Deserialize, Serialize};
 
 use crate::generator::WorkloadError;
 use crate::{PatternChange, Result};
 
-/// Fault windows generated by a scenario, in serve-layer-neutral form.
-///
-/// Mirrors the serve crate's `FaultSpec` without depending on it: `crashes`
-/// are `(site, from, until)` outage windows in simulator ticks, and the
-/// drop/jitter knobs degrade message delivery for the whole epoch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ScenarioFaults {
+/// Faults injected into one serving epoch, by a scenario or given
+/// explicitly: `crashes` are `(site, from, until)` outage windows in
+/// simulator ticks, and the drop/jitter knobs degrade message delivery for
+/// the whole epoch.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct FaultSpec {
     /// Site outage windows as `(site, from, until)` with `from < until`.
     pub crashes: Vec<(usize, u64, u64)>,
     /// Probability in `[0, 1]` that any message is silently dropped.
@@ -36,13 +36,30 @@ pub struct ScenarioFaults {
     pub jitter: u64,
 }
 
-impl ScenarioFaults {
+impl FaultSpec {
+    /// The simulator's fault schedule for these windows, seeded for the
+    /// drop and jitter draws.
+    pub fn plan(&self, seed: u64) -> FaultPlan {
+        let mut plan = FaultPlan::new(seed);
+        for &(site, from, until) in &self.crashes {
+            plan = plan.crash(site, from, until);
+        }
+        if self.drop_probability > 0.0 {
+            plan = plan.drop_probability(self.drop_probability);
+        }
+        if self.jitter > 0 {
+            plan = plan.jitter(self.jitter);
+        }
+        plan
+    }
+
     /// Checks the fault windows for degenerate values.
     ///
     /// # Errors
     ///
     /// Returns [`WorkloadError::BadSpec`] on NaN drop probabilities,
-    /// probabilities outside `[0, 1]`, or zero-length crash windows.
+    /// probabilities outside `[0, 1]`, crash sites out of range, or
+    /// zero-length crash windows.
     pub fn validate(&self, num_sites: usize) -> Result<()> {
         if !(0.0..=1.0).contains(&self.drop_probability) {
             return Err(WorkloadError::BadSpec {
@@ -139,7 +156,7 @@ pub struct EpochShift {
     /// Zipf re-skew or drift).
     pub surges: Vec<ObjectSurge>,
     /// Fault windows active during the epoch.
-    pub faults: Option<ScenarioFaults>,
+    pub faults: Option<FaultSpec>,
 }
 
 impl EpochShift {
@@ -300,7 +317,7 @@ impl Scenario {
                     .map(|site| (site, period / 8, period / 2 + 1))
                     .collect();
                 for shift in &mut plan[from..until] {
-                    shift.faults = Some(ScenarioFaults {
+                    shift.faults = Some(FaultSpec {
                         crashes: crashes.clone(),
                         drop_probability: 0.0,
                         jitter: 0,
@@ -322,7 +339,7 @@ impl Scenario {
                             objects_percent: 50.0,
                             read_share: 0.7,
                         });
-                        shift.faults = Some(ScenarioFaults {
+                        shift.faults = Some(FaultSpec {
                             crashes: Vec::new(),
                             drop_probability: 0.05,
                             jitter: 3,
@@ -420,24 +437,42 @@ mod tests {
 
     #[test]
     fn fault_validation_rejects_degenerates() {
-        let empty_window = ScenarioFaults {
+        let empty_window = FaultSpec {
             crashes: vec![(0, 5, 5)],
             drop_probability: 0.0,
             jitter: 0,
         };
         assert!(empty_window.validate(4).is_err());
-        let nan_drop = ScenarioFaults {
+        let nan_drop = FaultSpec {
             crashes: Vec::new(),
             drop_probability: f64::NAN,
             jitter: 0,
         };
         assert!(nan_drop.validate(4).is_err());
-        let out_of_range_site = ScenarioFaults {
+        let out_of_range_site = FaultSpec {
             crashes: vec![(9, 0, 1)],
             drop_probability: 0.0,
             jitter: 0,
         };
         assert!(out_of_range_site.validate(4).is_err());
+    }
+
+    #[test]
+    fn fault_plans_arm_exactly_the_spec() {
+        let spec = FaultSpec {
+            crashes: vec![(1, 10, 60), (3, 0, 5)],
+            drop_probability: 0.02,
+            jitter: 2,
+        };
+        let want = FaultPlan::new(7)
+            .crash(1, 10, 60)
+            .crash(3, 0, 5)
+            .drop_probability(0.02)
+            .jitter(2);
+        assert_eq!(spec.plan(7), want);
+        // The default spec arms nothing beyond the seed.
+        assert_eq!(FaultSpec::default().plan(7), FaultPlan::new(7));
+        assert!(FaultSpec::default().validate(1).is_ok());
     }
 
     #[test]
