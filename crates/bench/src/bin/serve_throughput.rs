@@ -13,10 +13,9 @@
 //!
 //! * the FNV hash of the admitted queues plus the admission report must
 //!   be identical across every thread count (`ingest_parity`);
-//! * a small closed-loop `monitor+hot` service run must fingerprint
-//!   identically at `threads` 1 and 2 (`service_thread_parity`), bill no
-//!   more total NTC than the same run under plain `monitor`
-//!   (`hot_ntc_ok`), and its promotion/demotion counts are pinned exactly.
+//! * a small closed-loop `monitor` service run must fingerprint
+//!   identically at `threads` 1 and 2 (`service_thread_parity`); its
+//!   fingerprint and total NTC are pinned exactly.
 //!
 //! The `epoch_scaling` samples time the serving engine behind the front
 //! end: one fault-free epoch served through
@@ -186,21 +185,18 @@ fn shedding_limit(problem: &Problem, args: &Args) -> u64 {
 
 struct ServiceRow {
     total_ntc: u64,
-    hot_promotions: u64,
-    hot_demotions: u64,
     fingerprint: u64,
 }
 
-/// One small closed-loop service run under drift; `policy` is
-/// [`Policy::MonitorHot`] or the [`Policy::Monitor`] baseline, `threads`
-/// the ingestion workers.
-fn bench_service(policy: Policy, threads: usize) -> ServiceRow {
+/// One small closed-loop [`Policy::Monitor`] service run under drift;
+/// `threads` is the ingestion workers.
+fn bench_service(threads: usize) -> ServiceRow {
     let spec = WorkloadSpec::paper(24, 16, 6.0, 35.0);
     let problem = spec
         .generate(&mut StdRng::seed_from_u64(SEED))
         .expect("service instance generates");
     let config = ServeConfig {
-        policy,
+        policy: Policy::Monitor,
         epochs: 4,
         period: 256,
         seed: SEED,
@@ -216,8 +212,6 @@ fn bench_service(policy: Policy, threads: usize) -> ServiceRow {
     let report = run_service(&problem, &config).expect("service runs");
     ServiceRow {
         total_ntc: report.totals.total_ntc,
-        hot_promotions: report.totals.hot_promotions,
-        hot_demotions: report.totals.hot_demotions,
         fingerprint: report.fingerprint(),
     }
 }
@@ -291,9 +285,8 @@ fn main() {
     let parity = rows.iter().all(|r| r.hash == rows[0].hash);
     let budget_row = &rows[1]; // threads == 2, the headline configuration
 
-    let hot_on = bench_service(Policy::MonitorHot, 1);
-    let hot_on_t2 = bench_service(Policy::MonitorHot, 2);
-    let hot_off = bench_service(Policy::Monitor, 1);
+    let service = bench_service(1);
+    let service_t2 = bench_service(2);
     let scaling: Vec<ScalingRow> = SCALING_SITES
         .iter()
         .map(|&m| bench_epoch_scaling(m, args.period))
@@ -333,23 +326,16 @@ fn main() {
     }
     report.sample(
         Fields::new()
-            .text("kind", "hot_service")
+            .text("kind", "service")
+            .text("policy", Policy::Monitor.name())
             .int("sites", 24)
             .int("objects", 16)
             .int("epochs", 4)
-            .int("hot_promotions", hot_on.hot_promotions)
-            .int("hot_demotions", hot_on.hot_demotions)
-            .int("total_ntc_hot", hot_on.total_ntc)
-            .int("total_ntc_baseline", hot_off.total_ntc)
-            .flag("hot_ntc_ok", hot_on.total_ntc <= hot_off.total_ntc)
-            .text("fingerprint_hot", &format!("{:016x}", hot_on.fingerprint))
-            .text(
-                "fingerprint_baseline",
-                &format!("{:016x}", hot_off.fingerprint),
-            )
+            .int("total_ntc", service.total_ntc)
+            .text("fingerprint", &format!("{:016x}", service.fingerprint))
             .flag(
                 "service_thread_parity",
-                hot_on.fingerprint == hot_on_t2.fingerprint,
+                service.fingerprint == service_t2.fingerprint,
             ),
     );
     for row in &scaling {
@@ -372,7 +358,7 @@ fn main() {
     report.write(&args.out_path);
     assert!(parity, "ingest hash differs across worker counts");
     assert_eq!(
-        hot_on.fingerprint, hot_on_t2.fingerprint,
+        service.fingerprint, service_t2.fingerprint,
         "service fingerprint differs across ingestion worker counts"
     );
     assert!(

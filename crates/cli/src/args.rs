@@ -822,8 +822,8 @@ mod tests {
         let err = parse(&argv("serve --instance net.drp --policy oracle")).unwrap_err();
         assert_eq!(
             err.to_string(),
-            "unknown policy `oracle` (expected static, monitor, monitor+hot, \
-             predictive-ewma or predictive-regression)"
+            "unknown policy `oracle` (expected static, monitor, predictive-ewma \
+             or predictive-regression)"
         );
         for name in [
             "diurnal",

@@ -38,7 +38,7 @@ usage:
   drp adapt    --instance FILE --new-instance FILE --scheme FILE
                [--mini N] [--threshold PCT] [--seed N] [-o|--output FILE]
   drp serve    --instance FILE
-               [--policy static|monitor|monitor+hot|predictive-ewma|
+               [--policy static|monitor|predictive-ewma|
                          predictive-regression]
                [--epochs N] [--period T] [--seed N] [--night-every K]
                [--admission-limit N] [--threads N] [--min-degree D]

@@ -9,10 +9,9 @@
 //!
 //! * **static** — the bootstrap GRA scheme, frozen;
 //! * **monitor** — windowed statistics into the replication monitor (AGRA
-//!   by day, full GRA every `night_every`-th boundary);
-//! * **monitor+hot** — the monitor plus the hot-object fast path.
+//!   by day, full GRA every `night_every`-th boundary).
 //!
-//! All of them run on the same binary-tree topology and the same seeds, so
+//! The scenario matrix adds the two predictive policies. All of them run on the same binary-tree topology and the same seeds, so
 //! they serve byte-identical traffic and differ only in how they adapt.
 
 use std::sync::Arc;
@@ -74,18 +73,15 @@ impl Params {
     }
 }
 
-/// Rows of the study. `monitor+hot` runs the monitor with the windowed
-/// hot-object detector issuing capacity-checked replica boosts between
-/// retunes; every boost must pay for its own fetch, so its total NTC can
-/// only improve on plain `monitor`.
-const VARIANTS: [Policy; 3] = [Policy::Static, Policy::Monitor, Policy::MonitorHot];
+/// Rows of the drift study; `static` comes first because every row is
+/// reported relative to it.
+const VARIANTS: [Policy; 2] = [Policy::Static, Policy::Monitor];
 
 /// Rows of the policy × scenario matrix; `monitor` comes first because
 /// every other row is reported relative to it.
-const MATRIX_POLICIES: [Policy; 5] = [
+const MATRIX_POLICIES: [Policy; 4] = [
     Policy::Monitor,
     Policy::Static,
-    Policy::MonitorHot,
     Policy::PredictiveEwma,
     Policy::PredictiveRegression,
 ];
@@ -123,7 +119,6 @@ fn drift_table(params: &Params, recorder: Arc<dyn Recorder>) -> Table {
             "rebuilds".into(),
             "moves".into(),
             "stale reads".into(),
-            "hot promos".into(),
         ],
     );
     let mut static_total = None;
@@ -154,7 +149,6 @@ fn drift_table(params: &Params, recorder: Arc<dyn Recorder>) -> Table {
                 t.rebuilds as f64,
                 t.migration_moves as f64,
                 t.reads_stale as f64,
-                t.hot_promotions as f64,
             ]
         });
         let mean = |metric: usize| {
@@ -173,7 +167,6 @@ fn drift_table(params: &Params, recorder: Arc<dyn Recorder>) -> Table {
             fmt2(mean(4)),
             fmt2(mean(5)),
             fmt2(mean(6)),
-            fmt2(mean(7)),
         ]);
         eprintln!("  [adapt] policy {label} done");
     }
@@ -298,21 +291,15 @@ mod tests {
     fn adaptive_policies_beat_the_frozen_baseline() {
         let table = drift_table(&tiny_params(), telemetry::noop());
         let rows = &table.rows;
-        assert_eq!(rows.len(), 3);
+        assert_eq!(rows.len(), 2);
         let total = |row: &[String]| -> f64 { row[3].parse().unwrap() };
         let static_total = total(&rows[0]);
         let monitor_total = total(&rows[1]);
-        let hot_total = total(&rows[2]);
         assert_eq!(rows[0][0], "static");
         assert_eq!(rows[1][0], "monitor");
-        assert_eq!(rows[2][0], "monitor+hot");
         assert!(
             monitor_total < static_total,
             "monitor {monitor_total} must beat static {static_total} under drift"
-        );
-        assert!(
-            hot_total <= monitor_total,
-            "the hot fast path billed {hot_total} vs plain monitor {monitor_total}"
         );
         assert!(
             rows[1][5].parse::<f64>().unwrap() > 0.0,
@@ -331,8 +318,8 @@ mod tests {
             ..tiny_params()
         };
         let table = matrix_table(&params, telemetry::noop());
-        // 5 policies + the offline-opt anchor per scenario.
-        assert_eq!(table.rows.len(), Scenario::ALL.len() * 6);
+        // 4 policies + the offline-opt anchor per scenario.
+        assert_eq!(table.rows.len(), Scenario::ALL.len() * 5);
         for row in &table.rows {
             let ratio: f64 = row[6].parse().unwrap();
             assert!(
@@ -343,10 +330,10 @@ mod tests {
             );
         }
         // Every scenario block anchors its OPT row at ratio 1.0.
-        for block in table.rows.chunks(6) {
+        for block in table.rows.chunks(5) {
             assert_eq!(block[0][1], "monitor");
-            assert_eq!(block[5][1], "offline-opt");
-            assert_eq!(block[5][6], "1.00");
+            assert_eq!(block[4][1], "offline-opt");
+            assert_eq!(block[4][6], "1.00");
             // "vs monitor %" anchors at the reactive monitor.
             assert_eq!(block[0][5], "100.00");
         }

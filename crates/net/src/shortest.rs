@@ -336,7 +336,7 @@ fn flat_adjacency(graph: &Graph) -> Vec<u64> {
 /// Entry `i * m + j` is the cheapest path cost from `i` to `j`, or
 /// [`UNREACHABLE`]. Sparse graphs fan binary-heap Dijkstra per source over
 /// the pool (each source owns one disjoint output row); dense ones (the
-/// paper's complete topologies) run [`floyd_warshall_flat`] over the flat
+/// paper's complete topologies) run `floyd_warshall_flat` over the flat
 /// adjacency matrix, fanning the per-pivot row sweep. Both assignments
 /// depend only on the instance, so the result is bitwise-identical for
 /// every pool size, including the inline `WorkerPool::new(1)`.

@@ -77,7 +77,6 @@
 //! ```
 
 mod epoch;
-pub mod hotkey;
 pub mod ingest;
 pub mod model;
 pub mod oracle;
@@ -89,7 +88,6 @@ pub mod wal;
 
 pub use drp_workload::FaultSpec;
 pub use epoch::{MigrationTuning, RequestTally};
-pub use hotkey::{HotKeyDetector, HotSnapshot};
 pub use ingest::{ingest_epoch, IngestOutcome, IngestScratch, IngestSpec};
 pub use oracle::OracleReport;
 pub use predict::{DemandPredictor, PredictSnapshot, PredictorKind};

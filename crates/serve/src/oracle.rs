@@ -1,7 +1,7 @@
 //! The offline-optimal replay oracle: what would full knowledge of the
 //! realized trace have cost?
 //!
-//! [`evaluate`] replays a finished run's epochs under a *clean* model —
+//! `evaluate` replays a finished run's epochs under a *clean* model —
 //! the exact per-epoch truth the run saw (same TAG_DRIFT/scenario
 //! streams), no faults and no admission shedding — and solves a small
 //! dynamic program over per-epoch candidate schemes. A clean epoch serves

@@ -12,21 +12,19 @@
 //! fixed-point arithmetic so forecasts are bitwise identical across
 //! platforms, thread counts, and crash/recovery cycles:
 //!
-//! * **EWMA** — exponentially weighted moving average in Q10 fixed point,
-//!   the same representation as the hot-key detector;
+//! * **EWMA** — exponentially weighted moving average in Q10 fixed point;
 //! * **windowed linear regression** — integer least-squares slope over the
 //!   trailing demand window, extrapolated one epoch ahead. This is the only
 //!   forecaster that can see a ramp *before* its peak.
 //!
 //! The forecaster tracks per-object read demand; the serve loop uses the
-//! forecast both to shape the pattern handed to the monitor and to
-//! pre-stage hot-object replica boosts. State snapshots
+//! forecast to shape the pattern handed to the monitor. State snapshots
 //! ([`PredictSnapshot`]) ride the WAL so a recovered run resumes with the
 //! exact forecaster state of the crashed one.
 
 use std::collections::VecDeque;
 
-/// Fixed-point shift shared with the hot-key detector (Q10).
+/// Fixed-point shift of the EWMA (Q10).
 const FP: u32 = 10;
 
 /// Which forecaster a predictive policy runs.

@@ -28,12 +28,9 @@ use drp_core::format::{read_instance, read_scheme};
 use drp_core::{CoreError, Problem, ReplicationScheme, ServeError};
 use drp_ga::BitString;
 
-use crate::hotkey::HotSnapshot;
 use crate::predict::PredictSnapshot;
 use crate::report::EpochReport;
-use crate::runtime::{
-    bootstrap, config_hash, hot_state, LoopState, PredictState, ServeConfig, ShiftPlan,
-};
+use crate::runtime::{bootstrap, config_hash, LoopState, PredictState, ServeConfig, ShiftPlan};
 use crate::wal::{MonitorSnapshot, RetuneKind, WalOp, WalRecord, WAL_VERSION};
 
 /// What recovery found in the log, reported alongside the resumed run.
@@ -82,19 +79,20 @@ pub(crate) fn parse_scheme(
     read_scheme(text, problem).map_err(|e| mismatch(format!("{what} scheme: {e}")))
 }
 
-/// Rejects a journaled forecaster or hot-path snapshot that does not fit
-/// the `m`-site, `n`-object instance: each holds at most its window depth
-/// of demand windows, every demand window, EWMA and promotion flag vector
-/// must cover the `n` objects, and every boosted `(site, object)` must name
-/// a cell of the instance. A CRC-valid log of another shape would otherwise
-/// index out of bounds mid-run, resume forecasting only a prefix of the
-/// objects, or keep a forecast window that never shrinks back to depth.
-fn check_snapshot_shapes(
-    hot: Option<&HotSnapshot>,
-    predictor: Option<&PredictSnapshot>,
-    m: usize,
-    n: usize,
-) -> drp_core::Result<()> {
+/// Rejects a journaled forecaster snapshot that does not fit the
+/// `n`-object instance: it holds at most its window depth of demand
+/// windows, and every window and the EWMA must cover the `n` objects. A
+/// CRC-valid log of another shape would otherwise index out of bounds
+/// mid-run, resume forecasting only a prefix of the objects, or keep a
+/// forecast window that never shrinks back to depth.
+fn check_predictor_shape(snap: &PredictSnapshot, n: usize) -> drp_core::Result<()> {
+    let depth = crate::predict::WINDOW;
+    if snap.windows.len() > depth {
+        return Err(mismatch(format!(
+            "forecaster holds {} windows, the depth is {depth}",
+            snap.windows.len()
+        )));
+    }
     let covers_n = |what: &str, len: usize| {
         if len == n {
             Ok(())
@@ -104,41 +102,10 @@ fn check_snapshot_shapes(
             )))
         }
     };
-    let within_depth = |what: &str, len: usize, depth: usize| {
-        if len <= depth {
-            Ok(())
-        } else {
-            Err(mismatch(format!(
-                "{what} holds {len} windows, the depth is {depth}"
-            )))
-        }
-    };
-    if let Some(snap) = predictor {
-        within_depth("forecaster", snap.windows.len(), crate::predict::WINDOW)?;
-        for window in &snap.windows {
-            covers_n("forecaster window", window.len())?;
-        }
-        covers_n("forecaster EWMA", snap.ewma.len())?;
+    for window in &snap.windows {
+        covers_n("forecaster window", window.len())?;
     }
-    if let Some(snap) = hot {
-        within_depth(
-            "hot-key detector",
-            snap.windows.len(),
-            crate::hotkey::WINDOW,
-        )?;
-        for window in &snap.windows {
-            covers_n("hot-key window", window.len())?;
-        }
-        covers_n("hot-key EWMA", snap.ewma.len())?;
-        covers_n("hot-key promotion flags", snap.promoted.len())?;
-        let outside = |&&(i, k): &&(u64, u64)| i >= m as u64 || k >= n as u64;
-        if let Some((i, k)) = snap.boosted.iter().find(outside) {
-            return Err(mismatch(format!(
-                "boosted replica (site {i}, object {k}) lies outside the {m}-site, {n}-object instance"
-            )));
-        }
-    }
-    Ok(())
+    covers_n("forecaster EWMA", snap.ewma.len())
 }
 
 fn rebuild_monitor(
@@ -251,7 +218,6 @@ pub(crate) fn recover(
     let mut realized_text: Option<&[u8]> = None;
     let mut target_text: Option<&[u8]> = None;
     let mut snapshot: Option<&MonitorSnapshot> = None;
-    let mut hot_snap: Option<&HotSnapshot> = None;
     let mut pred_snap: Option<&PredictSnapshot> = None;
     let mut next_epoch = 0usize;
     if let Some(cp) = checkpoint {
@@ -261,7 +227,6 @@ pub(crate) fn recover(
         realized_text = Some(&cp.realized);
         target_text = Some(&cp.target);
         snapshot = cp.monitor.as_ref();
-        hot_snap = cp.hot.as_ref();
         pred_snap = cp.predictor.as_ref();
         next_epoch = usize::try_from(cp.next_epoch)
             .map_err(|_| mismatch("checkpoint next_epoch overflows usize".into()))?;
@@ -273,7 +238,6 @@ pub(crate) fn recover(
             kind,
             target,
             monitor,
-            hot,
             predictor,
             ..
         } = retune
@@ -295,9 +259,6 @@ pub(crate) fn recover(
         }
         if let Some(snap) = monitor {
             snapshot = Some(snap);
-        }
-        if let Some(h) = hot {
-            hot_snap = Some(h);
         }
         if let Some(p) = predictor {
             pred_snap = Some(p);
@@ -347,11 +308,12 @@ pub(crate) fn recover(
         }
     };
 
-    check_snapshot_shapes(hot_snap, pred_snap, truth.num_sites(), truth.num_objects())?;
+    if let Some(snap) = pred_snap {
+        check_predictor_shape(snap, truth.num_objects())?;
+    }
     Ok(Recovered {
         resume: LoopState {
             start_epoch: next_epoch,
-            hot: hot_state(config, truth.num_objects(), hot_snap),
             predict: PredictState::new(config, &truth, pred_snap)?,
             truth,
             monitor,

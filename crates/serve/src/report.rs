@@ -23,10 +23,12 @@ pub struct EpochReport {
     pub adapted_objects: usize,
     /// Whether a nightly GRA rebuild ran at this epoch's boundary.
     pub rebuilt: bool,
-    /// Objects promoted to hot by the fast-track detector at this epoch's
-    /// boundary (0 when the policy runs no hot path).
+    /// Always 0: no policy runs a hot-object overlay any more. The field
+    /// stays so that the report's JSON keys and WAL `EpochEnd` encoding,
+    /// and with them every static and monitor fingerprint, are unchanged.
     pub hot_promotions: u64,
-    /// Objects demoted from hot at this epoch's boundary.
+    /// Always 0, kept for the report shape like
+    /// [`hot_promotions`](Self::hot_promotions).
     pub hot_demotions: u64,
     /// NTC of serving traffic during the epoch (reads, write ships, update
     /// broadcasts).
@@ -104,9 +106,11 @@ pub struct ServiceTotals {
     pub reads_stale: u64,
     /// Writes lost to faults.
     pub writes_lost: u64,
-    /// Hot-object promotions across all boundaries.
+    /// Sum of [`EpochReport::hot_promotions`]: always 0, kept for the
+    /// report shape.
     pub hot_promotions: u64,
-    /// Hot-object demotions across all boundaries.
+    /// Sum of [`EpochReport::hot_demotions`]: always 0, kept for the
+    /// report shape.
     pub hot_demotions: u64,
 }
 

@@ -14,12 +14,9 @@
 //!   window to [`ReplicationMonitor::ingest_statistics`] (AGRA re-tune of
 //!   drifted objects), every [`ServeConfig::night_every`]-th boundary runs
 //!   a full nightly GRA rebuild instead.
-//! * [`Policy::MonitorHot`] — the monitor loop plus the hot-object fast
-//!   path: a windowed demand detector layers capacity-checked replica
-//!   boosts onto every boundary's target.
 //! * [`Policy::PredictiveEwma`] / [`Policy::PredictiveRegression`] — the
-//!   hot-path monitor loop retuned on the forecast next window, with the
-//!   forecast pre-staging the hot detector.
+//!   monitor loop retuned on the forecast next window, each retune gated
+//!   on repaying its migration.
 //!
 //! Under [`ServeConfig::drift`], the true pattern shifts every epoch, so
 //! the adaptive policies chase it while the static baseline decays.
@@ -50,7 +47,6 @@ use rand::SeedableRng;
 
 use crate::epoch::{run_epoch, EpochSpec};
 pub use crate::epoch::{MigrationTuning, RequestTally};
-use crate::hotkey::{self, HotKeyDetector, HotSnapshot};
 use crate::ingest::IngestScratch;
 use crate::predict::{DemandPredictor, PredictSnapshot, PredictorKind};
 use crate::recovery::{parse_scheme, recover, RecoveryInfo};
@@ -67,12 +63,8 @@ pub enum Policy {
     Static,
     /// Monitor + AGRA by day, GRA by night.
     Monitor,
-    /// [`Policy::Monitor`] plus the hot-object fast path: replica boosts
-    /// for objects whose windowed demand stands far above the mean.
-    MonitorHot,
-    /// The hot-path monitor loop driven by EWMA demand forecasts: retunes
-    /// act on the predicted next window and must pass the migration
-    /// payback gate, and the forecast pre-stages the hot detector.
+    /// The monitor loop driven by EWMA demand forecasts: retunes act on
+    /// the predicted next window and must pass the migration payback gate.
     PredictiveEwma,
     /// Like [`Policy::PredictiveEwma`] with windowed linear regression —
     /// the only forecaster that anticipates a ramp before its peak.
@@ -81,10 +73,9 @@ pub enum Policy {
 
 impl Policy {
     /// Every policy, in canonical order.
-    pub const ALL: [Policy; 5] = [
+    pub const ALL: [Policy; 4] = [
         Policy::Static,
         Policy::Monitor,
-        Policy::MonitorHot,
         Policy::PredictiveEwma,
         Policy::PredictiveRegression,
     ];
@@ -114,7 +105,6 @@ impl Policy {
         match self {
             Policy::Static => "static",
             Policy::Monitor => "monitor",
-            Policy::MonitorHot => "monitor+hot",
             Policy::PredictiveEwma => "predictive-ewma",
             Policy::PredictiveRegression => "predictive-regression",
         }
@@ -128,14 +118,6 @@ impl Policy {
             Policy::PredictiveRegression => Some(PredictorKind::Regression),
             _ => None,
         }
-    }
-
-    /// Whether the policy runs the hot-object fast path.
-    pub fn hot(self) -> bool {
-        matches!(
-            self,
-            Policy::MonitorHot | Policy::PredictiveEwma | Policy::PredictiveRegression
-        )
     }
 }
 
@@ -173,7 +155,7 @@ pub struct ServeConfig {
     /// Ingestion worker threads per epoch (0 = size from the global
     /// worker pool, i.e. `DRP_THREADS` or the core count). Purely a
     /// throughput knob: every value produces the same report bitwise, so
-    /// it is excluded from [`config_hash`] and WAL binding.
+    /// it is excluded from the WAL config hash and so from WAL binding.
     pub threads: usize,
     /// Replica-degree floor: the bootstrap scheme and every boundary
     /// target are topped up to this many replicas per object (capacity
@@ -414,23 +396,6 @@ impl PredictState {
     }
 }
 
-/// Hot-object detector plus the overlay of boosted replicas it currently
-/// maintains on the target.
-pub(crate) type HotState = (HotKeyDetector, Vec<(usize, usize)>);
-
-/// The hot path of `config`'s policy (`None` when it runs none): cold, or
-/// restored exactly from a WAL snapshot.
-pub(crate) fn hot_state(
-    config: &ServeConfig,
-    num_objects: usize,
-    snap: Option<&HotSnapshot>,
-) -> Option<HotState> {
-    config.policy.hot().then(|| match snap {
-        Some(snap) => HotKeyDetector::restore(snap),
-        None => (HotKeyDetector::new(num_objects), Vec::new()),
-    })
-}
-
 /// The seeded bootstrap GRA topped up to [`ServeConfig::min_degree`]: the
 /// scheme every run starts from, so all policies start from the same
 /// realized scheme and differ only in how they adapt. Returns the monitor,
@@ -460,13 +425,13 @@ pub(crate) struct LoopState {
     pub(crate) epochs: Vec<EpochReport>,
     pub(crate) adaptations: u64,
     pub(crate) rebuilds: u64,
-    pub(crate) hot: Option<HotState>,
     pub(crate) predict: Option<PredictState>,
 }
 
 impl LoopState {
     /// Epoch 0 of a new run: the bootstrap scheme realized and targeted,
-    /// cold detectors. Records `serve.min_degree_unmet` for the bootstrap.
+    /// any forecaster cold. Records `serve.min_degree_unmet` for the
+    /// bootstrap.
     fn fresh(
         problem: &Problem,
         config: &ServeConfig,
@@ -483,7 +448,6 @@ impl LoopState {
             epochs: Vec::with_capacity(config.epochs),
             adaptations: 0,
             rebuilds: 0,
-            hot: hot_state(config, problem.num_objects(), None),
             predict: PredictState::new(config, problem, None)?,
         })
     }
@@ -646,9 +610,8 @@ pub fn run_service(problem: &Problem, config: &ServeConfig) -> drp_core::Result<
 
 /// Runs the service, emitting `serve.*` spans and counters to `recorder`.
 /// Inside each boundary's `serve.retune` span sit one `algo.adapt` span per
-/// daytime monitor call, one `algo.rebuild` span per nightly GRA rebuild,
-/// one `serve.forecast` span per predictive forecast and one `serve.hot`
-/// span per hot-path pass.
+/// daytime monitor call, one `algo.rebuild` span per nightly GRA rebuild
+/// and one `serve.forecast` span per predictive forecast.
 ///
 /// # Errors
 ///
@@ -755,6 +718,7 @@ pub fn run_service_durable_recorded(
     store: &mut dyn WalStore,
     recorder: Arc<dyn Recorder>,
 ) -> drp_core::Result<DurableOutcome> {
+    validate(problem, config)?;
     let bytes = store.load().map_err(wal_io)?;
     let run_start = WalRecord::RunStart {
         version: WAL_VERSION,
@@ -789,6 +753,7 @@ pub fn run_service_durable_recorded(
             }),
         });
     }
+    let recover_span = telemetry::span(recorder.as_ref(), "serve.recover");
     let recovered = recover(problem, config, &decoded.records, decoded.damage)?;
     // Truncate to the commit point: re-framing the kept records is
     // byte-identical to what was originally written.
@@ -797,6 +762,7 @@ pub fn run_service_durable_recorded(
         .flat_map(WalRecord::frame)
         .collect();
     store.reset(&kept).map_err(wal_io)?;
+    drop(recover_span);
     let mut ctx = WalCtx {
         store,
         run_start,
@@ -860,18 +826,12 @@ fn snapshot_monitor(monitor: &ReplicationMonitor) -> drp_core::Result<MonitorSna
     })
 }
 
-/// The shared serving loop: fresh and recovered, in-memory and durable.
-/// `schemes_out`, when present, collects the realized scheme at the start
-/// of every epoch — the online trajectory the oracle scores.
-fn run_loop(
-    problem: &Problem,
-    config: &ServeConfig,
-    recorder: Arc<dyn Recorder>,
-    resume: Option<LoopState>,
-    mut wal: Option<&mut WalCtx<'_>>,
-    mut schemes_out: Option<&mut Vec<ReplicationScheme>>,
-) -> drp_core::Result<ServiceReport> {
-    let _run_span = telemetry::span(recorder.as_ref(), "serve.run");
+/// Rejects a config the loop cannot run: a bad drift or fault spec, a
+/// scenario combined with explicit drift/faults, degenerate migration or
+/// WAL tuning, or a scenario that does not compile. Returns the compiled
+/// shift plan. The durable entry calls it before touching its store, so a
+/// refused run leaves no log behind.
+fn validate(problem: &Problem, config: &ServeConfig) -> drp_core::Result<ShiftPlan> {
     if let Some(drift) = &config.drift {
         drift.validate().map_err(|e| CoreError::InvalidInstance {
             reason: format!("bad drift spec: {e}"),
@@ -891,7 +851,22 @@ fn run_loop(
     }
     config.tuning.validate()?;
     config.wal.validate()?;
-    let shift_plan = ShiftPlan::new(problem, config)?;
+    ShiftPlan::new(problem, config)
+}
+
+/// The shared serving loop: fresh and recovered, in-memory and durable.
+/// `schemes_out`, when present, collects the realized scheme at the start
+/// of every epoch — the online trajectory the oracle scores.
+fn run_loop(
+    problem: &Problem,
+    config: &ServeConfig,
+    recorder: Arc<dyn Recorder>,
+    resume: Option<LoopState>,
+    mut wal: Option<&mut WalCtx<'_>>,
+    mut schemes_out: Option<&mut Vec<ReplicationScheme>>,
+) -> drp_core::Result<ServiceReport> {
+    let _run_span = telemetry::span(recorder.as_ref(), "serve.run");
+    let shift_plan = validate(problem, config)?;
     let threads = if config.threads == 0 {
         drp_net::pool::WorkerPool::global().threads()
     } else {
@@ -944,11 +919,10 @@ fn run_loop(
 
         // Boundary decision. The matrices move out of the outcome — no
         // clone; nothing downstream reads them again. The `serve.retune`
-        // span covers the policy, hot boosts and degree floor; inside it,
+        // span covers the policy and degree floor; inside it,
         // `serve.forecast` times the forecaster, `algo.rebuild` the nightly
-        // GRA, `algo.adapt` the monitor's daytime AGRA call and `serve.hot`
-        // the hot detector and its boosts (the GA's own spans stay off the
-        // serve recorder).
+        // GRA and `algo.adapt` the monitor's daytime AGRA call (the GA's
+        // own spans stay off the serve recorder).
         let retune_span = telemetry::span(recorder.as_ref(), "serve.retune");
         let observed = st
             .truth
@@ -964,9 +938,7 @@ fn run_loop(
         // The retune input. A predictive policy folds this window's
         // realized demand into its forecaster and retunes on the observed
         // window rescaled to the forecast demand — the window it is about
-        // to serve, not the one that just ended — and pre-stages the hot
-        // detector with the same forecast.
-        let mut prestage: Option<Vec<u64>> = None;
+        // to serve, not the one that just ended.
         let input = match st.predict.as_mut() {
             Some(ps) => {
                 let _span = telemetry::span(recorder.as_ref(), "serve.forecast");
@@ -976,10 +948,7 @@ fn run_loop(
                     .map(|k| st.truth.total_reads(k))
                     .collect();
                 ps.predictor.observe(&demand);
-                let forecast = ps.predictor.forecast();
-                let predicted = forecast_problem(&observed, &forecast)?;
-                prestage = Some(forecast);
-                predicted
+                forecast_problem(&observed, &ps.predictor.forecast())?
             }
             None => observed,
         };
@@ -1034,33 +1003,6 @@ fn run_loop(
             }
         }
 
-        // Hot-object fast path: fold this epoch's demand into the windowed
-        // EWMA, re-decide the hot set, and layer capacity-checked replica
-        // boosts onto whatever target the policy just picked — fast-track
-        // adaptation between (or on top of) retunes.
-        let mut hot_promotions = 0u64;
-        let mut hot_demotions = 0u64;
-        if let Some((detector, boosted)) = st.hot.as_mut() {
-            let _span = telemetry::span(recorder.as_ref(), "serve.hot");
-            // The streaming driver offers exactly the truth's pattern and
-            // demand is counted pre-shed, so the truth's per-object read
-            // totals ARE the observed window's demand vector — no extra
-            // observed-problem materialization needed.
-            let demand: Vec<u64> = prestage.unwrap_or_else(|| {
-                st.truth
-                    .objects()
-                    .map(|k| st.truth.total_reads(k))
-                    .collect()
-            });
-            let step = detector.observe(&demand);
-            hot_promotions = step.promotions;
-            hot_demotions = step.demotions;
-            let boost = hotkey::apply_boosts(&st.truth, &st.realized, st.target, detector, boosted);
-            st.target = boost.target;
-            *boosted = boost.boosted;
-            recorder.add_counter("serve.hot_boosts_added", boost.added);
-            recorder.add_counter("serve.hot_boosts_removed", boost.removed);
-        }
         if config.min_degree > 1 {
             let floor = ensure_min_degree(&st.truth, &mut st.target, config.min_degree)?;
             recorder.add_counter("serve.min_degree_unmet", floor.unsatisfiable.len() as u64);
@@ -1084,8 +1026,8 @@ fn run_loop(
             night,
             adapted_objects,
             rebuilt: kind == RetuneKind::Rebuild,
-            hot_promotions,
-            hot_demotions,
+            hot_promotions: 0,
+            hot_demotions: 0,
             serving_ntc: outcome.serving_ntc,
             migration_ntc: outcome.migration_ntc,
             migration_planned: plan.as_ref().map_or(0, MigrationPlan::moves),
@@ -1122,7 +1064,10 @@ fn run_loop(
 
         if let (Some(ctx), Some(epoch_report)) = (wal.as_deref_mut(), st.epochs.last()) {
             // Journal the epoch in one append: the EpochEnd/Retune pair
-            // that makes it durable (Retune is the commit point).
+            // that makes it durable (Retune is the commit point). The
+            // `serve.wal_append` and `serve.wal_checkpoint` spans cover
+            // encoding plus the store write.
+            let append_span = telemetry::span(recorder.as_ref(), "serve.wal_append");
             let snapshot = if monitor_changed {
                 Some(snapshot_monitor(&st.monitor)?)
             } else {
@@ -1139,12 +1084,13 @@ fn run_loop(
                     kind,
                     target: write_scheme(&st.target).into_bytes(),
                     monitor: snapshot,
-                    hot: st.hot.as_ref().map(|(d, b)| d.snapshot(b)),
                     predictor: st.predict.as_ref().map(PredictState::snapshot),
                 },
             ])?;
+            drop(append_span);
             ctx.since_checkpoint += 1;
             if ctx.since_checkpoint >= config.wal.checkpoint_every {
+                let _span = telemetry::span(recorder.as_ref(), "serve.wal_checkpoint");
                 ctx.checkpoint(Checkpoint {
                     next_epoch: e as u64 + 1,
                     adaptations: st.adaptations,
@@ -1152,7 +1098,6 @@ fn run_loop(
                     realized: write_scheme(&st.realized).into_bytes(),
                     target: write_scheme(&st.target).into_bytes(),
                     monitor: Some(snapshot_monitor(&st.monitor)?),
-                    hot: st.hot.as_ref().map(|(d, b)| d.snapshot(b)),
                     predictor: st.predict.as_ref().map(PredictState::snapshot),
                     reports: st.epochs.clone(),
                 })?;
@@ -1203,26 +1148,6 @@ mod tests {
             change_percent: 600.0,
             objects_percent: 50.0,
             read_share: 0.9,
-        }
-    }
-
-    #[test]
-    fn the_hot_path_runs_under_monitor_hot_and_both_predictive_policies() {
-        let hot: Vec<Policy> = Policy::ALL.into_iter().filter(|p| p.hot()).collect();
-        assert_eq!(
-            hot,
-            [
-                Policy::MonitorHot,
-                Policy::PredictiveEwma,
-                Policy::PredictiveRegression
-            ]
-        );
-        // Every forecaster pre-stages a hot detector.
-        for policy in Policy::ALL {
-            assert!(
-                policy.predictor_kind().is_none() || policy.hot(),
-                "{policy:?}"
-            );
         }
     }
 
@@ -1427,7 +1352,7 @@ mod tests {
     }
 
     #[test]
-    fn forecast_and_hot_spans_count_the_boundaries_inside_retune() {
+    fn forecast_spans_count_the_boundaries_inside_retune() {
         let problem = problem(4);
         for policy in Policy::ALL {
             let config = ServeConfig {
@@ -1447,16 +1372,14 @@ mod tests {
             } else {
                 0
             };
-            let hot = if policy.hot() { boundaries } else { 0 };
             assert_eq!(
                 recorder.span_count("serve.forecast"),
                 forecasts,
                 "{policy:?}"
             );
-            assert_eq!(recorder.span_count("serve.hot"), hot, "{policy:?}");
             let total = |name| recorder.span_stats(name).map_or(0, |s| s.total_ns);
             assert!(
-                total("serve.forecast") + total("serve.hot") <= total("serve.retune"),
+                total("serve.forecast") <= total("serve.retune"),
                 "{policy:?}"
             );
         }

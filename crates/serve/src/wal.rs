@@ -43,24 +43,25 @@ use std::path::{Path, PathBuf};
 
 use drp_core::{CoreError, ServeError};
 
-use crate::hotkey::HotSnapshot;
 use crate::predict::PredictSnapshot;
 use crate::report::EpochReport;
 
 /// On-disk format version inside `RunStart`.
 ///
-/// v5 drops the per-site demand windows and EWMAs from the
-/// [`PredictSnapshot`]: no decision reads them. v4 journals commit points only: the per-epoch `EpochStart`,
+/// v6 drops the hot-object detector slot from `Retune` and `Checkpoint`
+/// along with the overlay it journaled. v5 drops the per-site demand
+/// windows and EWMAs from the [`PredictSnapshot`]: no decision reads them.
+/// v4 journals commit points only: the per-epoch `EpochStart`,
 /// `AdmissionDrain`, `MigrationStage`, `MigrationRetry`,
 /// `MigrationInstall` and `Cutover` records are gone, and `Retune` no
 /// longer repeats the adapted-object count its `EpochEnd` report carries.
 /// v3 added the predictive policy family: an optional [`PredictSnapshot`]
 /// (forecaster windows, EWMAs, and any deferred retune candidate) on
 /// `Retune` and `Checkpoint`. v2 added the hot-object fast path:
-/// `hot_promotions`/`hot_demotions` in every journaled [`EpochReport`] and
-/// an optional [`HotSnapshot`] on `Retune` and `Checkpoint`. Older logs
-/// are refused cleanly by recovery.
-pub const WAL_VERSION: u32 = 5;
+/// `hot_promotions`/`hot_demotions` in every journaled [`EpochReport`]
+/// (still encoded, now always 0) and a detector snapshot on `Retune` and
+/// `Checkpoint`. Older logs are refused cleanly by recovery.
+pub const WAL_VERSION: u32 = 6;
 
 /// Durability knobs of the serving runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -154,8 +155,6 @@ pub struct Checkpoint {
     /// Monitor state (absent only if the run never snapshotted one —
     /// checkpoints written by the runtime always carry it).
     pub monitor: Option<MonitorSnapshot>,
-    /// Hot-object detector state (present iff the policy runs the hot path).
-    pub hot: Option<HotSnapshot>,
     /// Demand forecaster state (present iff the policy is predictive).
     pub predictor: Option<PredictSnapshot>,
     /// Reports of every committed epoch, in order.
@@ -193,10 +192,6 @@ pub enum WalRecord {
         target: Vec<u8>,
         /// New monitor state when the decision changed it.
         monitor: Option<MonitorSnapshot>,
-        /// Hot-object detector state after this boundary's observe/boost
-        /// step (present iff the policy runs the hot path — the detector
-        /// advances every boundary).
-        hot: Option<HotSnapshot>,
         /// Demand forecaster state after this boundary's observe/forecast
         /// step (present iff the policy is predictive — the forecaster
         /// advances every boundary).
@@ -431,78 +426,6 @@ fn take_monitor(dec: &mut Dec<'_>) -> Result<Option<MonitorSnapshot>, String> {
     }))
 }
 
-fn put_hot(enc: &mut Enc, snapshot: &Option<HotSnapshot>) {
-    match snapshot {
-        None => enc.bool(false),
-        Some(s) => {
-            enc.bool(true);
-            enc.u32(u32::try_from(s.windows.len()).expect("hot windows fit u32"));
-            for w in &s.windows {
-                enc.u32(u32::try_from(w.len()).expect("hot window fits u32"));
-                for &v in w {
-                    enc.u64(v);
-                }
-            }
-            enc.u32(u32::try_from(s.ewma.len()).expect("hot ewma fits u32"));
-            for &v in &s.ewma {
-                enc.u64(v);
-            }
-            enc.u32(u32::try_from(s.promoted.len()).expect("hot flags fit u32"));
-            for &p in &s.promoted {
-                enc.bool(p);
-            }
-            enc.u32(u32::try_from(s.boosted.len()).expect("hot boosts fit u32"));
-            for &(site, object) in &s.boosted {
-                enc.u64(site);
-                enc.u64(object);
-            }
-            enc.u64(s.promotions);
-            enc.u64(s.demotions);
-        }
-    }
-}
-
-fn take_hot(dec: &mut Dec<'_>) -> Result<Option<HotSnapshot>, String> {
-    if !dec.bool()? {
-        return Ok(None);
-    }
-    let window_count = dec.u32()? as usize;
-    let mut windows = Vec::with_capacity(window_count);
-    for _ in 0..window_count {
-        let len = dec.u32()? as usize;
-        let mut w = Vec::with_capacity(len);
-        for _ in 0..len {
-            w.push(dec.u64()?);
-        }
-        windows.push(w);
-    }
-    let ewma_len = dec.u32()? as usize;
-    let mut ewma = Vec::with_capacity(ewma_len);
-    for _ in 0..ewma_len {
-        ewma.push(dec.u64()?);
-    }
-    let flag_len = dec.u32()? as usize;
-    let mut promoted = Vec::with_capacity(flag_len);
-    for _ in 0..flag_len {
-        promoted.push(dec.bool()?);
-    }
-    let boost_len = dec.u32()? as usize;
-    let mut boosted = Vec::with_capacity(boost_len);
-    for _ in 0..boost_len {
-        let site = dec.u64()?;
-        let object = dec.u64()?;
-        boosted.push((site, object));
-    }
-    Ok(Some(HotSnapshot {
-        windows,
-        ewma,
-        promoted,
-        boosted,
-        promotions: dec.u64()?,
-        demotions: dec.u64()?,
-    }))
-}
-
 fn put_u64_list(enc: &mut Enc, values: &[u64]) {
     enc.u32(u32::try_from(values.len()).expect("list fits u32"));
     for &v in values {
@@ -600,7 +523,6 @@ impl WalRecord {
                 kind,
                 target,
                 monitor,
-                hot,
                 predictor,
             } => {
                 enc.u8(TAG_RETUNE);
@@ -608,7 +530,6 @@ impl WalRecord {
                 enc.u8(kind.tag());
                 enc.bytes(target);
                 put_monitor(&mut enc, monitor);
-                put_hot(&mut enc, hot);
                 put_predictor(&mut enc, predictor);
             }
             WalRecord::Checkpoint(cp) => {
@@ -619,7 +540,6 @@ impl WalRecord {
                 enc.bytes(&cp.realized);
                 enc.bytes(&cp.target);
                 put_monitor(&mut enc, &cp.monitor);
-                put_hot(&mut enc, &cp.hot);
                 put_predictor(&mut enc, &cp.predictor);
                 enc.u32(u32::try_from(cp.reports.len()).expect("reports fit u32"));
                 for r in &cp.reports {
@@ -665,7 +585,6 @@ impl WalRecord {
                 kind: RetuneKind::from_tag(dec.u8()?)?,
                 target: dec.bytes()?,
                 monitor: take_monitor(&mut dec)?,
-                hot: take_hot(&mut dec)?,
                 predictor: take_predictor(&mut dec)?,
             },
             TAG_CHECKPOINT => {
@@ -675,7 +594,6 @@ impl WalRecord {
                 let realized = dec.bytes()?;
                 let target = dec.bytes()?;
                 let monitor = take_monitor(&mut dec)?;
-                let hot = take_hot(&mut dec)?;
                 let predictor = take_predictor(&mut dec)?;
                 let count = dec.u32()? as usize;
                 let mut reports = Vec::with_capacity(count);
@@ -689,7 +607,6 @@ impl WalRecord {
                     realized,
                     target,
                     monitor,
-                    hot,
                     predictor,
                     reports,
                 })
@@ -1034,14 +951,6 @@ mod tests {
                     problem: b"drp-instance v1\n".to_vec(),
                     population: vec![(9, vec![0x1ff]), (9, vec![0x0aa])],
                 }),
-                hot: Some(HotSnapshot {
-                    windows: vec![vec![3, 0, 9], vec![1, 1, 1]],
-                    ewma: vec![4 << 10, 1 << 10, 7 << 10],
-                    promoted: vec![false, false, true],
-                    boosted: vec![(1, 2)],
-                    promotions: 2,
-                    demotions: 1,
-                }),
                 predictor: Some(PredictSnapshot {
                     windows: vec![vec![5, 0, 2], vec![6, 1, 2]],
                     ewma: vec![5 << 10, 1 << 10, 2 << 10],
@@ -1058,7 +967,6 @@ mod tests {
                     problem: b"drp-instance v1\n".to_vec(),
                     population: vec![],
                 }),
-                hot: None,
                 predictor: Some(PredictSnapshot {
                     windows: vec![vec![5, 0, 2]],
                     ewma: vec![5 << 10, 0, 2 << 10],

@@ -12,13 +12,16 @@
 //! Run under `DRP_THREADS` ∈ {1, 2} in CI — the fingerprints must not
 //! move.
 
+use std::sync::Arc;
+
+use drp_core::telemetry::InMemoryRecorder;
 use drp_core::{CoreError, ServeError};
 use drp_serve::wal::{decode_stream, WalRecord, WAL_VERSION};
 use drp_serve::{
-    crash_points, run_service, run_service_durable, FaultSpec, MemWalStore, Policy, ServeConfig,
-    TracingStore, WalStore, WalTuning,
+    crash_points, run_service, run_service_durable, run_service_durable_recorded, FaultSpec,
+    MemWalStore, Policy, ServeConfig, TracingStore, WalStore, WalTuning,
 };
-use drp_workload::{PatternChange, WorkloadSpec};
+use drp_workload::{PatternChange, Scenario, WorkloadSpec};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -317,19 +320,65 @@ fn recovery_refuses_a_log_of_another_format_version() {
     let mut store = MemWalStore::default();
     run_service_durable(&problem, &config, &mut store).unwrap();
 
-    // Same run, header rewritten to claim v4 — the format whose forecaster
-    // snapshots still carried per-site demand.
-    assert_eq!(WAL_VERSION, 5);
+    // Same run, header rewritten to claim v5 — the format whose Retune and
+    // Checkpoint records still carried a hot-object detector slot.
+    assert_eq!(WAL_VERSION, 6);
     let mut records = decode_stream(store.bytes()).records;
     let WalRecord::RunStart { version, .. } = &mut records[0] else {
         panic!("log must begin with RunStart");
     };
-    *version = 4;
+    *version = 5;
     let bytes: Vec<u8> = records.iter().flat_map(WalRecord::frame).collect();
     let err =
         run_service_durable(&problem, &config, &mut MemWalStore::from_bytes(bytes)).unwrap_err();
     let CoreError::Serve(ServeError::WalMismatch { reason }) = &err else {
         panic!("expected a version mismatch, got {err}");
     };
-    assert!(reason.contains("v4") && reason.contains("v5"), "{reason}");
+    assert!(reason.contains("v5") && reason.contains("v6"), "{reason}");
+}
+
+#[test]
+fn a_refused_durable_run_leaves_the_store_empty() {
+    // The config is checked before the store is touched: a refused run
+    // writes no `RunStart` header, so the next run needs no recovery.
+    let problem = problem(17);
+    let config = ServeConfig {
+        drift: None,
+        scenario: Some(Scenario::DiurnalCycle),
+        ..config(17)
+    };
+    let mut store = MemWalStore::default();
+    let err = run_service_durable(&problem, &config, &mut store).unwrap_err();
+    assert!(matches!(err, CoreError::InvalidInstance { .. }), "{err}");
+    assert!(
+        store.bytes().is_empty(),
+        "{} bytes left",
+        store.bytes().len()
+    );
+}
+
+#[test]
+fn wal_and_recovery_spans_count_appends_checkpoints_and_recoveries() {
+    let problem = problem(17);
+    let config = config(17);
+    let spans = |recorder: &InMemoryRecorder| {
+        ["serve.wal_append", "serve.wal_checkpoint", "serve.recover"]
+            .map(|name| recorder.span_count(name))
+    };
+
+    // Fresh store: one append per epoch, a checkpoint every 2 epochs.
+    let fresh = Arc::new(InMemoryRecorder::default());
+    let mut tracing = TracingStore::default();
+    run_service_durable_recorded(&problem, &config, &mut tracing, fresh.clone()).unwrap();
+    assert_eq!(spans(&fresh), [5, 2, 0]);
+
+    // A log torn mid-record resumes through exactly one recovery fold.
+    let last = tracing.ops().len() - 1;
+    let torn = tracing.contents_at(last, tracing.ops()[last].bytes.len() / 2);
+    let resumed = Arc::new(InMemoryRecorder::default());
+    let mut store = MemWalStore::from_bytes(torn);
+    let outcome =
+        run_service_durable_recorded(&problem, &config, &mut store, resumed.clone()).unwrap();
+    assert!(outcome.recovery.is_some_and(|info| info.damage.is_some()));
+    assert_eq!(spans(&resumed)[2], 1);
 }

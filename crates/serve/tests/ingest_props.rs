@@ -1,5 +1,4 @@
-//! Property and parity tests of the ingestion front end and the
-//! hot-object fast path.
+//! Property and parity tests of the ingestion front end.
 //!
 //! The contracts under test:
 //!
@@ -9,19 +8,12 @@
 //! * thread-count independence — queues, admission reports and the
 //!   observation window are bitwise-equal for any worker count, and the
 //!   full closed-loop [`ServiceReport`] fingerprint does not move across
-//!   `threads` ∈ {1, 2, 4}, with and without the hot path;
-//! * the hot fast path never bills more total NTC than the same run
-//!   without it (every boost is admitted only when the modeled saving
-//!   covers its fetch);
-//! * hot detector state survives WAL crash-recovery bitwise.
+//!   `threads` ∈ {1, 2, 4}, under every policy.
 //!
 //! [`ServiceReport`]: drp_serve::ServiceReport
 
 use drp_core::{DenseMatrix, Problem};
-use drp_serve::{
-    crash_points, ingest_epoch, run_service, run_service_durable, IngestScratch, IngestSpec,
-    MemWalStore, Policy, ServeConfig, TracingStore, WalTuning,
-};
+use drp_serve::{ingest_epoch, run_service, IngestScratch, IngestSpec, Policy, ServeConfig};
 use drp_workload::{PatternChange, WorkloadSpec};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -162,7 +154,7 @@ proptest! {
 #[test]
 fn service_fingerprints_are_identical_across_ingest_threads() {
     let p = problem(10, 8, 21);
-    for policy in [Policy::Monitor, Policy::MonitorHot] {
+    for policy in Policy::ALL {
         let base = run_service(&p, &service_config(21, 1, policy)).unwrap();
         for threads in [2usize, 4] {
             let other = run_service(&p, &service_config(21, threads, policy)).unwrap();
@@ -173,62 +165,5 @@ fn service_fingerprints_are_identical_across_ingest_threads() {
                 policy.name()
             );
         }
-    }
-}
-
-#[test]
-fn hot_fast_path_never_bills_more_than_the_baseline() {
-    let mut promoted_somewhere = false;
-    for seed in [5u64, 11, 23] {
-        let p = problem(12, 10, seed);
-        let hot = run_service(&p, &service_config(seed, 1, Policy::MonitorHot)).unwrap();
-        let base = run_service(&p, &service_config(seed, 1, Policy::Monitor)).unwrap();
-        assert!(
-            hot.totals.total_ntc <= base.totals.total_ntc,
-            "seed {seed}: hot billed {} vs baseline {}",
-            hot.totals.total_ntc,
-            base.totals.total_ntc
-        );
-        // Identical traffic either way; only the replica directory differs.
-        assert_eq!(hot.totals.shed, base.totals.shed);
-        promoted_somewhere |= hot.totals.hot_promotions > 0;
-        assert_eq!(base.totals.hot_promotions, 0);
-    }
-    assert!(
-        promoted_somewhere,
-        "no seed promoted anything — the detector never engaged"
-    );
-}
-
-#[test]
-fn hot_state_survives_crash_recovery_bitwise() {
-    let p = problem(8, 8, 17);
-    let config = ServeConfig {
-        wal: WalTuning {
-            checkpoint_every: 2,
-        },
-        ..service_config(17, 1, Policy::MonitorHot)
-    };
-    let mut tracing = TracingStore::default();
-    let baseline = run_service_durable(&p, &config, &mut tracing).unwrap();
-    assert!(
-        baseline.report.totals.hot_promotions > 0,
-        "the run under test must exercise the hot path"
-    );
-    let fingerprint = baseline.report.fingerprint();
-
-    let points = crash_points(tracing.ops());
-    assert!(points.len() > 10, "only {} crash points", points.len());
-    // Every third boundary keeps the suite fast; the full sweep lives in
-    // crash_sim.rs.
-    for &(op, cut) in points.iter().step_by(3) {
-        let mut store = MemWalStore::from_bytes(tracing.contents_at(op, cut));
-        let recovered = run_service_durable(&p, &config, &mut store)
-            .unwrap_or_else(|e| panic!("crash point (op {op}, cut {cut}) failed: {e}"));
-        assert_eq!(
-            recovered.report.fingerprint(),
-            fingerprint,
-            "crash point (op {op}, cut {cut}) diverged with hot state"
-        );
     }
 }

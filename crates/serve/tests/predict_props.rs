@@ -12,8 +12,8 @@
 //! * forecaster state survives WAL crash-recovery bitwise: a predictive
 //!   run resumed from any prefix of the log finishes with the same
 //!   fingerprint as the uninterrupted run;
-//! * a journaled forecaster or hot-path snapshot that does not fit the
-//!   instance is refused as a WAL mismatch.
+//! * a journaled forecaster snapshot that does not fit the instance is
+//!   refused as a WAL mismatch.
 //!
 //! [`ServiceReport`]: drp_serve::ServiceReport
 
@@ -24,7 +24,7 @@ use drp_core::{CoreError, Problem, ServeError};
 use drp_serve::wal::{decode_stream, WalRecord};
 use drp_serve::{
     crash_points, run_service, run_service_durable, run_service_recorded, run_service_with_oracle,
-    HotSnapshot, MemWalStore, Policy, PredictSnapshot, ServeConfig, TracingStore, WalTuning,
+    MemWalStore, Policy, PredictSnapshot, ServeConfig, TracingStore, WalTuning,
 };
 use drp_workload::{Scenario, TopologyKind, WorkloadSpec};
 use proptest::prelude::*;
@@ -207,9 +207,9 @@ fn recorded_retune_counters_match_the_report_totals() {
     );
 }
 
-/// Recovery checks every snapshot it restores against the instance: a
-/// CRC-valid log whose forecaster or hot-path state covers another number
-/// of objects, or boosts a replica outside the instance, is refused with
+/// Recovery checks the forecaster snapshot it restores against the
+/// instance: a CRC-valid log whose forecaster state covers another number
+/// of objects, or holds more windows than its depth, is refused with
 /// `WalMismatch` — not panicked on mid-run, and not resumed forecasting
 /// only a prefix of the objects.
 #[test]
@@ -234,7 +234,7 @@ fn recovery_refuses_snapshots_of_another_shape() {
         .expect("a four-epoch run commits epoch 1");
 
     type Edit = fn(&mut WalRecord);
-    let edits: [(&str, Edit); 6] = [
+    let edits: [(&str, Edit); 3] = [
         ("forecaster windows cut to 3 of 8 objects", |r| {
             predictor(r).windows.iter_mut().for_each(|w| w.truncate(3));
         }),
@@ -242,23 +242,10 @@ fn recovery_refuses_snapshots_of_another_shape() {
             let windows = &mut predictor(r).windows;
             windows.extend(std::iter::repeat_n(windows[0].clone(), 4));
         }),
-        (
-            "hot-key detector holding more windows than its depth",
-            |r| {
-                let windows = &mut hot(r).windows;
-                windows.extend(std::iter::repeat_n(windows[0].clone(), 4));
-            },
-        ),
         ("forecaster windows and EWMA cut to 3 of 8 objects", |r| {
             let snap = predictor(r);
             snap.windows.iter_mut().for_each(|w| w.truncate(3));
             snap.ewma.truncate(3);
-        }),
-        ("hot-key EWMA cut to 3 of 8 objects", |r| {
-            hot(r).ewma.truncate(3)
-        }),
-        ("boosted replica at site 6 of 6", |r| {
-            hot(r).boosted.push((6, 0))
         }),
     ];
     for (what, edit) in edits {
@@ -281,14 +268,5 @@ fn predictor(record: &mut WalRecord) -> &mut PredictSnapshot {
             ..
         } => snap,
         _ => panic!("a predictive run's Retune carries a forecaster snapshot"),
-    }
-}
-
-fn hot(record: &mut WalRecord) -> &mut HotSnapshot {
-    match record {
-        WalRecord::Retune {
-            hot: Some(snap), ..
-        } => snap,
-        _ => panic!("a hot-path run's Retune carries a hot-key snapshot"),
     }
 }
