@@ -22,7 +22,10 @@
 //! [`drp_serve::execute_migration`] (empty plan) on an SRA scheme at M =
 //! 50, 200 and 1000 with N = 40, best of three, as ns per request and
 //! simulator events per request. Flat ns per request across M is the
-//! claim; the samples carry no budget.
+//! claim; the samples carry no budget. Each also records `outcome_hash`,
+//! an FNV hash of the epoch's request tally, traffic ledger, event count
+//! and completion time, so a change to the dispatch order shows as an
+//! identity mismatch.
 
 use drp_algo::Sra;
 use drp_bench::report::{Budget, Fields, Report};
@@ -30,7 +33,7 @@ use drp_core::migration::MigrationPlan;
 use drp_core::{telemetry, DenseMatrix, Problem, ReplicationAlgorithm};
 use drp_serve::{
     execute_migration, ingest_epoch, run_service, EpochTraffic, IngestScratch, IngestSpec,
-    MigrationTuning, Policy, ServeConfig,
+    MigrationOutcome, MigrationTuning, Policy, ServeConfig,
 };
 use drp_workload::{PatternChange, WorkloadSpec};
 use rand::rngs::StdRng;
@@ -78,32 +81,69 @@ fn parse_args() -> Args {
     args
 }
 
+/// FNV-1a over little-endian u64 words.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn eat(&mut self, word: u64) {
+        for byte in word.to_le_bytes() {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
 /// FNV-1a over the admitted queues and the per-site admission report: the
 /// cross-thread-count determinism certificate.
 fn ingest_hash(scratch: &IngestScratch, outcome: &drp_serve::IngestOutcome) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |word: u64| {
-        for byte in word.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut hash = Fnv::new();
     for queue in &scratch.queues {
-        eat(queue.len() as u64);
+        hash.eat(queue.len() as u64);
         for &(time, object, write) in queue {
-            eat(time);
-            eat(u64::from(object));
-            eat(u64::from(write));
+            hash.eat(time);
+            hash.eat(u64::from(object));
+            hash.eat(u64::from(write));
         }
     }
     for site in 0..outcome.report.offered_by_site.len() {
-        eat(outcome.report.offered_by_site[site]);
-        eat(outcome.report.shed_by_site[site]);
-        eat(outcome.report.admitted_by_site[site]);
+        hash.eat(outcome.report.offered_by_site[site]);
+        hash.eat(outcome.report.shed_by_site[site]);
+        hash.eat(outcome.report.admitted_by_site[site]);
     }
-    eat(outcome.admitted_reads);
-    eat(outcome.admitted_writes);
-    hash
+    hash.eat(outcome.admitted_reads);
+    hash.eat(outcome.admitted_writes);
+    hash.0
+}
+
+/// FNV-1a over what one served epoch did: its request tally, the
+/// simulator's traffic ledger, the events it dispatched and the time it
+/// went quiet. Any change to the dispatch order shows here.
+fn outcome_hash(out: &MigrationOutcome) -> u64 {
+    let r = &out.requests;
+    let s = &out.sim;
+    let mut hash = Fnv::new();
+    for word in [
+        r.reads_issued,
+        r.reads_served,
+        r.reads_failed_over,
+        r.reads_stale,
+        r.writes_issued,
+        r.writes_committed,
+        r.writes_queued,
+        s.messages,
+        s.data_units,
+        s.transfer_cost,
+        s.timers,
+        out.sim_events,
+        out.completion_time,
+    ] {
+        hash.eat(word);
+    }
+    hash.0
 }
 
 struct IngestRow {
@@ -220,6 +260,7 @@ struct ScalingRow {
     sites: usize,
     requests: u64,
     sim_events: u64,
+    outcome_hash: u64,
     ns_per_req_min: f64,
     ns_per_req_max: f64,
 }
@@ -254,18 +295,20 @@ fn bench_epoch_scaling(sites: usize, period: u64) -> ScalingRow {
         .expect("scaling epoch serves");
         let elapsed = started.elapsed().as_secs_f64();
         let requests = out.requests.reads_issued + out.requests.writes_issued;
+        let outcome = (requests, out.sim_events, outcome_hash(&out));
         assert!(
-            counts.is_none_or(|c| c == (requests, out.sim_events)),
+            counts.is_none_or(|c| c == outcome),
             "epoch drifted across reps"
         );
-        counts = Some((requests, out.sim_events));
+        counts = Some(outcome);
         times.push(elapsed * 1e9 / requests.max(1) as f64);
     }
-    let (requests, sim_events) = counts.expect("three reps ran");
+    let (requests, sim_events, outcome_hash) = counts.expect("three reps ran");
     ScalingRow {
         sites,
         requests,
         sim_events,
+        outcome_hash,
         ns_per_req_min: times.iter().copied().fold(f64::INFINITY, f64::min),
         ns_per_req_max: times.iter().copied().fold(0.0, f64::max),
     }
@@ -351,6 +394,7 @@ fn main() {
                     row.sim_events as f64 / row.requests.max(1) as f64,
                     4,
                 )
+                .text("outcome_hash", &format!("{:016x}", row.outcome_hash))
                 .float("ns_per_req_min", row.ns_per_req_min, 1)
                 .float("ns_per_req_max", row.ns_per_req_max, 1),
         );

@@ -1,3 +1,7 @@
+//! The simulator: the [`Node`] callbacks, the [`Context`] through which a
+//! callback sends and arms timers straight into the event queue, and the
+//! event loop that dispatches each event to the site it belongs to.
+
 use std::sync::Arc;
 
 use crate::telemetry::{self, Recorder};
@@ -31,17 +35,22 @@ pub trait Node<P> {
     }
 }
 
-enum Effect<P> {
-    Send { dst: usize, size: u64, payload: P },
-    Timer { delay: Time, payload: P },
-}
-
 /// Handle through which a [`Node`] acts for one site.
+///
+/// A send or timer goes straight into the simulator's event queue: a send
+/// is charged and, under a fault plan, given its drop/jitter verdict when
+/// it is made, so verdicts are drawn in send order.
 pub struct Context<'a, P> {
     node: usize,
     now: Time,
-    faults: Option<&'a FaultPlan>,
-    effects: &'a mut Vec<Effect<P>>,
+    /// Whether `node` is up for this callback, decided once: a down
+    /// origin's sends and timers are suppressed.
+    up: bool,
+    costs: &'a CostMatrix,
+    queue: &'a mut EventQueue<P>,
+    stats: &'a mut TrafficStats,
+    fault_stats: &'a mut FaultStats,
+    faults: Option<&'a mut FaultPlan>,
 }
 
 impl<P> std::fmt::Debug for Context<'_, P> {
@@ -70,7 +79,7 @@ impl<P> Context<'_, P> {
     /// the serving engine's failover path may consult it, while
     /// message-level code can ignore it and rely on timeouts alone.
     pub fn is_up(&self, site: usize) -> bool {
-        self.faults.is_none_or(|p| p.is_up(site, self.now))
+        self.faults.as_ref().is_none_or(|p| p.is_up(site, self.now))
     }
 
     /// Sends `size` data units with `payload` to `dst`.
@@ -84,9 +93,45 @@ impl<P> Context<'_, P> {
     ///
     /// # Panics
     ///
-    /// Panics if `dst` is out of range (checked when the effect is applied).
+    /// Panics if `dst` is out of range, at the call.
     pub fn send(&mut self, dst: usize, size: u64, payload: P) {
-        self.effects.push(Effect::Send { dst, size, payload });
+        assert!(
+            dst < self.costs.num_sites(),
+            "destination {dst} out of range"
+        );
+        // A crashed origin produces nothing: its sends never reach the
+        // wire.
+        if !self.up {
+            self.fault_stats.suppressed_effects += 1;
+            return;
+        }
+        let c = self.costs.cost(self.node, dst);
+        let extra = match &mut self.faults {
+            Some(plan) => match plan.verdict() {
+                Verdict::Deliver { extra_delay } => {
+                    self.fault_stats.extra_delay += extra_delay;
+                    extra_delay
+                }
+                Verdict::DropRandom => {
+                    // The message was transmitted and lost in flight: the
+                    // bandwidth is spent.
+                    self.stats.record(size, c);
+                    self.fault_stats.dropped_random += 1;
+                    return;
+                }
+            },
+            None => 0,
+        };
+        self.stats.record(size, c);
+        self.queue.push(
+            self.now + c + extra,
+            EventKind::Arrival(Message {
+                src: self.node,
+                dst,
+                size,
+                payload,
+            }),
+        );
     }
 
     /// Schedules `payload` to be delivered back to this site via
@@ -96,7 +141,18 @@ impl<P> Context<'_, P> {
     /// discarded; a handler that must act after an outage consults
     /// [`Context::is_up`] before it relies on a peer.
     pub fn set_timer(&mut self, delay: Time, payload: P) {
-        self.effects.push(Effect::Timer { delay, payload });
+        // A crashed origin arms nothing.
+        if !self.up {
+            self.fault_stats.suppressed_effects += 1;
+            return;
+        }
+        self.queue.push(
+            self.now + delay,
+            EventKind::Timer {
+                node: self.node,
+                payload,
+            },
+        );
     }
 }
 
@@ -107,8 +163,6 @@ pub struct Simulator<'a, P, H: Node<P>> {
     costs: &'a CostMatrix,
     handler: H,
     queue: EventQueue<P>,
-    /// The effects buffer handed to each callback, reused across events.
-    effects: Vec<Effect<P>>,
     stats: TrafficStats,
     faults: Option<FaultPlan>,
     fault_stats: FaultStats,
@@ -140,7 +194,6 @@ impl<'a, P, H: Node<P>> Simulator<'a, P, H> {
             costs,
             handler,
             queue: EventQueue::new(),
-            effects: Vec::new(),
             stats: TrafficStats::default(),
             faults: None,
             fault_stats: FaultStats::default(),
@@ -217,66 +270,22 @@ impl<'a, P, H: Node<P>> Simulator<'a, P, H> {
         self.events_processed
     }
 
-    /// Applies the effects one callback left in `effects`, then keeps the
-    /// emptied buffer for the next callback.
-    fn apply_effects(&mut self, origin: usize, mut effects: Vec<Effect<P>>) {
-        // A crashed origin produces nothing: its sends never reach the wire
-        // and its timers are not armed.
-        if let Some(plan) = &self.faults {
-            if !plan.is_up(origin, self.now) {
-                self.fault_stats.suppressed_effects += effects.len() as u64;
-                effects.clear();
-                self.effects = effects;
-                return;
-            }
-        }
-        for effect in effects.drain(..) {
-            match effect {
-                Effect::Send { dst, size, payload } => {
-                    assert!(
-                        dst < self.costs.num_sites(),
-                        "destination {dst} out of range"
-                    );
-                    let c = self.costs.cost(origin, dst);
-                    let extra = match &mut self.faults {
-                        Some(plan) => match plan.verdict() {
-                            Verdict::Deliver { extra_delay } => {
-                                self.fault_stats.extra_delay += extra_delay;
-                                extra_delay
-                            }
-                            Verdict::DropRandom => {
-                                // The message was transmitted and lost in
-                                // flight: the bandwidth is spent.
-                                self.stats.record(size, c);
-                                self.fault_stats.dropped_random += 1;
-                                continue;
-                            }
-                        },
-                        None => 0,
-                    };
-                    self.stats.record(size, c);
-                    self.queue.push(
-                        self.now + c + extra,
-                        EventKind::Arrival(Message {
-                            src: origin,
-                            dst,
-                            size,
-                            payload,
-                        }),
-                    );
-                }
-                Effect::Timer { delay, payload } => {
-                    self.queue.push(
-                        self.now + delay,
-                        EventKind::Timer {
-                            node: origin,
-                            payload,
-                        },
-                    );
-                }
-            }
-        }
-        self.effects = effects;
+    /// Runs one callback for `node` with a [`Context`] over the queue,
+    /// the ledgers and the fault plan; `up` says whether `node` is up
+    /// (an arrival or timer at a down site never reaches its callback,
+    /// so only the start phase can pass `false`).
+    fn dispatch(&mut self, node: usize, up: bool, f: impl FnOnce(&mut H, &mut Context<'_, P>)) {
+        let mut ctx = Context {
+            node,
+            now: self.now,
+            up,
+            costs: self.costs,
+            queue: &mut self.queue,
+            stats: &mut self.stats,
+            fault_stats: &mut self.fault_stats,
+            faults: self.faults.as_mut(),
+        };
+        f(&mut self.handler, &mut ctx);
     }
 
     fn start_if_needed(&mut self) {
@@ -293,15 +302,8 @@ impl<'a, P, H: Node<P>> Simulator<'a, P, H> {
             }
         }
         for id in 0..self.costs.num_sites() {
-            let mut effects = std::mem::take(&mut self.effects);
-            let mut ctx = Context {
-                node: id,
-                now: self.now,
-                faults: self.faults.as_ref(),
-                effects: &mut effects,
-            };
-            self.handler.on_start(&mut ctx);
-            self.apply_effects(id, effects);
+            let up = self.faults.as_ref().is_none_or(|p| p.is_up(id, self.now));
+            self.dispatch(id, up, |h, ctx| h.on_start(ctx));
         }
     }
 
@@ -323,15 +325,7 @@ impl<'a, P, H: Node<P>> Simulator<'a, P, H> {
                         return true;
                     }
                 }
-                let mut effects = std::mem::take(&mut self.effects);
-                let mut ctx = Context {
-                    node: dst,
-                    now: self.now,
-                    faults: self.faults.as_ref(),
-                    effects: &mut effects,
-                };
-                self.handler.on_message(&mut ctx, msg);
-                self.apply_effects(dst, effects);
+                self.dispatch(dst, true, |h, ctx| h.on_message(ctx, msg));
             }
             EventKind::Timer { node, payload } => {
                 if let Some(plan) = &self.faults {
@@ -341,15 +335,7 @@ impl<'a, P, H: Node<P>> Simulator<'a, P, H> {
                     }
                 }
                 self.stats.timers += 1;
-                let mut effects = std::mem::take(&mut self.effects);
-                let mut ctx = Context {
-                    node,
-                    now: self.now,
-                    faults: self.faults.as_ref(),
-                    effects: &mut effects,
-                };
-                self.handler.on_timer(&mut ctx, payload);
-                self.apply_effects(node, effects);
+                self.dispatch(node, true, |h, ctx| h.on_timer(ctx, payload));
             }
             // A crash discards the site's volatile state implicitly: its
             // arrivals and timers are dropped while it is down.
@@ -741,6 +727,116 @@ mod tests {
             Ok((sim.stats(), sim.fault_stats(), sim.now()))
         };
         assert_eq!(run(5)?, run(5)?);
+        Ok(())
+    }
+
+    /// A four-site gossip for [`a_seeded_faulted_run_is_pinned`]: every
+    /// site sends to itself (cost 0) and to both neighbours and arms two
+    /// timers at start; a tick sends to the opposite site when it is up
+    /// and re-arms, 60 ticks in all; a message is forwarded until its hop
+    /// budget runs out. The trace folds every callback into an FNV-1a
+    /// hash.
+    struct Gossip {
+        trace: u64,
+        ticks: u32,
+    }
+
+    impl Gossip {
+        fn note(&mut self, kind: u8, ctx: &Context<'_, u32>, payload: u32) {
+            let fields = [
+                u64::from(kind),
+                ctx.node_id() as u64,
+                ctx.now(),
+                u64::from(payload),
+            ];
+            for byte in fields.iter().flat_map(|f| f.to_le_bytes()) {
+                self.trace ^= u64::from(byte);
+                self.trace = self.trace.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+
+    impl Node<u32> for Gossip {
+        fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
+            let me = ctx.node_id();
+            self.note(0, ctx, 0);
+            ctx.send(me, 0, 3);
+            ctx.send((me + 1) % 4, 2, 5);
+            ctx.send((me + 3) % 4, 1, 4);
+            ctx.set_timer(0, 100);
+            ctx.set_timer(me as u64 + 1, 200);
+        }
+        fn on_message(&mut self, ctx: &mut Context<'_, u32>, msg: Message<u32>) {
+            self.note(1, ctx, msg.payload);
+            if msg.payload > 0 {
+                let next = (ctx.node_id() + msg.payload as usize) % 4;
+                ctx.send(next, u64::from(msg.payload), msg.payload - 1);
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut Context<'_, u32>, payload: u32) {
+            self.note(2, ctx, payload);
+            if payload >= 200 && self.ticks < 60 {
+                self.ticks += 1;
+                let me = ctx.node_id();
+                if ctx.is_up((me + 2) % 4) {
+                    ctx.send((me + 2) % 4, 1, 2);
+                }
+                ctx.set_timer(3, payload + 1);
+            }
+        }
+    }
+
+    /// One seeded faulted run — drops, jitter, site 3 dark from time 0 and
+    /// site 1 crashing mid-run — pinned event for event: the traffic and
+    /// fault ledgers, the event count, the final time and the hash of
+    /// every callback the handler saw.
+    #[test]
+    fn a_seeded_faulted_run_is_pinned() -> TestResult {
+        let costs = CostMatrix::from_rows(4, vec![0, 2, 5, 3, 2, 0, 3, 4, 5, 3, 0, 2, 3, 4, 2, 0])?;
+        let mut sim = Simulator::new(
+            &costs,
+            Gossip {
+                trace: 0xcbf2_9ce4_8422_2325,
+                ticks: 0,
+            },
+        );
+        sim.set_fault_plan(
+            FaultPlan::new(0x5eed)
+                .crash(3, 0, 30)
+                .crash(1, 20, 45)
+                .drop_probability(0.15)
+                .jitter(3),
+        );
+        sim.run_to_completion()?;
+        let (stats, faults, events, now) = (
+            sim.stats(),
+            sim.fault_stats(),
+            sim.events_processed(),
+            sim.now(),
+        );
+        let trace = sim.into_handler().trace;
+        assert_eq!(
+            stats,
+            TrafficStats {
+                messages: 166,
+                data_units: 246,
+                transfer_cost: 953,
+                timers: 65,
+            }
+        );
+        assert_eq!(
+            faults,
+            FaultStats {
+                dropped_random: 23,
+                lost_arrivals: 13,
+                lost_timers: 1,
+                suppressed_effects: 5,
+                crashes: 2,
+                recoveries: 2,
+                extra_delay: 225,
+            }
+        );
+        assert_eq!((events, now, trace), (213, 101, 0x737f_3478_01c4_c76c));
         Ok(())
     }
 }

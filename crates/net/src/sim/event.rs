@@ -1,4 +1,7 @@
-use std::cmp::Reverse;
+//! The simulator's event queue: start-phase timers in per-time slots
+//! filled as they are armed, everything else in a calendar of per-time
+//! buckets, popped in `(at, seq)` order without a sort.
+
 use std::collections::VecDeque;
 
 /// Simulated time, in abstract cost units.
@@ -25,20 +28,28 @@ pub(crate) enum EventKind<P> {
     Recover,
 }
 
+/// Start-phase timers due before this many time units always get a slot;
+/// a later one gets one while the slots would still number no more than
+/// the timers they hold, so a far-off timer cannot blow up the table.
+const MIN_START_SLOTS: usize = 1024;
+
 /// Priority queue ordered by `(at, seq)` — earliest first, FIFO on ties.
 ///
 /// Two stores share the order. Timers pushed before the first [`pop`]
 /// (the start phase, where a driver typically arms one timer per queued
-/// request) collect in `run`, a vector of compact entries that the first
-/// pop sorts once and then drains from the back. Everything else — sends,
-/// crash/recover transitions and every push after the first pop — goes to
+/// request) go into `start`, one FIFO of compact entries per due time,
+/// indexed by that time. Everything else — sends, crash/recover
+/// transitions, start timers due past the slot bound or whose `seq` or
+/// `node` overflows 32 bits, and every push after the first pop — goes to
 /// the calendar: one FIFO bucket per pending time, buckets in ascending
 /// time (Brown, "Calendar queues", CACM 1988, with one bucket per time).
-/// `seq` rises with every push, so a bucket's FIFO order *is* its `(at,
-/// seq)` order and the calendar's head is its front bucket's front. Event
-/// times are small integers (link costs and timer delays), so few times
-/// are pending at once: a push binary-searches those few buckets and a
-/// pop is O(1). A bucket is dropped, storage and all, when it empties.
+/// `seq` rises with every push, so in both stores a bucket's FIFO order
+/// *is* its `(at, seq)` order and nothing is ever sorted: the start
+/// store's head is the front of its first non-empty slot, the calendar's
+/// the front of its front bucket. Event times are small integers (link
+/// costs and timer delays), so few times are pending in the calendar at
+/// once: a push binary-searches those few buckets and a pop is O(1). A
+/// bucket of either store is dropped, storage and all, when it drains.
 /// `pop` takes the smaller `(at, seq)` of the two heads; `seq` is unique,
 /// so the popped sequence is exactly the one a single binary heap over
 /// every push would give.
@@ -48,9 +59,14 @@ pub(crate) enum EventKind<P> {
 pub(crate) struct EventQueue<P> {
     /// Pending times in ascending order, none of them empty.
     calendar: VecDeque<Bucket<P>>,
-    /// Start-phase timers; sorted descending by `(at, seq)` once sealed.
-    run: Vec<StartTimer<P>>,
-    /// Set by the first pop: the run is sorted and takes no more pushes.
+    /// Start-phase timers due at time `t`, in push order, at `start[t]`.
+    start: Vec<VecDeque<StartTimer<P>>>,
+    /// First slot of `start` that may hold a timer; once sealed, the
+    /// first non-empty one (or `start.len()`).
+    cursor: usize,
+    /// Timers left in `start`.
+    start_len: usize,
+    /// Set by the first pop: `start` takes no more pushes.
     sealed: bool,
     next_seq: u64,
 }
@@ -63,11 +79,11 @@ struct Bucket<P> {
 }
 
 /// A start-phase timer: the `Timer` event without the enum around it,
-/// with `seq` and `node` narrowed to 32 bits. A timer whose `seq` or
-/// `node` does not fit goes to the calendar instead.
+/// with `seq` and `node` narrowed to 32 bits and its time implied by its
+/// slot. A timer whose `seq` or `node` does not fit goes to the calendar
+/// instead.
 #[derive(Debug)]
 struct StartTimer<P> {
-    at: Time,
     seq: u32,
     node: u32,
     payload: P,
@@ -77,7 +93,9 @@ impl<P> EventQueue<P> {
     pub fn new() -> Self {
         Self {
             calendar: VecDeque::new(),
-            run: Vec::new(),
+            start: Vec::new(),
+            cursor: 0,
+            start_len: 0,
             sealed: false,
             next_seq: 0,
         }
@@ -88,14 +106,16 @@ impl<P> EventQueue<P> {
         self.next_seq += 1;
         let kind = match kind {
             EventKind::Timer { node, payload } if !self.sealed => {
-                match (u32::try_from(seq), u32::try_from(node)) {
-                    (Ok(seq), Ok(node)) => {
-                        self.run.push(StartTimer {
-                            at,
-                            seq,
-                            node,
-                            payload,
-                        });
+                let slot = usize::try_from(at)
+                    .ok()
+                    .filter(|&t| t < MIN_START_SLOTS.max(self.start_len));
+                match (slot, u32::try_from(seq), u32::try_from(node)) {
+                    (Some(slot), Ok(seq), Ok(node)) => {
+                        if slot >= self.start.len() {
+                            self.start.resize_with(slot + 1, VecDeque::new);
+                        }
+                        self.start[slot].push_back(StartTimer { seq, node, payload });
+                        self.start_len += 1;
                         return;
                     }
                     _ => EventKind::Timer { node, payload },
@@ -116,18 +136,31 @@ impl<P> EventQueue<P> {
         }
     }
 
+    /// Moves the cursor past drained slots, releasing the slot table once
+    /// every start timer is out.
+    fn skip_drained_slots(&mut self) {
+        while self.start.get(self.cursor).is_some_and(VecDeque::is_empty) {
+            self.cursor += 1;
+        }
+        if self.start_len == 0 && !self.start.is_empty() {
+            self.start = Vec::new();
+            self.cursor = 0;
+        }
+    }
+
     pub fn pop(&mut self) -> Option<Scheduled<P>> {
         if !self.sealed {
             self.sealed = true;
-            // `(at, seq)` is unique, so the unstable sort is deterministic.
-            self.run.sort_unstable_by_key(|t| Reverse((t.at, t.seq)));
+            self.skip_drained_slots();
         }
-        let run_first = match (self.run.last(), self.calendar.front()) {
-            (Some(t), Some(b)) => (t.at, u64::from(t.seq)) < (b.at, b.events[0].0),
+        let start_first = match (self.start.get(self.cursor), self.calendar.front()) {
+            (Some(slot), Some(b)) => {
+                (self.cursor as Time, u64::from(slot[0].seq)) < (b.at, b.events[0].0)
+            }
             (Some(_), None) => true,
             (None, _) => false,
         };
-        if !run_first {
+        if !start_first {
             let bucket = self.calendar.front_mut()?;
             let at = bucket.at;
             let (_, kind) = bucket.events.pop_front()?;
@@ -136,14 +169,18 @@ impl<P> EventQueue<P> {
             }
             return Some(Scheduled { at, kind });
         }
-        let t = self.run.pop()?;
-        // Hand drained capacity back as the run shrinks: halving at a
-        // quarter full copies O(total) entries over the whole drain.
-        if self.run.capacity() > 4 * self.run.len() + 64 {
-            self.run.shrink_to(2 * self.run.len());
+        let at = self.cursor as Time;
+        let slot = &mut self.start[self.cursor];
+        let t = slot.pop_front()?;
+        self.start_len -= 1;
+        if slot.is_empty() {
+            // A drained slot hands its storage back at once, so memory
+            // falls as time advances.
+            *slot = VecDeque::new();
+            self.skip_drained_slots();
         }
         Some(Scheduled {
-            at: t.at,
+            at,
             kind: EventKind::Timer {
                 node: t.node as usize,
                 payload: t.payload,
@@ -155,7 +192,7 @@ impl<P> EventQueue<P> {
     /// diagnostics rather than the event loop.
     pub fn len(&self) -> usize {
         let queued: usize = self.calendar.iter().map(|b| b.events.len()).sum();
-        queued + self.run.len()
+        queued + self.start_len
     }
 }
 
@@ -164,6 +201,7 @@ mod tests {
     use super::*;
     use crate::sim::Message;
     use proptest::prelude::*;
+    use std::cmp::Reverse;
     use std::collections::BinaryHeap;
 
     #[test]
@@ -276,18 +314,20 @@ mod tests {
     }
 
     proptest! {
-        /// Crash/recover windows, then a start phase of interleaved
-        /// timers and sends, then pops interleaved with runtime pushes at
-        /// times ≥ now: the run + calendar queue pops exactly the sequence
-        /// a single heap over the same pushes pops. Runtime ops are
-        /// 0 pop; 1/2 an arrival/timer up to 9 units ahead; 3 an arrival
-        /// 1000+ units ahead (retry and deadline timers); 4 a burst of
-        /// pushes at one time interleaved with pops; 5 a push tied with
-        /// the run's head.
+        /// Crash/recover windows, then a start phase, then pops
+        /// interleaved with runtime pushes at times ≥ now: the start slots
+        /// + calendar queue pops exactly the sequence a single heap over
+        /// the same pushes pops. Start ops are 0/1 an arrival/timer at a
+        /// time the windows also use; 2 a cost-0 self-send, due at 0 with
+        /// the earliest start timers; 3 a timer past the slot bound.
+        /// Runtime ops are 0 pop; 1/2 an arrival/timer up to 9 units
+        /// ahead; 3 an arrival 1000+ units ahead (retry and deadline
+        /// timers); 4 a burst of pushes at one time interleaved with
+        /// pops; 5 a push tied with the start slots' head.
         #[test]
         fn run_and_heap_pop_like_one_heap(
             windows in prop::collection::vec((0u64..30, 0u64..30), 0..4),
-            start in prop::collection::vec((0u8..2, 0u64..24, 0usize..5), 0..120),
+            start in prop::collection::vec((0u8..4, 0u64..24, 0usize..5), 0..120),
             runtime in prop::collection::vec((0u8..6, 0u64..10, 0usize..5), 0..160),
         ) {
             let mut q: EventQueue<u32> = EventQueue::new();
@@ -299,7 +339,14 @@ mod tests {
             }
             for &(kind, at, site) in &start {
                 label += 1;
-                push_both(&mut q, &mut r, at, kind, site, label);
+                match kind {
+                    0 | 1 => push_both(&mut q, &mut r, at, kind, site, label),
+                    2 => push_both(&mut q, &mut r, 0, 0, site, label),
+                    _ => {
+                        let far = MIN_START_SLOTS as Time + 7 * at;
+                        push_both(&mut q, &mut r, far, 1, site, label);
+                    }
+                }
             }
             prop_assert_eq!(q.len(), r.heap.len());
             let mut now = 0;
@@ -327,9 +374,9 @@ mod tests {
                         }
                     }
                     _ => {
-                        // Before the first pop the run is unsorted and has
-                        // no head yet.
-                        if let Some(head) = q.run.last().filter(|_| q.sealed).map(|t| t.at) {
+                        // Before the first pop the slots have no head yet.
+                        if q.sealed && q.cursor < q.start.len() {
+                            let head = q.cursor as Time;
                             prop_assert!(head >= now);
                             label += 1;
                             push_both(&mut q, &mut r, head, (delay % 2) as u8, site, label);
@@ -375,13 +422,14 @@ mod tests {
         assert!(q.calendar.is_empty());
     }
 
-    /// Start-phase timers whose `seq` or `node` overflows the run's 32-bit
-    /// fields are queued in the calendar, intact and in `(at, seq)` order.
+    /// Start-phase timers whose `seq` or `node` overflows the slots'
+    /// 32-bit fields are queued in the calendar, intact and in `(at, seq)`
+    /// order.
     #[test]
     fn start_timers_past_u32_go_to_the_calendar() {
-        // The narrowing is what keeps a timer with a 16-byte payload at
-        // 32 bytes.
-        assert_eq!(std::mem::size_of::<StartTimer<[u64; 2]>>(), 32);
+        // The narrowing, and the time implied by the slot, are what keep
+        // a timer with a 16-byte payload at 24 bytes.
+        assert_eq!(std::mem::size_of::<StartTimer<[u64; 2]>>(), 24);
         let mut q: EventQueue<u32> = EventQueue::new();
         q.next_seq = u64::from(u32::MAX) - 2;
         let wide = u32::MAX as usize + 1;
@@ -390,7 +438,7 @@ mod tests {
         for (at, node) in [(9, 0), (7, wide), (7, 1), (5, 2), (7, 3)] {
             q.push(at, EventKind::Timer { node, payload: 0 });
         }
-        assert_eq!((q.run.len(), q.len()), (2, 5));
+        assert_eq!((q.start_len, q.len()), (2, 5));
         let order: Vec<(Time, usize)> = std::iter::from_fn(|| q.pop())
             .map(|s| match s.kind {
                 EventKind::Timer { node, .. } => (s.at, node),
@@ -400,8 +448,51 @@ mod tests {
         assert_eq!(order, vec![(5, 2), (7, wide), (7, 1), (7, 3), (9, 0)]);
     }
 
+    /// A start timer due past the slot bound waits in the calendar, so
+    /// one far timer cannot grow the slot table; the bound rises with the
+    /// timers the slots hold.
     #[test]
-    fn drained_run_releases_its_capacity() {
+    fn start_timers_past_the_slot_bound_go_to_the_calendar() {
+        let mut q: EventQueue<u32> = EventQueue::new();
+        let bound = MIN_START_SLOTS as Time;
+        for (i, at) in [Time::MAX, bound, bound - 1, 3].into_iter().enumerate() {
+            q.push(
+                at,
+                EventKind::Timer {
+                    node: 0,
+                    payload: i as u32,
+                },
+            );
+        }
+        assert_eq!((q.start_len, q.start.len(), q.calendar.len()), (2, 1024, 2));
+        // Once the slots hold more timers than the minimum, a timer due
+        // just under that count gets a slot.
+        for i in 0..bound {
+            q.push(
+                i % 4,
+                EventKind::Timer {
+                    node: 0,
+                    payload: 0,
+                },
+            );
+        }
+        q.push(
+            bound,
+            EventKind::Timer {
+                node: 0,
+                payload: 9,
+            },
+        );
+        assert_eq!((q.start.len(), q.calendar.len()), (1025, 2));
+        let times: Vec<Time> = std::iter::from_fn(|| q.pop()).map(|s| s.at).collect();
+        assert!(times.windows(2).all(|w| w[0] <= w[1]));
+        assert_eq!(&times[times.len() - 3..], [bound, bound, Time::MAX]);
+    }
+
+    /// Each start slot hands its storage back as soon as it drains, and
+    /// the slot table goes once the last start timer is out.
+    #[test]
+    fn drained_start_slots_release_their_storage() {
         let mut q: EventQueue<u32> = EventQueue::new();
         for i in 0..10_000u32 {
             q.push(
@@ -412,14 +503,19 @@ mod tests {
                 },
             );
         }
-        let keys: Vec<(Time, u32)> = std::iter::from_fn(|| q.pop())
-            .map(|s| match s.kind {
-                EventKind::Timer { payload, .. } => (s.at, payload),
-                _ => unreachable!(),
-            })
-            .collect();
+        assert_eq!(q.start.len(), 97);
+        let mut keys = Vec::new();
+        while let Some(s) = q.pop() {
+            let EventKind::Timer { payload, .. } = s.kind else {
+                unreachable!()
+            };
+            keys.push((s.at, payload));
+            // Every slot before the head is drained and holds nothing.
+            let head = q.cursor.min(q.start.len());
+            assert!(q.start[..head].iter().all(|s| s.capacity() == 0));
+        }
         assert_eq!(keys.len(), 10_000);
         assert!(keys.windows(2).all(|w| w[0] < w[1]));
-        assert!(q.run.capacity() <= 64, "capacity {}", q.run.capacity());
+        assert_eq!((q.start.capacity(), q.start_len), (0, 0));
     }
 }

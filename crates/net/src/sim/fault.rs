@@ -51,6 +51,9 @@ pub struct CrashWindow {
 pub struct FaultPlan {
     seed: u64,
     crashes: Vec<CrashWindow>,
+    /// The same windows ordered by `(site, from)`, so [`Self::is_up`]
+    /// finds a site's windows by binary search.
+    by_site: Vec<CrashWindow>,
     drop_probability: f64,
     max_jitter: Time,
     draws: u64,
@@ -62,6 +65,7 @@ impl FaultPlan {
         Self {
             seed,
             crashes: Vec::new(),
+            by_site: Vec::new(),
             drop_probability: 0.0,
             max_jitter: 0,
             draws: 0,
@@ -75,7 +79,12 @@ impl FaultPlan {
     /// Panics if the window is empty (`from >= until`).
     pub fn crash(mut self, site: usize, from: Time, until: Time) -> Self {
         assert!(from < until, "empty crash window [{from}, {until})");
-        self.crashes.push(CrashWindow { site, from, until });
+        let window = CrashWindow { site, from, until };
+        self.crashes.push(window);
+        let i = self
+            .by_site
+            .partition_point(|w| (w.site, w.from) <= (site, from));
+        self.by_site.insert(i, window);
         self
     }
 
@@ -106,8 +115,20 @@ impl FaultPlan {
         &self.crashes
     }
 
-    /// Is `site` up at time `at`?
+    /// Is `site` up at time `at`? O(log windows + the site's windows
+    /// starting by `at`).
     pub fn is_up(&self, site: usize, at: Time) -> bool {
+        let first = self.by_site.partition_point(|w| w.site < site);
+        !self.by_site[first..]
+            .iter()
+            .take_while(|w| w.site == site && w.from <= at)
+            .any(|w| at < w.until)
+    }
+
+    /// [`Self::is_up`] as a scan of every window: the reference the
+    /// indexed lookup is tested against.
+    #[cfg(test)]
+    fn is_up_linear(&self, site: usize, at: Time) -> bool {
         !self
             .crashes
             .iter()
@@ -187,6 +208,40 @@ pub struct FaultStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The site-indexed lookup answers like the linear scan on
+        /// overlapping and abutting windows, at each window's `from`,
+        /// `until − 1` and `until`, and at arbitrary times.
+        #[test]
+        fn indexed_is_up_matches_the_linear_scan(
+            windows in prop::collection::vec((0usize..4, 0u64..40, 1u64..20, 0u8..3), 0..12),
+            probes in prop::collection::vec((0usize..5, 0u64..80), 0..40),
+        ) {
+            let mut plan = FaultPlan::new(0);
+            let mut last_until = 0;
+            for &(site, from, len, abut) in &windows {
+                // One window in three starts where the previous one ended.
+                let from = if abut == 0 { last_until } else { from };
+                plan = plan.crash(site, from, from + len);
+                last_until = from + len;
+            }
+            let mut queries = probes.clone();
+            for w in plan.crash_windows() {
+                for at in [w.from, w.until - 1, w.until] {
+                    queries.extend((0..5).map(|site| (site, at)));
+                }
+            }
+            for (site, at) in queries {
+                prop_assert_eq!(
+                    plan.is_up(site, at),
+                    plan.is_up_linear(site, at),
+                    "site {} at {}", site, at
+                );
+            }
+        }
+    }
 
     #[test]
     fn crash_windows_are_half_open() {

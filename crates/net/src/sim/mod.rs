@@ -18,19 +18,24 @@
 //! # Event queue
 //!
 //! Events dispatch in `(at, seq)` order: earliest time first, and on equal
-//! times in the order they were scheduled (`seq` counts every push). Two
-//! stores hold them. Timers armed in [`Node::on_start`] — a driver that
-//! replays a request log arms one per request there — go into one vector
-//! of compact `(at, seq, node, payload)` entries, sorted once at the first
-//! step and drained from the back, its capacity released as it empties.
-//! Sends, crash/recover transitions and every event scheduled after the
-//! first step go into a calendar: one FIFO bucket per pending time, kept
-//! in time order and dropped with its storage once it empties. `seq`
-//! rises with every push, so a bucket's FIFO order is its `(at, seq)`
-//! order; event times are small integers (link costs, timer delays), so
-//! few buckets are pending at once and a step pops in O(1). Each step
-//! takes the smaller `(at, seq)` of the two heads, so the dispatch order
-//! is exactly the one a single binary heap over every event would give.
+//! times in the order they were scheduled (`seq` counts every push).
+//! Nothing is ever sorted. Timers armed in [`Node::on_start`] — a driver
+//! that replays a request log arms one per request there — go, as they
+//! are armed, into one FIFO slot per due time of compact `(seq, node,
+//! payload)` entries. Sends, crash/recover transitions, start timers due
+//! past a bound that keeps the slot table no larger than the timers it
+//! holds, and every event scheduled after the first step go into a
+//! calendar: one FIFO bucket per pending time, kept in time order. `seq`
+//! rises with every push, so every slot and bucket is already in `(at,
+//! seq)` order, and each is dropped with its storage once it drains;
+//! event times are small integers (link costs, timer delays), so few
+//! buckets are pending at once and a step pops in O(1). Each step takes
+//! the smaller `(at, seq)` of the two heads, so the dispatch order is
+//! exactly the one a single binary heap over every event would give.
+//!
+//! A callback's [`Context::send`] and [`Context::set_timer`] push straight
+//! into the queue; a send is charged and given its fault verdict at the
+//! call.
 //!
 //! Two consumers live elsewhere in the workspace:
 //!
@@ -81,7 +86,7 @@
 //! # Fault injection
 //!
 //! A seeded [`FaultPlan`] can be armed via
-//! [`Simulator::set_fault_plan`] to crash sites, cut links, drop or delay
+//! [`Simulator::set_fault_plan`] to crash sites and drop or delay
 //! messages — all deterministically. A crashed site silently loses its
 //! arrivals and timers; the handler may query the liveness oracle
 //! [`Context::is_up`], on which `drp-serve`'s epoch engine builds its read

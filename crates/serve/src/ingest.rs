@@ -15,9 +15,12 @@
 //! FIFO). A stable sort by time therefore reproduces the single-threaded
 //! `(time, global sequence)` order restricted to the site,
 //! and the admitted queues — and everything downstream of them — are
-//! bitwise-identical across `threads` ∈ {1, 2, 4, …}. The shed accounting
-//! satisfies `offered == admitted + shed` per site, asserted by property
-//! tests.
+//! bitwise-identical across `threads` ∈ {1, 2, 4, …}. Every time lies in
+//! `[0, period)`, so that sort is a least-significant-digit radix sort:
+//! one stable counting pass per byte `period − 1` needs (one pass at
+//! period 256), scattering through a buffer kept in the scratch. The shed
+//! accounting satisfies `offered == admitted + shed` per site, asserted by
+//! property tests.
 //!
 //! With `threads == 1` the whole pipeline runs inline on the caller's
 //! thread: no channels, no spawns, same code for counting and finalizing.
@@ -61,6 +64,8 @@ pub struct IngestScratch {
     /// Valid until the next [`ingest_epoch`] call overwrites them.
     pub queues: Vec<Vec<(u64, u32, bool)>>,
     pull: Vec<Request>,
+    /// Scatter buffer of the per-site radix passes.
+    sorted: Vec<(u64, u32, bool)>,
 }
 
 impl IngestScratch {
@@ -122,14 +127,62 @@ fn absorb(
     queues[local].push((r.time, object as u32, is_write));
 }
 
-/// Sorts one site's arrivals by time and sheds the queue down to the
+/// Bytes of a time in `[0, period)` that ordering by time must look at.
+fn time_bytes(period: u64) -> u32 {
+    let max = period.max(1) - 1;
+    (u64::BITS - max.leading_zeros()).div_ceil(8)
+}
+
+/// Orders `queue` by time with a stable LSD radix sort over the low
+/// `bytes` bytes of each time: one counting pass per byte, scattering
+/// through `buf`. Equal times keep their order in `queue`.
+fn radix_sort_by_time(
+    queue: &mut Vec<(u64, u32, bool)>,
+    buf: &mut Vec<(u64, u32, bool)>,
+    bytes: u32,
+) {
+    debug_assert!(
+        queue
+            .iter()
+            .all(|&(time, _, _)| time.checked_shr(8 * bytes).unwrap_or(0) == 0),
+        "a time past the period"
+    );
+    for byte in 0..bytes {
+        let shift = 8 * byte;
+        let mut slots = [0usize; 256];
+        for &(time, _, _) in queue.iter() {
+            slots[(time >> shift) as usize & 0xff] += 1;
+        }
+        let mut next = 0;
+        for slot in &mut slots {
+            let count = *slot;
+            *slot = next;
+            next += count;
+        }
+        buf.clear();
+        buf.resize(queue.len(), (0, 0, false));
+        for &entry in queue.iter() {
+            let slot = &mut slots[(entry.0 >> shift) as usize & 0xff];
+            buf[*slot] = entry;
+            *slot += 1;
+        }
+        std::mem::swap(queue, buf);
+    }
+}
+
+/// Orders one site's arrivals by time and sheds the queue down to the
 /// admission cap. Returns `(offered, shed, admitted_reads,
 /// admitted_writes)`.
-fn finalize_site(queue: &mut Vec<(u64, u32, bool)>, admission_limit: u64) -> (u64, u64, u64, u64) {
+fn finalize_site(
+    queue: &mut Vec<(u64, u32, bool)>,
+    buf: &mut Vec<(u64, u32, bool)>,
+    bytes: u32,
+    admission_limit: u64,
+) -> (u64, u64, u64, u64) {
     // The queue holds this site's arrivals in producer order whatever the
     // thread count, so a stable sort by time is the `(time, arrival
     // order)` key that keeps the result thread-count-independent.
-    queue.sort_by_key(|&(time, _, _)| time);
+    radix_sort_by_time(queue, buf, bytes);
     let offered = queue.len();
     let limit = site_limit(admission_limit, offered);
     let shed = offered.saturating_sub(limit);
@@ -296,9 +349,14 @@ pub fn ingest_epoch(
     let mut report = IngestReport::zeros(m);
     report.batches = batches;
     let mut outcome = IngestOutcome::default();
+    let bytes = time_bytes(spec.period);
     for site in 0..m {
-        let (offered, shed, reads, writes) =
-            finalize_site(&mut scratch.queues[site], spec.admission_limit);
+        let (offered, shed, reads, writes) = finalize_site(
+            &mut scratch.queues[site],
+            &mut scratch.sorted,
+            bytes,
+            spec.admission_limit,
+        );
         report.offered_by_site[site] = offered;
         report.shed_by_site[site] = shed;
         report.admitted_by_site[site] = offered - shed;
@@ -313,6 +371,7 @@ pub fn ingest_epoch(
 mod tests {
     use super::*;
     use drp_workload::WorkloadSpec;
+    use proptest::prelude::*;
 
     fn problem(m: usize, n: usize, seed: u64) -> Problem {
         WorkloadSpec::paper(m, n, 10.0, 25.0)
@@ -461,5 +520,90 @@ mod tests {
         assert_eq!(out.admitted_reads + out.admitted_writes, total);
         let window: u64 = reads.iter().chain(writes.iter()).sum();
         assert_eq!(window, total);
+    }
+
+    /// The periods the order tests cover: zero to three radix bytes, and
+    /// both sides of the one-byte boundary.
+    const PERIODS: [u64; 5] = [1, 255, 256, 257, 1 << 20];
+
+    #[test]
+    fn time_bytes_cover_period_minus_one() {
+        let bytes: Vec<u32> = PERIODS.iter().map(|&p| time_bytes(p)).collect();
+        assert_eq!(bytes, [0, 1, 1, 2, 3]);
+        assert_eq!((time_bytes(0), time_bytes(u64::MAX)), (0, 8));
+    }
+
+    /// FNV-1a over the admitted queues.
+    fn queues_hash(queues: &[Vec<(u64, u32, bool)>]) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for (time, object, write) in queues.iter().flatten() {
+            let bytes = time.to_le_bytes().into_iter();
+            let bytes = bytes.chain(object.to_le_bytes()).chain([u8::from(*write)]);
+            for byte in bytes {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        hash
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The radix pass orders a queue exactly as a stable comparison
+        /// sort by time does, ties in queue order, with times at
+        /// `period − 1` in every case.
+        #[test]
+        fn radix_order_equals_a_stable_sort_by_time(
+            p in 0usize..PERIODS.len(),
+            raw in prop::collection::vec((0u64..u64::MAX, 0u32..u32::MAX, 0u8..2, 0u8..4), 0..600),
+        ) {
+            let period = PERIODS[p];
+            // One time in four is `period − 1`.
+            let queue: Vec<(u64, u32, bool)> = raw
+                .iter()
+                .map(|&(t, object, write, last)| {
+                    let time = if last == 0 { period - 1 } else { t % period };
+                    (time, object, write == 1)
+                })
+                .collect();
+            let mut want = queue.clone();
+            want.sort_by_key(|&(time, _, _)| time);
+            let mut got = queue;
+            radix_sort_by_time(&mut got, &mut Vec::new(), time_bytes(period));
+            prop_assert_eq!(got, want);
+        }
+
+        /// Ingest admits the same queues at 1, 2 and 4 threads, at every
+        /// period.
+        #[test]
+        fn admitted_queues_hash_alike_across_thread_counts(
+            p in 0usize..PERIODS.len(),
+            seed in 0u64..1_000,
+            admission_limit in 0u64..40,
+        ) {
+            let period = PERIODS[p];
+            let p = problem(6, 5, seed);
+            let hashes: Vec<u64> = [1, 2, 4]
+                .into_iter()
+                .map(|threads| {
+                    let s = IngestSpec {
+                        period,
+                        seed,
+                        ..spec(&p, threads, admission_limit)
+                    };
+                    let mut scratch = IngestScratch::new();
+                    let mut reads = DenseMatrix::zeros(6, 5);
+                    let mut writes = DenseMatrix::zeros(6, 5);
+                    ingest_epoch(&s, &mut scratch, &mut reads, &mut writes);
+                    for q in &scratch.queues {
+                        assert!(q.windows(2).all(|w| w[0].0 <= w[1].0));
+                        assert!(q.iter().all(|e| e.0 < period));
+                    }
+                    queues_hash(&scratch.queues)
+                })
+                .collect();
+            prop_assert!(hashes.iter().all(|&h| h == hashes[0]), "{:x?}", hashes);
+        }
     }
 }
