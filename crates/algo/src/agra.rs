@@ -166,6 +166,39 @@ impl Agra {
         changed: &[ObjectId],
         rng: &mut dyn RngCore,
     ) -> Result<AdaptiveOutcome> {
+        let eq6 = Eq6Table::new(problem);
+        // Counted at the first transcription, after setting every primary
+        // bit; each later column write and eviction keeps it current.
+        let mut usage: Vec<SiteUsage> = Vec::new();
+        self.adapt_with(
+            problem,
+            current,
+            gra_population,
+            changed,
+            rng,
+            |population, object, micro, rng| {
+                if usage.is_empty() {
+                    usage = population
+                        .iter_mut()
+                        .map(|chromosome| SiteUsage::primed(problem, chromosome))
+                        .collect();
+                }
+                transcribe(problem, &eq6, population, &mut usage, object, micro, rng);
+            },
+        )
+    }
+
+    /// [`adapt`](Self::adapt) with the transcription step supplied: it
+    /// writes one micro-GA's final population into the GRA population.
+    fn adapt_with(
+        &self,
+        problem: &Problem,
+        current: &ReplicationScheme,
+        gra_population: &[BitString],
+        changed: &[ObjectId],
+        rng: &mut dyn RngCore,
+        mut transcribe: impl FnMut(&mut [BitString], ObjectId, &[(BitString, f64)], &mut dyn RngCore),
+    ) -> Result<AdaptiveOutcome> {
         let m = problem.num_sites();
         let n = problem.num_objects();
         let len = m * n;
@@ -184,7 +217,6 @@ impl Agra {
         }
         population[0] = current_bits.clone();
 
-        let eq6 = Eq6Table::new(problem);
         // One narrow mirror serves every micro-GA of this adaptation step;
         // `None` (values too wide for u32) falls back to the u64 path.
         let narrow = NarrowMirror::build(problem).map(Arc::new);
@@ -201,20 +233,7 @@ impl Agra {
 
             // 2. Transcription into the GRA population.
             let _span = telemetry::span(self.recorder.as_ref(), "agra.transcription");
-            let half = population.len().div_ceil(2);
-            for (index, chromosome) in population.iter_mut().enumerate() {
-                let source = if index < half {
-                    // Best replica set → first half (elite slot 0 included).
-                    &micro.final_population[0].0
-                } else {
-                    // The remaining sets are scattered randomly.
-                    let pick = rng.random_range(0..micro.final_population.len());
-                    &micro.final_population[pick].0
-                };
-                write_column(chromosome, n, object, source);
-                ensure_primary_bits(problem, chromosome);
-                repair_capacity(problem, chromosome, &eq6);
-            }
+            transcribe(&mut population, object, &micro.final_population, rng);
         }
 
         // Keep the untouched current distribution in the pool: transcription
@@ -367,10 +386,41 @@ fn link_weights(problem: &Problem) -> Vec<f64> {
         .collect()
 }
 
-/// Overwrites object `k`'s column with an M-bit replica set.
-fn write_column(chromosome: &mut BitString, n: usize, object: ObjectId, replica_set: &BitString) {
-    for i in 0..replica_set.len() {
-        chromosome.set(i * n + object.index(), replica_set.get(i));
+/// The source of chromosome `index`'s new column: the best replica set
+/// for the first `half` (elite slot 0 included), a random one of the
+/// micro-GA's final population for the rest.
+fn column_source<'a>(
+    micro: &'a [(BitString, f64)],
+    index: usize,
+    half: usize,
+    rng: &mut dyn RngCore,
+) -> &'a BitString {
+    if index < half {
+        &micro[0].0
+    } else {
+        &micro[rng.random_range(0..micro.len())].0
+    }
+}
+
+/// One transcription step: every chromosome's `object` column is
+/// overwritten from the micro-GA's final population (see
+/// [`column_source`]) and the chromosome repaired. `usage[c]` must be
+/// chromosome `c`'s current [`SiteUsage`] with every primary bit set; it
+/// stays current.
+fn transcribe(
+    problem: &Problem,
+    eq6: &Eq6Table,
+    population: &mut [BitString],
+    usage: &mut [SiteUsage],
+    object: ObjectId,
+    micro: &[(BitString, f64)],
+    rng: &mut dyn RngCore,
+) {
+    let half = population.len().div_ceil(2);
+    for (index, (chromosome, usage)) in population.iter_mut().zip(usage).enumerate() {
+        let source = column_source(micro, index, half, rng);
+        usage.write_column(problem, chromosome, object, source);
+        repair_capacity(problem, chromosome, eq6, usage);
     }
 }
 
@@ -378,6 +428,67 @@ fn ensure_primary_bits(problem: &Problem, chromosome: &mut BitString) {
     let n = problem.num_objects();
     for k in problem.objects() {
         chromosome.set(problem.primary(k).index() * n + k.index(), true);
+    }
+}
+
+/// A chromosome's storage use per site and replica degree per object, the
+/// two counts the capacity repair reads.
+struct SiteUsage {
+    used: Vec<u64>,
+    degree: Vec<usize>,
+}
+
+impl SiteUsage {
+    /// Counts `chromosome` one gene at a time.
+    fn count(problem: &Problem, chromosome: &BitString) -> Self {
+        let m = problem.num_sites();
+        let n = problem.num_objects();
+        let mut used = vec![0u64; m];
+        let mut degree = vec![0usize; n];
+        for (i, used) in used.iter_mut().enumerate() {
+            for one in chromosome.iter_ones_in(i * n, (i + 1) * n) {
+                let k = one - i * n;
+                *used += problem.object_size(ObjectId::new(k));
+                degree[k] += 1;
+            }
+        }
+        Self { used, degree }
+    }
+
+    /// Sets every primary bit of `chromosome`, then counts it.
+    fn primed(problem: &Problem, chromosome: &mut BitString) -> Self {
+        ensure_primary_bits(problem, chromosome);
+        Self::count(problem, chromosome)
+    }
+
+    /// Overwrites `object`'s column with an M-bit replica set (its primary
+    /// bit forced on) and applies the old-vs-new difference to the counts.
+    fn write_column(
+        &mut self,
+        problem: &Problem,
+        chromosome: &mut BitString,
+        object: ObjectId,
+        replica_set: &BitString,
+    ) {
+        let n = problem.num_objects();
+        let k = object.index();
+        let size = problem.object_size(object);
+        let primary = problem.primary(object).index();
+        for i in 0..replica_set.len() {
+            let bit = i * n + k;
+            let held = replica_set.get(i) || i == primary;
+            if chromosome.get(bit) == held {
+                continue;
+            }
+            chromosome.set(bit, held);
+            if held {
+                self.used[i] += size;
+                self.degree[k] += 1;
+            } else {
+                self.used[i] -= size;
+                self.degree[k] -= 1;
+            }
+        }
     }
 }
 
@@ -415,19 +526,15 @@ impl Eq6Table {
 /// object with the lowest Eq. 6 estimate (the first one on a tie) until the
 /// site fits. Primaries are never deallocated (and every site fits its
 /// primaries by instance validation, so repair always terminates).
-fn repair_capacity(problem: &Problem, chromosome: &mut BitString, eq6: &Eq6Table) {
-    let m = problem.num_sites();
+/// `usage` must hold `chromosome`'s current counts; evictions update it.
+fn repair_capacity(
+    problem: &Problem,
+    chromosome: &mut BitString,
+    eq6: &Eq6Table,
+    usage: &mut SiteUsage,
+) {
     let n = problem.num_objects();
-    // Usage per site and replica degree per object, one gene at a time.
-    let mut used = vec![0u64; m];
-    let mut degree = vec![0usize; n];
-    for (i, used) in used.iter_mut().enumerate() {
-        for one in chromosome.iter_ones_in(i * n, (i + 1) * n) {
-            let k = one - i * n;
-            *used += problem.object_size(ObjectId::new(k));
-            degree[k] += 1;
-        }
-    }
+    let SiteUsage { used, degree } = usage;
     let mut candidates: Vec<(usize, f64)> = Vec::new();
     for (i, used) in used.iter_mut().enumerate() {
         let site = SiteId::new(i);
@@ -578,6 +685,8 @@ impl GaSpec for MicroSpec<'_> {
 mod tests {
     use super::*;
 
+    use crate::Sra;
+    use drp_core::ReplicationAlgorithm;
     use drp_workload::{PatternChange, WorkloadSpec};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -819,6 +928,197 @@ mod tests {
         }
     }
 
+    /// The recounting repair the incremental counts replaced, kept as the
+    /// oracle of [`transcribe`]: it counts usage and degrees over the
+    /// whole chromosome on every call.
+    fn repair_capacity_recounting(problem: &Problem, chromosome: &mut BitString, eq6: &Eq6Table) {
+        let m = problem.num_sites();
+        let n = problem.num_objects();
+        let mut used = vec![0u64; m];
+        let mut degree = vec![0usize; n];
+        for (i, used) in used.iter_mut().enumerate() {
+            for one in chromosome.iter_ones_in(i * n, (i + 1) * n) {
+                let k = one - i * n;
+                *used += problem.object_size(ObjectId::new(k));
+                degree[k] += 1;
+            }
+        }
+        let mut candidates: Vec<(usize, f64)> = Vec::new();
+        for (i, used) in used.iter_mut().enumerate() {
+            let site = SiteId::new(i);
+            let capacity = problem.capacity(site);
+            if *used <= capacity {
+                continue;
+            }
+            let row = &eq6.numerators[i * n..(i + 1) * n];
+            candidates.clear();
+            candidates.extend(
+                chromosome
+                    .iter_ones_in(i * n, (i + 1) * n)
+                    .map(|one| one - i * n)
+                    .filter(|&k| problem.primary(ObjectId::new(k)) != site)
+                    .map(|k| (k, row[k] / (eq6.weights[i] * degree[k] as f64))),
+            );
+            while *used > capacity {
+                let (slot, &(victim, _)) = candidates
+                    .iter()
+                    .enumerate()
+                    .min_by(|a, b| {
+                        a.1 .1
+                            .partial_cmp(&b.1 .1)
+                            .unwrap_or(std::cmp::Ordering::Equal)
+                    })
+                    .expect("an over-full site must hold a non-primary object");
+                candidates.remove(slot);
+                chromosome.set(i * n + victim, false);
+                *used -= problem.object_size(ObjectId::new(victim));
+                degree[victim] -= 1;
+            }
+        }
+    }
+
+    /// The transcription step before incremental counting: write the
+    /// column, set every primary bit, recount and repair, per chromosome.
+    fn transcribe_recounting(
+        problem: &Problem,
+        eq6: &Eq6Table,
+        population: &mut [BitString],
+        object: ObjectId,
+        micro: &[(BitString, f64)],
+        rng: &mut dyn RngCore,
+    ) {
+        let n = problem.num_objects();
+        let half = population.len().div_ceil(2);
+        for (index, chromosome) in population.iter_mut().enumerate() {
+            let source = column_source(micro, index, half, rng);
+            for i in 0..source.len() {
+                chromosome.set(i * n + object.index(), source.get(i));
+            }
+            ensure_primary_bits(problem, chromosome);
+            repair_capacity_recounting(problem, chromosome, eq6);
+        }
+    }
+
+    /// A random population of `size` chromosomes at `density`; odd slots
+    /// have their primary bits cleared.
+    fn random_population(
+        problem: &Problem,
+        size: usize,
+        density: f64,
+        rng: &mut StdRng,
+    ) -> Vec<BitString> {
+        let (m, n) = (problem.num_sites(), problem.num_objects());
+        (0..size)
+            .map(|slot| {
+                let mut chromosome = BitString::from_fn(m * n, |_| rng.random_bool(density));
+                if slot % 2 == 1 {
+                    for k in problem.objects() {
+                        chromosome.set(problem.primary(k).index() * n + k.index(), false);
+                    }
+                }
+                chromosome
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        /// Transcription sequences whose micro-GA results are arbitrary
+        /// `M`-bit sets (primary bits included or not).
+        #[test]
+        fn incremental_transcription_matches_the_recounting_oracle(
+            m in 2usize..=16,
+            n in 1usize..=24,
+            tight in proptest::any::<bool>(),
+            size in 1usize..=9,
+            density in 0.05f64..0.95,
+            seed in proptest::any::<u64>(),
+        ) {
+            let problem = crate::testkit::random_instance(m, n, tight, seed);
+            let eq6 = Eq6Table::new(&problem);
+            let mut rng = StdRng::seed_from_u64(seed ^ 2);
+            let mut population = random_population(&problem, size, density, &mut rng);
+            let mut oracle = population.clone();
+            let mut usage: Vec<SiteUsage> = population
+                .iter_mut()
+                .map(|chromosome| SiteUsage::primed(&problem, chromosome))
+                .collect();
+            for _ in 0..4 {
+                let object = ObjectId::new(rng.random_range(0..n));
+                let micro: Vec<(BitString, f64)> = (0..rng.random_range(1..=4))
+                    .map(|_| (BitString::from_fn(m, |_| rng.random_bool(density)), 0.0))
+                    .collect();
+                let mut oracle_rng = rng.clone();
+                transcribe(&problem, &eq6, &mut population, &mut usage, object, &micro, &mut rng);
+                transcribe_recounting(&problem, &eq6, &mut oracle, object, &micro, &mut oracle_rng);
+                proptest::prop_assert_eq!(&population, &oracle);
+                proptest::prop_assert_eq!(rng.random::<u64>(), oracle_rng.random::<u64>());
+                for (chromosome, usage) in population.iter().zip(&usage) {
+                    let recount = SiteUsage::count(&problem, chromosome);
+                    proptest::prop_assert_eq!(&usage.used, &recount.used);
+                    proptest::prop_assert_eq!(&usage.degree, &recount.degree);
+                }
+            }
+        }
+
+        /// Whole adaptation steps: the incremental `adapt` and the
+        /// recounting oracle give equal outcomes and leave the rng equal.
+        #[test]
+        fn adapt_matches_the_recounting_oracle(
+            m in 2usize..=12,
+            n in 1usize..=20,
+            tight in proptest::any::<bool>(),
+            size in 0usize..=8,
+            changes in 0usize..=3,
+            polish in proptest::any::<bool>(),
+            seed in proptest::any::<u64>(),
+        ) {
+            let problem = crate::testkit::random_instance(m, n, tight, seed);
+            let current = Sra::new().solve(&problem, &mut StdRng::seed_from_u64(seed)).unwrap();
+            let mut rng = StdRng::seed_from_u64(seed ^ 3);
+            let population = random_population(&problem, size, 0.5, &mut rng);
+            let changed: Vec<ObjectId> =
+                (0..changes).map(|_| ObjectId::new(rng.random_range(0..n))).collect();
+            let agra = Agra::with_config(AgraConfig {
+                population_size: 6,
+                generations: 8,
+                mini_gra_generations: if polish { 3 } else { 0 },
+                gra: GraConfig { population_size: 6, ..GraConfig::default() },
+                ..AgraConfig::default()
+            });
+            let mut oracle_rng = rng.clone();
+            let fast = agra.adapt(&problem, &current, &population, &changed, &mut rng);
+            let eq6 = Eq6Table::new(&problem);
+            let slow = agra.adapt_with(
+                &problem,
+                &current,
+                &population,
+                &changed,
+                &mut oracle_rng,
+                |population, object, micro, rng| {
+                    transcribe_recounting(&problem, &eq6, population, object, micro, rng);
+                },
+            );
+            match (fast, slow) {
+                (Ok(fast), Ok(slow)) => {
+                    proptest::prop_assert_eq!(&fast.scheme, &slow.scheme);
+                    proptest::prop_assert_eq!(fast.fitness.to_bits(), slow.fitness.to_bits());
+                    proptest::prop_assert_eq!(&fast.population, &slow.population);
+                    proptest::prop_assert_eq!(fast.micro_evaluations, slow.micro_evaluations);
+                    proptest::prop_assert_eq!(fast.mini_evaluations, slow.mini_evaluations);
+                }
+                // An untranscribed over-full population fails to decode
+                // the same way on both paths.
+                (fast, slow) => proptest::prop_assert_eq!(
+                    format!("{:?}", fast.err()),
+                    format!("{:?}", slow.err())
+                ),
+            }
+            proptest::prop_assert_eq!(rng.random::<u64>(), oracle_rng.random::<u64>());
+        }
+    }
+
     #[test]
     fn one_pass_repair_matches_the_per_eviction_oracle() {
         let base = WorkloadSpec::paper(10, 30, 5.0, 15.0)
@@ -852,9 +1152,13 @@ mod tests {
             ensure_primary_bits(&problem, &mut chromosome);
             let mut oracle = chromosome.clone();
             let before = chromosome.clone();
-            repair_capacity(&problem, &mut chromosome, &eq6);
+            let mut usage = SiteUsage::count(&problem, &chromosome);
+            repair_capacity(&problem, &mut chromosome, &eq6, &mut usage);
             repair_capacity_oracle(&problem, &mut oracle, &weights);
             assert_eq!(chromosome, oracle, "case {case}");
+            let recount = SiteUsage::count(&problem, &chromosome);
+            assert_eq!(usage.used, recount.used, "case {case}");
+            assert_eq!(usage.degree, recount.degree, "case {case}");
             decode_scheme(&problem, &chromosome).expect("repair restores validity");
             for i in 0..m {
                 let evicted = before.count_ones_in(i * n, (i + 1) * n)
@@ -937,7 +1241,13 @@ mod tests {
         let n = problem.num_objects();
         // Start from an everything-everywhere chromosome (over capacity).
         let mut chromosome = BitString::from_fn(problem.num_sites() * n, |_| true);
-        repair_capacity(&problem, &mut chromosome, &Eq6Table::new(&problem));
+        let mut usage = SiteUsage::count(&problem, &chromosome);
+        repair_capacity(
+            &problem,
+            &mut chromosome,
+            &Eq6Table::new(&problem),
+            &mut usage,
+        );
         ensure_primary_bits(&problem, &mut chromosome);
         decode_scheme(&problem, &chromosome).expect("repair must restore validity");
     }

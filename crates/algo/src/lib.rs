@@ -52,6 +52,8 @@ mod gra;
 pub mod monitor;
 pub mod shard;
 mod sra;
+#[cfg(test)]
+mod testkit;
 
 pub use agra::{detect_changed_objects, AdaptiveOutcome, Agra, AgraConfig};
 pub use encoding::{

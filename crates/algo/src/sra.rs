@@ -1,6 +1,6 @@
 use drp_core::telemetry::{self, Recorder};
 use drp_core::{
-    CostEvaluator, ObjectId, Problem, ReplicationAlgorithm, ReplicationScheme, Result, SiteId,
+    kernels, ObjectId, Problem, ReplicationAlgorithm, ReplicationScheme, Result, SiteId,
 };
 use rand::{Rng, RngCore};
 
@@ -63,9 +63,9 @@ impl Sra {
 
     /// [`solve`](ReplicationAlgorithm::solve) with telemetry: each
     /// benefit-sweep iteration (one site's turn) closes an `sra.sweep`
-    /// span, and the evaluator's flip/rescan totals land in
-    /// `evaluator.flips` / `evaluator.rescans` counters. Instrumentation
-    /// reads no randomness, so results are identical to `solve`.
+    /// span, and the number of replicas placed lands in the `sra.adds`
+    /// counter. Instrumentation reads no randomness, so results are
+    /// identical to `solve`.
     ///
     /// # Errors
     ///
@@ -78,16 +78,22 @@ impl Sra {
     ) -> Result<ReplicationScheme> {
         let m = problem.num_sites();
         let n = problem.num_objects();
-        // The evaluator's cached nearest-replicator costs replace the
-        // hand-rolled `nearest[k][i]` arrays: every `apply_add` keeps them
-        // current in O(M).
-        let mut eval = CostEvaluator::primary_only(problem);
+        let costs = problem.costs();
+        let mut scheme = ReplicationScheme::primary_only(problem);
+        // `nearest[k·M + x] = C(x, SN_k(x))`, the only cost the Eq. 5
+        // benefit reads: it starts as each primary's cost row, and every
+        // add folds the new replica's row in with one min-scan.
+        let mut nearest = Vec::with_capacity(n * m);
+        for object in problem.objects() {
+            nearest.extend_from_slice(costs.row(problem.primary(object).index()));
+        }
+        let mut adds = 0u64;
 
         // L(i): candidate objects per site (everything but own primaries).
         let mut lists: Vec<Vec<usize>> = (0..m)
             .map(|i| {
                 (0..n)
-                    .filter(|&k| !eval.scheme().holds(SiteId::new(i), ObjectId::new(k)))
+                    .filter(|&k| !scheme.holds(SiteId::new(i), ObjectId::new(k)))
                     .collect()
             })
             .collect();
@@ -107,13 +113,13 @@ impl Sra {
             };
             let i = ls[slot];
             let site = SiteId::new(i);
-            let free = eval.scheme().free_capacity(problem, site);
+            let free = scheme.free_capacity(problem, site);
             // The sweep walks objects for a fixed site, so the site-major
             // `r_x(i, ·)` / `w_x(i, ·)` rows and the cost row `C(i, ·)` are
             // the contiguous ones — hoist them out of the retain closure.
             let r_row = problem.read_matrix().row(i);
             let w_row = problem.write_matrix().row(i);
-            let c_row = problem.costs().row(i);
+            let c_row = costs.row(i);
 
             // One pass: find the best positive benefit that fits and prune
             // candidates that are dead (non-positive benefit or oversize).
@@ -125,7 +131,7 @@ impl Sra {
                     return false;
                 }
                 let c_sp = c_row[problem.primary(object).index()];
-                let benefit = r_row[k] as i64 * eval.nearest_cost(site, object) as i64
+                let benefit = r_row[k] as i64 * nearest[k * m + i] as i64
                     + (w_row[k] as i64 - problem.total_writes(object) as i64) * c_sp as i64;
                 if benefit <= 0 {
                     return false;
@@ -137,9 +143,9 @@ impl Sra {
             });
 
             if let Some((_, k)) = best {
-                let object = ObjectId::new(k);
-                // apply_add refreshes every site's nearest cost in one pass.
-                eval.apply_add(site, object)?;
+                scheme.add_replica(problem, site, ObjectId::new(k))?;
+                kernels::min_scan(&mut nearest[k * m..(k + 1) * m], c_row);
+                adds += 1;
                 lists[i].retain(|&x| x != k);
             }
             if lists[i].is_empty() {
@@ -152,10 +158,9 @@ impl Sra {
             }
         }
         if recorder.enabled() {
-            recorder.add_counter("evaluator.flips", eval.flips());
-            recorder.add_counter("evaluator.rescans", eval.rescans());
+            recorder.add_counter("sra.adds", adds);
         }
-        Ok(eval.into_scheme())
+        Ok(scheme)
     }
 }
 
@@ -300,11 +305,102 @@ mod tests {
             .unwrap();
         assert_eq!(plain, recorded, "recording must not perturb the result");
         assert!(recorder.span_count("sra.sweep") > 0);
-        // Every extra replica is one evaluator flip.
+        // Every extra replica is one add.
         assert_eq!(
-            recorder.counter("evaluator.flips"),
+            recorder.counter("sra.adds"),
             recorded.extra_replica_count() as u64
         );
+    }
+
+    /// The evaluator-driven SRA loop the nearest-cost table replaced, kept
+    /// as its oracle: a full [`CostEvaluator`] supplies the nearest cost
+    /// and applies each add.
+    fn solve_with_evaluator(
+        order: SiteOrder,
+        problem: &Problem,
+        rng: &mut dyn RngCore,
+    ) -> Result<ReplicationScheme> {
+        use drp_core::CostEvaluator;
+
+        let m = problem.num_sites();
+        let n = problem.num_objects();
+        let mut eval = CostEvaluator::primary_only(problem);
+        let mut lists: Vec<Vec<usize>> = (0..m)
+            .map(|i| {
+                (0..n)
+                    .filter(|&k| !eval.scheme().holds(SiteId::new(i), ObjectId::new(k)))
+                    .collect()
+            })
+            .collect();
+        let mut ls: Vec<usize> = (0..m).filter(|&i| !lists[i].is_empty()).collect();
+        let mut cursor = 0usize;
+        while !ls.is_empty() {
+            let slot = match order {
+                SiteOrder::RoundRobin => {
+                    let s = cursor % ls.len();
+                    cursor = s + 1;
+                    s
+                }
+                SiteOrder::Random => rng.random_range(0..ls.len()),
+            };
+            let i = ls[slot];
+            let site = SiteId::new(i);
+            let free = eval.scheme().free_capacity(problem, site);
+            let mut best: Option<(i64, usize)> = None;
+            lists[i].retain(|&k| {
+                let object = ObjectId::new(k);
+                if problem.object_size(object) > free {
+                    return false;
+                }
+                let c_sp = problem.costs().cost(i, problem.primary(object).index());
+                let benefit = problem.reads(site, object) as i64
+                    * eval.nearest(site, object).1 as i64
+                    + (problem.writes(site, object) as i64 - problem.total_writes(object) as i64)
+                        * c_sp as i64;
+                if benefit <= 0 {
+                    return false;
+                }
+                if best.is_none_or(|(b, _)| benefit > b) {
+                    best = Some((benefit, k));
+                }
+                true
+            });
+            if let Some((_, k)) = best {
+                eval.apply_add(site, ObjectId::new(k))?;
+                lists[i].retain(|&x| x != k);
+            }
+            if lists[i].is_empty() {
+                let removed_before = cursor > slot;
+                ls.remove(slot);
+                if removed_before && cursor > 0 {
+                    cursor -= 1;
+                }
+            }
+        }
+        Ok(eval.into_scheme())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(200))]
+
+        #[test]
+        fn nearest_table_matches_the_evaluator_oracle(
+            m in 2usize..=40,
+            n in 1usize..=30,
+            tight in proptest::any::<bool>(),
+            random_order in proptest::any::<bool>(),
+            seed in proptest::any::<u64>(),
+        ) {
+            let problem = crate::testkit::random_instance(m, n, tight, seed);
+            let order = if random_order { SiteOrder::Random } else { SiteOrder::RoundRobin };
+            let mut table_rng = StdRng::seed_from_u64(seed ^ 1);
+            let mut oracle_rng = table_rng.clone();
+            let table = Sra::with_order(order).solve(&problem, &mut table_rng).unwrap();
+            let oracle = solve_with_evaluator(order, &problem, &mut oracle_rng).unwrap();
+            proptest::prop_assert_eq!(&table, &oracle, "{}x{} tight={} {:?}", m, n, tight, order);
+            // Both runs drew the same number of site picks.
+            proptest::prop_assert_eq!(table_rng.random::<u64>(), oracle_rng.random::<u64>());
+        }
     }
 
     #[test]

@@ -262,12 +262,6 @@ pub struct Evaluator<R> {
     total: u64,
     /// Flip log consumed by [`undo`](Self::undo).
     log: Vec<FlipRecord>,
-    /// Replica flips applied so far (adds, removes and undos alike).
-    flips: u64,
-    /// Second-nearest rescans performed — the only step of a flip that
-    /// walks a candidate set, so the ratio `rescans / flips` tells how
-    /// often a removal hits the cached top-2.
-    rescans: u64,
 }
 
 /// Incremental Eq. 4 evaluator over a dense [`Problem`]: every flip is
@@ -360,8 +354,6 @@ impl<R: CandidateRows> Evaluator<R> {
             object_cost: vec![0; n],
             total: 0,
             log: Vec::new(),
-            flips: 0,
-            rescans: 0,
         };
         for k in 0..n {
             eval.rebuild_object(k);
@@ -444,17 +436,6 @@ impl<R: CandidateRows> Evaluator<R> {
         )
     }
 
-    /// The cached nearest-replica cost `C(i, SN_k(i))` alone — the term the
-    /// Eq. 5 benefit needs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if ids are out of range.
-    #[inline]
-    pub fn nearest_cost(&self, site: SiteId, object: ObjectId) -> u64 {
-        self.top2.best_cost[self.cell(site, object)]
-    }
-
     /// The cached second-nearest candidate replicator, or `None` when the
     /// object has a single candidate at this site.
     ///
@@ -474,20 +455,6 @@ impl<R: CandidateRows> Evaluator<R> {
     /// Number of flips recorded for [`undo`](Self::undo).
     pub fn history_len(&self) -> usize {
         self.log.len()
-    }
-
-    /// Lifetime count of replica flips applied through this evaluator
-    /// (adds, removes and undos alike). Plain always-on counters: callers
-    /// publish them to a telemetry [`Recorder`](crate::telemetry::Recorder)
-    /// after a run.
-    pub fn flips(&self) -> u64 {
-        self.flips
-    }
-
-    /// Lifetime count of second-nearest rescans triggered by removals whose
-    /// replica sat in a cached top-2 slot.
-    pub fn rescans(&self) -> u64 {
-        self.rescans
     }
 
     /// Forgets the undo history (the cache itself is unaffected).
@@ -559,7 +526,6 @@ impl<R: CandidateRows> Evaluator<R> {
         let size = self.rows.object(object.index()).size;
         self.scheme
             .insert(site, object, size, self.rows.capacity(site.index()))?;
-        self.flips += 1;
         let delta = self.integrate_add(site.index(), object.index());
         self.log.push(FlipRecord {
             added: true,
@@ -582,7 +548,6 @@ impl<R: CandidateRows> Evaluator<R> {
         let obj = self.rows.object(object.index());
         self.scheme
             .erase(site, object, obj.size, SiteId::new(obj.primary))?;
-        self.flips += 1;
         let delta = self.integrate_remove(site.index(), object.index());
         self.log.push(FlipRecord {
             added: false,
@@ -600,7 +565,6 @@ impl<R: CandidateRows> Evaluator<R> {
     /// (see the module docs), the inverse flip restores it exactly.
     pub fn undo(&mut self) -> Option<i64> {
         let record = self.log.pop()?;
-        self.flips += 1;
         let (i, k) = (record.site as usize, record.object as usize);
         let (site, object) = (SiteId::new(i), ObjectId::new(k));
         let obj = self.rows.object(k);
@@ -709,7 +673,6 @@ impl<R: CandidateRows> Evaluator<R> {
         let (rows, scheme, top2) = (&self.rows, &self.scheme, &mut self.top2);
         let obj = rows.object(k);
         let mut loss = 0u64;
-        let mut rescans = 0u64;
         rows.for_each_picker(i, |x, _| {
             let idx = base + x;
             if top2.best_site[idx] as usize == i {
@@ -720,14 +683,11 @@ impl<R: CandidateRows> Evaluator<R> {
                 top2.best_cost[idx] = top2.second_cost[idx];
                 top2.best_site[idx] = top2.second_site[idx];
                 top2.rescan_second(idx, rows, scheme, x, k);
-                rescans += 1;
                 loss += obj.reads[x] * (top2.best_cost[idx] - old_best);
             } else if top2.second_site[idx] as usize == i {
                 top2.rescan_second(idx, rows, scheme, x, k);
-                rescans += 1;
             }
         });
-        self.rescans += rescans;
         let delta = (obj.size * loss) as i64 - obj.shipping_delta(i);
         self.apply_object_delta(k, delta);
         delta
@@ -886,27 +846,6 @@ mod tests {
         assert_eq!(eval.total(), snapshot.total());
         assert_eq!(eval.scheme(), snapshot.scheme());
         assert_eq!(eval.history_len(), 0);
-    }
-
-    #[test]
-    fn flip_and_rescan_counters_track_operations() {
-        let p = problem();
-        let mut eval = CostEvaluator::primary_only(&p);
-        assert_eq!((eval.flips(), eval.rescans()), (0, 0));
-        eval.apply_add(SiteId::new(2), ObjectId::new(0)).unwrap();
-        eval.apply_add(SiteId::new(1), ObjectId::new(0)).unwrap();
-        assert_eq!(eval.flips(), 2);
-        assert_eq!(eval.rescans(), 0, "adds never rescan");
-        eval.apply_remove(SiteId::new(1), ObjectId::new(0)).unwrap();
-        assert_eq!(eval.flips(), 3);
-        assert!(eval.rescans() > 0, "removing a cached replicator rescans");
-        let before = eval.flips();
-        eval.undo().unwrap();
-        assert_eq!(eval.flips(), before + 1, "undo is a flip too");
-        // Failed operations leave the counters alone.
-        let (f, r) = (eval.flips(), eval.rescans());
-        assert!(eval.apply_add(SiteId::new(0), ObjectId::new(0)).is_err());
-        assert_eq!((eval.flips(), eval.rescans()), (f, r));
     }
 
     #[test]

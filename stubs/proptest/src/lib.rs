@@ -100,19 +100,42 @@ tuple_strategy!((A, 0), (B, 1), (C, 2), (D, 3));
 tuple_strategy!((A, 0), (B, 1), (C, 2), (D, 3), (E, 4));
 tuple_strategy!((A, 0), (B, 1), (C, 2), (D, 3), (E, 4), (F, 5));
 
-/// Placeholder so `any::<T>()` keeps compiling; the workspace does not
-/// currently execute any `any` strategy.
-pub struct Any<T>(PhantomData<T>);
+/// Types [`any`] can draw: `bool` and the integer types, each uniform
+/// over its whole domain (real proptest also biases toward edge values;
+/// the stub does not).
+pub trait Arbitrary: Sized {
+    fn arbitrary<R: RngCore + ?Sized>(rng: &mut R) -> Self;
+}
 
-impl<T> Strategy for Any<T> {
-    type Value = T;
-
-    fn generate<R: RngCore + ?Sized>(&self, _rng: &mut R) -> T {
-        panic!("any::<T>() is not supported by the offline proptest stub; use a range strategy")
+impl Arbitrary for bool {
+    fn arbitrary<R: RngCore + ?Sized>(rng: &mut R) -> bool {
+        rng.next_u64() & 1 == 1
     }
 }
 
-pub fn any<T>() -> Any<T> {
+macro_rules! int_arbitrary {
+    ($($t:ty),*) => {$(
+        impl Arbitrary for $t {
+            fn arbitrary<R: RngCore + ?Sized>(rng: &mut R) -> $t {
+                rng.next_u64() as $t
+            }
+        }
+    )*};
+}
+int_arbitrary!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+
+/// The strategy [`any`] returns.
+pub struct Any<T>(PhantomData<T>);
+
+impl<T: Arbitrary> Strategy for Any<T> {
+    type Value = T;
+
+    fn generate<R: RngCore + ?Sized>(&self, rng: &mut R) -> T {
+        T::arbitrary(rng)
+    }
+}
+
+pub fn any<T: Arbitrary>() -> Any<T> {
     Any(PhantomData)
 }
 
@@ -297,5 +320,34 @@ pub mod prelude {
 
     pub mod prop {
         pub use crate::collection;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn any_draws_both_bools_and_spans_the_integer_domain() {
+        let mut rng = __rng_for("any");
+        let bools: Vec<bool> = (0..64).map(|_| any::<bool>().generate(&mut rng)).collect();
+        assert!(bools.contains(&true) && bools.contains(&false));
+        let wide = (0..64)
+            .map(|_| any::<u64>().generate(&mut rng))
+            .max()
+            .unwrap();
+        assert!(wide > u64::from(u32::MAX), "u64 draws use the high bits");
+        let signed: Vec<i8> = (0..256).map(|_| any::<i8>().generate(&mut rng)).collect();
+        assert!(signed.iter().any(|&x| x < 0) && signed.iter().any(|&x| x > 0));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// `any` strategies draw (rather than panic) inside `proptest!`.
+        #[test]
+        fn any_strategies_draw_inside_the_macro(flag in any::<bool>(), x in any::<u16>()) {
+            prop_assert!(usize::from(flag) + usize::from(x) <= usize::from(u16::MAX) + 1);
+        }
     }
 }
