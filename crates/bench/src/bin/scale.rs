@@ -4,28 +4,26 @@
 //!
 //! For each site count it times:
 //!
-//! * **build_legacy_ms** — the pre-pool dense all-pairs build: sequential
-//!   Floyd–Warshall into nested `Vec<Vec<Option<u64>>>` plus the flatten,
-//!   exactly what `CostMatrix::from_graph` used to do on dense graphs;
-//! * **build_seq_ms** — [`CostMatrix::from_graph_with_pool`] on a
-//!   one-thread pool: the new flat dense-Dijkstra kernel, no parallelism;
-//! * **build_par_ms** — the same on the shared global pool (all cores);
+//! * **build_legacy_ms** — the old dense all-pairs build: Floyd–Warshall
+//!   into nested `Vec<Vec<Option<u64>>>` plus the flatten, exactly what
+//!   `CostMatrix::from_graph` used to do on dense graphs;
+//! * **build_seq_ms** — [`CostMatrix::from_graph`]: the flat kernel, run on
+//!   the calling thread like every all-pairs build;
 //! * **problem_build_ms** — a full `WorkloadSpec::paper` generate, best of
 //!   3 at every site count;
 //! * **SRA / GRA / AGRA** solve times, with the GRA scheme's cost and
 //!   fingerprint recorded as identity fields.
 //!
-//! Every sample's `parity` flag says the three build paths agreed bit for
+//! Every sample's `parity` flag says the two build paths agreed bit for
 //! bit.
 //!
-//! The budget block claims the build speedup (legacy over parallel) at
+//! The budget block claims the build speedup (legacy over flat) at
 //! the largest site count clears `--budget-speedup` (default 3.0; the CI
 //! smoke run passes a lenient floor since it uses tiny instances on
 //! shared runners).
 
 use drp_algo::{detect_changed_objects, Agra, AgraConfig, Gra, GraConfig, Sra};
 use drp_bench::report::{Budget, Fields, Report};
-use drp_core::pool::WorkerPool;
 use drp_core::{Problem, ReplicationAlgorithm, ReplicationScheme};
 use drp_net::{shortest, topology, CostMatrix};
 use drp_workload::{PatternChange, WorkloadSpec};
@@ -99,7 +97,7 @@ fn timed_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
     (best, result.expect("at least one rep"))
 }
 
-/// The pre-pool dense build path: Floyd–Warshall into nested option rows,
+/// The old dense build path: Floyd–Warshall into nested option rows,
 /// then the flatten `CostMatrix::from_graph` used to perform.
 fn legacy_dense_build(graph: &drp_net::Graph) -> Vec<u64> {
     let table = shortest::floyd_warshall(graph);
@@ -129,7 +127,6 @@ struct Sample {
     sites: usize,
     build_legacy_ms: f64,
     build_seq_ms: f64,
-    build_par_ms: f64,
     problem_build_ms: f64,
     sra_ms: f64,
     gra_ms: f64,
@@ -146,15 +143,9 @@ fn bench_size(m: usize, objects: usize, pop: usize, gens: usize) -> Sample {
     let reps = if m >= 500 { 1 } else { 3 };
 
     let (build_legacy_ms, legacy) = timed_ms(reps, || legacy_dense_build(&graph));
-    let single = WorkerPool::new(1);
-    let (build_seq_ms, seq) = timed_ms(reps, || {
-        CostMatrix::from_graph_with_pool(&graph, &single).expect("connected")
-    });
-    let (build_par_ms, par) = timed_ms(reps, || {
-        CostMatrix::from_graph_with_pool(&graph, WorkerPool::global()).expect("connected")
-    });
-    let builds_agree = seq == par && (0..m).all(|i| legacy[i * m..(i + 1) * m] == *par.row(i));
-    assert!(builds_agree, "all three build paths must agree bit for bit");
+    let (build_seq_ms, seq) = timed_ms(reps, || CostMatrix::from_graph(&graph).expect("connected"));
+    let builds_agree = (0..m).all(|i| legacy[i * m..(i + 1) * m] == *seq.row(i));
+    assert!(builds_agree, "both build paths must agree bit for bit");
 
     let (problem_build_ms, problem) = timed_ms(3, || {
         WorkloadSpec::paper(m, objects, 5.0, 15.0)
@@ -214,7 +205,6 @@ fn bench_size(m: usize, objects: usize, pop: usize, gens: usize) -> Sample {
         sites: m,
         build_legacy_ms,
         build_seq_ms,
-        build_par_ms,
         problem_build_ms,
         sra_ms,
         gra_ms,
@@ -234,9 +224,7 @@ fn main() {
         .collect();
 
     let last = samples.last().expect("at least one sample");
-    let speedup_at_largest = last.build_legacy_ms / last.build_par_ms;
-    // `build_seq_ms` is always one thread and `build_par_ms` runs on
-    // `pool_threads`; `thread_fields` records which N that actually was.
+    let speedup_at_largest = last.build_legacy_ms / last.build_seq_ms;
     let config = drp_bench::thread_fields(
         Fields::new()
             .text("unit", "ms")
@@ -259,8 +247,7 @@ fn main() {
                 .int("sites", s.sites as u64)
                 .float("build_legacy_ms", s.build_legacy_ms, 2)
                 .float("build_seq_ms", s.build_seq_ms, 2)
-                .float("build_par_ms", s.build_par_ms, 2)
-                .float("build_speedup", s.build_legacy_ms / s.build_par_ms, 2)
+                .float("build_speedup", s.build_legacy_ms / s.build_seq_ms, 2)
                 .float("problem_build_ms", s.problem_build_ms, 2)
                 .float("sra_ms", s.sra_ms, 2)
                 .float("gra_ms", s.gra_ms, 2)

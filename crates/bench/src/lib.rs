@@ -35,11 +35,11 @@ pub fn rng() -> StdRng {
 }
 
 /// Appends the host fields every artifact's config records: the cores
-/// the host offers, the pool size actually used (`DRP_THREADS` wins over
-/// auto-detection), the raw `DRP_THREADS` value, and the instruction set
-/// the Eq. 4 cost kernels run on (`"avx2"` or `"baseline"`, see
-/// [`drp_core::kernels::isa`]). The ratchet treats all four as
-/// environment, not benchmark identity.
+/// the host offers, the thread budget ingestion sizes its shards from
+/// (`DRP_THREADS` wins over auto-detection), the raw `DRP_THREADS` value,
+/// and the instruction set the Eq. 4 cost kernels run on (`"avx2"` or
+/// `"baseline"`, see [`drp_core::kernels::isa`]). The ratchet treats all
+/// four as environment, not benchmark identity.
 #[must_use]
 pub fn thread_fields(fields: report::Fields) -> report::Fields {
     let available = std::thread::available_parallelism().map_or(1, usize::from);

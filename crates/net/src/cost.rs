@@ -2,7 +2,6 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use crate::pool::WorkerPool;
 use crate::{shortest, Graph, NetError, Result};
 
 /// The symmetric per-unit transfer cost table `C(i, j)` of the paper.
@@ -63,27 +62,15 @@ impl CostMatrix {
         Ok(matrix)
     }
 
-    /// Computes all-pairs shortest path costs of a connected graph.
+    /// Computes all-pairs shortest path costs of a connected graph, once,
+    /// on the calling thread.
     ///
     /// # Errors
     ///
     /// Returns [`NetError::Disconnected`] if some pair of sites has no path.
     pub fn from_graph(graph: &Graph) -> Result<Self> {
-        Self::from_graph_with_pool(graph, WorkerPool::global())
-    }
-
-    /// [`from_graph`](Self::from_graph) with an explicit worker pool.
-    ///
-    /// The result is bitwise-identical for every pool size (each source
-    /// site owns one disjoint row of the matrix); benchmarks pass
-    /// `WorkerPool::new(1)` to time the sequential reference.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::Disconnected`] if some pair of sites has no path.
-    pub fn from_graph_with_pool(graph: &Graph, pool: &WorkerPool) -> Result<Self> {
         let m = graph.num_sites();
-        let costs = shortest::all_pairs_flat(graph, pool);
+        let costs = shortest::all_pairs_flat(graph);
         if let Some(flat) = costs.iter().position(|&c| c == shortest::UNREACHABLE) {
             return Err(NetError::Disconnected {
                 pair: (flat / m, flat % m),

@@ -14,8 +14,8 @@
 //! * [`topology`] — random and regular topology generators, including the
 //!   paper's complete graph with Uniform(1, 10) link costs and the
 //!   two-level [`topology::hierarchical`] clusters-over-backbone family.
-//! * [`pool`] — a persistent, deterministic worker pool behind the
-//!   all-pairs shortest-path build, instead of re-spawning scoped threads.
+//! * [`pool`] — the process thread budget (`DRP_THREADS` or the core
+//!   count) that ingestion sizes its shards from; it runs nothing itself.
 //! * [`sim`] — a deterministic discrete-event message simulator used to run
 //!   the distributed version of the greedy algorithm and to serve request
 //!   epochs against a replication scheme (`drp-serve`'s epoch engine).

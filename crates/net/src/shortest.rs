@@ -2,15 +2,15 @@
 //!
 //! The paper assumes `C(i, j)` is the cumulative cost of the shortest path
 //! between sites `i` and `j`, known a priori. [`CostMatrix::from_graph`]
-//! computes that table with [`all_pairs`], which picks Dijkstra-from-every-
-//! source for sparse graphs and Floyd–Warshall for dense ones.
+//! computes that table once, on the calling thread, with
+//! [`all_pairs_flat`], which picks Dijkstra-from-every-source for sparse
+//! graphs and Floyd–Warshall for dense ones.
 //!
 //! [`CostMatrix::from_graph`]: crate::CostMatrix::from_graph
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::pool::WorkerPool;
 use crate::{Graph, NetError, Result};
 
 /// Sentinel distance for unreachable pairs in the flat representation
@@ -57,9 +57,8 @@ pub fn dijkstra(graph: &Graph, src: usize) -> Result<Vec<Option<u64>>> {
 
 /// Single-source Dijkstra writing into a caller-owned row, with a reusable
 /// heap. Unreachable sites are left at [`UNREACHABLE`]; `dist` is
-/// overwritten, not accumulated. The flat-row form is what
-/// [`all_pairs_flat`] fans over the worker pool — each source writes its
-/// own disjoint row of the output matrix.
+/// overwritten, not accumulated. [`all_pairs_flat`] runs it once per
+/// source, each writing its own row of the output matrix.
 ///
 /// `src` must be a valid site index and `dist.len()` must equal the number
 /// of sites (callers in this module guarantee both).
@@ -236,15 +235,9 @@ pub(crate) fn k_nearest_into(
 /// enough that one relaxation sum of two entries cannot wrap a `u32`.
 const FW_INF32: u32 = u32::MAX / 4;
 
-/// Parallel flat Floyd–Warshall over a min-cost adjacency matrix — the
-/// dense path of [`all_pairs_flat`]. `dist` starts as the adjacency
-/// matrix (with [`UNREACHABLE`] holes) and ends as the all-pairs table.
-///
-/// At pivot `k`, row `k` is invariant (`dist[k][j]` relaxes against
-/// `dist[k][k] + dist[k][j]`, i.e. itself), so every row can relax
-/// independently against a snapshot of the pivot row: the per-pivot sweep
-/// fans disjoint row chunks over the pool with no cross-row writes, which
-/// keeps the result bitwise-identical for every pool size.
+/// Flat Floyd–Warshall over a min-cost adjacency matrix — the dense path
+/// of [`all_pairs_flat`]. `dist` starts as the adjacency matrix (with
+/// [`UNREACHABLE`] holes) and ends as the all-pairs table.
 ///
 /// When every shortest path provably fits (any path has at most `M − 1`
 /// hops of at most the largest edge weight), the sweep runs over a `u32`
@@ -258,7 +251,7 @@ const FW_INF32: u32 = u32::MAX / 4;
 /// the same sweep in `u64` with a saturating add. Either way the math is
 /// exact integer shortest paths, so kernel choice — a pure function of
 /// the input — never changes results.
-fn floyd_warshall_flat(dist: &mut [u64], m: usize, pool: &WorkerPool) {
+fn floyd_warshall_flat(dist: &mut [u64], m: usize) {
     let max_edge = dist
         .iter()
         .filter(|&&d| d != UNREACHABLE)
@@ -271,7 +264,7 @@ fn floyd_warshall_flat(dist: &mut [u64], m: usize, pool: &WorkerPool) {
             .iter()
             .map(|&d| if d == UNREACHABLE { FW_INF32 } else { d as u32 })
             .collect();
-        floyd_warshall_sweep(&mut narrow, m, pool, |a, b| a + b);
+        floyd_warshall_sweep(&mut narrow, m, |a, b| a + b);
         for (slot, &d) in dist.iter_mut().zip(&narrow) {
             *slot = if d >= FW_INF32 {
                 UNREACHABLE
@@ -280,37 +273,28 @@ fn floyd_warshall_flat(dist: &mut [u64], m: usize, pool: &WorkerPool) {
             };
         }
     } else {
-        floyd_warshall_sweep(dist, m, pool, u64::saturating_add);
+        floyd_warshall_sweep(dist, m, u64::saturating_add);
     }
 }
 
 /// The pivot sweep shared by both [`floyd_warshall_flat`] kernels.
 /// `relax` must be monotone addition with an absorbing top value
 /// (saturating for `u64`, plain for the bounded `u32` domain).
-fn floyd_warshall_sweep<T>(
-    dist: &mut [T],
-    m: usize,
-    pool: &WorkerPool,
-    relax: impl Fn(T, T) -> T + Sync,
-) where
-    T: Copy + Ord + Send + Sync,
-{
-    let relax = &relax;
-    let rows_per_task = m.div_ceil(pool.threads().min(m));
-    let chunk = rows_per_task * m;
+///
+/// At pivot `k`, row `k` is invariant (`dist[k][j]` relaxes against
+/// `dist[k][k] + dist[k][j]`, i.e. itself), so every row relaxes against
+/// a copy of the pivot row.
+fn floyd_warshall_sweep<T: Copy + Ord>(dist: &mut [T], m: usize, relax: impl Fn(T, T) -> T) {
     let mut pivot_row = Vec::with_capacity(m);
     for k in 0..m {
         pivot_row.clear();
         pivot_row.extend_from_slice(&dist[k * m..(k + 1) * m]);
-        let pivot = &pivot_row;
-        pool.for_each_chunk_mut(dist, chunk, |_, rows| {
-            for row in rows.chunks_mut(m) {
-                let through = row[k];
-                for (slot, &pk) in row.iter_mut().zip(pivot) {
-                    *slot = (*slot).min(relax(through, pk));
-                }
+        for row in dist.chunks_mut(m) {
+            let through = row[k];
+            for (slot, &pk) in row.iter_mut().zip(&pivot_row) {
+                *slot = (*slot).min(relax(through, pk));
             }
-        });
+        }
     }
 }
 
@@ -330,17 +314,15 @@ fn flat_adjacency(graph: &Graph) -> Vec<u64> {
     adj
 }
 
-/// All-pairs shortest paths as a flat row-major `M × M` matrix, with
-/// Dijkstra-from-every-source fanned over `pool`.
+/// All-pairs shortest paths as a flat row-major `M × M` matrix, computed
+/// on the calling thread.
 ///
 /// Entry `i * m + j` is the cheapest path cost from `i` to `j`, or
-/// [`UNREACHABLE`]. Sparse graphs fan binary-heap Dijkstra per source over
-/// the pool (each source owns one disjoint output row); dense ones (the
-/// paper's complete topologies) run `floyd_warshall_flat` over the flat
-/// adjacency matrix, fanning the per-pivot row sweep. Both assignments
-/// depend only on the instance, so the result is bitwise-identical for
-/// every pool size, including the inline `WorkerPool::new(1)`.
-pub fn all_pairs_flat(graph: &Graph, pool: &WorkerPool) -> Vec<u64> {
+/// [`UNREACHABLE`]. Sparse graphs run binary-heap Dijkstra from every
+/// source, each filling its own output row; dense ones (the paper's
+/// complete topologies) run `floyd_warshall_flat` over the flat adjacency
+/// matrix. The kernel is picked from the instance alone.
+pub fn all_pairs_flat(graph: &Graph) -> Vec<u64> {
     let m = graph.num_sites();
     let e = graph.num_edges();
     if m == 0 {
@@ -351,25 +333,22 @@ pub fn all_pairs_flat(graph: &Graph, pool: &WorkerPool) -> Vec<u64> {
     let dense = e.saturating_mul((64 - (m as u64).leading_zeros()) as usize) > m * m;
     if dense {
         let mut out = flat_adjacency(graph);
-        floyd_warshall_flat(&mut out, m, pool);
+        floyd_warshall_flat(&mut out, m);
         return out;
     }
     let mut out = vec![UNREACHABLE; m * m];
-    let rows_per_task = m.div_ceil(pool.threads().min(m));
-    pool.for_each_chunk_mut(&mut out, rows_per_task * m, |chunk_index, rows| {
-        let mut heap = BinaryHeap::new();
-        for (offset, dist) in rows.chunks_mut(m).enumerate() {
-            let src = chunk_index * rows_per_task + offset;
-            dijkstra_into(graph, src, dist, &mut heap);
-        }
-    });
+    let mut heap = BinaryHeap::new();
+    for (src, dist) in out.chunks_mut(m).enumerate() {
+        dijkstra_into(graph, src, dist, &mut heap);
+    }
     out
 }
 
 /// All-pairs shortest path costs via Floyd–Warshall, O(M^3).
 ///
-/// Unreachable pairs are `None`. Prefer [`all_pairs`], which chooses between
-/// this and repeated Dijkstra based on density.
+/// Unreachable pairs are `None`. The tests hold [`all_pairs_flat`] to this
+/// independent reference; prefer `all_pairs_flat`, which chooses between a
+/// flat sweep and repeated Dijkstra based on density.
 #[allow(clippy::needless_range_loop)] // i/j/k triple indexing reads clearest
 pub fn floyd_warshall(graph: &Graph) -> Vec<Vec<Option<u64>>> {
     let m = graph.num_sites();
@@ -395,25 +374,6 @@ pub fn floyd_warshall(graph: &Graph) -> Vec<Vec<Option<u64>>> {
         }
     }
     dist
-}
-
-/// All-pairs shortest paths in the nested `Option` representation.
-///
-/// Compatibility wrapper over [`all_pairs_flat`] on the global worker
-/// pool; [`floyd_warshall`] remains as the independent sequential
-/// reference the property tests compare against.
-pub fn all_pairs(graph: &Graph) -> Result<Vec<Vec<Option<u64>>>> {
-    let m = graph.num_sites();
-    let flat = all_pairs_flat(graph, WorkerPool::global());
-    Ok(flat
-        .chunks(m.max(1))
-        .take(m)
-        .map(|row| {
-            row.iter()
-                .map(|&d| (d != UNREACHABLE).then_some(d))
-                .collect()
-        })
-        .collect())
 }
 
 #[cfg(test)]
@@ -467,33 +427,41 @@ mod tests {
         assert_eq!(fw[0][1], Some(3));
     }
 
-    #[test]
-    fn all_pairs_agrees_with_floyd_warshall() {
-        let g = diamond();
-        assert_eq!(all_pairs(&g).unwrap(), floyd_warshall(&g));
+    /// `fw` flattened into [`all_pairs_flat`]'s row-major form.
+    fn flatten(fw: &[Vec<Option<u64>>]) -> Vec<u64> {
+        fw.iter()
+            .flatten()
+            .map(|d| d.unwrap_or(UNREACHABLE))
+            .collect()
     }
 
     #[test]
+    fn all_pairs_agrees_with_floyd_warshall() {
+        // A sparse ring of 8 sites with two chords: several shortest paths
+        // go the long way round or through a chord.
+        let mut g = Graph::new(8).unwrap();
+        for i in 0..8 {
+            g.add_edge(i, (i + 1) % 8, (i + 1) as u64).unwrap();
+        }
+        g.add_edge(0, 4, 3).unwrap();
+        g.add_edge(2, 6, 20).unwrap();
+        assert_eq!(all_pairs_flat(&g), flatten(&floyd_warshall(&g)));
+    }
+
+    /// `all_pairs_flat` takes no pool and runs on the calling thread, so
+    /// the thread budget cannot change its table: one call covers every
+    /// pool size.
+    #[test]
     fn all_pairs_flat_matches_floyd_warshall_for_any_pool_size() {
         let g = diamond();
-        let m = g.num_sites();
-        let fw = floyd_warshall(&g);
-        for threads in [1, 2, 4] {
-            let flat = all_pairs_flat(&g, &WorkerPool::new(threads));
-            for i in 0..m {
-                for j in 0..m {
-                    let expect = fw[i][j].unwrap_or(UNREACHABLE);
-                    assert_eq!(flat[i * m + j], expect, "({i},{j}) at {threads} threads");
-                }
-            }
-        }
+        assert_eq!(all_pairs_flat(&g), flatten(&floyd_warshall(&g)));
     }
 
     #[test]
     fn all_pairs_flat_marks_unreachable_pairs() {
         let mut g = Graph::new(3).unwrap();
         g.add_edge(0, 1, 2).unwrap();
-        let flat = all_pairs_flat(&g, &WorkerPool::new(1));
+        let flat = all_pairs_flat(&g);
         assert_eq!(flat[2], UNREACHABLE, "0 -> 2");
         assert_eq!(flat[2 * 3], UNREACHABLE, "2 -> 0");
         assert_eq!(flat[1], 2, "0 -> 1");
@@ -511,13 +479,52 @@ mod tests {
             }
         }
         let m = 4;
-        let flat = all_pairs_flat(&g, &WorkerPool::new(2));
+        let flat = all_pairs_flat(&g);
         let fw = floyd_warshall(&g);
         for i in 0..m {
             for j in 0..m {
                 assert_eq!(flat[i * m + j], fw[i][j].unwrap(), "({i},{j})");
             }
         }
+    }
+
+    #[test]
+    fn wide_weights_take_the_saturating_u64_kernel() {
+        // A complete multigraph on sites 0..4 plus the isolated site 4. Its
+        // edges are so wide that a 4-hop path could pass `FW_INF32`, so the
+        // dense sweep runs in u64; the isolated site's `UNREACHABLE` row and
+        // column must survive every relaxation unwrapped.
+        let base = u64::from(u32::MAX / 2);
+        let m = 5;
+        let mut g = Graph::new(m).unwrap();
+        for a in 0..4 {
+            for b in (a + 1)..4 {
+                g.add_edge(a, b, 3 * base).unwrap();
+                if (a, b) != (2, 3) {
+                    g.add_edge(a, b, base + (a * 4 + b) as u64).unwrap();
+                }
+            }
+        }
+        let max_edge = g.edges().iter().map(|e| e.cost).max().unwrap();
+        assert!(
+            (m as u64 - 1) * max_edge >= u64::from(FW_INF32),
+            "the narrow kernel would be picked"
+        );
+
+        let flat = all_pairs_flat(&g);
+        assert_eq!(flat, flatten(&floyd_warshall(&g)));
+        for i in 0..4 {
+            assert_eq!(flat[i * m + 4], UNREACHABLE, "({i},4)");
+            assert_eq!(flat[4 * m + i], UNREACHABLE, "(4,{i})");
+        }
+        assert_eq!(flat[4 * m + 4], 0);
+        // 2 -> 0 -> 3 beats the direct 2 -> 3 link and leaves the u32 range.
+        assert_eq!(flat[2 * m + 3], 2 * base + 5);
+        assert!(flat[2 * m + 3] > u64::from(u32::MAX));
+        assert_eq!(
+            crate::CostMatrix::from_graph(&g),
+            Err(NetError::Disconnected { pair: (0, 4) })
+        );
     }
 
     #[test]

@@ -152,10 +152,11 @@ pub struct ServeConfig {
     pub tuning: MigrationTuning,
     /// Durability knobs (used by [`run_service_durable`] only).
     pub wal: WalTuning,
-    /// Ingestion worker threads per epoch (0 = size from the global
-    /// worker pool, i.e. `DRP_THREADS` or the core count). Purely a
-    /// throughput knob: every value produces the same report bitwise, so
-    /// it is excluded from the WAL config hash and so from WAL binding.
+    /// Ingestion worker threads per epoch (0 = the process thread budget,
+    /// `drp_core::pool::WorkerPool::global().threads()`: `DRP_THREADS` or
+    /// the core count). Purely a throughput knob: every value produces the
+    /// same report bitwise, so it is excluded from the WAL config hash and
+    /// so from WAL binding.
     pub threads: usize,
     /// Replica-degree floor: the bootstrap scheme and every boundary
     /// target are topped up to this many replicas per object (capacity
