@@ -3,16 +3,18 @@
 //! [--budget-reqs 1e6]` writes `BENCH_serve_throughput.json`.
 //!
 //! Drives [`drp_serve::ingest_epoch`] directly — the streaming driver,
-//! the sharded routing over bounded channels and the per-site admission
-//! sort, without the serving simulator behind it — at the paper-scale
-//! M=1000 and reports requests per second for 1, 2 and 4 shard workers.
+//! the sharded routing over bounded channels and the ordering and
+//! admission of the request stream, without the serving simulator behind
+//! it — at the paper-scale M=1000 and reports requests per second for 1,
+//! 2 and 4 shard workers.
 //! The budget asserts the headline claim: at least `--budget-reqs`
 //! requests per second with two workers.
 //!
 //! Two determinism certificates ride along as ratchet identity:
 //!
-//! * the FNV hash of the admitted queues plus the admission report must
-//!   be identical across every thread count (`ingest_parity`);
+//! * the FNV hash of the admitted stream, taken site by site, plus the
+//!   admission report must be identical across every thread count
+//!   (`ingest_parity`);
 //! * a small closed-loop `monitor` service run must fingerprint
 //!   identically at `threads` 1 and 2 (`service_thread_parity`); its
 //!   fingerprint and total NTC are pinned exactly.
@@ -97,16 +99,21 @@ impl Fnv {
     }
 }
 
-/// FNV-1a over the admitted queues and the per-site admission report: the
-/// cross-thread-count determinism certificate.
+/// FNV-1a over the admitted stream, site by site in stream order, and the
+/// per-site admission report: the cross-thread-count determinism
+/// certificate.
 fn ingest_hash(scratch: &IngestScratch, outcome: &drp_serve::IngestOutcome) -> u64 {
     let mut hash = Fnv::new();
-    for queue in &scratch.queues {
-        hash.eat(queue.len() as u64);
-        for &(time, object, write) in queue {
-            hash.eat(time);
-            hash.eat(u64::from(object));
-            hash.eat(u64::from(write));
+    let mut by_site = vec![Vec::new(); outcome.report.offered_by_site.len()];
+    for a in &scratch.stream {
+        by_site[a.site as usize].push(a);
+    }
+    for site in by_site {
+        hash.eat(site.len() as u64);
+        for a in site {
+            hash.eat(a.at);
+            hash.eat(u64::from(a.object));
+            hash.eat(u64::from(a.write));
         }
     }
     for site in 0..outcome.report.offered_by_site.len() {

@@ -63,7 +63,7 @@ impl fmt::Display for SolutionReport {
 pub struct IngestReport {
     /// Requests the trace offered to each site this epoch.
     pub offered_by_site: Vec<u64>,
-    /// Requests admitted into each site's epoch queue.
+    /// Requests of each site admitted into the epoch's request stream.
     pub admitted_by_site: Vec<u64>,
     /// Requests shed at each site's admission limit.
     pub shed_by_site: Vec<u64>,

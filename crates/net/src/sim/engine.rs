@@ -1,6 +1,7 @@
 //! The simulator: the [`Node`] callbacks, the [`Context`] through which a
 //! callback sends and arms timers straight into the event queue, and the
-//! event loop that dispatches each event to the site it belongs to.
+//! event loop that merges the arrival stream with that queue and
+//! dispatches each event to the site it belongs to.
 
 use std::sync::Arc;
 
@@ -10,7 +11,7 @@ use crate::CostMatrix;
 use super::error::SimError;
 use super::event::{EventKind, EventQueue, Time};
 use super::fault::{FaultPlan, FaultStats, Verdict};
-use super::message::Message;
+use super::message::{Arrival, Message};
 use super::stats::TrafficStats;
 
 /// The behaviour of every site in the simulated network.
@@ -32,6 +33,12 @@ pub trait Node<P> {
     /// site that set it.
     fn on_timer(&mut self, ctx: &mut Context<'_, P>, payload: P) {
         let _ = (ctx, payload);
+    }
+
+    /// Invoked when entry `index` of the arrival stream (see
+    /// [`Simulator::set_arrivals`]) falls due, at its site.
+    fn on_arrival(&mut self, ctx: &mut Context<'_, P>, index: usize) {
+        let _ = (ctx, index);
     }
 }
 
@@ -163,6 +170,13 @@ pub struct Simulator<'a, P, H: Node<P>> {
     costs: &'a CostMatrix,
     handler: H,
     queue: EventQueue<P>,
+    /// The arrival stream, in `(at, site)` order.
+    arrivals: &'a [Arrival],
+    /// Next entry of `arrivals` to dispatch.
+    cursor: usize,
+    /// Per site, the `seq` its stream arrivals order by among the queue's
+    /// events, taken at start; `None` for a site down at start.
+    arrival_seq: Vec<Option<u64>>,
     stats: TrafficStats,
     faults: Option<FaultPlan>,
     fault_stats: FaultStats,
@@ -180,7 +194,7 @@ impl<P, H: Node<P>> std::fmt::Debug for Simulator<'_, P, H> {
         f.debug_struct("Simulator")
             .field("num_sites", &self.costs.num_sites())
             .field("now", &self.now)
-            .field("pending_events", &self.queue.len())
+            .field("pending_events", &self.pending_events())
             .field("stats", &self.stats)
             .field("faults", &self.faults.is_some())
             .finish()
@@ -194,6 +208,9 @@ impl<'a, P, H: Node<P>> Simulator<'a, P, H> {
             costs,
             handler,
             queue: EventQueue::new(),
+            arrivals: &[],
+            cursor: 0,
+            arrival_seq: Vec::new(),
             stats: TrafficStats::default(),
             faults: None,
             fault_stats: FaultStats::default(),
@@ -250,6 +267,29 @@ impl<'a, P, H: Node<P>> Simulator<'a, P, H> {
         self.faults = Some(plan);
     }
 
+    /// Hands over a stream of client requests: entry `i` falls due at its
+    /// `site` at its `at` and goes to [`Node::on_arrival`] as `i`. Each
+    /// dispatches and counts as a timer its site armed at the head of its
+    /// [`Node::on_start`] would: on equal times after crash/recover
+    /// transitions and lower sites' start events, before its own start's,
+    /// and as a suppressed effect (no event) if its site is down at start.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the simulation has already started, or if `arrivals` is
+    /// not in `(at, site)` order with every site in range.
+    pub fn set_arrivals(&mut self, arrivals: &'a [Arrival]) {
+        assert!(!self.started, "arrivals must be set before the first step");
+        let m = self.costs.num_sites();
+        let key = |a: &Arrival| (a.at, a.site);
+        assert!(
+            arrivals.iter().all(|a| (a.site as usize) < m)
+                && arrivals.windows(2).all(|w| key(&w[0]) <= key(&w[1])),
+            "arrivals must be in (at, site) order, at sites in range"
+        );
+        self.arrivals = arrivals;
+    }
+
     /// Traffic accounting so far.
     pub fn stats(&self) -> TrafficStats {
         self.stats
@@ -301,22 +341,62 @@ impl<'a, P, H: Node<P>> Simulator<'a, P, H> {
                 self.queue.push(w.until, EventKind::Recover);
             }
         }
+        // Each up site's arrivals take the seq before its start's first
+        // push; a dark site's are suppressed, as its start's effects are.
         for id in 0..self.costs.num_sites() {
             let up = self.faults.as_ref().is_none_or(|p| p.is_up(id, self.now));
+            self.arrival_seq.push(up.then(|| self.queue.reserve_seq()));
             self.dispatch(id, up, |h, ctx| h.on_start(ctx));
+        }
+        if self.arrival_seq.contains(&None) {
+            let dark = self.arrivals.iter().filter(|a| self.is_dark(a)).count();
+            self.fault_stats.suppressed_effects += dark as u64;
         }
     }
 
-    /// Dispatches a single event. Returns `false` when the queue is empty.
+    /// Whether `a`'s site was down at start, so `a` is never dispatched.
+    fn is_dark(&self, a: &Arrival) -> bool {
+        self.arrival_seq.get(a.site as usize) == Some(&None)
+    }
+
+    /// The `(at, seq)` key of the next stream arrival of a site up at
+    /// start, skipping those of dark sites on the way.
+    fn arrival_head(&mut self) -> Option<(Time, u64)> {
+        while let Some(a) = self.arrivals.get(self.cursor) {
+            if let Some(seq) = self.arrival_seq[a.site as usize] {
+                return Some((a.at, seq));
+            }
+            self.cursor += 1;
+        }
+        None
+    }
+
+    /// Events left to dispatch: the queue's plus the stream's, less the
+    /// arrivals of sites dark at start.
+    fn pending_events(&self) -> usize {
+        let arrivals = self.arrivals[self.cursor..].iter();
+        self.queue.len() + arrivals.filter(|a| !self.is_dark(a)).count()
+    }
+
+    /// Dispatches a single event: the stream's next arrival or the
+    /// queue's head, whichever has the smaller `(at, seq)`. Returns
+    /// `false` when both are empty.
     pub fn step(&mut self) -> bool {
         self.start_if_needed();
-        let Some(scheduled) = self.queue.pop() else {
-            return false;
+        let (at, kind) = match self.arrival_head() {
+            Some((at, seq)) if self.queue.peek().is_none_or(|queued| (at, seq) < queued) => {
+                self.cursor += 1;
+                (at, EventKind::Stream(self.cursor - 1))
+            }
+            _ => match self.queue.pop() {
+                Some(next) => next,
+                None => return false,
+            },
         };
-        debug_assert!(scheduled.at >= self.now, "time must be monotone");
-        self.now = scheduled.at;
+        debug_assert!(at >= self.now, "time must be monotone");
+        self.now = at;
         self.events_processed += 1;
-        match scheduled.kind {
+        match kind {
             EventKind::Arrival(msg) => {
                 let dst = msg.dst;
                 if let Some(plan) = &self.faults {
@@ -328,14 +408,11 @@ impl<'a, P, H: Node<P>> Simulator<'a, P, H> {
                 self.dispatch(dst, true, |h, ctx| h.on_message(ctx, msg));
             }
             EventKind::Timer { node, payload } => {
-                if let Some(plan) = &self.faults {
-                    if !plan.is_up(node, self.now) {
-                        self.fault_stats.lost_timers += 1;
-                        return true;
-                    }
-                }
-                self.stats.timers += 1;
-                self.dispatch(node, true, |h, ctx| h.on_timer(ctx, payload));
+                self.fire(node, |h, ctx| h.on_timer(ctx, payload))
+            }
+            EventKind::Stream(index) => {
+                let site = self.arrivals[index].site as usize;
+                self.fire(site, |h, ctx| h.on_arrival(ctx, index));
             }
             // A crash discards the site's volatile state implicitly: its
             // arrivals and timers are dropped while it is down.
@@ -343,6 +420,17 @@ impl<'a, P, H: Node<P>> Simulator<'a, P, H> {
             EventKind::Recover => self.fault_stats.recoveries += 1,
         }
         true
+    }
+
+    /// Fires a timer (or stream arrival) of `node` due now: dispatched
+    /// with `f` if `node` is up, counted as lost if not.
+    fn fire(&mut self, node: usize, f: impl FnOnce(&mut H, &mut Context<'_, P>)) {
+        if self.faults.as_ref().is_none_or(|p| p.is_up(node, self.now)) {
+            self.stats.timers += 1;
+            self.dispatch(node, true, f);
+        } else {
+            self.fault_stats.lost_timers += 1;
+        }
     }
 
     /// Runs until no events remain.
@@ -372,11 +460,12 @@ impl<'a, P, H: Node<P>> Simulator<'a, P, H> {
         let mut budget = max_events;
         let result = loop {
             if budget == 0 {
-                if self.queue.len() > 0 {
+                let queue_depth = self.pending_events();
+                if queue_depth > 0 {
                     break Err(SimError::EventBudgetExhausted {
                         budget: max_events,
                         events_processed: self.events_processed,
-                        queue_depth: self.queue.len(),
+                        queue_depth,
                     });
                 }
                 break Ok(());
@@ -428,6 +517,7 @@ impl<'a, P, H: Node<P>> Simulator<'a, P, H> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     type TestResult = std::result::Result<(), Box<dyn std::error::Error>>;
 
@@ -730,18 +820,36 @@ mod tests {
         Ok(())
     }
 
-    /// A four-site gossip for [`a_seeded_faulted_run_is_pinned`]: every
-    /// site sends to itself (cost 0) and to both neighbours and arms two
-    /// timers at start; a tick sends to the opposite site when it is up
-    /// and re-arms, 60 ticks in all; a message is forwarded until its hop
-    /// budget runs out. The trace folds every callback into an FNV-1a
-    /// hash.
-    struct Gossip {
+    /// Stream-request labels of [`Gossip`]'s timers, above every tick.
+    const REQUEST: u32 = 1 << 20;
+
+    /// A four-site gossip for [`a_seeded_faulted_run_is_pinned`] and the
+    /// merge proptest: every site sends to itself (cost 0) and to both
+    /// neighbours and arms two timers at start; a tick sends to the
+    /// opposite site when it is up and re-arms, 60 ticks in all; a message
+    /// is forwarded until its hop budget runs out; a stream request sends
+    /// one hop and arms a timer due now or next. With `timers`, a start
+    /// first arms one timer per request of its site, due at its time: the
+    /// way a request log was served before the arrival stream. The trace
+    /// folds every callback into an FNV-1a hash.
+    struct Gossip<'s> {
         trace: u64,
         ticks: u32,
+        arrivals: &'s [Arrival],
+        timers: bool,
     }
 
-    impl Gossip {
+    impl<'s> Gossip<'s> {
+        fn new(arrivals: &'s [Arrival], timers: bool) -> Self {
+            let trace = 0xcbf2_9ce4_8422_2325;
+            Self {
+                trace,
+                ticks: 0,
+                arrivals,
+                timers,
+            }
+        }
+
         fn note(&mut self, kind: u8, ctx: &Context<'_, u32>, payload: u32) {
             let fields = [
                 u64::from(kind),
@@ -756,9 +864,16 @@ mod tests {
         }
     }
 
-    impl Node<u32> for Gossip {
+    impl Node<u32> for Gossip<'_> {
         fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
             let me = ctx.node_id();
+            if self.timers {
+                for (index, a) in (0..).zip(self.arrivals) {
+                    if a.site as usize == me {
+                        ctx.set_timer(a.at, REQUEST + index);
+                    }
+                }
+            }
             self.note(0, ctx, 0);
             ctx.send(me, 0, 3);
             ctx.send((me + 1) % 4, 2, 5);
@@ -774,6 +889,9 @@ mod tests {
             }
         }
         fn on_timer(&mut self, ctx: &mut Context<'_, u32>, payload: u32) {
+            if payload >= REQUEST {
+                return self.on_arrival(ctx, (payload - REQUEST) as usize);
+            }
             self.note(2, ctx, payload);
             if payload >= 200 && self.ticks < 60 {
                 self.ticks += 1;
@@ -784,6 +902,11 @@ mod tests {
                 ctx.set_timer(3, payload + 1);
             }
         }
+        fn on_arrival(&mut self, ctx: &mut Context<'_, u32>, index: usize) {
+            self.note(3, ctx, index as u32);
+            ctx.send((ctx.node_id() + index) % 4, 1, 1);
+            ctx.set_timer(index as u64 % 2, 100);
+        }
     }
 
     /// One seeded faulted run — drops, jitter, site 3 dark from time 0 and
@@ -793,13 +916,7 @@ mod tests {
     #[test]
     fn a_seeded_faulted_run_is_pinned() -> TestResult {
         let costs = CostMatrix::from_rows(4, vec![0, 2, 5, 3, 2, 0, 3, 4, 5, 3, 0, 2, 3, 4, 2, 0])?;
-        let mut sim = Simulator::new(
-            &costs,
-            Gossip {
-                trace: 0xcbf2_9ce4_8422_2325,
-                ticks: 0,
-            },
-        );
+        let mut sim = Simulator::new(&costs, Gossip::new(&[], false));
         sim.set_fault_plan(
             FaultPlan::new(0x5eed)
                 .crash(3, 0, 30)
@@ -838,5 +955,90 @@ mod tests {
         );
         assert_eq!((events, now, trace), (213, 101, 0x737f_3478_01c4_c76c));
         Ok(())
+    }
+
+    /// Budget exhaustion sees the arrivals left in the stream: a cursor
+    /// the check forgot would end the run `Ok` with requests undelivered.
+    #[test]
+    fn budget_exhaustion_counts_pending_arrivals() -> TestResult {
+        struct Quiet;
+        impl Node<()> for Quiet {
+            fn on_message(&mut self, _ctx: &mut Context<'_, ()>, _msg: Message<()>) {}
+        }
+        let costs = two_site_costs()?;
+        let arrivals: Vec<Arrival> = (0..20)
+            .map(|i| Arrival {
+                at: i / 2,
+                site: (i % 2) as u32,
+                ..Arrival::default()
+            })
+            .collect();
+        let mut sim = Simulator::new(&costs, Quiet);
+        sim.set_arrivals(&arrivals);
+        assert!(format!("{sim:?}").contains("pending_events: 20"));
+        match sim.run_for_events(10) {
+            Err(SimError::EventBudgetExhausted {
+                budget: 10,
+                events_processed: 10,
+                queue_depth: 10,
+            }) => {}
+            other => panic!("expected budget exhaustion, got {other:?}"),
+        }
+        assert!(format!("{sim:?}").contains("pending_events: 10"));
+        sim.run_for_events(10)?;
+        assert_eq!((sim.events_processed(), sim.stats().timers), (20, 20));
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The arrival stream merged with the calendar dispatches exactly
+        /// as one timer per request armed at the head of its site's start
+        /// does — and so, the calendar popping like one binary heap (see
+        /// the `event` tests), as one heap over those timers would: every
+        /// callback in the same order at the same time, and the same
+        /// ledgers, event count and end time. Requests cluster on times
+        /// 0–11, where crash windows open and close (sites down at start
+        /// among them), starts arm time-0 timers and cost-0 self-sends,
+        /// and replies land; one in eight lies past time 1024. Drops and
+        /// jitter draw their verdicts in send order in both runs.
+        #[test]
+        fn stream_and_calendar_dispatch_like_one_heap(
+            raw in prop::collection::vec((0u64..12, 0u32..4, 0u8..8), 0..80),
+            windows in prop::collection::vec((0usize..4, 0u64..10, 1u64..12), 0..4),
+            seed in 0u64..1_000,
+            lossy in any::<bool>(),
+        ) {
+            let rows = vec![0, 2, 5, 3, 2, 0, 3, 4, 5, 3, 0, 2, 3, 4, 2, 0];
+            let costs = CostMatrix::from_rows(4, rows).unwrap();
+            let mut arrivals: Vec<Arrival> = raw
+                .iter()
+                .map(|&(at, site, far)| Arrival {
+                    at: if far == 0 { 1024 + 97 * at } else { at },
+                    site,
+                    ..Arrival::default()
+                })
+                .collect();
+            arrivals.sort_by_key(|a| (a.at, a.site));
+            let mut plan = FaultPlan::new(seed);
+            for &(site, from, len) in &windows {
+                plan = plan.crash(site, from, from + len);
+            }
+            if lossy {
+                plan = plan.drop_probability(0.1).jitter(2);
+            }
+            let run = |timers: bool| {
+                let mut sim = Simulator::new(&costs, Gossip::new(&arrivals, timers));
+                sim.set_fault_plan(plan.clone());
+                if !timers {
+                    sim.set_arrivals(&arrivals);
+                }
+                sim.run_to_completion().unwrap();
+                let ledgers = (sim.stats(), sim.fault_stats(), sim.events_processed());
+                (ledgers, sim.now(), sim.into_handler().trace)
+            };
+            prop_assert_eq!(run(false), run(true));
+        }
     }
 }

@@ -14,3 +14,20 @@ pub struct Message<P> {
     /// Application payload.
     pub payload: P,
 }
+
+/// A client request of an arrival stream (see
+/// [`Simulator::set_arrivals`](super::Simulator::set_arrivals)): `site`
+/// reads or writes `object` at time `at`. The simulator reads only `at`
+/// and `site`; the rest is for the handler's
+/// [`Node::on_arrival`](super::Node::on_arrival).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub struct Arrival {
+    /// When the request falls due.
+    pub at: super::Time,
+    /// Issuing site.
+    pub site: u32,
+    /// Requested object.
+    pub object: u32,
+    /// A write (else a read).
+    pub write: bool,
+}

@@ -19,19 +19,17 @@
 //!
 //! Events dispatch in `(at, seq)` order: earliest time first, and on equal
 //! times in the order they were scheduled (`seq` counts every push).
-//! Nothing is ever sorted. Timers armed in [`Node::on_start`] — a driver
-//! that replays a request log arms one per request there — go, as they
-//! are armed, into one FIFO slot per due time of compact `(seq, node,
-//! payload)` entries. Sends, crash/recover transitions, start timers due
-//! past a bound that keeps the slot table no larger than the timers it
-//! holds, and every event scheduled after the first step go into a
-//! calendar: one FIFO bucket per pending time, kept in time order. `seq`
-//! rises with every push, so every slot and bucket is already in `(at,
-//! seq)` order, and each is dropped with its storage once it drains;
-//! event times are small integers (link costs, timer delays), so few
-//! buckets are pending at once and a step pops in O(1). Each step takes
-//! the smaller `(at, seq)` of the two heads, so the dispatch order is
-//! exactly the one a single binary heap over every event would give.
+//! Nothing is ever sorted. A caller that replays a request log hands it
+//! over as one [`Arrival`] stream in `(at, site)` order
+//! ([`Simulator::set_arrivals`]), popped through a cursor; each site's
+//! arrivals order by one `seq` taken just before its [`Node::on_start`].
+//! Everything else — sends, timers, crash/recover transitions — goes into
+//! a calendar: one FIFO bucket per pending time, kept in time order and
+//! dropped with its storage once it drains. Event times are small
+//! integers (link costs, timer delays), so few buckets are pending at
+//! once and a pop is O(1). Each step takes the smaller `(at, seq)` of
+//! the two heads, so the dispatch order is exactly the one a single
+//! binary heap over one timer per arrival would give.
 //!
 //! A callback's [`Context::send`] and [`Context::set_timer`] push straight
 //! into the queue; a send is charged and given its fault verdict at the
@@ -41,10 +39,10 @@
 //!
 //! * `drp-algo` runs the paper's *distributed* SRA (leader, token passing,
 //!   replication broadcasts) on top of it;
-//! * `drp-serve`'s epoch engine serves each epoch's admitted requests,
-//!   with read failover, write queueing and live migration. On a clean
-//!   epoch (no faults, no migration) its measured NTC equals the analytic
-//!   Eq. 4 value.
+//! * `drp-serve`'s epoch engine serves each epoch's admitted request
+//!   stream, with read failover, write queueing and live migration. On a
+//!   clean epoch (no faults, no migration) its measured NTC equals the
+//!   analytic Eq. 4 value.
 //!
 //! [`CostMatrix`]: crate::CostMatrix
 //!
@@ -103,5 +101,5 @@ pub use engine::{Context, Node, Simulator};
 pub use error::SimError;
 pub use event::Time;
 pub use fault::{CrashWindow, FaultPlan, FaultStats};
-pub use message::Message;
+pub use message::{Arrival, Message};
 pub use stats::TrafficStats;

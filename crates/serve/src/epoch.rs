@@ -5,10 +5,11 @@
 //! with two interleaved workloads:
 //!
 //! * **Serving** — the streaming request driver's admitted reads and
-//!   writes, replayed per site at their timestamps with the Eq. 4 message
-//!   conventions (control-sized read requests and replicator write ships,
-//!   primary update broadcasts). With no faults and no migration the
-//!   epoch's serving NTC equals [`Problem::total_cost`] exactly.
+//!   writes, replayed as the simulator's arrival stream with the Eq. 4
+//!   message conventions (control-sized read requests and replicator
+//!   write ships, primary update broadcasts). With no faults and no
+//!   migration the epoch's serving NTC equals [`Problem::total_cost`]
+//!   exactly.
 //! * **Failover** — a read whose nearest holder is down goes to the
 //!   nearest *live* holder instead, and a write whose primary is down is
 //!   queued at the writer and re-shipped on a backed-off timer. Liveness
@@ -48,7 +49,9 @@ use std::sync::Arc;
 use drp_core::migration::MigrationPlan;
 use drp_core::telemetry::{self, Recorder};
 use drp_core::{DenseMatrix, ObjectId, Problem, ReplicationScheme};
-use drp_net::sim::{Context, FaultPlan, FaultStats, Message, Node, Simulator, TrafficStats};
+use drp_net::sim::{
+    Arrival, Context, FaultPlan, FaultStats, Message, Node, Simulator, TrafficStats,
+};
 use drp_net::CostMatrix;
 
 use crate::ingest::{self, IngestScratch};
@@ -184,15 +187,11 @@ pub(crate) struct EpochSpec<'a> {
 
 /// Every timer and message payload of the epoch protocol. The two
 /// variants that carry a version hold their object as `u32`, which keeps
-/// `Msg` at 16 bytes: each admitted request queues one `Fire` timer at
-/// epoch start, so the payload size sets the simulator's memory.
+/// `Msg` at 16 bytes: every message in flight and every pending timer
+/// carries one, so the payload size sets the event queue's memory.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Msg {
-    /// Fire one queued request (timer payload carries its index).
-    Fire {
-        index: usize,
-    },
-    /// Re-issue queued request `index` whose target was down.
+    /// Re-issue admitted request `index` whose target was down.
     Retry {
         index: usize,
         attempt: u32,
@@ -347,9 +346,9 @@ impl<'a> Directory<'a> {
 /// ledgers, and the serving behaviour of every site on the simulator.
 struct Epoch<'a> {
     problem: &'a Problem,
-    /// Per-site admitted request queues: `(time, object, is_write)`,
-    /// borrowed from the caller's reusable [`IngestScratch`].
-    queues: &'a [Vec<(u64, u32, bool)>],
+    /// The admitted requests in `(time, site, arrival order)`: the
+    /// simulator's arrival stream, which `Retry` timers index.
+    stream: &'a [Arrival],
     tuning: MigrationTuning,
     dir: Directory<'a>,
     /// Row-major `m x n` installed versions.
@@ -374,7 +373,7 @@ impl<'a> Epoch<'a> {
         problem: &'a Problem,
         scheme: &ReplicationScheme,
         plan: Option<&MigrationPlan>,
-        queues: &'a [Vec<(u64, u32, bool)>],
+        stream: &'a [Arrival],
         tuning: MigrationTuning,
         mut counters: Counters,
     ) -> Self {
@@ -406,7 +405,7 @@ impl<'a> Epoch<'a> {
         }
         Self {
             problem,
-            queues,
+            stream,
             tuning,
             dir,
             version: vec![0u64; m * n],
@@ -485,15 +484,15 @@ impl<'a> Epoch<'a> {
         }
     }
 
-    /// Issues queued request `index` of this site; `attempt` counts the
-    /// earlier tries that found no live target.
+    /// Issues admitted request `index` of the stream at its site;
+    /// `attempt` counts the earlier tries that found no live target.
     fn issue(&mut self, ctx: &mut Context<'_, Msg>, index: usize, attempt: u32) {
         let me = ctx.node_id();
-        let (_, object, is_write) = self.queues[me][index];
+        let Arrival { object, write, .. } = self.stream[index];
         let object = object as usize;
         let n = self.n();
         let k = ObjectId::new(object);
-        if is_write {
+        if write {
             let sp = self.problem.primary(k).index();
             if sp == me {
                 let version = self.commit_write(me, object);
@@ -578,19 +577,18 @@ impl<'a> Epoch<'a> {
 
 impl Node<Msg> for Epoch<'_> {
     fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
-        let me = ctx.node_id();
-        for (index, &(time, _, _)) in self.queues[me].iter().enumerate() {
-            ctx.set_timer(time, Msg::Fire { index });
-        }
-        if !self.pending[me].is_empty() {
+        if !self.pending[ctx.node_id()].is_empty() {
             ctx.set_timer(0, Msg::MigrateKick);
         }
+    }
+
+    fn on_arrival(&mut self, ctx: &mut Context<'_, Msg>, index: usize) {
+        self.issue(ctx, index, 0);
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, payload: Msg) {
         let me = ctx.node_id();
         match payload {
-            Msg::Fire { index } => self.issue(ctx, index, 0),
             Msg::Retry { index, attempt } => self.issue(ctx, index, attempt),
             Msg::MigrateKick => {
                 for fetch in &self.pending[me] {
@@ -680,14 +678,15 @@ impl Node<Msg> for Epoch<'_> {
                     self.install(me, object, version);
                 }
             }
-            Msg::Fire { .. } | Msg::Retry { .. } | Msg::MigrateKick | Msg::FetchRetry { .. } => {}
+            Msg::Retry { .. } | Msg::MigrateKick | Msg::FetchRetry { .. } => {}
         }
     }
 }
 
 /// Runs one epoch and harvests its outcome. The caller owns the
-/// [`IngestScratch`] so its buffers amortize across epochs; the admitted
-/// queues it holds stay valid (and borrowed) for the whole epoch.
+/// [`IngestScratch`] so its pull buffer amortizes across epochs; the
+/// admitted stream is taken out of it and dropped with the epoch, so it
+/// does not sit beside the boundary work until the next ingest.
 pub(crate) fn run_epoch(
     spec: &EpochSpec<'_>,
     scratch: &mut IngestScratch,
@@ -698,11 +697,12 @@ pub(crate) fn run_epoch(
     let n = problem.num_objects();
 
     // Ingestion front end: stream this period's requests in batches
-    // through the sharded admission pipeline (see [`crate::ingest`]),
-    // leaving the admitted per-site queues in the scratch.
+    // through the sharded admission pipeline (see [`crate::ingest`]) into
+    // the admitted stream. A migration-only epoch serves none.
     let mut observed_reads = DenseMatrix::zeros(m, n);
     let mut observed_writes = DenseMatrix::zeros(m, n);
     let mut counters = Counters::default();
+    let mut stream = Vec::new();
     if spec.traffic {
         let ingested = {
             let _span = telemetry::span(recorder.as_ref(), "serve.ingest");
@@ -732,10 +732,7 @@ pub(crate) fn run_epoch(
             recorder.add_counter("ingest.shed", counters.shed);
             recorder.add_counter("ingest.batches", ingested.report.batches);
         }
-    } else {
-        // Migration-only epoch: make sure no stale queues from a previous
-        // epoch leak into the simulator.
-        scratch.reset(m);
+        stream = std::mem::take(&mut scratch.stream);
     }
 
     let mut sim = Simulator::new(
@@ -744,11 +741,12 @@ pub(crate) fn run_epoch(
             problem,
             spec.scheme,
             spec.plan,
-            &scratch.queues,
+            &stream,
             spec.tuning,
             counters,
         ),
     );
+    sim.set_arrivals(&stream);
     sim.set_recorder(Arc::clone(&recorder));
     if let Some(plan) = spec.faults.clone() {
         sim.set_fault_plan(plan);
@@ -853,10 +851,12 @@ mod tests {
         checks: usize,
     }
 
-    impl Checked<'_> {
-        fn check_if_changed(&mut self, installed: usize, deallocated: usize) {
-            let counters = &self.epoch.counters;
-            if counters.installed != installed || counters.deallocated != deallocated {
+    impl<'a> Checked<'a> {
+        fn run(&mut self, callback: impl FnOnce(&mut Epoch<'a>)) {
+            let counters = |e: &Epoch<'_>| (e.counters.installed, e.counters.deallocated);
+            let before = counters(&self.epoch);
+            callback(&mut self.epoch);
+            if counters(&self.epoch) != before {
                 assert_matches_scan(&self.epoch.dir);
                 self.checks += 1;
             }
@@ -868,22 +868,16 @@ mod tests {
             self.epoch.on_start(ctx);
         }
 
+        fn on_arrival(&mut self, ctx: &mut Context<'_, Msg>, index: usize) {
+            self.run(|epoch| epoch.on_arrival(ctx, index));
+        }
+
         fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, payload: Msg) {
-            let before = (
-                self.epoch.counters.installed,
-                self.epoch.counters.deallocated,
-            );
-            self.epoch.on_timer(ctx, payload);
-            self.check_if_changed(before.0, before.1);
+            self.run(|epoch| epoch.on_timer(ctx, payload));
         }
 
         fn on_message(&mut self, ctx: &mut Context<'_, Msg>, msg: Message<Msg>) {
-            let before = (
-                self.epoch.counters.installed,
-                self.epoch.counters.deallocated,
-            );
-            self.epoch.on_message(ctx, msg);
-            self.check_if_changed(before.0, before.1);
+            self.run(|epoch| epoch.on_message(ctx, msg));
         }
     }
 
@@ -917,19 +911,18 @@ mod tests {
             let old = random_scheme(&problem, &mut rng, m * n / 2);
             let new = random_scheme(&problem, &mut rng, m * n / 2);
             let plan = plan_migration(&problem, &old, &new).unwrap();
-            let queues: Vec<Vec<(u64, u32, bool)>> = (0..m)
-                .map(|_| {
-                    (0..rng.random_range(0..30))
-                        .map(|_| {
-                            (
-                                rng.random_range(0..400),
-                                rng.random_range(0..n as u32),
-                                rng.random_bool(0.3),
-                            )
-                        })
-                        .collect()
-                })
-                .collect();
+            let mut stream: Vec<Arrival> = Vec::new();
+            for site in 0..m as u32 {
+                for _ in 0..rng.random_range(0..30) {
+                    stream.push(Arrival {
+                        at: rng.random_range(0..400),
+                        site,
+                        object: rng.random_range(0..n as u32),
+                        write: rng.random_bool(0.3),
+                    });
+                }
+            }
+            stream.sort_by_key(|a| (a.at, a.site));
             let mut faults = FaultPlan::new(seed)
                 .drop_probability(0.05)
                 .jitter(rng.random_range(0..4));
@@ -943,12 +936,13 @@ mod tests {
                 &problem,
                 &old,
                 Some(&plan),
-                &queues,
+                &stream,
                 MigrationTuning::default(),
                 Counters::default(),
             );
             assert_matches_scan(&epoch.dir);
             let mut sim = Simulator::new(problem.costs(), Checked { epoch, checks: 0 });
+            sim.set_arrivals(&stream);
             sim.set_fault_plan(faults);
             sim.run_to_completion().unwrap();
             let checked = sim.into_handler();
@@ -956,5 +950,69 @@ mod tests {
             checks += checked.checks;
         }
         assert!(checks >= 24, "only {checks} installs or cutovers checked");
+    }
+
+    /// One faulted, capped migration epoch pinned counter for counter:
+    /// site 2 is down at time 0 and recovers at 7, site 4 crashes at 3
+    /// (a time with arrivals), the plan's fetch kicks tie with time-0
+    /// arrivals, and the admission cap sheds. Any change to the dispatch
+    /// order or to where a request is counted moves one of these.
+    #[test]
+    fn a_faulted_capped_migration_epoch_is_pinned() {
+        let mut rng = StdRng::seed_from_u64(31);
+        let problem = WorkloadSpec::paper(6, 5, 10.0, 30.0)
+            .generate(&mut rng)
+            .unwrap();
+        let old = random_scheme(&problem, &mut rng, 14);
+        let new = random_scheme(&problem, &mut rng, 14);
+        let plan = plan_migration(&problem, &old, &new).unwrap();
+        let kicked: Vec<usize> = plan.additions.iter().map(|a| a.site.index()).collect();
+        let spec = EpochSpec {
+            problem: &problem,
+            scheme: &old,
+            plan: Some(&plan),
+            period: 16,
+            admission_limit: 60,
+            tuning: MigrationTuning::default(),
+            faults: Some(
+                FaultPlan::new(7)
+                    .crash(2, 0, 7)
+                    .crash(4, 3, 11)
+                    .drop_probability(0.05)
+                    .jitter(2),
+            ),
+            seed: 5,
+            traffic: true,
+            threads: 1,
+        };
+        let mut scratch = IngestScratch::new();
+        let out = run_epoch(&spec, &mut scratch, telemetry::noop()).unwrap();
+
+        let holds: Vec<(usize, usize)> = problem
+            .sites()
+            .flat_map(|i| problem.objects().map(move |k| (i, k)))
+            .filter(|&(i, k)| out.scheme.holds(i, k))
+            .map(|(i, k)| (i.index(), k.index()))
+            .collect();
+        // Site 5 both fetches (the plan's only addition) and issues
+        // requests at time 0; the cap sheds, site 2's requests are
+        // suppressed and site 4's crash loses timers.
+        let got = [
+            format!("{kicked:?} {} {holds:?}", out.sim_events),
+            format!("{:?}", out.traffic),
+            format!("{:?}", out.fault_stats),
+            format!("{:?}", out.counters),
+        ];
+        let pinned = [
+            "[5] 812 [(0, 0), (1, 3), (2, 1), (3, 3), (4, 2), (4, 4), (5, 4)]",
+            "TrafficStats { messages: 414, data_units: 5240, transfer_cost: 16229, timers: 375 }",
+            "FaultStats { dropped_random: 17, lost_arrivals: 40, lost_timers: 36, \
+             suppressed_effects: 60, crashes: 2, recoveries: 2, extra_delay: 394 }",
+            "Counters { offered: 666, admitted: 360, shed: 306, requests: RequestTally { \
+             reads_issued: 317, reads_served: 181, reads_failed_over: 98, reads_stale: 4, \
+             writes_issued: 43, writes_committed: 27, writes_queued: 10 }, installed: 1, \
+             deallocated: 2, deferred: 0, retries: 1 }",
+        ];
+        assert_eq!(got, pinned);
     }
 }

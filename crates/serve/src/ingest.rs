@@ -6,26 +6,29 @@
 //! *bounded* channels — a worker that falls behind blocks the producer,
 //! which is the backpressure contract. Sites are partitioned into
 //! contiguous shard ranges, so each worker owns a disjoint set of per-site
-//! queues and a disjoint block of rows in the observed-traffic matrices:
-//! no locks anywhere on the hot path.
+//! absorb buffers and a disjoint block of rows in the observed-traffic
+//! matrices: no locks anywhere on the hot path.
 //!
-//! Determinism: a site's queue receives exactly the producer's
+//! Determinism: a site's buffer receives exactly the producer's
 //! sub-sequence for that site, in producer order, no matter how many
 //! workers run (each site has one owner, and the per-worker channel is
-//! FIFO). A stable sort by time therefore reproduces the single-threaded
-//! `(time, global sequence)` order restricted to the site,
-//! and the admitted queues — and everything downstream of them — are
-//! bitwise-identical across `threads` ∈ {1, 2, 4, …}. Every time lies in
-//! `[0, period)`, so that sort is a least-significant-digit radix sort:
-//! one stable counting pass per byte `period − 1` needs (one pass at
-//! period 256), scattering through a buffer kept in the scratch. The shed
-//! accounting satisfies `offered == admitted + shed` per site, asserted by
-//! property tests.
+//! FIFO). On the caller's thread, a stable sort by time over the buffers
+//! concatenated in site order then yields one stream in `(time, site,
+//! arrival order)` — restricted to a site, the single-threaded `(time,
+//! global sequence)` order — and one admission walk over it keeps each
+//! site's first [`IngestSpec::admission_limit`] requests. The admitted
+//! stream, and everything downstream of it, is bitwise-identical across
+//! `threads` ∈ {1, 2, 4, …}. Every time lies in `[0, period)`, so that sort
+//! is a least-significant-digit radix sort: one stable counting pass per
+//! byte `period − 1` needs (one pass at period 256). The shed accounting
+//! satisfies `offered == admitted + shed` per site, asserted by property
+//! tests.
 //!
 //! With `threads == 1` the whole pipeline runs inline on the caller's
 //! thread: no channels, no spawns, same code for counting and finalizing.
 
 use drp_core::{DenseMatrix, IngestReport, Problem};
+use drp_net::sim::Arrival;
 use drp_workload::trace::{self, Request, RequestKind};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -47,7 +50,7 @@ pub struct IngestSpec<'a> {
     /// Per-site admitted-request cap (0 = unlimited).
     pub admission_limit: u64,
     /// Ingestion worker threads (values < 1 mean 1; capped at the site
-    /// count). Any value yields bitwise-identical queues and reports.
+    /// count). Any value yields a bitwise-identical stream and report.
     pub threads: usize,
     /// Requests per producer batch (0 = [`DEFAULT_BATCH`]).
     pub batch: usize,
@@ -55,17 +58,16 @@ pub struct IngestSpec<'a> {
     pub depth: usize,
 }
 
-/// Reusable per-epoch buffers: the admitted queues the epoch engine
-/// mounts and the producer's pull buffer. Hold one per serving loop and
-/// every epoch reuses the allocations.
+/// Per-epoch buffers: the admitted stream (the serving loop's epoch
+/// engine takes it for the epoch) and the producer's pull buffer, whose
+/// allocation every epoch reuses. Hold one per serving loop.
 #[derive(Debug, Default)]
 pub struct IngestScratch {
-    /// Admitted per-site queues: `(time, object, is_write)`, time-ordered.
-    /// Valid until the next [`ingest_epoch`] call overwrites them.
-    pub queues: Vec<Vec<(u64, u32, bool)>>,
+    /// The admitted requests in `(time, site, arrival order)`: the
+    /// simulator's arrival stream. Valid until the next [`ingest_epoch`]
+    /// call overwrites it.
+    pub stream: Vec<Arrival>,
     pull: Vec<Request>,
-    /// Scatter buffer of the per-site radix passes.
-    sorted: Vec<(u64, u32, bool)>,
 }
 
 impl IngestScratch {
@@ -73,17 +75,9 @@ impl IngestScratch {
     pub fn new() -> Self {
         Self::default()
     }
-
-    pub(crate) fn reset(&mut self, num_sites: usize) {
-        self.queues.resize_with(num_sites, Vec::new);
-        for q in &mut self.queues {
-            q.clear();
-        }
-        self.pull.clear();
-    }
 }
 
-/// What one ingested epoch produced, besides the queues in the scratch.
+/// What one ingested epoch produced, besides the stream in the scratch.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IngestOutcome {
     /// Per-site admission accounting (`offered == admitted + shed`).
@@ -94,17 +88,7 @@ pub struct IngestOutcome {
     pub admitted_writes: u64,
 }
 
-/// The per-site admission cap as a queue length, saturating so an
-/// oversized u64 limit means "admit everything" on every target width.
-fn site_limit(admission_limit: u64, offered: usize) -> usize {
-    if admission_limit == 0 {
-        offered
-    } else {
-        usize::try_from(admission_limit).unwrap_or(usize::MAX)
-    }
-}
-
-/// Routes one request into its site queue and the observation window.
+/// Routes one request into its site's buffer and the observation window.
 /// `base` is the first site of the owning shard; `reads`/`writes` are that
 /// shard's rows of the observed matrices.
 #[inline]
@@ -112,7 +96,7 @@ fn absorb(
     r: &Request,
     base: usize,
     n: usize,
-    queues: &mut [Vec<(u64, u32, bool)>],
+    buffers: &mut [Vec<(u64, u32, bool)>],
     reads: &mut [u64],
     writes: &mut [u64],
 ) {
@@ -124,7 +108,7 @@ fn absorb(
     } else {
         reads[local * n + object] += 1;
     }
-    queues[local].push((r.time, object as u32, is_write));
+    buffers[local].push((r.time, object as u32, is_write));
 }
 
 /// Bytes of a time in `[0, period)` that ordering by time must look at.
@@ -133,63 +117,61 @@ fn time_bytes(period: u64) -> u32 {
     (u64::BITS - max.leading_zeros()).div_ceil(8)
 }
 
-/// Orders `queue` by time with a stable LSD radix sort over the low
-/// `bytes` bytes of each time: one counting pass per byte, scattering
-/// through `buf`. Equal times keep their order in `queue`.
-fn radix_sort_by_time(
-    queue: &mut Vec<(u64, u32, bool)>,
-    buf: &mut Vec<(u64, u32, bool)>,
-    bytes: u32,
-) {
+/// Orders every absorbed request into `stream` by `(time, site, arrival
+/// order)`: a stable LSD radix sort over the low `bytes` bytes of each
+/// time, whose first pass reads the buffers in site order. That pass runs
+/// even at `bytes == 0`, where every time is 0.
+fn order_by_time(absorbed: &[Vec<(u64, u32, bool)>], stream: &mut Vec<Arrival>, bytes: u32) {
     debug_assert!(
-        queue
+        absorbed
             .iter()
-            .all(|&(time, _, _)| time.checked_shr(8 * bytes).unwrap_or(0) == 0),
+            .flatten()
+            .all(|e| e.0.checked_shr(8 * bytes).unwrap_or(0) == 0),
         "a time past the period"
     );
-    for byte in 0..bytes {
-        let shift = 8 * byte;
-        let mut slots = [0usize; 256];
-        for &(time, _, _) in queue.iter() {
-            slots[(time >> shift) as usize & 0xff] += 1;
-        }
-        let mut next = 0;
-        for slot in &mut slots {
-            let count = *slot;
-            *slot = next;
-            next += count;
-        }
-        buf.clear();
-        buf.resize(queue.len(), (0, 0, false));
-        for &entry in queue.iter() {
-            let slot = &mut slots[(entry.0 >> shift) as usize & 0xff];
-            buf[*slot] = entry;
-            *slot += 1;
-        }
-        std::mem::swap(queue, buf);
+    let concatenated = || {
+        let sites = absorbed.iter().zip(0u32..);
+        sites.flat_map(|(buffer, site)| {
+            buffer.iter().map(move |&(at, object, write)| Arrival {
+                at,
+                site,
+                object,
+                write,
+            })
+        })
+    };
+    counting_pass(concatenated, stream, 0);
+    // Periods past 256 scatter through a second buffer, held only here.
+    let mut buf = Vec::new();
+    for byte in 1..bytes {
+        counting_pass(|| stream.iter().copied(), &mut buf, 8 * byte);
+        std::mem::swap(stream, &mut buf);
     }
 }
 
-/// Orders one site's arrivals by time and sheds the queue down to the
-/// admission cap. Returns `(offered, shed, admitted_reads,
-/// admitted_writes)`.
-fn finalize_site(
-    queue: &mut Vec<(u64, u32, bool)>,
-    buf: &mut Vec<(u64, u32, bool)>,
-    bytes: u32,
-    admission_limit: u64,
-) -> (u64, u64, u64, u64) {
-    // The queue holds this site's arrivals in producer order whatever the
-    // thread count, so a stable sort by time is the `(time, arrival
-    // order)` key that keeps the result thread-count-independent.
-    radix_sort_by_time(queue, buf, bytes);
-    let offered = queue.len();
-    let limit = site_limit(admission_limit, offered);
-    let shed = offered.saturating_sub(limit);
-    queue.truncate(limit);
-    let writes = queue.iter().filter(|&&(_, _, write)| write).count() as u64;
-    let reads = queue.len() as u64 - writes;
-    (offered as u64, shed as u64, reads, writes)
+/// One stable counting pass: scatters what `src` yields into `dst` by the
+/// byte of each time at `shift`. `dst` is resized rather than cleared:
+/// the pass overwrites every entry, so stale ones need no zeroing.
+fn counting_pass<I: Iterator<Item = Arrival>>(
+    src: impl Fn() -> I,
+    dst: &mut Vec<Arrival>,
+    shift: u32,
+) {
+    let digit = |a: &Arrival| (a.at >> shift) as usize & 0xff;
+    let mut slots = [0usize; 256];
+    for a in src() {
+        slots[digit(&a)] += 1;
+    }
+    let mut len = 0;
+    for slot in &mut slots {
+        (*slot, len) = (len, len + *slot);
+    }
+    dst.resize(len, Arrival::default());
+    for a in src() {
+        let slot = &mut slots[digit(&a)];
+        dst[*slot] = a;
+        *slot += 1;
+    }
 }
 
 /// Contiguous site ranges: shard `w` of `t` owns `[lo, hi)`.
@@ -200,39 +182,29 @@ fn shard_ranges(num_sites: usize, threads: usize) -> Vec<(usize, usize)> {
         .collect()
 }
 
-/// Splits a row-major matrix slice into per-shard row blocks.
-fn split_rows<'x>(
-    mut slice: &'x mut [u64],
+/// Splits a slice of `width` entries per site (a row-major matrix's rows,
+/// or one entry each) into per-shard blocks.
+fn split_blocks<'x, T>(
+    mut slice: &'x mut [T],
     ranges: &[(usize, usize)],
-    cols: usize,
-) -> Vec<&'x mut [u64]> {
+    width: usize,
+) -> Vec<&'x mut [T]> {
     let mut out = Vec::with_capacity(ranges.len());
     for &(lo, hi) in ranges {
-        let (head, tail) = slice.split_at_mut((hi - lo) * cols);
+        let (head, tail) = slice.split_at_mut((hi - lo) * width);
         out.push(head);
         slice = tail;
     }
     out
 }
 
-/// Splits a per-site vector into per-shard blocks.
-fn split_sites<'x, T>(mut slice: &'x mut [T], ranges: &[(usize, usize)]) -> Vec<&'x mut [T]> {
-    let mut out = Vec::with_capacity(ranges.len());
-    for &(lo, hi) in ranges {
-        let (head, tail) = slice.split_at_mut(hi - lo);
-        out.push(head);
-        slice = tail;
-    }
-    out
-}
-
-/// Streams one period's trace into per-site admitted queues (left in
-/// `scratch.queues`) and the observed-traffic matrices, using up to
+/// Streams one period's trace into the admitted stream (left in
+/// `scratch.stream`) and the observed-traffic matrices, using up to
 /// `spec.threads` shard workers. The matrices must be `m x n` and are
 /// *incremented*, not cleared — pass zeroed matrices for a fresh window.
 ///
 /// Every offered request lands in the observation window; only admitted
-/// ones survive into the queues. All outputs are bitwise-identical for
+/// ones survive into the stream. All outputs are bitwise-identical for
 /// any `threads` value.
 pub fn ingest_epoch(
     spec: &IngestSpec<'_>,
@@ -247,9 +219,18 @@ pub fn ingest_epoch(
     assert_eq!(observed_writes.rows(), m, "observed_writes shape");
     assert!(
         u32::try_from(n).is_ok(),
-        "object ids must fit the queues' u32"
+        "object ids must fit the stream's u32"
     );
-    scratch.reset(m);
+    // Per-site offered requests, `(time, object, is_write)` in producer
+    // order, each sized to the site's row of the pattern. They live for
+    // this call only: kept across epochs, they would sit beside the
+    // stream through every simulation.
+    let mut absorbed: Vec<Vec<(u64, u32, bool)>> = (0..m)
+        .map(|i| {
+            let rows = [problem.read_matrix(), problem.write_matrix()];
+            Vec::with_capacity(rows.iter().flat_map(|p| p.row(i)).sum::<u64>() as usize)
+        })
+        .collect();
 
     let batch = if spec.batch == 0 {
         DEFAULT_BATCH
@@ -276,34 +257,34 @@ pub fn ingest_epoch(
             }
             batches += 1;
             for r in &scratch.pull {
-                absorb(r, 0, n, &mut scratch.queues, reads, writes);
+                absorb(r, 0, n, &mut absorbed, reads, writes);
             }
         }
     } else {
         let ranges = shard_ranges(m, threads);
-        let read_blocks = split_rows(observed_reads.as_mut_slice(), &ranges, n);
-        let write_blocks = split_rows(observed_writes.as_mut_slice(), &ranges, n);
-        let queue_blocks = split_sites(&mut scratch.queues, &ranges);
+        let read_blocks = split_blocks(observed_reads.as_mut_slice(), &ranges, n);
+        let write_blocks = split_blocks(observed_writes.as_mut_slice(), &ranges, n);
+        let buffer_blocks = split_blocks(&mut absorbed, &ranges, 1);
 
         let mut senders = Vec::with_capacity(ranges.len());
         let mut workers = Vec::with_capacity(ranges.len());
-        for (((&(lo, _), queues), reads), writes) in ranges
+        for (((&(lo, _), buffers), reads), writes) in ranges
             .iter()
-            .zip(queue_blocks)
+            .zip(buffer_blocks)
             .zip(read_blocks)
             .zip(write_blocks)
         {
             let (tx, rx) = crossbeam::channel::bounded::<Vec<Request>>(depth);
             senders.push(tx);
-            workers.push((lo, rx, queues, reads, writes));
+            workers.push((lo, rx, buffers, reads, writes));
         }
 
         std::thread::scope(|scope| {
-            for (lo, rx, queues, reads, writes) in workers {
+            for (lo, rx, buffers, reads, writes) in workers {
                 scope.spawn(move || {
                     while let Ok(sub) = rx.recv() {
                         for r in &sub {
-                            absorb(r, lo, n, queues, reads, writes);
+                            absorb(r, lo, n, buffers, reads, writes);
                         }
                     }
                 });
@@ -344,27 +325,35 @@ pub fn ingest_epoch(
         });
     }
 
-    // Finalize per site on the caller's thread, in site order, so the
-    // report's aggregation order never depends on worker scheduling.
+    // Order and admit on the caller's thread, so neither depends on
+    // worker scheduling. Restricted to one site, the stream is in `(time,
+    // arrival order)`, so keeping each site's first `admission_limit`
+    // requests sheds exactly a per-site cap on that order.
+    order_by_time(&absorbed, &mut scratch.stream, time_bytes(spec.period));
+    let limit = match spec.admission_limit {
+        0 => u64::MAX,
+        limit => limit,
+    };
     let mut report = IngestReport::zeros(m);
     report.batches = batches;
-    let mut outcome = IngestOutcome::default();
-    let bytes = time_bytes(spec.period);
-    for site in 0..m {
-        let (offered, shed, reads, writes) = finalize_site(
-            &mut scratch.queues[site],
-            &mut scratch.sorted,
-            bytes,
-            spec.admission_limit,
-        );
-        report.offered_by_site[site] = offered;
-        report.shed_by_site[site] = shed;
-        report.admitted_by_site[site] = offered - shed;
-        outcome.admitted_reads += reads;
-        outcome.admitted_writes += writes;
+    let admitted = &mut report.admitted_by_site;
+    let mut admitted_writes = 0;
+    scratch.stream.retain(|a| {
+        let count = &mut admitted[a.site as usize];
+        let keep = *count < limit;
+        *count += u64::from(keep);
+        admitted_writes += u64::from(keep && a.write);
+        keep
+    });
+    for (site, buffer) in absorbed.iter().enumerate() {
+        report.offered_by_site[site] = buffer.len() as u64;
+        report.shed_by_site[site] = buffer.len() as u64 - report.admitted_by_site[site];
     }
-    outcome.report = report;
-    outcome
+    IngestOutcome {
+        report,
+        admitted_reads: scratch.stream.len() as u64 - admitted_writes,
+        admitted_writes,
+    }
 }
 
 #[cfg(test)]
@@ -391,34 +380,45 @@ mod tests {
         }
     }
 
+    /// The legacy materialized ingestion: the whole stream with global
+    /// sequence numbers, each site's requests sorted by `(time,
+    /// sequence)` and cut to `limit` (0 = all), then merged across sites
+    /// by `(time, site, sequence)`.
+    fn legacy_stream(p: &Problem, period: u64, seed: u64, limit: usize) -> Vec<Arrival> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut by_site = vec![Vec::new(); p.num_sites()];
+        for (seq, r) in trace::stream(p, period, &mut rng).enumerate() {
+            let site = r.site.index() as u32;
+            let object = r.object.index() as u32;
+            let write = r.kind == RequestKind::Write;
+            let arrival = Arrival {
+                at: r.time,
+                site,
+                object,
+                write,
+            };
+            by_site[r.site.index()].push((r.time, seq, arrival));
+        }
+        let mut all = Vec::new();
+        for mut list in by_site {
+            list.sort_unstable_by_key(|&(at, seq, _)| (at, seq));
+            list.truncate(if limit == 0 { list.len() } else { limit });
+            all.extend(list);
+        }
+        all.sort_unstable_by_key(|&(at, seq, a)| (at, a.site, seq));
+        all.into_iter().map(|(_, _, a)| a).collect()
+    }
+
     #[test]
     fn single_thread_matches_the_legacy_materialized_path() {
-        // Reference: the old run_epoch ingestion — materialize the whole
-        // stream with global sequence numbers, sort, shed.
         let p = problem(7, 5, 3);
         let s = spec(&p, 1, 6);
-        let mut rng = StdRng::seed_from_u64(s.seed);
-        let mut arrivals: Vec<Vec<(u64, u64, u32, bool)>> = vec![Vec::new(); 7];
-        for (seq, r) in trace::stream(&p, s.period, &mut rng).enumerate() {
-            arrivals[r.site.index()].push((
-                r.time,
-                seq as u64,
-                r.object.index() as u32,
-                r.kind == RequestKind::Write,
-            ));
-        }
-        let mut want: Vec<Vec<(u64, u32, bool)>> = Vec::new();
-        for mut list in arrivals {
-            list.sort_unstable();
-            list.truncate(6);
-            want.push(list.into_iter().map(|(t, _, o, w)| (t, o, w)).collect());
-        }
-
+        let want = legacy_stream(&p, s.period, s.seed, 6);
         let mut scratch = IngestScratch::new();
         let mut reads = DenseMatrix::zeros(7, 5);
         let mut writes = DenseMatrix::zeros(7, 5);
         let out = ingest_epoch(&s, &mut scratch, &mut reads, &mut writes);
-        assert_eq!(scratch.queues, want);
+        assert_eq!(scratch.stream, want);
         assert!(out.report.balanced());
     }
 
@@ -428,24 +428,9 @@ mod tests {
     #[test]
     fn equal_times_keep_arrival_order() {
         let p = problem(4, 12, 5);
-        let mut rng = StdRng::seed_from_u64(42);
-        let mut arrivals: Vec<Vec<(u64, u64, u32, bool)>> = vec![Vec::new(); 4];
-        for (seq, r) in trace::stream(&p, 3, &mut rng).enumerate() {
-            arrivals[r.site.index()].push((
-                r.time,
-                seq as u64,
-                r.object.index() as u32,
-                r.kind == RequestKind::Write,
-            ));
-        }
-        let want: Vec<Vec<(u64, u32, bool)>> = arrivals
-            .into_iter()
-            .map(|mut list| {
-                list.sort_unstable();
-                list.into_iter().map(|(t, _, o, w)| (t, o, w)).collect()
-            })
-            .collect();
-        assert!(want.iter().all(|q| q.len() > 100), "too few ties");
+        let want = legacy_stream(&p, 3, 42, 0);
+        let per_site = |site| want.iter().filter(|a| a.site == site).count();
+        assert!((0..4).all(|site| per_site(site) > 100), "too few ties");
         for threads in [1, 3] {
             let s = IngestSpec {
                 period: 3,
@@ -455,13 +440,13 @@ mod tests {
             let mut reads = DenseMatrix::zeros(4, 12);
             let mut writes = DenseMatrix::zeros(4, 12);
             ingest_epoch(&s, &mut scratch, &mut reads, &mut writes);
-            assert_eq!(scratch.queues, want, "threads={threads}");
+            assert_eq!(scratch.stream, want, "threads={threads}");
         }
     }
 
     #[test]
     fn queues_and_reports_are_identical_across_thread_counts() {
-        type Snapshot = (Vec<Vec<(u64, u32, bool)>>, IngestOutcome, Vec<u64>);
+        type Snapshot = (Vec<Arrival>, IngestOutcome, Vec<u64>);
         let p = problem(9, 6, 4);
         let mut base: Option<Snapshot> = None;
         for threads in [1usize, 2, 4, 9, 16] {
@@ -473,9 +458,12 @@ mod tests {
             assert!(out.report.balanced());
             let observed: Vec<u64> = reads.iter().chain(writes.iter()).copied().collect();
             match &base {
-                None => base = Some((scratch.queues.clone(), out, observed)),
-                Some((q, o, obs)) => {
-                    assert_eq!(&scratch.queues, q, "queues differ at threads={threads}");
+                None => base = Some((scratch.stream.clone(), out, observed)),
+                Some((stream, o, obs)) => {
+                    assert_eq!(
+                        &scratch.stream, stream,
+                        "stream differs at threads={threads}"
+                    );
                     assert_eq!(&out, o, "outcome differs at threads={threads}");
                     assert_eq!(&observed, obs, "window differs at threads={threads}");
                 }
@@ -494,9 +482,9 @@ mod tests {
             let mut writes = DenseMatrix::zeros(5, 4);
             let out = ingest_epoch(&s, &mut scratch, &mut reads, &mut writes);
             match &first {
-                None => first = Some((scratch.queues.clone(), out)),
-                Some((q, o)) => {
-                    assert_eq!(&scratch.queues, q);
+                None => first = Some((scratch.stream.clone(), out)),
+                Some((stream, o)) => {
+                    assert_eq!(&scratch.stream, stream);
                     assert_eq!(&out, o);
                 }
             }
@@ -518,6 +506,7 @@ mod tests {
         assert_eq!(out.report.offered(), total);
         assert_eq!(out.report.shed(), 0);
         assert_eq!(out.admitted_reads + out.admitted_writes, total);
+        assert_eq!(scratch.stream.len() as u64, total);
         let window: u64 = reads.iter().chain(writes.iter()).sum();
         assert_eq!(window, total);
     }
@@ -533,49 +522,46 @@ mod tests {
         assert_eq!((time_bytes(0), time_bytes(u64::MAX)), (0, 8));
     }
 
-    /// FNV-1a over the admitted queues.
-    fn queues_hash(queues: &[Vec<(u64, u32, bool)>]) -> u64 {
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        for (time, object, write) in queues.iter().flatten() {
-            let bytes = time.to_le_bytes().into_iter();
-            let bytes = bytes.chain(object.to_le_bytes()).chain([u8::from(*write)]);
-            for byte in bytes {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        hash
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
-        /// The radix pass orders a queue exactly as a stable comparison
-        /// sort by time does, ties in queue order, with times at
-        /// `period − 1` in every case.
+        /// The radix passes order the buffers exactly as a stable
+        /// comparison sort by time does over their concatenation in site
+        /// order, ties in that order, with times at `period − 1` in every
+        /// case.
         #[test]
         fn radix_order_equals_a_stable_sort_by_time(
             p in 0usize..PERIODS.len(),
-            raw in prop::collection::vec((0u64..u64::MAX, 0u32..u32::MAX, 0u8..2, 0u8..4), 0..600),
+            raw in prop::collection::vec(
+                (0u64..u64::MAX, 0usize..5, 0u32..u32::MAX, 0u8..2, 0u8..4),
+                0..600,
+            ),
         ) {
             let period = PERIODS[p];
+            let mut absorbed: Vec<Vec<(u64, u32, bool)>> = vec![Vec::new(); 5];
             // One time in four is `period − 1`.
-            let queue: Vec<(u64, u32, bool)> = raw
-                .iter()
-                .map(|&(t, object, write, last)| {
-                    let time = if last == 0 { period - 1 } else { t % period };
-                    (time, object, write == 1)
-                })
-                .collect();
-            let mut want = queue.clone();
-            want.sort_by_key(|&(time, _, _)| time);
-            let mut got = queue;
-            radix_sort_by_time(&mut got, &mut Vec::new(), time_bytes(period));
+            for &(t, site, object, write, last) in &raw {
+                let time = if last == 0 { period - 1 } else { t % period };
+                absorbed[site].push((time, object, write == 1));
+            }
+            let mut want: Vec<Arrival> = Vec::new();
+            for (site, buffer) in absorbed.iter().enumerate() {
+                want.extend(buffer.iter().map(|&(at, object, write)| Arrival {
+                    at,
+                    site: site as u32,
+                    object,
+                    write,
+                }));
+            }
+            want.sort_by_key(|a| a.at);
+            let mut got = Vec::new();
+            order_by_time(&absorbed, &mut got, time_bytes(period));
             prop_assert_eq!(got, want);
         }
 
-        /// Ingest admits the same queues at 1, 2 and 4 threads, at every
-        /// period.
+        /// Ingest admits the same stream at 1, 2 and 4 threads, at every
+        /// period: `(time, site)`-ordered, inside the period, and with
+        /// each site's admitted count in the stream.
         #[test]
         fn admitted_queues_hash_alike_across_thread_counts(
             p in 0usize..PERIODS.len(),
@@ -584,7 +570,7 @@ mod tests {
         ) {
             let period = PERIODS[p];
             let p = problem(6, 5, seed);
-            let hashes: Vec<u64> = [1, 2, 4]
+            let streams: Vec<Vec<Arrival>> = [1, 2, 4]
                 .into_iter()
                 .map(|threads| {
                     let s = IngestSpec {
@@ -595,15 +581,19 @@ mod tests {
                     let mut scratch = IngestScratch::new();
                     let mut reads = DenseMatrix::zeros(6, 5);
                     let mut writes = DenseMatrix::zeros(6, 5);
-                    ingest_epoch(&s, &mut scratch, &mut reads, &mut writes);
-                    for q in &scratch.queues {
-                        assert!(q.windows(2).all(|w| w[0].0 <= w[1].0));
-                        assert!(q.iter().all(|e| e.0 < period));
+                    let out = ingest_epoch(&s, &mut scratch, &mut reads, &mut writes);
+                    let stream = scratch.stream;
+                    let key = |a: &Arrival| (a.at, a.site);
+                    assert!(stream.windows(2).all(|w| key(&w[0]) <= key(&w[1])));
+                    assert!(stream.iter().all(|a| a.at < period));
+                    for (site, &admitted) in out.report.admitted_by_site.iter().enumerate() {
+                        let in_stream = stream.iter().filter(|a| a.site as usize == site).count();
+                        assert_eq!(in_stream as u64, admitted);
                     }
-                    queues_hash(&scratch.queues)
+                    stream
                 })
                 .collect();
-            prop_assert!(hashes.iter().all(|&h| h == hashes[0]), "{:x?}", hashes);
+            prop_assert!(streams.iter().all(|s| *s == streams[0]));
         }
     }
 }

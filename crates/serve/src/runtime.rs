@@ -28,9 +28,9 @@
 //! Every random draw comes from a stream seeded by FNV-mixing the master
 //! seed with a fixed stream tag and the epoch index, the simulator is a
 //! single-threaded event loop, and the only multi-threaded component (the
-//! ingestion front end's per-site shards) builds the same queues for every
-//! thread count. Same seed ⇒ byte-identical [`ServiceReport`], regardless
-//! of `DRP_THREADS` or [`ServeConfig::threads`].
+//! ingestion front end's per-site shards) builds the same request stream
+//! for every thread count. Same seed ⇒ byte-identical [`ServiceReport`],
+//! regardless of `DRP_THREADS` or [`ServeConfig::threads`].
 
 use std::sync::Arc;
 
@@ -879,8 +879,8 @@ fn run_loop(
         None => LoopState::fresh(problem, config, recorder.as_ref())?,
     };
 
-    // One scratch for the whole run: the admitted queues and the
-    // producer's pull buffer are reused epoch after epoch instead of
+    // One scratch for the whole run: the admitted stream, the absorb
+    // buffers and the producer's pull buffer are reused epoch after epoch instead of
     // re-materializing the full trace each time.
     let mut scratch = IngestScratch::new();
 

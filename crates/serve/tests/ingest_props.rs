@@ -5,10 +5,10 @@
 //! * per-site conservation — `offered == admitted + shed` at every site,
 //!   under bursty tiny batches and depth-1 bounded channels (the
 //!   configuration that maximizes producer blocking);
-//! * thread-count independence — queues, admission reports and the
-//!   observation window are bitwise-equal for any worker count, and the
-//!   full closed-loop [`ServiceReport`] fingerprint does not move across
-//!   `threads` ∈ {1, 2, 4}, under every policy.
+//! * thread-count independence — the admitted stream, admission reports
+//!   and the observation window are bitwise-equal for any worker count,
+//!   and the full closed-loop [`ServiceReport`] fingerprint does not move
+//!   across `threads` ∈ {1, 2, 4}, under every policy.
 //!
 //! [`ServiceReport`]: drp_serve::ServiceReport
 
@@ -99,12 +99,16 @@ proptest! {
             } else {
                 prop_assert_eq!(shed, 0);
             }
-            prop_assert_eq!(scratch.queues[site].len() as u64, admitted);
-            prop_assert!(
-                scratch.queues[site].windows(2).all(|w| w[0].0 <= w[1].0),
-                "queue at site {} must stay time-ordered", site
-            );
+            let in_stream = scratch.stream.iter().filter(|a| a.site as usize == site).count();
+            prop_assert_eq!(in_stream as u64, admitted);
         }
+        prop_assert!(
+            scratch
+                .stream
+                .windows(2)
+                .all(|w| (w[0].at, w[0].site) <= (w[1].at, w[1].site)),
+            "the stream must stay (time, site)-ordered"
+        );
         // Every offered request lands in the observation window, shed or not.
         let window: u64 = reads.iter().chain(writes.iter()).sum();
         prop_assert_eq!(window, out.report.offered());
@@ -141,11 +145,11 @@ proptest! {
             let mut writes = DenseMatrix::zeros(sites, 6);
             let out = ingest_epoch(&spec(threads), &mut scratch, &mut reads, &mut writes);
             let window: Vec<u64> = reads.iter().chain(writes.iter()).copied().collect();
-            (scratch.queues, out, window)
+            (scratch.stream, out, window)
         };
-        let (queues_1, out_1, window_1) = run(1);
-        let (queues_t, out_t, window_t) = run(threads);
-        prop_assert_eq!(queues_1, queues_t);
+        let (stream_1, out_1, window_1) = run(1);
+        let (stream_t, out_t, window_t) = run(threads);
+        prop_assert_eq!(stream_1, stream_t);
         prop_assert_eq!(out_1, out_t);
         prop_assert_eq!(window_1, window_t);
     }
